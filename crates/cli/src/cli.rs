@@ -70,10 +70,11 @@ OPTIONS:
   --emit          summary (default) | cuda | pseudo | harness | json
   --batch         model batch size (default 8)
   --cache         persistent schedule cache file (JSONL); hits skip tuning
-  --remote        compile through a `gensor serve` daemon at socket S;
-                  falls back to in-process compilation if unreachable
   --peers         comma-separated daemon endpoints forming a cache fabric;
                   compiles route by consistent hash with replica failover
+                  and fall back to in-process compilation if none answers
+  --remote        one daemon at socket S: a spelling of the one-peer
+                  --peers S (--peers wins when both are given)
   --token         shared auth token for token-guarded daemons (serve
                   requires it from clients; clients send it in Hello)
   --socket        Unix-domain socket path for serve / serve-stats
@@ -378,17 +379,11 @@ fn devices() -> String {
     out
 }
 
-/// The `--remote <socket>` option, if present.
-fn parse_remote<'a>(opts: &[(&str, &'a str)]) -> Option<&'a str> {
-    opts.iter()
-        .rev()
-        .find(|(k, _)| *k == "remote")
-        .map(|(_, v)| *v)
-}
-
-/// The `--peers a,b,c` list (empty when absent).
+/// The `--peers a,b,c` list (empty when absent). `--remote S` is a
+/// spelling of the one-peer list `--peers S`; `--peers` wins when both
+/// are given.
 fn parse_peers(opts: &[(&str, &str)]) -> Vec<String> {
-    opt(opts, "peers", "")
+    opt(opts, "peers", opt(opts, "remote", ""))
         .split(',')
         .map(str::trim)
         .filter(|p| !p.is_empty())
@@ -408,11 +403,12 @@ fn client_config(opts: &[(&str, &str)]) -> served::ClientConfig {
 
 /// One summary line about where a [`fabric::FabricClient`]'s compiles
 /// ran.
-fn fabric_line(peers: &[String], r: fabric::FabricReport) -> String {
+fn fabric_line(f: &fabric::FabricClient) -> String {
+    let r = f.report();
     format!(
         "{} remote over {} peer(s) ({} hits / {} misses, {} failovers, {} repairs), {} local fallback",
         r.remote,
-        peers.len(),
+        f.membership().peers().len(),
         r.hits,
         r.misses,
         r.failovers,
@@ -421,19 +417,17 @@ fn fabric_line(peers: &[String], r: fabric::FabricReport) -> String {
     )
 }
 
-/// One summary line about where a [`served::RemoteTuner`]'s compiles ran.
-fn remote_line(socket: &str, r: served::RemoteReport) -> String {
-    if r.remote > 0 {
-        format!(
-            "{} via daemon at {socket}, {} local fallback",
-            r.remote, r.local
-        )
-    } else {
-        format!(
-            "daemon at {socket} unreachable — compiled {} in-process",
-            r.local
-        )
-    }
+/// The [`fabric::FabricClient`] over `--peers` / `--remote` in front of
+/// `local`, or `None` when the command line names no daemon.
+fn daemon_tuner<'a>(
+    opts: &[(&str, &str)],
+    local: &'a dyn Tuner,
+) -> Option<fabric::FabricClient<'a>> {
+    let peers = parse_peers(opts);
+    (!peers.is_empty()).then(|| {
+        fabric::FabricClient::new(&peers, opt(opts, "method", "gensor"), None, local)
+            .with_config(client_config(opts))
+    })
 }
 
 fn compile(pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
@@ -450,22 +444,10 @@ fn compile(pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
         Some(c) => c,
         None => method.as_ref(),
     };
-    let peers = parse_peers(opts);
-    let fabric_tuner = (!peers.is_empty()).then(|| {
-        fabric::FabricClient::new(&peers, method_name, None, local).with_config(client_config(opts))
-    });
-    let remote = if fabric_tuner.is_some() {
-        None
-    } else {
-        parse_remote(opts).map(|socket| {
-            served::RemoteTuner::new(socket, method_name, None, local)
-                .with_config(client_config(opts))
-        })
-    };
-    let tuner: &dyn Tuner = match (&fabric_tuner, &remote) {
-        (Some(f), _) => f,
-        (None, Some(r)) => r,
-        (None, None) => local,
+    let fabric_tuner = daemon_tuner(opts, local);
+    let tuner: &dyn Tuner = match &fabric_tuner {
+        Some(f) => f,
+        None => local,
     };
     let emit = opt(opts, "emit", "summary");
     let collecting = arm_collect(opts)?;
@@ -515,11 +497,8 @@ fn compile(pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
             if let Some(cache) = &cache {
                 let _ = writeln!(out, "cache    : {}", cache_line(cache));
             }
-            if let (Some(r), Some(socket)) = (&remote, parse_remote(opts)) {
-                let _ = writeln!(out, "remote   : {}", remote_line(socket, r.report()));
-            }
             if let Some(f) = &fabric_tuner {
-                let _ = writeln!(out, "fabric   : {}", fabric_line(&peers, f.report()));
+                let _ = writeln!(out, "fabric   : {}", fabric_line(f));
             }
             if let Some((n, path)) = &collected {
                 let _ = writeln!(out, "learn    : collected {n} samples → {}", path.display());
@@ -573,22 +552,10 @@ fn model(pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
         Some(c) => c,
         None => method.as_ref(),
     };
-    let peers = parse_peers(opts);
-    let fabric_tuner = (!peers.is_empty()).then(|| {
-        fabric::FabricClient::new(&peers, method_name, None, local).with_config(client_config(opts))
-    });
-    let remote = if fabric_tuner.is_some() {
-        None
-    } else {
-        parse_remote(opts).map(|socket| {
-            served::RemoteTuner::new(socket, method_name, None, local)
-                .with_config(client_config(opts))
-        })
-    };
-    let tuner: &dyn Tuner = match (&fabric_tuner, &remote) {
-        (Some(f), _) => f,
-        (None, Some(r)) => r,
-        (None, None) => local,
+    let fabric_tuner = daemon_tuner(opts, local);
+    let tuner: &dyn Tuner = match &fabric_tuner {
+        Some(f) => f,
+        None => local,
     };
     let graph = model_graph(name, batch)?;
     let collecting = arm_collect(opts)?;
@@ -610,11 +577,8 @@ fn model(pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
     if let Some(cache) = &cache {
         let _ = writeln!(out, "cache      : {}", cache_line(cache));
     }
-    if let (Some(r), Some(socket)) = (&remote, parse_remote(opts)) {
-        let _ = writeln!(out, "remote     : {}", remote_line(socket, r.report()));
-    }
     if let Some(f) = &fabric_tuner {
-        let _ = writeln!(out, "fabric     : {}", fabric_line(&peers, f.report()));
+        let _ = writeln!(out, "fabric     : {}", fabric_line(f));
     }
     if let Some((n, path)) = &collected {
         let _ = writeln!(
@@ -819,12 +783,7 @@ fn trace(pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
         .map_err(|_| CliError::Usage("bad --batch".into()))?;
     let method = configured_method(opts)?;
     let ops = target_ops(pos, batch)?;
-    let mut peers = parse_peers(opts);
-    if peers.is_empty() {
-        if let Some(socket) = parse_remote(opts) {
-            peers.push(socket.to_string());
-        }
-    }
+    let peers = parse_peers(opts);
     let ctx = obs::TraceContext::mint();
     let ring = Arc::new(obs::RingCollector::new(1 << 20));
     obs::install(ring.clone());
@@ -1192,10 +1151,6 @@ fn cluster(pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
                     continue;
                 }
             };
-            if !c.supports_selfheal() {
-                last_err = format!("{peer} speaks proto {} (gossip needs v7)", c.proto());
-                continue;
-            }
             let members = match c.members() {
                 Ok(m) => m,
                 Err(e) => {
@@ -1227,9 +1182,8 @@ fn cluster(pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
         let report = fabric::converge_cluster(&peers, &cfg);
         if emit == "json" {
             return Ok(format!(
-                "{{\"peers\":{},\"pre_v7\":{},\"union_keys\":{},\"pushed\":{},\"rejected\":{},\"converged\":{}}}\n",
+                "{{\"peers\":{},\"union_keys\":{},\"pushed\":{},\"rejected\":{},\"converged\":{}}}\n",
                 report.peers,
-                report.pre_v7,
                 report.union_keys,
                 report.pushed,
                 report.rejected,
@@ -1255,38 +1209,11 @@ fn serve_stats(_pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError>
     if socket.is_empty() {
         return Err(CliError::Usage("serve-stats needs --socket <path>".into()));
     }
-    // The exchange runs through a client-side breaker so the report can
-    // show the transport circuit alongside the server's own counters.
-    let breaker = served::Breaker::new(served::BreakerConfig::default());
-    let s = {
-        if !breaker.allow() {
-            unreachable!("a fresh breaker is closed");
-        }
-        let fetched = served::Client::connect(socket).and_then(|mut c| c.stats());
-        match &fetched {
-            Ok(_) => breaker.on_success(),
-            Err(served::ClientError::Unreachable(_) | served::ClientError::Frame(_)) => {
-                breaker.on_failure()
-            }
-            // Busy/Remote/Protocol replies prove the daemon is alive.
-            Err(_) => breaker.on_success(),
-        }
-        fetched.map_err(|e| CliError::Usage(format!("cannot reach daemon at '{socket}': {e}")))?
-    };
+    let s = served::Client::connect(socket)
+        .and_then(|mut c| c.stats())
+        .map_err(|e| CliError::Usage(format!("cannot reach daemon at '{socket}': {e}")))?;
     match opt(opts, "emit", "summary") {
-        "json" => {
-            let mut v = serde_json::to_value(&s).expect("serialize");
-            if let serde_json::Value::Object(fields) = &mut v {
-                fields.push((
-                    "client_breaker".to_string(),
-                    serde_json::json!({
-                        "state": breaker.state().as_str(),
-                        "trips": breaker.trips(),
-                    }),
-                ));
-            }
-            Ok(serde_json::to_string_pretty(&v).expect("serialize") + "\n")
-        }
+        "json" => Ok(serde_json::to_string_pretty(&s).expect("serialize") + "\n"),
         "summary" => {
             let mut out = String::new();
             let _ = writeln!(out, "daemon      : {socket} (up {:.1} s)", s.uptime_s);
@@ -1331,12 +1258,8 @@ fn serve_stats(_pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError>
             );
             let _ = writeln!(
                 out,
-                "robustness  : {} worker panics, {} cancelled, {} torn records recovered; client breaker {} ({} trips)",
-                s.worker_panics,
-                s.cancelled,
-                s.cache.recovered_truncated,
-                breaker.state().as_str(),
-                breaker.trips()
+                "robustness  : {} worker panics, {} cancelled, {} torn records recovered",
+                s.worker_panics, s.cancelled, s.cache.recovered_truncated
             );
             Ok(out)
         }
@@ -2186,11 +2109,9 @@ mod tests {
 
     #[test]
     fn compile_remote_falls_back_without_a_daemon() {
-        let out = call(
-            "compile gemm 256 128 256 --method roller --remote /tmp/gensor-cli-test-dead2.sock",
-        )
-        .unwrap();
-        assert!(out.contains("unreachable — compiled 1 in-process"), "{out}");
+        let out = call("compile gemm 256 128 256 --method roller --remote /no/such.sock").unwrap();
+        assert!(out.contains("fabric   : 0 remote over 1 peer(s)"), "{out}");
+        assert!(out.contains("1 local fallback"), "{out}");
         assert!(out.contains("GFLOPS"), "{out}");
     }
 }

@@ -1,8 +1,8 @@
 //! SWIM-style failure detection and membership dissemination.
 //!
 //! Each daemon runs a [`Detector`] that probes its peers once per
-//! gossip interval. A probe is itself a proto-v7 `Gossip` frame — the
-//! answer both proves the peer alive and piggybacks membership updates
+//! gossip interval. A probe is itself a `Gossip` frame — the answer
+//! both proves the peer alive and piggybacks membership updates
 //! in each direction, so there is no separate dissemination channel. A
 //! peer that does not answer gets one more chance through up to
 //! `indirect_probes` relays (`PingReq`): a relay that can still reach
@@ -59,8 +59,8 @@ impl MemberState {
         }
     }
 
-    /// Parse the wire spelling; unknown strings from a future proto are
-    /// treated as `Suspect` (cautious, recoverable either way).
+    /// Parse the wire spelling; unknown strings are treated as
+    /// `Suspect` (cautious, recoverable either way).
     pub fn parse(s: &str) -> MemberState {
         match s {
             "alive" => MemberState::Alive,
@@ -462,30 +462,21 @@ impl Detector {
     }
 
     /// One direct probe: a `Gossip` exchange doubles as the ping.
-    /// `Ok(true)` = answered (and membership merged); `Ok(false)` = the
-    /// peer is reachable but pre-v7 (alive, gossip disabled); `Err` =
-    /// unreachable.
-    fn probe(&self, peer: &str) -> Result<bool, ()> {
+    /// `Ok` = answered (and membership merged); `Err` = unreachable.
+    fn probe(&self, peer: &str) -> Result<(), ()> {
         if faults::armed() && faults::check(PARTITION_SITE).is_some() {
             return Err(()); // simulated partition: the probe is lost
         }
         let mut c = Client::connect_with(peer, self.cfg.client.clone()).map_err(|_| ())?;
-        if !c.supports_selfheal() {
-            // A v5/v6 daemon: the successful handshake is its liveness
-            // proof; it just cannot carry gossip.
-            return Ok(false);
-        }
-        match c.gossip(
-            self.table.me(),
-            self.table.incarnation(),
-            self.table.wire_members(),
-        ) {
-            Ok(updates) => {
-                self.table.merge(&updates);
-                Ok(true)
-            }
-            Err(_) => Err(()),
-        }
+        let updates = c
+            .gossip(
+                self.table.me(),
+                self.table.incarnation(),
+                self.table.wire_members(),
+            )
+            .map_err(|_| ())?;
+        self.table.merge(&updates);
+        Ok(())
     }
 
     /// Ask up to `indirect_probes` other non-dead peers to vouch for
@@ -502,9 +493,6 @@ impl Detector {
             let Ok(mut c) = Client::connect_with(&relay, self.cfg.client.clone()) else {
                 continue;
             };
-            if !c.supports_selfheal() {
-                continue;
-            }
             if let Ok(true) = c.ping_req(target) {
                 obs::counter_inc!(
                     "gensor_fabric_gossip_indirect_acks_total",
@@ -532,7 +520,7 @@ impl Detector {
                 "Direct SWIM probes sent (one per peer per round)"
             );
             match self.probe(peer) {
-                Ok(_) => self.table.observe_alive(peer),
+                Ok(()) => self.table.observe_alive(peer),
                 Err(()) => {
                     if self.indirect_probe(peer) {
                         self.table.observe_alive(peer);

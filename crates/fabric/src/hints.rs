@@ -15,7 +15,7 @@
 //! `installed: false`), so the log only has to guarantee *at-least-once
 //! for hints it accepted* and *no resurrection of hints it drained*.
 
-use schedcache::store::{frame_line, unframe};
+use schedcache::store::{frame_line, replace_file, unframe};
 use serde::{Deserialize, Serialize};
 use served::WireKernel;
 use std::collections::VecDeque;
@@ -207,7 +207,8 @@ impl HintLog {
         f.sync_data()
     }
 
-    /// Rewrite the spool to match the in-memory queue (atomic rename).
+    /// Rewrite the spool to match the in-memory queue, atomically and
+    /// durably (the store's [`replace_file`]).
     fn persist(&self) -> std::io::Result<()> {
         let Some(path) = &self.path else {
             return Ok(());
@@ -221,9 +222,7 @@ impl HintLog {
                 body.push_str(&frame_line(&payload));
             }
         }
-        let tmp = path.with_extension("tmp");
-        fs::write(&tmp, body)?;
-        fs::rename(&tmp, path)
+        replace_file(path, body.as_bytes())
     }
 }
 
@@ -249,8 +248,13 @@ mod tests {
         std::env::temp_dir().join(format!("gensor-hints-{}-{name}.jsonl", std::process::id()))
     }
 
+    // Every test that appends to a durable spool holds
+    // `faults::exclusive()`: `fabric.hints.append` is a process-global
+    // site and one test below arms it.
+
     #[test]
     fn durable_hints_survive_a_reopen() {
+        let _g = faults::exclusive();
         let path = tmp("reopen");
         fs::remove_file(&path).ok();
         let log = HintLog::open(&path, 8).unwrap();
@@ -265,6 +269,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_to_the_intact_prefix() {
+        let _g = faults::exclusive();
         let path = tmp("torn");
         fs::remove_file(&path).ok();
         let log = HintLog::open(&path, 8).unwrap();
@@ -308,6 +313,7 @@ mod tests {
 
     #[test]
     fn append_failpoint_keeps_the_hint_in_memory() {
+        let _g = faults::exclusive();
         let path = tmp("failpoint");
         fs::remove_file(&path).ok();
         let log = HintLog::open(&path, 8).unwrap();

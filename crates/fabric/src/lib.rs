@@ -10,13 +10,13 @@
 //! Layers:
 //! * [`ring`] — ketama-style consistent-hash ring with virtual nodes;
 //!   serializable as a [`RingSpec`], rebuilt deterministically.
-//! * [`membership`] — static peer list + per-endpoint circuit breakers;
-//!   the routing ring is over *live* peers and rebuilds when one dies
-//!   or recovers.
+//! * [`membership`] — static peer list + one circuit breaker per peer,
+//!   the only place peer health is held; the routing ring is over *live*
+//!   peers and rebuilds when one dies or recovers.
 //! * [`gossip`] — SWIM-style failure detection: probe rounds with
 //!   indirect relays, suspicion timeouts, incarnation-numbered
 //!   alive → suspect → dead → rejoined transitions, disseminated by
-//!   piggybacking on proto-v7 `Gossip` frames.
+//!   piggybacking on `Gossip` frames.
 //! * [`repair`] — anti-entropy cache repair: shard-fingerprint digests
 //!   compared peer-to-peer, only missing entries streamed, every pulled
 //!   kernel re-verified at the `RemotePeer` trust boundary.

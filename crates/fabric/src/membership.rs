@@ -1,23 +1,26 @@
 //! Static membership with health-driven ring rebuilds.
 //!
 //! Membership is a static peer list (`gensor serve --peers`, or a
-//! client's `--peers`); *health* is dynamic, tracked by the same
-//! per-endpoint circuit breakers the serve client uses. The routing ring
-//! is built over the **live** peers — those whose breaker is not open —
+//! client's `--peers`); *health* is dynamic and lives here and nowhere
+//! else: one transport circuit breaker per configured peer, plus the SWIM
+//! overlay when a detector runs in this process. The routing ring is
+//! built over the **live** peers — those whose breaker is not open —
 //! and rebuilt lazily whenever that set changes, so a dead daemon's key
 //! range flows to the survivors within one breaker trip, and flows back
 //! when its half-open probe succeeds.
 
 use crate::gossip::MemberTable;
 use crate::ring::{hash64, Ring, DEFAULT_VNODES};
-use served::{Breaker, BreakerConfig, BreakerMap};
+use served::{Breaker, BreakerConfig, BreakerState};
 use std::sync::{Arc, Mutex};
 
 /// The peer set and its health, owning the current routing ring.
 pub struct Membership {
+    /// Sorted and deduplicated.
     peers: Vec<String>,
+    /// One breaker per peer, index-aligned with `peers`.
+    breakers: Vec<Breaker>,
     vnodes: u32,
-    breakers: BreakerMap,
     /// SWIM overlay, when a gossip detector runs in this process:
     /// confirmed-dead peers leave the ring even before their breaker
     /// trips, and confirmed rejoins bring them back without waiting out
@@ -34,10 +37,14 @@ impl Membership {
         let mut peers = peers.to_vec();
         peers.sort();
         peers.dedup();
+        let breakers = peers
+            .iter()
+            .map(|_| Breaker::new(breaker_cfg.clone()))
+            .collect();
         Membership {
             peers,
+            breakers,
             vnodes: DEFAULT_VNODES,
-            breakers: BreakerMap::new(breaker_cfg),
             gossip: Mutex::new(None),
             cached: Mutex::new(None),
         }
@@ -61,14 +68,23 @@ impl Membership {
         &self.peers
     }
 
-    /// The per-endpoint breaker map.
-    pub fn breakers(&self) -> &BreakerMap {
-        &self.breakers
+    /// The breaker guarding `endpoint`; `None` for an endpoint that is
+    /// not a configured peer.
+    pub fn breaker(&self, endpoint: &str) -> Option<&Breaker> {
+        self.peers
+            .binary_search_by(|p| p.as_str().cmp(endpoint))
+            .ok()
+            .map(|i| &self.breakers[i])
     }
 
-    /// The breaker guarding `endpoint`.
-    pub fn breaker(&self, endpoint: &str) -> Arc<Breaker> {
-        self.breakers.breaker(endpoint)
+    /// Every peer whose breaker is currently open.
+    pub fn open_peers(&self) -> Vec<&str> {
+        self.peers
+            .iter()
+            .zip(&self.breakers)
+            .filter(|(_, b)| b.state() == BreakerState::Open)
+            .map(|(p, _)| p.as_str())
+            .collect()
     }
 
     /// Peers whose breaker is not currently open and whom gossip (when
@@ -80,7 +96,6 @@ impl Membership {
     /// back; keeping the dead peers routable lets `allow()` meter
     /// recovery attempts normally.
     pub fn live_peers(&self) -> Vec<String> {
-        let open = self.breakers.open_endpoints();
         let dead = self
             .gossip
             .lock()
@@ -91,8 +106,9 @@ impl Membership {
         let live: Vec<String> = self
             .peers
             .iter()
-            .filter(|p| !open.contains(p) && !dead.contains(p))
-            .cloned()
+            .zip(&self.breakers)
+            .filter(|(p, b)| b.state() != BreakerState::Open && !dead.contains(p))
+            .map(|(p, _)| p.clone())
             .collect();
         if live.is_empty() {
             self.peers.clone()
@@ -134,7 +150,6 @@ impl Membership {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use served::BreakerState;
     use std::time::Duration;
 
     fn peers() -> Vec<String> {
@@ -158,8 +173,10 @@ mod tests {
         let m = Membership::new(&peers(), trippy());
         assert_eq!(m.ring().len(), 3);
         let dead = &peers()[1];
-        m.breaker(dead).on_failure();
-        assert_eq!(m.breaker(dead).state(), BreakerState::Open);
+        m.breaker(dead).unwrap().on_failure();
+        assert_eq!(m.breaker(dead).unwrap().state(), BreakerState::Open);
+        assert_eq!(m.open_peers(), vec![dead.as_str()]);
+        assert!(m.breaker("tcp://127.0.0.1:9999").is_none(), "not a peer");
         let ring = m.ring();
         assert_eq!(ring.len(), 2);
         assert!(!ring.nodes().contains(dead));
@@ -171,7 +188,7 @@ mod tests {
         let a = m.ring();
         let b = m.ring();
         assert!(Arc::ptr_eq(&a, &b), "unchanged live set must not rebuild");
-        m.breaker(&peers()[0]).on_failure();
+        m.breaker(&peers()[0]).unwrap().on_failure();
         let c = m.ring();
         assert!(!Arc::ptr_eq(&b, &c));
     }
@@ -198,7 +215,7 @@ mod tests {
     fn all_breakers_open_falls_back_to_the_full_list() {
         let m = Membership::new(&peers(), trippy());
         for p in peers() {
-            m.breaker(&p).on_failure();
+            m.breaker(&p).unwrap().on_failure();
         }
         assert_eq!(m.live_peers().len(), 3, "never route into an empty ring");
         assert_eq!(m.ring().len(), 3);

@@ -27,8 +27,6 @@ pub struct RepairReport {
     pub peers_contacted: u64,
     /// Peers whose digest already matched ours (nothing to do).
     pub in_sync: u64,
-    /// Peers skipped because they speak a pre-v7 protocol.
-    pub pre_v7: u64,
     /// Entries streamed from peers.
     pub pulled: u64,
     /// Entries verified and banked locally.
@@ -43,7 +41,6 @@ impl RepairReport {
     fn absorb(&mut self, other: RepairReport) {
         self.peers_contacted += other.peers_contacted;
         self.in_sync += other.in_sync;
-        self.pre_v7 += other.pre_v7;
         self.pulled += other.pulled;
         self.installed += other.installed;
         self.rejected += other.rejected;
@@ -60,22 +57,13 @@ fn to_cache_entry(e: WireEntry) -> CacheEntry {
     }
 }
 
-/// Pull everything `peer` has that `cache` is missing. Unreachable or
-/// pre-v7 peers are recorded, never an error — repair is opportunistic.
+/// Pull everything `peer` has that `cache` is missing. An unreachable
+/// peer is skipped, never an error — repair is opportunistic.
 fn sync_from_peer(cache: &ScheduleCache, peer: &str, cfg: &ClientConfig) -> RepairReport {
     let mut report = RepairReport::default();
     let Ok(mut c) = Client::connect_with(peer, cfg.clone()) else {
         return report;
     };
-    if !c.supports_selfheal() {
-        report.pre_v7 += 1;
-        obs::log!(
-            Debug,
-            "repair: {peer} speaks proto {}, skipping (needs v7)",
-            c.proto()
-        );
-        return report;
-    }
     let mine = cache.digest();
     let Ok((root, shards, count)) = c.cache_digest() else {
         return report;
@@ -165,8 +153,6 @@ pub fn sync_from_peers(
 pub struct ConvergeReport {
     /// Peers that answered the digest probe.
     pub peers: u64,
-    /// Peers skipped for speaking a pre-v7 protocol.
-    pub pre_v7: u64,
     /// Distinct keys across the whole cluster.
     pub union_keys: u64,
     /// Entries copied from a holder to a peer that was missing them.
@@ -178,23 +164,19 @@ pub struct ConvergeReport {
 }
 
 /// Operator-driven convergence (`gensor cluster repair`): enumerate
-/// every v7 peer's key set, compute the union, and for each peer stream
+/// every peer's key set, compute the union, and for each peer stream
 /// it the entries it is missing from a peer that has them. Verification
 /// happens on the *receiving* daemon (`CachePush` runs through
 /// `install_raw`), so this client never becomes a trust bypass.
 pub fn converge_cluster(peers: &[String], cfg: &ClientConfig) -> ConvergeReport {
     use std::collections::HashMap;
     let mut report = ConvergeReport::default();
-    // Key inventory per reachable v7 peer.
+    // Key inventory per reachable peer.
     let mut inventory: HashMap<String, HashSet<schedcache::CacheKey>> = HashMap::new();
     for peer in peers {
         let Ok(mut c) = Client::connect_with(peer, cfg.clone()) else {
             continue;
         };
-        if !c.supports_selfheal() {
-            report.pre_v7 += 1;
-            continue;
-        }
         let mut keys = HashSet::new();
         let mut ok = true;
         for shard in 0..schedcache::DIGEST_SHARDS {

@@ -9,7 +9,7 @@
 //! converged. Peers that stop answering trip their breaker, fall out of
 //! the ring, and their key range flows to the survivors; if every peer
 //! is down (or refuses our token) the compile falls back to the local
-//! tuner, exactly like the single-daemon [`served::RemoteTuner`].
+//! tuner. A single daemon is the one-peer case of the same client.
 //!
 //! Remote answers cross a trust boundary: before a peer's kernel is
 //! banked, written through, or returned it is re-verified with
@@ -24,7 +24,7 @@ use crate::ring::ring_key;
 use hardware::GpuSpec;
 use schedcache::CacheKey;
 use served::{
-    BreakerConfig, BreakerState, Client, ClientConfig, ClientError, ErrKind, WireKernel,
+    Breaker, BreakerConfig, BreakerState, Client, ClientConfig, ClientError, ErrKind, WireKernel,
     WireOutcome,
 };
 use simgpu::{CompiledKernel, Tuner};
@@ -72,8 +72,7 @@ struct FabricStats {
 }
 
 /// A [`Tuner`] that shards compiles across a cluster of `gensor serve`
-/// daemons. Same surface as [`served::RemoteTuner`]; the difference is
-/// *which* daemon answers, and that answers replicate.
+/// daemons — the only [`Tuner`] over daemons; one peer is a cluster too.
 pub struct FabricClient<'a> {
     membership: Membership,
     cfg: ClientConfig,
@@ -190,7 +189,14 @@ impl<'a> FabricClient<'a> {
         }
     }
 
-    fn checkout(&self, endpoint: &str) -> Result<Client, ClientError> {
+    /// The breaker of a peer the ring routed to.
+    fn breaker_of(&self, endpoint: &str) -> &Breaker {
+        self.membership
+            .breaker(endpoint)
+            .expect("the ring is built over configured peers only")
+    }
+
+    fn checkout(&self, endpoint: &str, breaker: &Breaker) -> Result<Client, ClientError> {
         if let Some(c) = self
             .pools
             .lock()
@@ -205,7 +211,7 @@ impl<'a> FabricClient<'a> {
         // the configured retry ladder. One metered probe per cooldown
         // is how a fleet avoids stampeding a daemon that is just
         // getting back on its feet.
-        let cfg = if self.membership.breaker(endpoint).state() == BreakerState::HalfOpen {
+        let cfg = if breaker.state() == BreakerState::HalfOpen {
             ClientConfig {
                 retries: 1,
                 connect_budget: self.cfg.connect_timeout,
@@ -235,11 +241,12 @@ impl<'a> FabricClient<'a> {
     fn remote_compile(
         &self,
         endpoint: &str,
+        breaker: &Breaker,
         op: &OpSpec,
         spec: &GpuSpec,
         trace: (u64, u64),
     ) -> Result<(CompiledKernel, WireOutcome), ClientError> {
-        let mut client = self.checkout(endpoint)?;
+        let mut client = self.checkout(endpoint, breaker)?;
         client.set_trace(trace.0, trace.1);
         match client.compile(op, spec, &self.method, self.budget) {
             Ok(ok) => {
@@ -266,7 +273,7 @@ impl<'a> FabricClient<'a> {
         trace: (u64, u64),
     ) {
         for &ep in targets.iter().filter(|&&ep| ep != winner) {
-            let breaker = self.membership.breaker(ep);
+            let breaker = self.breaker_of(ep);
             if !breaker.allow() {
                 // The owner is down and this write would silently miss
                 // it — queue a hint so the replica converges the moment
@@ -274,7 +281,7 @@ impl<'a> FabricClient<'a> {
                 self.enqueue_hint(ep, op, spec, kernel);
                 continue;
             }
-            let outcome = self.checkout(ep).and_then(|mut client| {
+            let outcome = self.checkout(ep, breaker).and_then(|mut client| {
                 client.set_trace(trace.0, trace.1);
                 match client.put(op, spec, &self.method, kernel) {
                     Ok(installed) => {
@@ -329,7 +336,9 @@ impl<'a> FabricClient<'a> {
     /// Replay queued hints to every target whose breaker currently lets
     /// traffic through. Returns `(replayed, requeued)`. `Put` is
     /// idempotent on the daemon, so a hint that raced a repair pass is
-    /// a no-op there, never a duplicate. Called opportunistically after
+    /// a no-op there, never a duplicate. Hints for an endpoint that is
+    /// not a configured peer (a spool written under an older peer list)
+    /// stay queued. Called opportunistically after
     /// successful compiles; also public for explicit drains (tests, the
     /// CLI, a gossip rejoin handler).
     pub fn replay_hints(&self) -> (u64, u64) {
@@ -338,13 +347,15 @@ impl<'a> FabricClient<'a> {
         };
         let (mut replayed, mut requeued) = (0u64, 0u64);
         for target in log.targets() {
-            let breaker = self.membership.breaker(&target);
+            let Some(breaker) = self.membership.breaker(&target) else {
+                continue;
+            };
             if !breaker.allow() {
                 continue;
             }
             let mut pending = log.take(&target);
             while let Some(hint) = pending.first().cloned() {
-                let outcome = self.checkout(&target).and_then(|mut client| {
+                let outcome = self.checkout(&target, breaker).and_then(|mut client| {
                     client.set_trace(self.trace.0, self.trace.1);
                     let kernel = CompiledKernel::from(hint.kernel.clone());
                     match client.put(&hint.op, &hint.gpu, &hint.method, &kernel) {
@@ -416,11 +427,11 @@ impl<'a> FabricClient<'a> {
             self.trace
         };
         for (rank, &ep) in targets.iter().enumerate() {
-            let breaker = self.membership.breaker(ep);
+            let breaker = self.breaker_of(ep);
             if !breaker.allow() {
                 continue;
             }
-            match self.remote_compile(ep, op, spec, hop) {
+            match self.remote_compile(ep, breaker, op, spec, hop) {
                 Ok((kernel, outcome)) => {
                     // The peer answered, so it is alive regardless of what
                     // it answered with — content problems must not trip
@@ -547,6 +558,15 @@ mod tests {
         }
     }
 
+    /// One transport failure opens the circuit for the rest of the test.
+    fn hair_trigger() -> BreakerConfig {
+        BreakerConfig {
+            failure_threshold: 1,
+            cooldown: Duration::from_secs(30),
+            max_cooldown: Duration::from_secs(30),
+        }
+    }
+
     #[test]
     fn no_peers_means_every_compile_falls_back_local() {
         let gensor = gensor::Gensor::single_chain(5);
@@ -568,23 +588,46 @@ mod tests {
         ];
         let fabric = FabricClient::new(&peers, "gensor", None, &gensor)
             .with_config(fast())
-            .with_breaker(BreakerConfig {
-                failure_threshold: 1,
-                cooldown: Duration::from_secs(30),
-                max_cooldown: Duration::from_secs(30),
-            });
+            .with_breaker(hair_trigger());
         let op = tensor_expr::OpSpec::gemm(64, 64, 64);
         let spec = GpuSpec::rtx4090();
         let _ = fabric.compile(&op, &spec);
         let r = fabric.report();
         assert_eq!(r.local, 1, "both peers dead: compile fell back");
         assert_eq!(
-            fabric.membership().breakers().open_endpoints().len(),
+            fabric.membership().open_peers().len(),
             2,
             "both breakers tripped"
         );
         // Second compile: breakers open, no connect attempts, still served.
         let _ = fabric.compile(&op, &spec);
         assert_eq!(fabric.report().local, 2);
+    }
+
+    /// A single daemon is a one-peer fabric (what `--remote S` builds):
+    /// with nobody listening on the socket path the answer is the local
+    /// tuner's, and once the breaker is open a compile costs no connect.
+    #[test]
+    fn one_unix_socket_peer_without_a_daemon_falls_back_then_skips_the_connect() {
+        let gensor = gensor::Gensor::single_chain(5);
+        let socket = "/tmp/fabric-test-no-such-daemon.sock".to_string();
+        let fabric = FabricClient::new(std::slice::from_ref(&socket), "gensor", None, &gensor)
+            .with_config(fast())
+            .with_breaker(hair_trigger());
+        let op = tensor_expr::OpSpec::gemm(512, 512, 512);
+        let spec = GpuSpec::rtx4090();
+        let remote = fabric.compile(&op, &spec); // trips the breaker
+        assert_eq!(
+            remote.etir,
+            gensor.compile(&op, &spec).etir,
+            "fallback must match local output"
+        );
+        let r = fabric.report();
+        assert_eq!((r.remote, r.local), (0, 1));
+        assert_eq!(fabric.membership().open_peers(), vec![socket.as_str()]);
+        let _ = fabric.compile(&op, &spec); // open: straight to fallback
+        assert_eq!(fabric.report().local, 2, "both compiles fell back");
+        let breaker = fabric.membership().breaker(&socket).unwrap();
+        assert_eq!(breaker.trips(), 1, "no connect attempt ran while open");
     }
 }

@@ -76,7 +76,7 @@ impl ClusterStatus {
 /// Probe `peers` sequentially (status is a diagnostic, not a hot path)
 /// and pair each with its share of the full-membership ring — the share
 /// it *should* own, so an operator can see both "who is down" and "how
-/// much key space that costs". The first up peer that speaks proto v7
+/// much key space that costs". The first up peer running a detector
 /// also contributes its gossip view, annotating every row (down rows
 /// included — that is where `dead since <t>` matters most).
 pub fn cluster_status(peers: &[String], cfg: &ClientConfig) -> ClusterStatus {
@@ -90,7 +90,7 @@ pub fn cluster_status(peers: &[String], cfg: &ClientConfig) -> ClusterStatus {
             let stats = c.stats()?;
             // One reachable detector-running daemon is enough for the
             // cluster-wide membership view; don't re-ask every peer.
-            if gossip_view.is_none() && c.supports_selfheal() {
+            if gossip_view.is_none() {
                 if let Ok(members) = c.members() {
                     if !members.is_empty() {
                         gossip_view = Some(

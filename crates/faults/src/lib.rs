@@ -27,12 +27,13 @@
 //!    fired.
 //!
 //! State is process-global (that is the point: the site is inside library
-//! code, the policy comes from the outside), so tests that arm policies
-//! must serialize on a lock and `disarm_all` when done.
+//! code, the policy comes from the outside), so every test that arms a
+//! policy — or runs code whose outcome an armed site would change —
+//! holds [`exclusive`] for its whole body.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Duration;
 
 /// Environment variable read by [`init_from_env`]; same `site=policy;…`
@@ -121,13 +122,37 @@ pub fn disarm(site: &str) {
     }
 }
 
-/// Disarm every site (tests call this on the way out).
+/// Disarm every site.
 pub fn disarm_all() {
     registry()
         .write()
         .unwrap_or_else(|p| p.into_inner())
         .clear();
     ARMED.store(false, Ordering::SeqCst);
+}
+
+/// Sole ownership of this process's failpoint registry, held by a test
+/// for as long as it arms sites or depends on none being armed.
+pub struct Exclusive {
+    _guard: MutexGuard<'static, ()>,
+}
+
+impl Drop for Exclusive {
+    fn drop(&mut self) {
+        disarm_all();
+    }
+}
+
+/// Wait until no other test holds the registry, then take it. Every
+/// site is disarmed on acquire *and* when the guard drops, so a test
+/// that panics mid-way cannot leak an armed fault into its neighbours.
+/// The lock is per process: each test binary serializes its own armers
+/// and is unaffected by the others.
+pub fn exclusive() -> Exclusive {
+    static LOCK: Mutex<()> = Mutex::new(());
+    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    disarm_all();
+    Exclusive { _guard }
 }
 
 /// Times `site` actually injected a fault so far (0 for unknown sites).
@@ -363,20 +388,10 @@ pub fn init_from_env() -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Failpoint state is process-global; tests that arm serialize here.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        let g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        disarm_all();
-        g
-    }
 
     #[test]
     fn disabled_sites_are_free_and_fire_nothing() {
-        let _g = lock();
+        let _g = exclusive();
         assert!(!armed());
         assert!(check("store.append").is_none());
         assert!(failpoint!("store.append").is_ok());
@@ -385,7 +400,7 @@ mod tests {
 
     #[test]
     fn err_nth_fires_exactly_the_nth_call() {
-        let _g = lock();
+        let _g = exclusive();
         arm("t.err", Policy::ErrNth(3));
         assert!(failpoint!("t.err").is_ok());
         assert!(failpoint!("t.err").is_ok());
@@ -393,12 +408,11 @@ mod tests {
         assert!(err.to_string().contains("t.err"), "{err}");
         assert!(failpoint!("t.err").is_ok(), "fires once, not from n on");
         assert_eq!(hits("t.err"), 1);
-        disarm_all();
     }
 
     #[test]
     fn errfrom_fails_persistently_from_the_nth_call() {
-        let _g = lock();
+        let _g = exclusive();
         arm("t.errfrom", Policy::ErrFrom(3));
         assert!(failpoint!("t.errfrom").is_ok());
         assert!(failpoint!("t.errfrom").is_ok());
@@ -406,7 +420,6 @@ mod tests {
             assert!(failpoint!("t.errfrom").is_err(), "stays dead from n on");
         }
         assert_eq!(hits("t.errfrom"), 5);
-        disarm_all();
     }
 
     #[test]
@@ -421,7 +434,7 @@ mod tests {
 
     #[test]
     fn prob_is_deterministic_for_a_seed_and_respects_the_rate() {
-        let _g = lock();
+        let _g = exclusive();
         let run = |seed: u64| -> Vec<bool> {
             arm("t.prob", Policy::Prob(0.3, seed));
             let fired: Vec<bool> = (0..200).map(|_| check("t.prob").is_some()).collect();
@@ -438,37 +451,34 @@ mod tests {
 
     #[test]
     fn partial_returns_the_partial_action_and_io_sites_map_it_to_err() {
-        let _g = lock();
+        let _g = exclusive();
         arm("t.partial", Policy::Partial);
         assert_eq!(check("t.partial"), Some(Action::Partial));
         assert!(failpoint!("t.partial").is_err());
-        disarm_all();
     }
 
     #[test]
     fn panic_policy_unwinds_from_check() {
-        let _g = lock();
+        let _g = exclusive();
         arm("t.panic", Policy::Panic);
         let r = std::panic::catch_unwind(|| check("t.panic"));
         assert!(r.is_err());
         assert_eq!(hits("t.panic"), 1);
-        disarm_all();
     }
 
     #[test]
     fn delay_counts_a_hit_but_proceeds() {
-        let _g = lock();
+        let _g = exclusive();
         arm("t.delay", Policy::Delay(1));
         let t0 = std::time::Instant::now();
         assert!(check("t.delay").is_none());
         assert!(t0.elapsed() >= Duration::from_millis(1));
         assert_eq!(hits("t.delay"), 1);
-        disarm_all();
     }
 
     #[test]
     fn disarm_reopens_the_fast_path_only_when_the_registry_empties() {
-        let _g = lock();
+        let _g = exclusive();
         arm("t.a", Policy::Panic);
         arm("t.b", Policy::Panic);
         disarm("t.a");
@@ -515,7 +525,7 @@ mod tests {
 
     #[test]
     fn fired_failpoints_dump_the_flight_recorder() {
-        let _g = lock();
+        let _g = exclusive();
         let dir = std::env::temp_dir().join(format!("gensor-faults-flight-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         obs::FlightRecorder::install(&dir, 64, "faults-test");
@@ -536,12 +546,11 @@ mod tests {
         );
         obs::flight::uninstall();
         std::fs::remove_dir_all(&dir).ok();
-        disarm_all();
     }
 
     #[test]
     fn configure_arms_and_snapshot_reports() {
-        let _g = lock();
+        let _g = exclusive();
         assert_eq!(configure("t.x=err(1); t.y=partial").unwrap(), 2);
         assert!(failpoint!("t.x").is_err());
         let snap = snapshot();
@@ -550,6 +559,5 @@ mod tests {
             vec![("t.x".to_string(), 1), ("t.y".to_string(), 0)],
             "sorted by site, hit counts live"
         );
-        disarm_all();
     }
 }

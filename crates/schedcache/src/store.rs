@@ -332,10 +332,8 @@ impl Store {
     /// Rewrite the append-only file keeping only the newest line per key:
     /// older duplicates (superseded winners), foreign-[`FORMAT_VERSION`]
     /// lines and corrupt lines are dropped. The rewrite is atomic *and
-    /// durable* — a tmp file in the same directory is written and
-    /// fsynced, renamed over the original, and the parent directory is
-    /// fsynced so the rename itself survives a crash. A crash
-    /// mid-compaction leaves the old file intact. Surviving lines keep
+    /// durable* ([`replace_file`]): a crash mid-compaction leaves the old
+    /// file intact. Surviving lines keep
     /// their original bytes (no re-serialization, so floats cannot drift)
     /// and their relative order.
     pub fn compact(&self) -> std::io::Result<CompactReport> {
@@ -369,35 +367,44 @@ impl Store {
         keep.sort_unstable();
         report.kept = keep.len();
 
-        let tmp = self
-            .path
-            .with_extension(format!("compact-tmp.{}", std::process::id()));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            for i in &keep {
-                f.write_all(lines[*i].as_bytes())?;
-                f.write_all(b"\n")?;
-            }
-            f.sync_all()?;
+        let mut body = Vec::with_capacity(text.len());
+        for i in &keep {
+            body.extend_from_slice(lines[*i].as_bytes());
+            body.push(b'\n');
         }
-        if let Err(e) = faults::failpoint!("store.rename") {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-        if let Err(e) = std::fs::rename(&tmp, &self.path) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-        // fsync the directory so the rename is on stable storage too.
-        let dir = match self.path.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p,
-            _ => Path::new("."),
-        };
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
+        replace_file(&self.path, &body)?;
         Ok(report)
     }
+}
+
+/// Replace `path` with `body`, atomically and durably: `body` goes to a
+/// tmp file in the same directory and is fsynced, the tmp file is renamed
+/// over `path`, and the parent directory is fsynced so the rename itself
+/// survives a crash. On any failure `path` is untouched and the tmp file
+/// is removed. The one rewrite every framed log in the tree uses (store
+/// compaction here, the fabric's hint spool); the `store.rename`
+/// failpoint sits between the fsync and the rename.
+pub fn replace_file(path: &Path, body: &[u8]) -> std::io::Result<()> {
+    let tmp = path.with_extension(format!("compact-tmp.{}", std::process::id()));
+    let renamed = std::fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(body)?;
+            f.sync_all()
+        })
+        .and_then(|()| faults::failpoint!("store.rename"))
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = renamed {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    if let Ok(d) = std::fs::File::open(dir) {
+        let _ = d.sync_all();
+    }
+    Ok(())
 }
 
 /// Build a record from a compile result.
@@ -602,8 +609,15 @@ mod tests {
 
     #[test]
     fn compact_is_idempotent_and_atomic_leftovers_are_absent() {
-        let store = Store::open(tmpfile("compact-idem"));
-        let _ = std::fs::remove_file(store.path());
+        // Its own directory: the leftover scan below must not see the
+        // tmp file of another test's compaction in flight.
+        let dir = std::env::temp_dir().join(format!(
+            "schedcache-store-compact-idem-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = Store::open(dir.join("store.jsonl"));
         for m in [128u64, 256, 128, 512, 256] {
             store.append(&sample(m)).unwrap();
         }
@@ -625,13 +639,13 @@ mod tests {
             "a second pass must not change a single byte"
         );
         // No tmp file left behind.
-        let dir = store.path().parent().unwrap();
-        assert!(std::fs::read_dir(dir).unwrap().all(|e| {
+        assert!(std::fs::read_dir(&dir).unwrap().all(|e| {
             !e.unwrap()
                 .file_name()
                 .to_string_lossy()
                 .contains("compact-tmp")
         }));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,22 +1,20 @@
-//! Blocking client for the `gensor serve` daemon, plus [`RemoteTuner`] —
-//! a [`Tuner`] that compiles through the daemon and silently falls back
-//! to in-process compilation when no daemon answers — behind a
-//! [`Breaker`]: after a few consecutive transport failures the circuit
-//! opens and later compiles skip the connect/retry budget entirely,
-//! re-probing the daemon with a single half-open request once a jittered
-//! cooldown elapses. A daemon restart therefore costs a fleet of clients
-//! one probe each, not a thundering reconnect herd.
+//! Blocking client for the `gensor serve` daemon, plus [`Breaker`], the
+//! per-peer transport circuit `fabric::Membership` keeps one of for every
+//! daemon it routes to: after a few consecutive transport failures the
+//! circuit opens and later compiles skip the connect/retry budget
+//! entirely, re-probing the daemon with a single half-open request once a
+//! jittered cooldown elapses. A daemon restart therefore costs a fleet of
+//! clients one probe each, not a thundering reconnect herd.
 
 use crate::endpoint::{Endpoint, Stream};
 use crate::proto::{
     read_frame, write_frame, ErrKind, FrameError, Request, Response, WireEntry, WireEvent,
-    WireKernel, WireMember, WireOutcome, MAX_PULL_KEYS, MIN_PROTO_VERSION, PROTO_VERSION,
+    WireKernel, WireMember, WireOutcome, MAX_PULL_KEYS, PROTO_VERSION,
 };
 use hardware::GpuSpec;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use simgpu::{CompiledKernel, Tuner};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use simgpu::CompiledKernel;
+use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime};
 use tensor_expr::OpSpec;
 
@@ -61,9 +59,6 @@ impl Default for ClientConfig {
 pub enum ClientError {
     /// Could not connect (after all retries).
     Unreachable(std::io::Error),
-    /// The circuit breaker is open: recent transport failures, cooldown
-    /// not yet elapsed. Nothing touched the socket.
-    CircuitOpen,
     /// The wire broke mid-exchange.
     Frame(FrameError),
     /// The server answered, but not what the protocol promises here.
@@ -78,9 +73,6 @@ impl std::fmt::Display for ClientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClientError::Unreachable(e) => write!(f, "daemon unreachable: {e}"),
-            ClientError::CircuitOpen => {
-                write!(f, "circuit breaker open after repeated transport failures")
-            }
             ClientError::Frame(e) => write!(f, "wire error: {e}"),
             ClientError::Protocol(m) => write!(f, "protocol violation: {m}"),
             ClientError::Busy {
@@ -108,9 +100,6 @@ impl From<FrameError> for ClientError {
 pub struct Client {
     stream: Stream,
     cfg: ClientConfig,
-    /// Protocol version negotiated in the handshake (the lower of the two
-    /// ends'; a v5 daemon answers 5 and trace frames are then skipped).
-    proto: u32,
     /// Desired distributed trace context `(trace_id, parent_span)`;
     /// `(0, 0)` = none.
     trace: (u64, u64),
@@ -163,7 +152,6 @@ impl Client {
                     let mut client = Client {
                         stream,
                         cfg: cfg.clone(),
-                        proto: PROTO_VERSION,
                         trace: (0, 0),
                         trace_synced: (0, 0),
                     };
@@ -172,20 +160,12 @@ impl Client {
                         proto: PROTO_VERSION,
                         token: cfg.token.clone(),
                     }) {
-                        // The server answers with the version the
-                        // connection will speak — ours, or its own lower
-                        // one (an in-place fleet upgrade has mixed
-                        // daemons for a while).
-                        Ok(Response::Hello { proto })
-                            if (MIN_PROTO_VERSION..=PROTO_VERSION).contains(&proto) =>
-                        {
-                            client.proto = proto;
-                            return Ok(client);
-                        }
+                        Ok(Response::Hello {
+                            proto: PROTO_VERSION,
+                        }) => return Ok(client),
                         Ok(Response::Hello { proto }) => {
                             return Err(ClientError::Protocol(format!(
-                                "server answered proto {proto}, \
-                                 wanted {MIN_PROTO_VERSION}..={PROTO_VERSION}"
+                                "server answered proto {proto}, wanted {PROTO_VERSION}"
                             )))
                         }
                         Ok(Response::Error { kind, message }) => {
@@ -228,7 +208,7 @@ impl Client {
     /// Set (or with `trace_id == 0` clear) the distributed trace context
     /// for this connection. Cheap and lazy: the `Trace` frame is sent
     /// piggybacked on the next request, and only when the context
-    /// actually changed. No-op against a pre-v6 daemon.
+    /// actually changed.
     pub fn set_trace(&mut self, trace_id: u64, parent_span: u64) {
         self.trace = if trace_id == 0 {
             (0, 0)
@@ -237,16 +217,11 @@ impl Client {
         };
     }
 
-    /// The protocol version the handshake settled on.
-    pub fn proto(&self) -> u32 {
-        self.proto
-    }
-
     /// Bring the server's connection-scoped trace context in line with
     /// [`set_trace`](Client::set_trace). Called under the request
     /// deadline, before the request itself.
     fn sync_trace(&mut self) -> Result<(), ClientError> {
-        if self.trace == self.trace_synced || self.proto < 6 {
+        if self.trace == self.trace_synced {
             return Ok(());
         }
         match self.exchange(&Request::Trace {
@@ -388,9 +363,7 @@ impl Client {
     }
 
     /// Pull the daemon's flight-recorder ring: `(tag, events)`, oldest
-    /// event first. A daemon without a recorder answers an empty dump;
-    /// a pre-v6 daemon does not speak the frame, reported as a typed
-    /// protocol error by the server.
+    /// event first. A daemon without a recorder answers an empty dump.
     pub fn trace_dump(&mut self) -> Result<(String, Vec<WireEvent>), ClientError> {
         match self.request(&Request::TraceDump)? {
             Response::TraceDumped { tag, events } => Ok((tag, events)),
@@ -409,42 +382,15 @@ impl Client {
         }
     }
 
-    /// Does this connection speak the self-healing frames (gossip +
-    /// anti-entropy repair, added in v7)? Callers use this to *cleanly
-    /// disable* gossip and repair against older daemons instead of
-    /// sending frames they would answer with `Malformed`.
-    pub fn supports_selfheal(&self) -> bool {
-        self.proto >= 7
-    }
-
-    /// The typed refusal every v7 method returns against a pre-v7 peer:
-    /// nothing touched the wire, the caller falls back to "feature
-    /// absent" rather than tripping any breaker.
-    fn require_selfheal(&self) -> Result<(), ClientError> {
-        if self.supports_selfheal() {
-            Ok(())
-        } else {
-            Err(ClientError::Remote {
-                kind: ErrKind::UnsupportedProto,
-                message: format!(
-                    "peer speaks proto {}; gossip/repair frames need v7",
-                    self.proto
-                ),
-            })
-        }
-    }
-
     /// One SWIM gossip exchange: announce ourselves (`from`,
     /// `incarnation`), piggyback `updates`, and receive the peer's
-    /// updates in return. Answering at all proves the peer alive. Against
-    /// a pre-v7 daemon this is a typed local refusal, never a wire frame.
+    /// updates in return. Answering at all proves the peer alive.
     pub fn gossip(
         &mut self,
         from: &str,
         incarnation: u64,
         updates: Vec<WireMember>,
     ) -> Result<Vec<WireMember>, ClientError> {
-        self.require_selfheal()?;
         match self.request(&Request::Gossip {
             from: from.to_string(),
             incarnation,
@@ -457,7 +403,6 @@ impl Client {
 
     /// Ask this peer to ping `target` for us (SWIM's indirect probe).
     pub fn ping_req(&mut self, target: &str) -> Result<bool, ClientError> {
-        self.require_selfheal()?;
         match self.request(&Request::PingReq {
             target: target.to_string(),
         })? {
@@ -470,7 +415,6 @@ impl Client {
 
     /// The daemon's membership table (empty when it has no gossip agent).
     pub fn members(&mut self) -> Result<Vec<WireMember>, ClientError> {
-        self.require_selfheal()?;
         match self.request(&Request::Members)? {
             Response::Members { members } => Ok(members),
             other => Err(ClientError::Protocol(format!("members answered {other:?}"))),
@@ -479,7 +423,6 @@ impl Client {
 
     /// The daemon's cache digest: `(root, per-shard folds, count)`.
     pub fn cache_digest(&mut self) -> Result<(u64, Vec<u64>, u64), ClientError> {
-        self.require_selfheal()?;
         match self.request(&Request::CacheDigest)? {
             Response::CacheDigest {
                 root,
@@ -492,7 +435,6 @@ impl Client {
 
     /// All keys resident in one of the daemon's digest shards.
     pub fn cache_keys(&mut self, shard: u32) -> Result<Vec<schedcache::CacheKey>, ClientError> {
-        self.require_selfheal()?;
         match self.request(&Request::CacheKeys { shard })? {
             Response::CacheKeys { keys } => Ok(keys),
             other => Err(ClientError::Protocol(format!(
@@ -507,7 +449,6 @@ impl Client {
         &mut self,
         keys: &[schedcache::CacheKey],
     ) -> Result<Vec<WireEntry>, ClientError> {
-        self.require_selfheal()?;
         let mut out = Vec::new();
         for chunk in keys.chunks(MAX_PULL_KEYS.max(1)) {
             match self.request(&Request::CachePull {
@@ -525,7 +466,6 @@ impl Client {
     /// Push repaired entries into the daemon (the operator-driven repair
     /// path); returns `(installed, rejected)` totals across chunks.
     pub fn cache_push(&mut self, entries: Vec<WireEntry>) -> Result<(u64, u64), ClientError> {
-        self.require_selfheal()?;
         let (mut installed, mut rejected) = (0u64, 0u64);
         let mut entries = entries;
         while !entries.is_empty() {
@@ -590,17 +530,6 @@ pub enum BreakerState {
     Open,
     /// Cooldown elapsed: exactly one probe call is let through.
     HalfOpen,
-}
-
-impl BreakerState {
-    /// Lower-case name, for human and JSON output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half-open",
-        }
-    }
 }
 
 struct BreakerInner {
@@ -717,231 +646,9 @@ impl Breaker {
     }
 }
 
-/// Per-endpoint circuit breakers behind one shared config.
-///
-/// PR 5's breaker was one state for one daemon; a fabric client talks to
-/// N of them, and one dead peer must not open the circuit for the whole
-/// fleet. Every endpoint gets its own [`Breaker`], created closed on
-/// first use, so health is tracked — and trips, cooldowns, and half-open
-/// probes happen — independently per peer.
-pub struct BreakerMap {
-    cfg: BreakerConfig,
-    map: Mutex<HashMap<String, Arc<Breaker>>>,
-}
-
-impl BreakerMap {
-    /// An empty map; breakers are created (closed) on first use.
-    pub fn new(cfg: BreakerConfig) -> Self {
-        BreakerMap {
-            cfg,
-            map: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The breaker for `endpoint`, created closed if this is the first
-    /// sighting. The `Arc` is stable for the map's lifetime, so callers
-    /// can hold it across a request without the lock.
-    pub fn breaker(&self, endpoint: &str) -> Arc<Breaker> {
-        let mut map = self.map.lock().unwrap_or_else(|p| p.into_inner());
-        map.entry(endpoint.to_string())
-            .or_insert_with(|| Arc::new(Breaker::new(self.cfg.clone())))
-            .clone()
-    }
-
-    /// Every endpoint whose breaker is currently open (for ring
-    /// rebuilds and status reporting).
-    pub fn open_endpoints(&self) -> Vec<String> {
-        let map = self.map.lock().unwrap_or_else(|p| p.into_inner());
-        map.iter()
-            .filter(|(_, b)| b.state() == BreakerState::Open)
-            .map(|(ep, _)| ep.clone())
-            .collect()
-    }
-
-    /// `(endpoint, state, trips)` for every endpoint seen so far.
-    pub fn states(&self) -> Vec<(String, BreakerState, u64)> {
-        let map = self.map.lock().unwrap_or_else(|p| p.into_inner());
-        let mut out: Vec<_> = map
-            .iter()
-            .map(|(ep, b)| (ep.clone(), b.state(), b.trips()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-}
-
-/// Where a [`RemoteTuner`] answered each compile from.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RemoteReport {
-    /// Compiles answered by the daemon.
-    pub remote: u64,
-    /// Compiles that fell back to the in-process tuner.
-    pub local: u64,
-}
-
-/// A [`Tuner`] that sends compiles to a `gensor serve` daemon and falls
-/// back to a local tuner when the daemon is unreachable, busy past the
-/// retry budget, or mid-drain.
-///
-/// Connections are pooled so `compile_model`'s parallel layer compiles
-/// each get their own socket instead of serialising on one.
-pub struct RemoteTuner<'a> {
-    endpoint: Endpoint,
-    cfg: ClientConfig,
-    method: String,
-    budget: Option<u32>,
-    fallback: &'a dyn Tuner,
-    pool: Mutex<Vec<Client>>,
-    report: Mutex<RemoteReport>,
-    /// Per-endpoint breakers: opens after consecutive transport failures,
-    /// so later compiles go straight to the fallback instead of re-paying
-    /// the connect budget per layer of a model — and unlike a one-way
-    /// "offline" latch, a half-open probe finds a restarted daemon again.
-    /// A single-daemon tuner only ever populates one entry, but the map
-    /// is shared machinery with the fabric's multi-peer router.
-    breakers: BreakerMap,
-}
-
-impl<'a> RemoteTuner<'a> {
-    /// A remote tuner for `method`, falling back to `fallback` (which
-    /// also names this tuner — the daemon runs the same method).
-    pub fn new(
-        endpoint: impl Into<Endpoint>,
-        method: &str,
-        budget: Option<u32>,
-        fallback: &'a dyn Tuner,
-    ) -> Self {
-        RemoteTuner {
-            endpoint: endpoint.into(),
-            cfg: ClientConfig::default(),
-            method: method.to_string(),
-            budget,
-            fallback,
-            pool: Mutex::new(Vec::new()),
-            report: Mutex::new(RemoteReport::default()),
-            breakers: BreakerMap::new(BreakerConfig::default()),
-        }
-    }
-
-    /// Override the connection policy.
-    pub fn with_config(mut self, cfg: ClientConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Override the circuit-breaker thresholds.
-    pub fn with_breaker(mut self, cfg: BreakerConfig) -> Self {
-        self.breakers = BreakerMap::new(cfg);
-        self
-    }
-
-    /// This endpoint's transport circuit breaker (state and trip count,
-    /// for reporting).
-    pub fn breaker(&self) -> Arc<Breaker> {
-        self.breakers.breaker(&self.endpoint.to_string())
-    }
-
-    /// How many compiles went remote vs fell back local so far.
-    pub fn report(&self) -> RemoteReport {
-        *self.report.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn checkout(&self) -> Result<Client, ClientError> {
-        if let Some(c) = self.pool.lock().unwrap_or_else(|p| p.into_inner()).pop() {
-            return Ok(c);
-        }
-        Client::connect_with(self.endpoint.clone(), self.cfg.clone())
-    }
-
-    fn checkin(&self, client: Client) {
-        self.pool
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(client);
-    }
-
-    /// Is this a *transport* failure (daemon gone / wire broken)? Typed
-    /// server errors and `Busy` prove the daemon is alive and must not
-    /// trip the breaker.
-    fn is_transport_failure(e: &ClientError) -> bool {
-        matches!(e, ClientError::Unreachable(_) | ClientError::Frame(_))
-    }
-
-    fn try_remote(&self, op: &OpSpec, spec: &GpuSpec) -> Result<CompiledKernel, ClientError> {
-        let breaker = self.breaker();
-        if !breaker.allow() {
-            return Err(ClientError::CircuitOpen);
-        }
-        let outcome = self.try_remote_inner(op, spec);
-        match &outcome {
-            Ok(_) => breaker.on_success(),
-            Err(e) if Self::is_transport_failure(e) => breaker.on_failure(),
-            Err(_) => breaker.on_success(),
-        }
-        outcome
-    }
-
-    fn try_remote_inner(&self, op: &OpSpec, spec: &GpuSpec) -> Result<CompiledKernel, ClientError> {
-        let mut client = self.checkout()?;
-        match client.compile(op, spec, &self.method, self.budget) {
-            Ok((kernel, _outcome)) => {
-                self.checkin(client);
-                Ok(kernel)
-            }
-            // The connection may be poisoned (half-read frame, drain);
-            // drop it rather than returning it to the pool.
-            Err(e) => Err(e),
-        }
-    }
-}
-
-impl Tuner for RemoteTuner<'_> {
-    fn name(&self) -> &'static str {
-        self.fallback.name()
-    }
-
-    fn compile(&self, op: &OpSpec, spec: &GpuSpec) -> CompiledKernel {
-        match self.try_remote(op, spec) {
-            Ok(kernel) => {
-                let mut r = self.report.lock().unwrap_or_else(|p| p.into_inner());
-                r.remote += 1;
-                kernel
-            }
-            Err(e) => {
-                // Transport failures and Busy are the fallback's job to
-                // absorb quietly; an auth refusal is a configuration error
-                // that quiet fallback would mask, so it is surfaced loudly
-                // (typed kind, Error level, its own counter) every time.
-                if matches!(
-                    &e,
-                    ClientError::Remote {
-                        kind: ErrKind::Unauthorized,
-                        ..
-                    }
-                ) {
-                    obs::counter_inc!(
-                        "gensor_client_auth_failures_total",
-                        "Daemon connections refused for a missing or wrong shared token"
-                    );
-                    obs::log!(Error, "serve client: daemon refused our token: {e}");
-                }
-                let mut r = self.report.lock().unwrap_or_else(|p| p.into_inner());
-                r.local += 1;
-                drop(r);
-                self.fallback.compile(op, spec)
-            }
-        }
-    }
-
-    fn fuses_elementwise(&self) -> bool {
-        self.fallback.fuses_elementwise()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hardware::GpuSpec;
 
     #[test]
     fn unreachable_socket_fails_fast_with_unreachable() {
@@ -958,31 +665,30 @@ mod tests {
     }
 
     #[test]
-    fn remote_tuner_falls_back_to_local_when_no_daemon_listens() {
-        let gensor = gensor::Gensor::single_chain(5);
-        let tuner = RemoteTuner::new(
-            "/tmp/served-test-no-such-daemon-2.sock",
-            "gensor",
-            None,
-            &gensor,
-        )
-        .with_config(ClientConfig {
-            retries: 1,
-            backoff_base: Duration::from_millis(1),
-            ..Default::default()
+    fn a_server_echoing_another_version_is_a_protocol_error() {
+        let path =
+            std::env::temp_dir().join(format!("served-test-echo-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+        let fake = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let _: Request = read_frame(&mut stream).unwrap();
+            let echoed = Response::Hello {
+                proto: PROTO_VERSION - 1,
+            };
+            write_frame(&mut stream, &echoed).unwrap();
         });
-        let spec = GpuSpec::rtx4090();
-        let op = tensor_expr::OpSpec::gemm(512, 512, 512);
-        let remote = tuner.compile(&op, &spec);
-        let local = gensor.compile(&op, &spec);
-        assert_eq!(remote.etir, local.etir, "fallback must match local output");
-        assert_eq!(
-            tuner.report(),
-            RemoteReport {
-                remote: 0,
-                local: 1
-            }
-        );
+        let err = Client::connect_with(
+            path.as_path(),
+            ClientConfig {
+                retries: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap_err();
+        assert!(matches!(err, ClientError::Protocol(_)), "{err}");
+        fake.join().unwrap();
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1025,63 +731,5 @@ mod tests {
         assert_eq!(b.trips(), 2, "failed probe re-opens");
         assert_eq!(b.state(), BreakerState::Open);
         assert!(!b.allow());
-    }
-
-    #[test]
-    fn breaker_map_isolates_endpoints() {
-        let map = BreakerMap::new(BreakerConfig {
-            failure_threshold: 1,
-            cooldown: Duration::from_secs(30),
-            max_cooldown: Duration::from_secs(30),
-        });
-        let dead = map.breaker("tcp://10.0.0.1:7070");
-        let live = map.breaker("tcp://10.0.0.2:7070");
-        dead.on_failure();
-        assert_eq!(dead.state(), BreakerState::Open);
-        assert_eq!(
-            live.state(),
-            BreakerState::Closed,
-            "one dead peer must not open the circuit for the fleet"
-        );
-        assert!(live.allow());
-        assert_eq!(map.open_endpoints(), vec!["tcp://10.0.0.1:7070"]);
-        // The same endpoint resolves to the same breaker, not a fresh one.
-        assert_eq!(map.breaker("tcp://10.0.0.1:7070").trips(), 1);
-        let states = map.states();
-        assert_eq!(states.len(), 2);
-        assert_eq!(states[0].1, BreakerState::Open);
-        assert_eq!(states[1].1, BreakerState::Closed);
-    }
-
-    #[test]
-    fn breaker_short_circuits_fallback_after_repeated_connect_failures() {
-        let gensor = gensor::Gensor::single_chain(5);
-        let tuner = RemoteTuner::new(
-            "/tmp/served-test-no-such-daemon-3.sock",
-            "gensor",
-            None,
-            &gensor,
-        )
-        .with_config(ClientConfig {
-            retries: 1,
-            backoff_base: Duration::from_millis(1),
-            ..Default::default()
-        })
-        .with_breaker(BreakerConfig {
-            failure_threshold: 1,
-            cooldown: Duration::from_secs(30),
-            max_cooldown: Duration::from_secs(30),
-        });
-        let spec = GpuSpec::rtx4090();
-        let op = tensor_expr::OpSpec::gemm(128, 128, 128);
-        let _ = tuner.compile(&op, &spec); // trips the breaker
-        assert_eq!(tuner.breaker().state(), BreakerState::Open);
-        let _ = tuner.compile(&op, &spec); // open: straight to fallback
-        assert_eq!(tuner.report().local, 2, "both compiles fell back");
-        assert_eq!(
-            tuner.breaker().trips(),
-            1,
-            "no connect attempt ran while open"
-        );
     }
 }

@@ -13,9 +13,9 @@
 //! * [`proto`] — versioned, length-prefixed JSON frames.
 //! * [`server`] — accept loop, bounded worker pool, admission gate,
 //!   graceful drain.
-//! * [`client`] — blocking client with retries, plus [`RemoteTuner`]
-//!   (remote-first [`simgpu::Tuner`] with in-process fallback) and the
-//!   per-endpoint [`BreakerMap`] the cache fabric routes around.
+//! * [`client`] — blocking client with retries, plus the per-peer
+//!   transport [`Breaker`] the cache fabric routes around. The
+//!   [`simgpu::Tuner`] over daemons is `fabric::FabricClient`.
 //! * [`metrics`] — server counters and latency percentiles.
 
 pub mod client;
@@ -24,14 +24,11 @@ pub mod metrics;
 pub mod proto;
 pub mod server;
 
-pub use client::{
-    Breaker, BreakerConfig, BreakerMap, BreakerState, Client, ClientConfig, ClientError,
-    RemoteReport, RemoteTuner,
-};
+pub use client::{Breaker, BreakerConfig, BreakerState, Client, ClientConfig, ClientError};
 pub use endpoint::{Endpoint, Listener, Stream};
 pub use metrics::ServeStats;
 pub use proto::{
     ErrKind, FrameError, Request, Response, WireEntry, WireEvent, WireKernel, WireMember,
-    WireOutcome, MAX_PULL_KEYS, MIN_PROTO_VERSION, PROTO_VERSION,
+    WireOutcome, MAX_PULL_KEYS, PROTO_VERSION,
 };
 pub use server::{ClusterAgent, DrainReport, MethodRegistry, Server, ServerConfig, ServerHandle};

@@ -10,9 +10,8 @@
 //!   rejected *before* any allocation, so a garbage header cannot make the
 //!   daemon allocate gigabytes.
 //! * **Versioned** — a connection opens with `Hello { proto }`; both ends
-//!   accept the [`MIN_PROTO_VERSION`]`..=`[`PROTO_VERSION`] range and speak
-//!   the lower of the two versions, refusing anything outside it with a
-//!   typed error instead of mis-parsing newer frames.
+//!   speak exactly [`PROTO_VERSION`] and refuse anything else with a typed
+//!   error instead of mis-parsing another dialect's frames.
 //! * **Failure-typed** — decode problems are classified
 //!   ([`FrameError::Closed`] / [`Truncated`] / [`TooLarge`] /
 //!   [`Malformed`]) so the server can tell a clean disconnect from a
@@ -30,42 +29,10 @@ use simgpu::{CompiledKernel, KernelReport};
 use std::io::{Read, Write};
 use tensor_expr::OpSpec;
 
-/// Protocol version; bumped on any incompatible frame change. The
-/// handshake accepts [`MIN_PROTO_VERSION`]`..=PROTO_VERSION` and the
-/// connection speaks the lower of the two ends' versions. v2 added the
-/// `Metrics` frame pair
-/// (Prometheus text exposition) and the queue/service latency split in
-/// [`ServeStats`]. v3 added the robustness counters (`worker_panics`,
-/// `cancelled` in [`ServeStats`], `recovered_truncated` in the cache
-/// snapshot) and the `failed` count in [`Response::BatchDone`]. v4 added
-/// the learned-model distribution pair ([`Request::FetchModel`] /
-/// [`Response::Model`]) so clients can pull the benefit model that was
-/// trained against the server's schedule cache. v5 is the fabric
-/// protocol: shared-token auth folded into `Hello` (with the typed
-/// [`ErrKind::Unauthorized`] refusal), the replication pair
-/// ([`Request::Put`] / [`Response::PutDone`]) for write-through and
-/// read-repair, the freshness probe ([`Request::Probe`] /
-/// [`Response::Probed`]), and the daemon's peer list in [`ServeStats`].
-/// v6 is the observability plane: the connection-scoped trace context
-/// ([`Request::Trace`] / [`Response::TraceAck`]) stamped onto every
-/// subsequent request's span, and the flight-recorder pull
-/// ([`Request::TraceDump`] / [`Response::TraceDumped`]). v6 only *adds*
-/// frames — every v5 frame still parses unchanged — so the handshake
-/// accepts v5 clients. v7 is the self-healing layer: SWIM-style
-/// membership exchange ([`Request::Gossip`] / [`Response::GossipAck`],
-/// [`Request::PingReq`] / [`Response::PingReqDone`],
-/// [`Request::Members`] / [`Response::Members`]) and anti-entropy cache
-/// repair ([`Request::CacheDigest`], [`Request::CacheKeys`],
-/// [`Request::CachePull`], [`Request::CachePush`]). Like v6, v7 only
-/// *adds* frames; a v5/v6 peer keeps compiling with gossip and repair
-/// cleanly disabled (clients gate the new methods on the negotiated
-/// version).
+/// Protocol version; bumped on any frame change. The handshake accepts
+/// exactly this version: the server refuses any other `Hello` with
+/// [`ErrKind::UnsupportedProto`], the client rejects any other echo.
 pub const PROTO_VERSION: u32 = 7;
-
-/// Oldest protocol version this build still speaks. v6 and v7 added
-/// frames without changing any v5 frame, so v5 peers remain fully
-/// serviceable.
-pub const MIN_PROTO_VERSION: u32 = 5;
 
 /// Upper bound on one frame's JSON payload (32 MiB — far above any real
 /// schedule, far below an allocation-of-death).
@@ -136,7 +103,7 @@ pub enum Request {
     /// daemon without a recorder installed answers with an empty dump
     /// rather than an error.
     TraceDump,
-    /// SWIM-style membership exchange (v7). `from` is the sender's own
+    /// SWIM-style membership exchange. `from` is the sender's own
     /// endpoint, `incarnation` its current incarnation number, and
     /// `updates` the piggybacked slice of its membership table. Doubles
     /// as the direct liveness probe: answering at all proves the daemon
@@ -147,26 +114,26 @@ pub enum Request {
         incarnation: u64,
         updates: Vec<WireMember>,
     },
-    /// Indirect probe (v7): "dial `target` and ping it for me". Used when
+    /// Indirect probe: "dial `target` and ping it for me". Used when
     /// a direct probe fails, so one flaky link does not condemn a healthy
     /// peer. Answered inline with [`Response::PingReqDone`].
     PingReq { target: String },
-    /// The daemon's current membership table (v7); empty when no gossip
+    /// The daemon's current membership table; empty when no gossip
     /// agent is attached.
     Members,
-    /// The daemon's cache fingerprint digest (v7): one root plus one
+    /// The daemon's cache fingerprint digest: one root plus one
     /// XOR-fold per shard, so a repair pass can locate divergence without
     /// shipping key sets. Answered inline.
     CacheDigest,
-    /// All cache keys resident in one digest shard (v7). Used by repair
+    /// All cache keys resident in one digest shard. Used by repair
     /// after a shard digest mismatch to diff key sets.
     CacheKeys { shard: u32 },
-    /// Fetch full entries for `keys` (v7) — the streaming half of
+    /// Fetch full entries for `keys` — the streaming half of
     /// anti-entropy repair. Keys absent from the cache are skipped, not
     /// errors. The server caps one reply at [`MAX_PULL_KEYS`] entries;
     /// clients chunk.
     CachePull { keys: Vec<schedcache::CacheKey> },
-    /// Install raw repaired entries (v7) — the push half of
+    /// Install raw repaired entries — the push half of
     /// operator-driven repair (`gensor cluster repair`). Every entry is
     /// re-verified under the remote-peer provenance policy before
     /// banking; rejected entries are counted, never installed.
@@ -934,57 +901,6 @@ mod tests {
             let back: Response = read_frame(&mut buf.as_slice()).unwrap();
             assert_eq!(back, f);
         }
-    }
-
-    #[test]
-    fn v6_frames_still_parse_on_a_v7_build() {
-        // Literal v6 wire JSON (as a v6 client would send it). v7 added
-        // frames without touching these layouts, so they must keep
-        // parsing byte-for-byte — an old peer in a new cluster keeps
-        // compiling, with gossip and repair simply absent.
-        let hello: Request =
-            serde_json::from_str(r#"{"Hello":{"proto":6,"token":"fabric-secret"}}"#).unwrap();
-        assert_eq!(
-            hello,
-            Request::Hello {
-                proto: 6,
-                token: Some("fabric-secret".into()),
-            }
-        );
-        let trace: Request =
-            serde_json::from_str(r#"{"Trace":{"trace_id":7,"parent_span":3}}"#).unwrap();
-        assert_eq!(
-            trace,
-            Request::Trace {
-                trace_id: 7,
-                parent_span: 3,
-            }
-        );
-        let put_reply: Response =
-            serde_json::from_str(r#"{"PutDone":{"installed":false}}"#).unwrap();
-        assert_eq!(put_reply, Response::PutDone { installed: false });
-        const { assert!(MIN_PROTO_VERSION <= 6 && PROTO_VERSION >= 7) };
-    }
-
-    #[test]
-    fn v5_frames_still_parse_on_a_v6_build() {
-        // Literal v5 wire JSON (as a v5 client would send it). v6 added
-        // frames without touching these layouts, so they must keep
-        // parsing byte-for-byte.
-        let hello: Request =
-            serde_json::from_str(r#"{"Hello":{"proto":5,"token":"fabric-secret"}}"#).unwrap();
-        assert_eq!(
-            hello,
-            Request::Hello {
-                proto: 5,
-                token: Some("fabric-secret".into()),
-            }
-        );
-        let ping: Request = serde_json::from_str(r#""Ping""#).unwrap();
-        assert_eq!(ping, Request::Ping);
-        let probe_reply: Response = serde_json::from_str(r#"{"Probed":{"cached":true}}"#).unwrap();
-        assert_eq!(probe_reply, Response::Probed { cached: true });
-        const { assert!(MIN_PROTO_VERSION <= 5 && PROTO_VERSION >= 6) };
     }
 
     #[test]

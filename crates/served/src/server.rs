@@ -39,7 +39,7 @@ use crate::endpoint::{Endpoint, Listener, Stream};
 use crate::metrics::{Metrics, ServeStats};
 use crate::proto::{
     read_frame, write_frame, ErrKind, FrameError, Request, Response, WireEntry, WireEvent,
-    WireKernel, WireMember, WireOutcome, MAX_PULL_KEYS, MIN_PROTO_VERSION, PROTO_VERSION,
+    WireKernel, WireMember, WireOutcome, MAX_PULL_KEYS, PROTO_VERSION,
 };
 use gensor::{Gensor, GensorConfig};
 use hardware::GpuSpec;
@@ -125,8 +125,7 @@ impl ServerConfig {
 /// Probing, suspicion timeouts, and ring rebuilds belong to the agent's
 /// owner (the CLI or an embedding test), which drives them on its own
 /// timer. A daemon with no agent attached answers empty — gossip is
-/// cleanly absent for it, never an error, which is also how pre-v7 peers
-/// experience the cluster.
+/// cleanly absent for it, never an error.
 pub trait ClusterAgent: Send + Sync {
     /// Merge a peer's piggybacked updates (it announced itself as
     /// `from` at `incarnation`) and return this daemon's updates for the
@@ -840,9 +839,10 @@ fn handle_connection(stream: Stream, shared: &Shared, tx: &mpsc::Sender<Job>, cf
         }
     };
     match hello {
-        Request::Hello { proto, ref token }
-            if (MIN_PROTO_VERSION..=PROTO_VERSION).contains(&proto) =>
-        {
+        Request::Hello {
+            proto: PROTO_VERSION,
+            ref token,
+        } => {
             if cfg.token.is_some() && *token != cfg.token {
                 shared.metrics.auth_failures.fetch_add(1, Ordering::Relaxed);
                 obs::counter_inc!(
@@ -858,9 +858,10 @@ fn handle_connection(stream: Stream, shared: &Shared, tx: &mpsc::Sender<Job>, cf
                 );
                 return;
             }
-            // Speak the lower of the two versions; the reply tells the
-            // client which one won.
-            if server_write(&mut stream, &Response::Hello { proto }).is_err() {
+            let accepted = Response::Hello {
+                proto: PROTO_VERSION,
+            };
+            if server_write(&mut stream, &accepted).is_err() {
                 return;
             }
         }
@@ -870,10 +871,7 @@ fn handle_connection(stream: Stream, shared: &Shared, tx: &mpsc::Sender<Job>, cf
                 &mut stream,
                 &Response::Error {
                     kind: ErrKind::UnsupportedProto,
-                    message: format!(
-                        "server speaks proto {MIN_PROTO_VERSION}..={PROTO_VERSION}, \
-                         client sent {proto}"
-                    ),
+                    message: format!("server speaks proto {PROTO_VERSION}, client sent {proto}"),
                 },
             );
             return;
@@ -1006,7 +1004,7 @@ fn handle_connection(stream: Stream, shared: &Shared, tx: &mpsc::Sender<Job>, cf
                     }
                 }
             }
-            // Self-healing frames (v7) are answered inline: gossip and
+            // Self-healing frames are answered inline: gossip and
             // digest reads must work even when the worker pool is
             // saturated — a probe that sheds with Busy would look exactly
             // like a dead daemon to the failure detector.

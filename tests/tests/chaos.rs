@@ -5,7 +5,7 @@
 //! wedged pool, or a lost store.
 //!
 //! The failpoint registry is process-global, so every test that arms a
-//! site (or calls instrumented code) serializes on [`chaos_lock`]; the
+//! site (or calls instrumented code) holds [`faults::exclusive`]; the
 //! guard disarms everything on entry *and* on drop, so a panicking test
 //! cannot leak faults into its neighbours.
 
@@ -23,27 +23,9 @@ use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tensor_expr::OpSpec;
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-/// Holds the chaos lock; disarms every failpoint when dropped so a
-/// panicking test cannot poison the next one.
-struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        faults::disarm_all();
-    }
-}
-
-fn chaos_lock() -> FaultGuard {
-    let g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    faults::disarm_all();
-    FaultGuard(g)
-}
 
 fn tmpfile(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("chaos-integration-tests");
@@ -155,7 +137,7 @@ fn wait_until(what: &str, timeout: Duration, mut done: impl FnMut() -> bool) {
 /// same connection, and the pool keeps serving afterwards.
 #[test]
 fn worker_panic_is_isolated_and_answered() {
-    let _g = chaos_lock();
+    let _g = faults::exclusive();
     let builds = Arc::new(AtomicU64::new(0));
     let (path, handle, join) = start_daemon(
         "worker-panic",
@@ -196,7 +178,7 @@ fn worker_panic_is_isolated_and_answered() {
 /// bounded retry transparently reconnects.
 #[test]
 fn transient_socket_write_fault_is_retried_through() {
-    let _g = chaos_lock();
+    let _g = faults::exclusive();
     let builds = Arc::new(AtomicU64::new(0));
     let (path, _handle, join) = start_daemon(
         "socket-write",
@@ -221,7 +203,7 @@ fn transient_socket_write_fault_is_retried_through() {
 /// connection stays usable for the next request.
 #[test]
 fn dispatch_fault_is_a_typed_error() {
-    let _g = chaos_lock();
+    let _g = faults::exclusive();
     let builds = Arc::new(AtomicU64::new(0));
     let (path, _handle, join) = start_daemon(
         "dispatch-fault",
@@ -256,7 +238,7 @@ fn dispatch_fault_is_a_typed_error() {
 /// the worker skips the job un-run, and the daemon counts `cancelled`.
 #[test]
 fn queued_job_is_cancelled_when_its_client_disconnects() {
-    let _g = chaos_lock();
+    let _g = faults::exclusive();
     let builds = Arc::new(AtomicU64::new(0));
     let (path, handle, join) = start_daemon(
         "cancel",
@@ -336,7 +318,7 @@ fn queued_job_is_cancelled_when_its_client_disconnects() {
 /// and only the unpersisted record is missing after a restart.
 #[test]
 fn append_fault_never_fails_a_compile() {
-    let _g = chaos_lock();
+    let _g = faults::exclusive();
     let path = tmpfile("append-fault");
     let spec = GpuSpec::rtx4090();
     let op1 = OpSpec::gemm(128, 64, 64);
@@ -366,7 +348,7 @@ fn append_fault_never_fails_a_compile() {
 /// truncating the torn tail; the next append lands on a clean boundary.
 #[test]
 fn partial_append_is_a_recoverable_torn_tail() {
-    let _g = chaos_lock();
+    let _g = faults::exclusive();
     let path = tmpfile("partial-append");
     let store = Store::open(&path);
     let spec = GpuSpec::rtx4090();
@@ -398,7 +380,7 @@ fn partial_append_is_a_recoverable_torn_tail() {
 /// without leaking the temp file; the retry compacts normally.
 #[test]
 fn failed_compaction_rename_leaves_the_store_intact() {
-    let _g = chaos_lock();
+    let _g = faults::exclusive();
     let path = tmpfile("rename-fault");
     let store = Store::open(&path);
     let spec = GpuSpec::rtx4090();
@@ -431,7 +413,7 @@ fn failed_compaction_rename_leaves_the_store_intact() {
 /// surviving schedule as a hit.
 #[test]
 fn daemon_restart_after_torn_write_recovers_and_serves() {
-    let _g = chaos_lock();
+    let _g = faults::exclusive();
     let path = tmpfile("restart");
     let spec = GpuSpec::rtx4090();
     let op_good = OpSpec::gemm(256, 128, 128);
@@ -479,7 +461,7 @@ fn daemon_restart_after_torn_write_recovers_and_serves() {
 /// (waiters wake and retry) instead of wedging the key forever.
 #[test]
 fn builder_panic_does_not_wedge_the_flight() {
-    let _g = chaos_lock();
+    let _g = faults::exclusive();
     let spec = GpuSpec::rtx4090();
     let op = OpSpec::gemm(320, 160, 160);
     let builds = Arc::new(AtomicU64::new(0));
@@ -504,7 +486,7 @@ fn builder_panic_does_not_wedge_the_flight() {
 /// clears with the policy.
 #[test]
 fn evaluator_fault_is_typed_and_transient() {
-    let _g = chaos_lock();
+    let _g = faults::exclusive();
     let spec = GpuSpec::rtx4090();
     let e = Etir::initial(OpSpec::gemv(384, 96), &spec);
 
@@ -543,7 +525,7 @@ proptest! {
     /// torn tail, and leaves a file the next append round-trips through.
     #[test]
     fn truncation_recovers_the_longest_valid_prefix(cut_raw in 0u64..u64::MAX) {
-        let _g = chaos_lock();
+        let _g = faults::exclusive();
         let path = tmpfile("prop-truncate");
         let bytes = store_bytes(&path);
         let cut = 1 + (cut_raw as usize) % bytes.len();
@@ -575,7 +557,7 @@ proptest! {
         pos_raw in 0u64..u64::MAX,
         flip in 1u8..=255,
     ) {
-        let _g = chaos_lock();
+        let _g = faults::exclusive();
         let path = tmpfile("prop-flip");
         let mut bytes = store_bytes(&path);
         let pos = (pos_raw as usize) % bytes.len();

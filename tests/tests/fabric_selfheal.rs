@@ -5,12 +5,9 @@
 //! hinted handoff replays the writes it missed, and every repaired
 //! kernel passed the `RemotePeer` provenance gate on the way in.
 //!
-//! Also here, the cross-version and crash-safety satellites:
-//! * a v6 client still compiles against a v7 daemon, and a daemon with
-//!   no gossip agent answers the gossip frames with empty (disabled,
-//!   not broken);
-//! * a v7 client against an old server gates every self-heal method
-//!   locally with a typed `UnsupportedProto` — nothing hits the wire;
+//! Also here, the crash-safety satellites:
+//! * a daemon with no gossip agent answers the gossip frames with empty
+//!   (disabled, not broken);
 //! * hint-log torn tails truncate to exactly the intact prefix
 //!   (proptest over every cut point), and take/requeue interleavings
 //!   deliver each hint exactly once.
@@ -18,13 +15,11 @@
 use fabric::{Detector, FabricClient, GossipConfig, HintLog, MemberState, MemberTable};
 use hardware::GpuSpec;
 use proptest::prelude::*;
-use served::proto::{read_frame, write_frame};
 use served::{
-    BreakerConfig, Client, ClientConfig, ClientError, DrainReport, ErrKind, MethodRegistry,
-    Request, Response, Server, ServerConfig, ServerHandle,
+    BreakerConfig, Client, ClientConfig, DrainReport, MethodRegistry, Server, ServerConfig,
+    ServerHandle,
 };
 use simgpu::Tuner;
-use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -107,6 +102,7 @@ fn tmp_path(name: &str) -> PathBuf {
 /// The acceptance drill from the issue, end to end.
 #[test]
 fn kill_restart_rejoin_heals_the_cluster() {
+    let _g = faults::exclusive();
     let crash_site = "fabric.selfheal.crash";
     let cache_a = Arc::new(schedcache::ScheduleCache::in_memory());
     let cache_b = Arc::new(schedcache::ScheduleCache::in_memory());
@@ -297,57 +293,17 @@ fn kill_restart_rejoin_heals_the_cluster() {
     std::fs::remove_file(&hint_path).ok();
 }
 
-/// A v6 client against a v7 daemon: the handshake settles on v6, plain
-/// compiles keep working, and a daemon with no gossip agent attached
-/// answers the v7 gossip frames with *empty* — disabled, not broken.
+/// A daemon with no gossip agent attached answers the gossip frames
+/// with *empty* — disabled, not broken.
 #[test]
-fn a_v6_client_still_compiles_and_gossip_is_cleanly_disabled() {
+fn a_daemon_without_a_gossip_agent_answers_gossip_frames_empty() {
     let cache = Arc::new(schedcache::ScheduleCache::in_memory());
     let server = bind_daemon("tcp://127.0.0.1:0", cache, None);
     let endpoint = server.endpoint().to_string();
     let handle = server.handle();
     let join = std::thread::spawn(move || server.run().unwrap());
 
-    // Hand-speak the wire as a v6 client: Hello pins the version.
-    let addr = endpoint.strip_prefix("tcp://").unwrap();
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write_frame(
-        &mut stream,
-        &Request::Hello {
-            proto: 6,
-            token: None,
-        },
-    )
-    .unwrap();
-    let hello: Response = read_frame(&mut stream).unwrap();
-    assert!(
-        matches!(hello, Response::Hello { proto: 6 }),
-        "server speaks the lower version: {hello:?}"
-    );
-    write_frame(
-        &mut stream,
-        &Request::Compile {
-            op: OpSpec::gemm(128, 64, 64),
-            gpu: GpuSpec::rtx4090(),
-            method: "roller".into(),
-            budget: None,
-        },
-    )
-    .unwrap();
-    let answer: Response = read_frame(&mut stream).unwrap();
-    match answer {
-        Response::Compiled { kernel, .. } => {
-            let verdict = verify::verify_schedule(&kernel.etir, None);
-            assert!(verdict.is_legal(), "old client got a real, legal kernel");
-        }
-        other => panic!("v6 compile answered {other:?}"),
-    }
-    drop(stream);
-
-    // A v7 client against the same daemon: it has no cluster agent, so
-    // gossip and membership answer empty rather than erroring.
     let mut c = Client::connect_with(&endpoint, fast_client()).unwrap();
-    assert!(c.supports_selfheal());
     assert!(c.members().unwrap().is_empty(), "no agent: empty view");
     let acked = c.gossip("tcp://127.0.0.1:9999", 0, vec![]).unwrap();
     assert!(acked.is_empty(), "no agent: empty gossip ack");
@@ -355,55 +311,6 @@ fn a_v6_client_still_compiles_and_gossip_is_cleanly_disabled() {
 
     handle.shutdown();
     join.join().unwrap();
-}
-
-/// A v7 client against an old (v6) server: every self-heal method is
-/// refused *locally* with the typed `UnsupportedProto` — no frame the
-/// old server could mis-parse ever touches the wire — and the repair
-/// pass records the peer as pre-v7 instead of failing.
-#[test]
-fn a_v7_client_against_an_old_server_gates_selfheal_locally() {
-    // A fake v6 daemon: handshakes at proto 6, answers pings, and would
-    // choke on anything newer (which must therefore never arrive).
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let endpoint = format!("tcp://{}", listener.local_addr().unwrap());
-    let fake = std::thread::spawn(move || {
-        for stream in listener.incoming().take(2) {
-            let mut stream = stream.unwrap();
-            while let Ok(req) = read_frame::<_, Request>(&mut stream) {
-                let answer = match req {
-                    Request::Hello { .. } => Response::Hello { proto: 6 },
-                    Request::Ping => Response::Pong,
-                    other => panic!("v7-only frame leaked to the old server: {other:?}"),
-                };
-                write_frame(&mut stream, &answer).unwrap();
-            }
-        }
-    });
-
-    let mut c = Client::connect_with(&endpoint, fast_client()).unwrap();
-    assert_eq!(c.proto(), 6);
-    assert!(!c.supports_selfheal());
-    for err in [
-        c.cache_digest().map(|_| ()).unwrap_err(),
-        c.members().map(|_| ()).unwrap_err(),
-        c.gossip("tcp://x", 0, vec![]).map(|_| ()).unwrap_err(),
-        c.ping_req("tcp://x").map(|_| ()).unwrap_err(),
-    ] {
-        match err {
-            ClientError::Remote { kind, .. } => assert_eq!(kind, ErrKind::UnsupportedProto),
-            other => panic!("expected a typed local refusal, got {other:?}"),
-        }
-    }
-    drop(c);
-
-    // Anti-entropy against the old peer: skipped and counted, no error.
-    let cache = schedcache::ScheduleCache::in_memory();
-    let report = fabric::sync_from_peers(&cache, std::slice::from_ref(&endpoint), &fast_client());
-    assert_eq!(report.pre_v7, 1, "old peer skipped, not failed: {report:?}");
-    assert_eq!(report.pulled, 0);
-
-    fake.join().unwrap();
 }
 
 /// One template hint the byte-level proptests can clone cheaply (the

@@ -71,6 +71,7 @@ fn trace_field(ev: &obs::Event) -> Option<u64> {
 
 #[test]
 fn traced_batch_survives_a_mid_batch_kill_with_one_trace_id() {
+    let _g = faults::exclusive();
     let crash_site = "fleet.obs.crash";
     let flight_dir = std::env::temp_dir().join(format!("gensor-fleet-obs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&flight_dir);
@@ -215,6 +216,9 @@ fn traced_batch_survives_a_mid_batch_kill_with_one_trace_id() {
 
 #[test]
 fn cluster_metrics_merges_live_peers_with_per_peer_labels() {
+    // Serialized with the drill above: its flight recorder is
+    // process-global and would record this test's untraced spans.
+    let _g = faults::exclusive();
     let (ep_a, handle_a, join_a) = start_tcp(|_| {});
     let (ep_b, handle_b, join_b) = start_tcp(|_| {});
     let peers = vec![ep_a.clone(), ep_b.clone()];
