@@ -1,393 +1,390 @@
-//! Per-operator-class CUDA kernel emitters.
+//! The one printer over the lowered [`etir::loops::Nest`] — the same
+//! object `interp` executes — in two dialects: CUDA-C and pseudo-code.
 //!
-//! Each emitter realises the same loop structure the `interp` executor
-//! runs: grid blocks over shared-memory tiles, staged reduction steps with
-//! cooperative loads and `__syncthreads()`, virtual-thread strip-mining
-//! (`local = (v·T + t)·R + r`), register-tile accumulation, and ragged-edge
-//! masks. Constants are baked into the source the way TVM's codegen bakes
-//! schedule parameters.
+//! How each `Item` kind is printed (and, in `interp::exec`, run): a `Loop`
+//! bound to `Grid`/`Thread` is a `blockIdx`/`threadIdx` read (the leading
+//! dimensions [`crate::launch`] fuses into `.z` decomposed back per loop),
+//! any other a `for`, under `#pragma unroll N` if `Unrolled`, and a unit
+//! loop nothing; a `CacheRead` to shared memory is a `__shared__` buffer of
+//! the box size, a tid-strided cooperative load that zero-fills where the
+//! access predicate fails, and a `__syncthreads()` either side of the body
+//! that reads it (to registers: a comment, promotion is `nvcc`'s);
+//! `CacheWrite` is a zeroed accumulator array, the body, then the
+//! accumulator's own loops again around a masked store; `Compute` is
+//! guarded where an axis is padded past its true extent and reads every
+//! input from its shared-memory stage. Constants are baked into the source
+//! the way TVM's codegen bakes schedule parameters.
 
-use crate::launch::LaunchConfig;
+use crate::launch::{pack3, unpack3, LaunchConfig};
 use etir::analytics::ScheduleStats;
+use etir::loops::{Binding, Item, Level, Loop, Nest, Stage};
 use etir::{Etir, LoopNest};
-use tensor_expr::OpSpec;
+use std::fmt::Write;
+use tensor_expr::{Access, DimAccess, OpSpec};
 
 /// Emit a complete CUDA-C translation unit (kernel + launch helper comment)
 /// for the scheduled program `e`.
 pub fn emit_cuda(e: &Etir) -> String {
     let _sp = obs::span!("codegen.emit", kind = "cuda", op = e.op.label());
     obs::counter_inc!("gensor_codegen_emits_total", "Code-generation emissions");
-    // Never emit source for a schedule the static verifier rejects: an
-    // illegal nest would bake out-of-bounds indices into the kernel text.
+    let summary = checked_summary(e);
+    let smem = ScheduleStats::compute(e).smem_bytes_per_block;
+    let launch = LaunchConfig::from_nest(&summary, smem);
+    format!(
+        "// Auto-generated by gensor-codegen\n// op: {}\n// schedule: {}\n\
+         // launch: grid={:?} block={:?} smem={}B\n\n{}",
+        e.op.label(),
+        e.describe(),
+        launch.grid,
+        launch.block,
+        launch.smem_bytes,
+        print(&e.op, &summary.to_nest(), true)
+    )
+}
+
+/// The `LoopNest` summary of `e`, refusing (in debug builds) a schedule the
+/// static verifier rejects: an illegal nest would bake out-of-bounds
+/// indices into the text.
+pub(crate) fn checked_summary(e: &Etir) -> LoopNest {
     #[cfg(debug_assertions)]
     {
         let vr = verify::verify_schedule(e, None);
         assert!(
             vr.is_legal(),
-            "refusing to emit CUDA for illegal schedule:\n{}",
+            "refusing to emit code for illegal schedule:\n{}",
             vr.render()
         );
     }
-    let nest = LoopNest::from_etir(e);
-    let stats = ScheduleStats::compute(e);
-    let launch = LaunchConfig::from_nest(&nest, stats.smem_bytes_per_block);
-    let body = match &e.op {
-        OpSpec::Gemm { .. } => emit_gemm(e, &nest),
-        OpSpec::Gemv { .. } => emit_gemv(e, &nest),
-        OpSpec::Conv2d { .. } => emit_conv(e, &nest),
-        OpSpec::AvgPool2d { .. } => emit_pool(e, &nest),
-        OpSpec::Elementwise { .. } => emit_elementwise(e, &nest),
-    };
-    let mut out = String::new();
-    out.push_str(&format!(
-        "// Auto-generated by gensor-codegen\n// op: {}\n// schedule: {}\n",
-        e.op.label(),
-        e.describe()
-    ));
-    out.push_str(&format!(
-        "// launch: grid=({},{},{}) block=({},{},{}) smem={}B\n\n",
-        launch.grid.0,
-        launch.grid.1,
-        launch.grid.2,
-        launch.block.0,
-        launch.block.1,
-        launch.block.2,
-        launch.smem_bytes
-    ));
-    out.push_str(&body);
-    out
+    LoopNest::from_etir(e)
 }
 
-fn unroll_pragma(u: u64) -> String {
-    if u > 1 {
-        format!("#pragma unroll {u}\n        ")
-    } else {
-        String::new()
+/// Print `nest` as a CUDA kernel (`cuda`) or as indented pseudo-code.
+pub(crate) fn print(op: &OpSpec, nest: &Nest, cuda: bool) -> String {
+    let bound_to = |b: Binding| -> Vec<u64> {
+        let loops = nest.loops().into_iter().filter(|l| l.binding == b);
+        loops.map(|l| l.extent).collect()
+    };
+    let mut cover = vec![1; nest.extents.len()];
+    for l in nest.loops() {
+        cover[l.axis] += (l.extent - 1) * l.stride;
+    }
+    let (acc_stride, acc_len) = nest.acc_strides();
+    let mut p = Printer {
+        op,
+        nest,
+        cuda,
+        out: String::new(),
+        scope: Vec::new(),
+        stages: Vec::new(),
+        grid: bound_to(Binding::Grid),
+        threads: bound_to(Binding::Thread),
+        acc_stride,
+        acc_len,
+        cover,
+    };
+    if cuda {
+        p.signature();
+    }
+    p.item(0, usize::from(cuda), false);
+    if cuda {
+        p.out.push_str("}\n");
+    }
+    p.out
+}
+
+struct Printer<'a> {
+    op: &'a OpSpec,
+    nest: &'a Nest,
+    cuda: bool,
+    out: String,
+    /// Enclosing non-unit loops, outer→inner: C identifier, loop, and its
+    /// accumulator stride ([`Nest::acc_strides`]).
+    scope: Vec<(String, &'a Loop, u64)>,
+    /// Live shared-memory stages with the scope depth at the marker: the
+    /// loops from there on are served, as are thread/vthread loops.
+    stages: Vec<(&'a Stage, usize)>,
+    /// Extents of the `Grid` / `Thread` loops, outer→inner.
+    grid: Vec<u64>,
+    threads: Vec<u64>,
+    acc_stride: Vec<u64>,
+    acc_len: u64,
+    /// Per axis: how far its loops reach (`> extents[axis]` when padded).
+    cover: Vec<u64>,
+}
+
+/// ` <op> n`, or nothing when `n` is 1 (the identity of `*`, `/`) or 0.
+fn by(op: char, n: u64) -> String {
+    match n {
+        0 | 1 => String::new(),
+        _ => format!(" {op} {n}"),
     }
 }
 
-fn emit_gemm(e: &Etir, nest: &LoopNest) -> String {
-    let (m, k, n) = match e.op {
-        OpSpec::Gemm { m, k, n } => (m, k, n),
-        _ => unreachable!(),
-    };
-    let (tm, tn) = (nest.smem_tile[0], nest.smem_tile[1]);
-    let tk = nest.reduce_tile[0];
-    let (vm, vn) = (nest.vthreads[0], nest.vthreads[1]);
-    let (rm, rn) = (nest.reg_tile[0], nest.reg_tile[1]);
-    let (tdm, tdn) = (nest.thread_dims[0], nest.thread_dims[1]);
-    let nt = tdm * tdn;
-    format!(
-        r#"extern "C" __global__ void gemm_kernel(
-    const float* __restrict__ A,  // [{m}, {k}]
-    const float* __restrict__ B,  // [{k}, {n}]
-    float* __restrict__ C)        // [{m}, {n}]
-{{
-    const int M = {m}, K = {k}, N = {n};
-    __shared__ float As[{tk}][{tm}];
-    __shared__ float Bs[{tk}][{tn}];
-    const int bm = blockIdx.y, bn = blockIdx.x;
-    const int tmi = threadIdx.y, tni = threadIdx.x;
-    const int tid = tmi * {tdn} + tni;
-    float acc[{vm} * {rm}][{vn} * {rn}];
-    for (int i = 0; i < {vm} * {rm}; ++i)
-        for (int j = 0; j < {vn} * {rn}; ++j)
-            acc[i][j] = 0.0f;
-    for (int ks = 0; ks < (K + {tk} - 1) / {tk}; ++ks) {{
-        // Cooperative stage: A tile [{tm}x{tk}] and B tile [{tk}x{tn}] -> SMEM
-        for (int idx = tid; idx < {tm} * {tk}; idx += {nt}) {{
-            int im = idx / {tk}, ik = idx % {tk};
-            int gm = bm * {tm} + im, gk = ks * {tk} + ik;
-            As[ik][im] = (gm < M && gk < K) ? A[gm * K + gk] : 0.0f;
-        }}
-        for (int idx = tid; idx < {tk} * {tn}; idx += {nt}) {{
-            int ik = idx / {tn}, in_ = idx % {tn};
-            int gk = ks * {tk} + ik, gn = bn * {tn} + in_;
-            Bs[ik][in_] = (gk < K && gn < N) ? B[gk * N + gn] : 0.0f;
-        }}
-        __syncthreads();
-        {unroll}for (int kk = 0; kk < {tk}; ++kk) {{
-            for (int v_m = 0; v_m < {vm}; ++v_m)
-            for (int v_n = 0; v_n < {vn}; ++v_n)
-            for (int r_m = 0; r_m < {rm}; ++r_m)
-            for (int r_n = 0; r_n < {rn}; ++r_n) {{
-                int lm = (v_m * {tdm} + tmi) * {rm} + r_m;  // vthread strip-mine
-                int ln = (v_n * {tdn} + tni) * {rn} + r_n;
-                acc[v_m * {rm} + r_m][v_n * {rn} + r_n] += As[kk][lm] * Bs[kk][ln];
-            }}
-        }}
-        __syncthreads();
-    }}
-    // Epilogue: registers -> global, masking ragged edges
-    for (int v_m = 0; v_m < {vm}; ++v_m)
-    for (int v_n = 0; v_n < {vn}; ++v_n)
-    for (int r_m = 0; r_m < {rm}; ++r_m)
-    for (int r_n = 0; r_n < {rn}; ++r_n) {{
-        int gm = bm * {tm} + (v_m * {tdm} + tmi) * {rm} + r_m;
-        int gn = bn * {tn} + (v_n * {tdn} + tni) * {rn} + r_n;
-        if (gm < M && gn < N)
-            C[gm * N + gn] = acc[v_m * {rm} + r_m][v_n * {rn} + r_n];
-    }}
-}}
-"#,
-        unroll = unroll_pragma(e.unroll),
-    )
+/// `if (cond) then`, or just `then` when there is nothing to check.
+fn when(cond: &str, then: String) -> String {
+    match cond {
+        "" => then,
+        _ => format!("if ({cond}) {then}"),
+    }
 }
 
-fn emit_gemv(e: &Etir, nest: &LoopNest) -> String {
-    let (m, n) = match e.op {
-        OpSpec::Gemv { m, n } => (m, n),
-        _ => unreachable!(),
-    };
-    let tm = nest.smem_tile[0];
-    let tk = nest.reduce_tile[0];
-    let vm = nest.vthreads[0];
-    let rm = nest.reg_tile[0];
-    let tdm = nest.thread_dims[0];
-    format!(
-        r#"extern "C" __global__ void gemv_kernel(
-    const float* __restrict__ A,  // [{m}, {n}]
-    const float* __restrict__ x,  // [{n}]
-    float* __restrict__ y)        // [{m}]
-{{
-    const int M = {m}, K = {n};
-    __shared__ float xs[{tk}];
-    const int bm = blockIdx.x;
-    const int tmi = threadIdx.x;
-    float acc[{vm} * {rm}];
-    for (int i = 0; i < {vm} * {rm}; ++i) acc[i] = 0.0f;
-    for (int ks = 0; ks < (K + {tk} - 1) / {tk}; ++ks) {{
-        for (int idx = tmi; idx < {tk}; idx += {tdm}) {{
-            int gk = ks * {tk} + idx;
-            xs[idx] = (gk < K) ? x[gk] : 0.0f;
-        }}
-        __syncthreads();
-        {unroll}for (int kk = 0; kk < {tk}; ++kk) {{
-            int gk = ks * {tk} + kk;
-            if (gk >= K) break;
-            for (int v_m = 0; v_m < {vm}; ++v_m)
-            for (int r_m = 0; r_m < {rm}; ++r_m) {{
-                int gm = bm * {tm} + (v_m * {tdm} + tmi) * {rm} + r_m;
-                if (gm < M)
-                    acc[v_m * {rm} + r_m] += A[(long)gm * K + gk] * xs[kk];
-            }}
-        }}
-        __syncthreads();
-    }}
-    for (int v_m = 0; v_m < {vm}; ++v_m)
-    for (int r_m = 0; r_m < {rm}; ++r_m) {{
-        int gm = bm * {tm} + (v_m * {tdm} + tmi) * {rm} + r_m;
-        if (gm < M) y[gm] = acc[v_m * {rm} + r_m];
-    }}
-}}
-"#,
-        unroll = unroll_pragma(e.unroll),
-    )
+/// The multiple of loop `l`'s variable in tensor index `d`.
+fn weight(d: &DimAccess, l: &Loop) -> u64 {
+    let on_axis = d.terms.iter().filter(|t| t.0 == l.axis);
+    on_axis.map(|t| t.1 * l.stride).sum()
 }
 
-fn emit_conv(e: &Etir, nest: &LoopNest) -> String {
-    let (n, c_in, h, w, c_out, kh, kw, stride, pad) = match e.op {
-        OpSpec::Conv2d {
-            n,
-            c_in,
-            h,
-            w,
-            c_out,
-            kh,
-            kw,
-            stride,
-            pad,
-        } => (n, c_in, h, w, c_out, kh, kw, stride, pad),
-        _ => unreachable!(),
-    };
-    let sp = e.op.spatial_extents();
-    let (oh, ow) = (sp[2], sp[3]);
-    let t = &nest.smem_tile; // [n, oc, oh, ow]
-    let v = &nest.vthreads;
-    let r = &nest.reg_tile;
-    let td = &nest.thread_dims;
-    let (tic, tkh, tkw) = (
-        nest.reduce_tile[0],
-        nest.reduce_tile[1],
-        nest.reduce_tile[2],
-    );
-    let nt: u64 = td.iter().product();
-    format!(
-        r#"extern "C" __global__ void conv2d_kernel(
-    const float* __restrict__ I,  // [{n}, {c_in}, {h}, {w}]
-    const float* __restrict__ Kw, // [{c_out}, {c_in}, {kh}, {kw}]
-    float* __restrict__ O)        // [{n}, {c_out}, {oh}, {ow}]
-{{
-    const int IC = {c_in}, KH = {kh}, KW = {kw}, S = {stride}, P = {pad};
-    const int H = {h}, W = {w}, OH = {oh}, OW = {ow}, OC = {c_out}, NB = {n};
-    __shared__ float Ks[{tic} * {tkh} * {tkw} * {toc}];
-    const int boh = blockIdx.y, bow = blockIdx.x;
-    const int bz = blockIdx.z;
-    const int bnb = bz / {goc}, boc = bz % {goc};
-    const int toh = threadIdx.y, tow = threadIdx.x;
-    const int toc_t = threadIdx.z;
-    const int tid = (toc_t * {td2} + toh) * {td3} + tow;
-    float acc[{acc_n}];
-    for (int i = 0; i < {acc_n}; ++i) acc[i] = 0.0f;
-    for (int ics = 0; ics < (IC + {tic} - 1) / {tic}; ++ics)
-    for (int khs = 0; khs < (KH + {tkh} - 1) / {tkh}; ++khs)
-    for (int kws = 0; kws < (KW + {tkw} - 1) / {tkw}; ++kws) {{
-        // Stage the weight tile -> SMEM
-        for (int idx = tid; idx < {toc} * {tic} * {tkh} * {tkw}; idx += {nt}) {{
-            int rem = idx;
-            int loc = rem / ({tic} * {tkh} * {tkw}); rem %= ({tic} * {tkh} * {tkw});
-            int lic = rem / ({tkh} * {tkw}); rem %= ({tkh} * {tkw});
-            int lkh = rem / {tkw}; int lkw = rem % {tkw};
-            int goc_ = boc * {toc} + loc, gic = ics * {tic} + lic;
-            int gkh = khs * {tkh} + lkh, gkw = kws * {tkw} + lkw;
-            Ks[idx] = (goc_ < OC && gic < IC && gkh < KH && gkw < KW)
-                ? Kw[((goc_ * IC + gic) * KH + gkh) * KW + gkw] : 0.0f;
-        }}
-        __syncthreads();
-        {unroll}for (int lic = 0; lic < {tic}; ++lic)
-        for (int lkh = 0; lkh < {tkh}; ++lkh)
-        for (int lkw = 0; lkw < {tkw}; ++lkw) {{
-            int gic = ics * {tic} + lic;
-            int gkh = khs * {tkh} + lkh, gkw = kws * {tkw} + lkw;
-            if (gic >= IC || gkh >= KH || gkw >= KW) continue;
-            int ai = 0;
-            for (int v_c = 0; v_c < {v1}; ++v_c)
-            for (int v_h = 0; v_h < {v2}; ++v_h)
-            for (int v_w = 0; v_w < {v3}; ++v_w)
-            for (int r_c = 0; r_c < {r1}; ++r_c)
-            for (int r_h = 0; r_h < {r2}; ++r_h)
-            for (int r_w = 0; r_w < {r3}; ++r_w, ++ai) {{
-                int loc = (v_c * {td1} + toc_t) * {r1} + r_c;
-                int loh = (v_h * {td2} + toh) * {r2} + r_h;
-                int low = (v_w * {td3} + tow) * {r3} + r_w;
-                int gnb = bnb;  // batch tile is 1 per block here
-                int goc_ = boc * {toc} + loc;
-                int goh = boh * {t2} + loh, gow = bow * {t3} + low;
-                if (goc_ >= OC || goh >= OH || gow >= OW || gnb >= NB) continue;
-                int gih = goh * S + gkh - P, giw = gow * S + gkw - P;
-                float iv = (gih >= 0 && gih < H && giw >= 0 && giw < W)
-                    ? I[((gnb * IC + gic) * H + gih) * W + giw] : 0.0f;
-                int kidx = ((loc * {tic} + lic) * {tkh} + lkh) * {tkw} + lkw;
-                acc[ai] += iv * Ks[kidx];
-            }}
-        }}
-        __syncthreads();
-    }}
-    {{
-        int ai = 0;
-        for (int v_c = 0; v_c < {v1}; ++v_c)
-        for (int v_h = 0; v_h < {v2}; ++v_h)
-        for (int v_w = 0; v_w < {v3}; ++v_w)
-        for (int r_c = 0; r_c < {r1}; ++r_c)
-        for (int r_h = 0; r_h < {r2}; ++r_h)
-        for (int r_w = 0; r_w < {r3}; ++r_w, ++ai) {{
-            int goc_ = boc * {toc} + (v_c * {td1} + toc_t) * {r1} + r_c;
-            int goh = boh * {t2} + (v_h * {td2} + toh) * {r2} + r_h;
-            int gow = bow * {t3} + (v_w * {td3} + tow) * {r3} + r_w;
-            if (goc_ < OC && goh < OH && gow < OW && bnb < NB)
-                O[((bnb * OC + goc_) * OH + goh) * OW + gow] = acc[ai];
-        }}
-    }}
-}}
-"#,
-        toc = t[1],
-        t2 = t[2],
-        t3 = t[3],
-        goc = nest.grid[1],
-        td1 = td[1],
-        td2 = td[2],
-        td3 = td[3],
-        v1 = v[1],
-        v2 = v[2],
-        v3 = v[3],
-        r1 = r[1],
-        r2 = r[2],
-        r3 = r[3],
-        acc_n = v[1] * v[2] * v[3] * r[1] * r[2] * r[3],
-        unroll = unroll_pragma(e.unroll),
-    )
-}
+impl<'a> Printer<'a> {
+    fn line(&mut self, depth: usize, text: impl std::fmt::Display) {
+        let indent = if self.cuda { 4 } else { 2 } * depth;
+        self.out.extend(std::iter::repeat_n(' ', indent));
+        writeln!(self.out, "{text}").expect("writing to a String cannot fail");
+    }
 
-fn emit_pool(e: &Etir, nest: &LoopNest) -> String {
-    let (n, c, h, w, f, stride) = match e.op {
-        OpSpec::AvgPool2d {
-            n,
-            c,
-            h,
-            w,
-            f,
-            stride,
-        } => (n, c, h, w, f, stride),
-        _ => unreachable!(),
-    };
-    let sp = e.op.spatial_extents();
-    let (oh, ow) = (sp[2], sp[3]);
-    let t = &nest.smem_tile;
-    format!(
-        r#"extern "C" __global__ void avgpool2d_kernel(
-    const float* __restrict__ I,  // [{n}, {c}, {h}, {w}]
-    float* __restrict__ O)        // [{n}, {c}, {oh}, {ow}]
-{{
-    const int H = {h}, W = {w}, OH = {oh}, OW = {ow}, C = {c}, NB = {n};
-    const int F = {f}, S = {stride};
-    const int bow = blockIdx.x, boh = blockIdx.y;
-    const int bz = blockIdx.z;
-    const int bnb = bz / {gc}, bc = bz % {gc};
-    const int toh = threadIdx.y, tow = threadIdx.x, tc = threadIdx.z;
-    int gc_ = bc * {t1} + tc;
-    int goh = boh * {t2} + toh;
-    int gow = bow * {t3} + tow;
-    if (gc_ >= C || goh >= OH || gow >= OW || bnb >= NB) return;
-    float acc = 0.0f;
-    {unroll}for (int fh = 0; fh < F; ++fh)
-    for (int fw = 0; fw < F; ++fw) {{
-        int gih = goh * S + fh, giw = gow * S + fw;
-        if (gih < H && giw < W)
-            acc += I[((bnb * C + gc_) * H + gih) * W + giw];
-    }}
-    O[((bnb * C + gc_) * OH + goh) * OW + gow] = acc / (float)(F * F);
-}}
-"#,
-        t1 = t[1],
-        t2 = t[2],
-        t3 = t[3],
-        gc = nest.grid[1],
-        unroll = unroll_pragma(e.unroll),
-    )
-}
+    /// `Σ coef(scope position, loop, its accumulator stride) · var +
+    /// constant` over the in-scope loops, as a C expression.
+    fn sum(&self, constant: i64, coef: impl Fn(usize, &Loop, u64) -> u64) -> String {
+        let mut s = String::new();
+        for (k, (id, l, acc)) in self.scope.iter().enumerate() {
+            let c = coef(k, l, *acc);
+            if c > 0 {
+                s.push_str(if s.is_empty() { "" } else { " + " });
+                s.push_str(id);
+                s.push_str(&by('*', c));
+            }
+        }
+        match (s.is_empty(), constant) {
+            (true, c) => c.to_string(),
+            (false, 0) => s,
+            (false, c) if c < 0 => format!("{s} - {}", -c),
+            (false, c) => format!("{s} + {c}"),
+        }
+    }
 
-fn emit_elementwise(e: &Etir, nest: &LoopNest) -> String {
-    let (elems, num_inputs) = match e.op {
-        OpSpec::Elementwise {
-            elems, num_inputs, ..
-        } => (elems, num_inputs),
-        _ => unreachable!(),
-    };
-    let t0 = nest.smem_tile[0];
-    let r0 = nest.reg_tile[0];
-    let v0 = nest.vthreads[0];
-    let td0 = nest.thread_dims[0];
-    let params: Vec<String> = (0..num_inputs)
-        .map(|i| format!("const float* __restrict__ X{i}"))
-        .collect();
-    let sum: Vec<String> = (0..num_inputs).map(|i| format!("X{i}[g]")).collect();
-    format!(
-        r#"extern "C" __global__ void elementwise_kernel(
-    {params},
-    float* __restrict__ O)  // [{elems}]
-{{
-    const long NELEM = {elems}L;
-    long base = (long)blockIdx.x * {t0};
-    for (int v = 0; v < {v0}; ++v)
-    for (int r = 0; r < {r0}; ++r) {{
-        long g = base + ((long)v * {td0} + threadIdx.x) * {r0} + r;
-        if (g < NELEM) O[g] = {sum};
-    }}
-}}
-"#,
-        params = params.join(",\n    "),
-        sum = sum.join(" + "),
-    )
+    /// Print `const int d0 = …; const int d1 = …;` — the coordinates of
+    /// `access` over the in-scope loops `keep` admits, plus `local(k)` —
+    /// and return the element they address (flat, in `long`) with the
+    /// conjunction of bounds they can violate given the loops' reach.
+    fn indexed(
+        &mut self,
+        access: &Access,
+        depth: usize,
+        keep: impl Fn(usize, &Loop) -> bool,
+        local: impl Fn(usize) -> Option<String>,
+    ) -> (String, String) {
+        let (mut at, mut checks) = (String::new(), Vec::new());
+        for (k, d) in access.dims.iter().enumerate() {
+            let outer = self.sum(d.offset, |k, l, _| u64::from(keep(k, l)) * weight(d, l));
+            let index = match (outer.as_str(), local(k)) {
+                (_, None) => outer,
+                ("0", Some(local)) => local,
+                (_, Some(local)) => format!("{outer} + {local}"),
+            };
+            self.line(depth, format_args!("const int d{k} = {index};"));
+            at = match k {
+                0 => "(long)d0".to_string(),
+                1 => format!("{at} * {} + d1", d.extent),
+                _ => format!("({at}) * {} + d{k}", d.extent),
+            };
+            let reach: u64 = d.terms.iter().map(|&(a, c)| c * (self.cover[a] - 1)).sum();
+            if d.offset < 0 {
+                checks.push(format!("d{k} >= 0"));
+            }
+            if d.offset + reach as i64 >= d.extent as i64 {
+                checks.push(format!("d{k} < {}", d.extent));
+            }
+        }
+        (format!("{}[{at}]", access.name), checks.join(" && "))
+    }
+
+    /// Kernel signature and the linear thread id the cooperative loads
+    /// stride by. The kernel is named after the operator class.
+    fn signature(&mut self) {
+        let label = self.op.label();
+        let class = label[..label.find('[').unwrap_or(0)].to_lowercase();
+        self.line(
+            0,
+            format_args!("extern \"C\" __global__ void {class}_kernel("),
+        );
+        let (output, inputs) = self.nest.operands.split_last().expect("lowered nest");
+        for a in inputs {
+            let param = format!("const float* __restrict__ {},  // {:?}", a.name, a.shape());
+            self.line(1, &param);
+        }
+        let shape = output.shape();
+        let param = format!("float* __restrict__ {})  // {shape:?}", output.name);
+        self.line(1, &param);
+        self.line(0, "{");
+        let (bx, by, _) = pack3(&self.threads);
+        let tid = format!("(threadIdx.z * {by} + threadIdx.y) * {bx} + threadIdx.x");
+        self.line(1, format_args!("const int tid = {tid};"));
+    }
+
+    /// Print `items[i..]` — each item's body is the rest of the list. With
+    /// `store` set this is the write-back pass: only the accumulator's own
+    /// loops are printed, around a store in place of the compute.
+    fn item(&mut self, i: usize, depth: usize, store: bool) {
+        let nest = self.nest;
+        let (output, inputs) = nest.operands.split_last().expect("lowered nest");
+        let item = &nest.items[i];
+        if !self.cuda {
+            let text = match item {
+                Item::Loop(l) => {
+                    let tag = match l.binding {
+                        Binding::Grid => " // blockIdx".to_string(),
+                        Binding::VThread => " // vthread".to_string(),
+                        Binding::Thread => " // threadIdx".to_string(),
+                        Binding::Unrolled(n) => format!(" // #pragma unroll {n}"),
+                        Binding::Serial => String::new(),
+                    };
+                    format!("for {} in 0..{}{tag}", l.name, l.extent)
+                }
+                Item::CacheRead(s) => {
+                    let level = format!("{:?}", s.level).to_uppercase();
+                    format!("stage {} -> {level} {:?}", inputs[s.operand].name, s.shape)
+                }
+                Item::CacheWrite => "acc = 0".to_string(),
+                Item::Compute => {
+                    let names: Vec<&str> = inputs.iter().map(|a| a.name.as_str()).collect();
+                    format!("compute acc += {}", names.join(self.op.combine().infix()))
+                }
+            };
+            self.line(depth, &text);
+            let nested = usize::from(matches!(item, Item::Loop(_)));
+            if *item != Item::Compute {
+                self.item(i + 1, depth + nested, false);
+            }
+            if *item == Item::CacheWrite {
+                self.line(depth, format_args!("write {} <- acc", output.name));
+            }
+            return;
+        }
+        match item {
+            Item::Loop(l) if l.extent == 1 || (store && self.acc_stride[i] == 0) => {
+                self.item(i + 1, depth, store)
+            }
+            Item::Loop(l) => {
+                let id = format!("{}{i}", l.name.split('.').next().unwrap_or_default());
+                self.scope.push((id.clone(), l, self.acc_stride[i]));
+                let same = |it: &Item| matches!(it, Item::Loop(o) if o.binding == l.binding);
+                let nth = nest.items[..i].iter().filter(|it| same(it)).count();
+                match l.binding {
+                    Binding::Grid | Binding::Thread => {
+                        let index = match l.binding {
+                            Binding::Grid => unpack3("blockIdx", &self.grid, nth),
+                            _ => unpack3("threadIdx", &self.threads, nth),
+                        };
+                        self.line(
+                            depth,
+                            format_args!("const int {id} = {index};  // {}", l.name),
+                        );
+                        self.item(i + 1, depth, store);
+                    }
+                    _ => {
+                        if let Binding::Unrolled(n) = l.binding {
+                            self.line(depth, format_args!("#pragma unroll {n}"));
+                        }
+                        let head = format!("for (int {id} = 0; {id} < {}; ++{id}) {{", l.extent);
+                        self.line(depth, format_args!("{head}  // {}", l.name));
+                        self.item(i + 1, depth + 1, store);
+                        self.line(depth, "}");
+                    }
+                }
+                self.scope.pop();
+            }
+            Item::CacheRead(_) if store => self.item(i + 1, depth, store),
+            Item::CacheRead(s) if s.level == Level::Reg => {
+                let name = &inputs[s.operand].name;
+                self.line(depth, format_args!("// {name} {:?} -> registers", s.shape));
+                self.item(i + 1, depth, store);
+            }
+            Item::CacheRead(s) => {
+                self.cooperative_load(s, depth);
+                let next_is_load =
+                    matches!(&nest.items[i + 1], Item::CacheRead(n) if n.level == Level::Smem);
+                if !next_is_load {
+                    self.line(depth, "__syncthreads();");
+                }
+                self.stages.push((s, self.scope.len()));
+                self.item(i + 1, depth, store);
+                self.stages.pop();
+                if !next_is_load {
+                    self.line(depth, "__syncthreads();");
+                }
+            }
+            Item::CacheWrite => {
+                let cells = self.acc_len;
+                self.line(depth, format_args!("float acc[{cells}] = {{0.0f}};"));
+                self.item(i + 1, depth, false);
+                self.item(i + 1, depth, true);
+            }
+            Item::Compute if store => {
+                let (target, mask) = self.indexed(output, depth, |_, _| true, |_| None);
+                let mean = match self.op.divisor() {
+                    1 => String::new(),
+                    n => format!(" / {n}.0f"),
+                };
+                let store = format!("{target} = acc[{}]{mean};", self.sum(0, |_, _, cell| cell));
+                self.line(depth, when(&mask, store));
+            }
+            Item::Compute => {
+                let padded = (0..nest.extents.len()).filter(|&a| self.cover[a] > nest.extents[a]);
+                let guard: Vec<String> = padded
+                    .map(|a| {
+                        let var = self.sum(0, |_, l, _| u64::from(l.axis == a) * l.stride);
+                        format!("{var} < {}", nest.extents[a])
+                    })
+                    .collect();
+                let reads: Vec<String> = (0..inputs.len()).map(|o| self.staged_read(o)).collect();
+                let sum = reads.join(self.op.combine().infix());
+                let fold = format!("acc[{}] += {sum};", self.sum(0, |_, _, cell| cell));
+                self.line(depth, when(&guard.join(" && "), fold));
+            }
+        }
+    }
+
+    /// The block's threads fill the shared buffer of `s`: thread `tid`
+    /// copies elements `tid, tid + NT, …` of the box (row-major), zero
+    /// where the access predicate fails.
+    fn cooperative_load(&mut self, s: &Stage, depth: usize) {
+        let access = &self.nest.operands[s.operand];
+        let (size, nt): (u64, u64) = (s.shape.iter().product(), self.threads.iter().product());
+        let buffer = format!("{}_s", access.name);
+        let decl = format!("__shared__ float {buffer}[{size}];  // {:?}", s.shape);
+        self.line(depth, &decl);
+        let head = format!("for (int idx = tid; idx < {size}; idx += {nt}) {{");
+        self.line(depth, &head);
+        // `idx` walks the box row-major; its `k`-th coordinate within it:
+        let local = |k: usize| {
+            let wrap = if k > 0 { s.shape[k] } else { 1 };
+            let inner = s.shape[k + 1..].iter().product();
+            (s.shape[k] > 1).then(|| format!("idx{}{}", by('/', inner), by('%', wrap)))
+        };
+        // Origin: the access over the loops the stage does not serve.
+        let (load, mask) = self.indexed(access, depth + 1, |_, l| !l.within_block(), local);
+        let value = match mask.as_str() {
+            "" => load,
+            _ => format!("({mask}) ? {load} : 0.0f"),
+        };
+        self.line(depth + 1, format_args!("{buffer}[idx] = {value};"));
+        self.line(depth, "}");
+    }
+
+    /// `operand` as `Compute` reads it: from its innermost shared-memory
+    /// stage, indexed relative to the stage's origin.
+    fn staged_read(&self, operand: usize) -> String {
+        let live = self.stages.iter().rev().find(|s| s.0.operand == operand);
+        let &(stage, from) = live.expect("to_nest stages every input in shared memory");
+        let access = &self.nest.operands[operand];
+        let within = |l: &Loop| -> u64 {
+            let dims = access.dims.iter().enumerate();
+            dims.map(|(k, d)| stage.shape[k + 1..].iter().product::<u64>() * weight(d, l))
+                .sum()
+        };
+        let served = |k: usize, l: &Loop| k >= from || l.within_block();
+        let at = self.sum(0, |k, l, _| u64::from(served(k, l)) * within(l));
+        format!("{}_s[{at}]", access.name)
+    }
 }
 
 /// Count of `{` minus `}` — zero for well-formed emissions.
@@ -445,20 +442,70 @@ mod tests {
         )
     }
 
+    /// Floats declared `__shared__` in `src`.
+    fn shared_floats(src: &str) -> u64 {
+        src.lines()
+            .filter_map(|l| l.trim().strip_prefix("__shared__ float "))
+            .map(|decl| {
+                let (open, close) = (decl.find('[').unwrap(), decl.find(']').unwrap());
+                decl[open + 1..close].parse::<u64>().unwrap()
+            })
+            .sum()
+    }
+
+    fn barriers(src: &str) -> usize {
+        src.matches("__syncthreads();").count()
+    }
+
     #[test]
     fn gemm_emission_structure() {
         let e = gemm_sched();
         let src = emit_cuda(&e);
         assert_eq!(brace_balance(&src), 0, "unbalanced braces:\n{src}");
         assert!(src.contains("__global__ void gemm_kernel"));
-        assert!(src.contains("__shared__ float As[8][64];"), "{src}");
-        assert!(src.contains("__shared__ float Bs[8][32];"));
-        assert!(src.contains("#pragma unroll 4"));
-        assert!(src.matches("__syncthreads();").count() >= 2);
-        // Ragged masks present.
-        assert!(src.contains("gm < M && gn < N"));
-        // vthread strip-mine comment survives.
-        assert!(src.contains("vthread strip-mine"));
+        // One reduction step of the block tile per operand.
+        let (tm, tn, tk) = (e.smem_tile[0], e.smem_tile[1], e.reduce_tile[0]);
+        let a = format!("__shared__ float A_s[{}];  // [{tm}, {tk}]", tm * tk);
+        let b = format!("__shared__ float B_s[{}];  // [{tk}, {tn}]", tk * tn);
+        assert!(src.contains(&a) && src.contains(&b), "{src}");
+        assert!(src.contains(&format!("#pragma unroll {}", e.unroll)));
+        // Two barriers per staged step, however many operands it stages.
+        assert_eq!(barriers(&src), 2);
+        // The vthread strip-mine is a loop of the schedule's extent.
+        let strip = src
+            .lines()
+            .find(|l| l.ends_with("// m.inner.outer"))
+            .unwrap();
+        assert!(strip.contains(&format!(" < {}; ", e.vthreads[0])), "{src}");
+        // 512×256×512 divides evenly: no mask is printed…
+        assert!(!src.contains("if (") && !src.contains(" ? "), "{src}");
+        // …a ragged shape masks the load, the compute and the store.
+        let spec = GpuSpec::rtx4090();
+        let ragged = apply_seq(
+            Etir::initial(OpSpec::gemm(100, 60, 24), &spec),
+            &[
+                Action::Tile { dim: 0 },
+                Action::Tile { dim: 0 },
+                Action::Tile { dim: 0 },
+                Action::Tile { dim: 1 },
+                Action::Tile { dim: 1 },
+                Action::Tile { dim: 1 },
+                Action::TileReduce { dim: 0 },
+                Action::TileReduce { dim: 0 },
+                Action::TileReduce { dim: 0 },
+                Action::Cache,
+                Action::Tile { dim: 0 },
+            ],
+        );
+        let src = emit_cuda(&ragged);
+        assert!(src.contains("(d0 < 100 && d1 < 60) ? A["), "{src}");
+        let fold = src.lines().find(|l| l.contains("] += ")).unwrap().trim();
+        assert!(
+            fold.starts_with("if (") && fold.contains(" < 100 && "),
+            "{src}"
+        );
+        assert!(fold.contains(" < 60) acc["), "{src}");
+        assert!(src.contains("if (d0 < 100) C["), "{src}");
     }
 
     #[test]
@@ -491,8 +538,15 @@ mod tests {
         let src = emit_cuda(&e);
         assert_eq!(brace_balance(&src), 0);
         assert!(src.contains("gemv_kernel"));
-        assert!(src.contains("__shared__ float xs[4];"));
-        assert!(src.contains("if (gm < M)"));
+        // Both operands are staged: a 64×4 tile of A and 4 elements of x.
+        assert!(
+            src.contains("__shared__ float A_s[256];  // [64, 4]"),
+            "{src}"
+        );
+        assert!(src.contains("__shared__ float x_s[4];  // [4]"));
+        assert_eq!(barriers(&src), 2);
+        // 1000 rows under 64-row tiles: the last block is masked.
+        assert!(src.contains("if (d0 < 1000) y["), "{src}");
     }
 
     #[test]
@@ -518,9 +572,25 @@ mod tests {
         let src = emit_cuda(&e);
         assert_eq!(brace_balance(&src), 0, "{src}");
         assert!(src.contains("conv2d_kernel"));
-        assert!(src.contains("gih = goh * S + gkh - P"));
-        assert!(src.contains("__shared__ float Ks["));
-        assert!(src.matches("__syncthreads();").count() == 2);
+        // Halo arithmetic: the staged rows start one (the padding) above
+        // the block's first output row, and padding reads are zero-filled.
+        let row = src.lines().find(|l| l.contains("const int d2 = ")).unwrap();
+        assert!(
+            row.contains(" * 4 + ") && row.contains(" - 1 + idx"),
+            "{src}"
+        );
+        assert!(src.contains("(d2 >= 0 && d2 < 28 && d3 >= 0 && d3 < 28) ? I["));
+        // One kernel tap of four input channels per step: the 4×4 input
+        // window and the weights are both staged.
+        assert!(
+            src.contains("__shared__ float I_s[64];  // [1, 4, 4, 4]"),
+            "{src}"
+        );
+        assert!(
+            src.contains("__shared__ float K_s[32];  // [8, 4, 1, 1]"),
+            "{src}"
+        );
+        assert_eq!(barriers(&src), 2);
     }
 
     #[test]
@@ -540,7 +610,10 @@ mod tests {
         let src = emit_cuda(&e);
         assert_eq!(brace_balance(&src), 0);
         assert!(src.contains("avgpool2d_kernel"));
-        assert!(src.contains("acc / (float)(F * F)"));
+        // finalize: the window sum over F·F.
+        assert!(src.contains("] = acc[0] / 4.0f;"), "{src}");
+        // Unit window tile at stride 2: (4 − 1)·2 + 1 = 7 input rows/cols.
+        assert_eq!(shared_floats(&src), 2 * 7 * 7, "{src}");
     }
 
     #[test]
@@ -563,8 +636,8 @@ mod tests {
         );
         let src = emit_cuda(&e);
         assert_eq!(brace_balance(&src), 0);
-        assert!(src.contains("X0[g] + X1[g]"));
-        assert!(src.contains("if (g < NELEM)"));
+        assert!(src.contains("] + X1_s["), "{src}");
+        assert!(src.contains("if (d0 < 100000) O["), "{src}");
     }
 
     #[test]
@@ -578,14 +651,109 @@ mod tests {
     fn accumulator_size_matches_schedule() {
         let e = gemm_sched();
         let src = emit_cuda(&e);
-        let vm_rm = e.vthreads[0] * e.reg_tile[0];
-        let vn_rn = e.vthreads[1] * e.reg_tile[1];
+        let cells: u64 = e
+            .vthreads
+            .iter()
+            .zip(&e.reg_tile)
+            .map(|(v, r)| v * r)
+            .product();
         assert!(
-            src.contains(&format!(
-                "float acc[{} * {}][{} * {}]",
-                e.vthreads[0], e.reg_tile[0], e.vthreads[1], e.reg_tile[1]
-            )),
-            "expected acc[{vm_rm}][{vn_rn}] dims in:\n{src}"
+            src.contains(&format!("float acc[{cells}] = {{0.0f}};")),
+            "{src}"
         );
     }
+
+    #[test]
+    fn declared_shared_memory_is_what_the_cost_model_charges() {
+        let e = gemm_sched();
+        let src = emit_cuda(&e);
+        let stats = ScheduleStats::compute(&e);
+        assert_eq!(shared_floats(&src) * 4, stats.smem_bytes_per_block);
+        assert!(src.contains(&format!("smem={}B", stats.smem_bytes_per_block)));
+    }
+
+    /// The printed form of the `gemm_sched()` fixture, pinned so a printer
+    /// change is a deliberate one.
+    #[test]
+    fn gemm_fixture_golden() {
+        let e = gemm_sched();
+        assert_eq!(emit_cuda(&e), GOLDEN_CUDA, "\n{}", emit_cuda(&e));
+        let pseudo = crate::emit_pseudo(&e);
+        assert_eq!(pseudo, GOLDEN_PSEUDO, "\n{pseudo}");
+    }
+
+    const GOLDEN_CUDA: &str = r#"// Auto-generated by gensor-codegen
+// op: GEMM[512,256,512]
+// schedule: smem[64, 32] reg[4, 2] vt[2, 1] red[8] u4 @lvl1
+// launch: grid=(16, 8, 1) block=(16, 8, 1) smem=3072B
+
+extern "C" __global__ void gemm_kernel(
+    const float* __restrict__ A,  // [512, 256]
+    const float* __restrict__ B,  // [256, 512]
+    float* __restrict__ C)  // [512, 512]
+{
+    const int tid = (threadIdx.z * 8 + threadIdx.y) * 16 + threadIdx.x;
+    const int m0 = blockIdx.y;  // m.outer
+    const int n1 = blockIdx.x;  // n.outer
+    const int m2 = threadIdx.y;  // m.inner.inner.outer
+    const int n3 = threadIdx.x;  // n.inner.inner.outer
+    float acc[16] = {0.0f};
+    for (int k5 = 0; k5 < 32; ++k5) {  // k.outer
+        __shared__ float A_s[512];  // [64, 8]
+        for (int idx = tid; idx < 512; idx += 128) {
+            const int d0 = m0 * 64 + idx / 8;
+            const int d1 = k5 * 8 + idx % 8;
+            A_s[idx] = A[(long)d0 * 256 + d1];
+        }
+        __shared__ float B_s[256];  // [8, 32]
+        for (int idx = tid; idx < 256; idx += 128) {
+            const int d0 = k5 * 8 + idx / 32;
+            const int d1 = n1 * 32 + idx % 32;
+            B_s[idx] = B[(long)d0 * 512 + d1];
+        }
+        __syncthreads();
+        #pragma unroll 4
+        for (int k8 = 0; k8 < 8; ++k8) {  // k.inner
+            // A [36, 1] -> registers
+            // B [1, 2] -> registers
+            for (int m11 = 0; m11 < 2; ++m11) {  // m.inner.outer
+                for (int m13 = 0; m13 < 4; ++m13) {  // m.inner.inner.inner
+                    for (int n14 = 0; n14 < 2; ++n14) {  // n.inner.inner.inner
+                        acc[m11 * 8 + m13 * 2 + n14] += A_s[m2 * 32 + k8 + m11 * 256 + m13 * 8] * B_s[n3 * 2 + k8 * 32 + n14];
+                    }
+                }
+            }
+        }
+        __syncthreads();
+    }
+    for (int m11 = 0; m11 < 2; ++m11) {  // m.inner.outer
+        for (int m13 = 0; m13 < 4; ++m13) {  // m.inner.inner.inner
+            for (int n14 = 0; n14 < 2; ++n14) {  // n.inner.inner.inner
+                const int d0 = m0 * 64 + m2 * 4 + m11 * 32 + m13;
+                const int d1 = n1 * 32 + n3 * 2 + n14;
+                C[(long)d0 * 512 + d1] = acc[m11 * 8 + m13 * 2 + n14];
+            }
+        }
+    }
+}
+"#;
+    const GOLDEN_PSEUDO: &str = r#"// GEMM[512,256,512] — smem[64, 32] reg[4, 2] vt[2, 1] red[8] u4 @lvl1
+for m.outer in 0..8 // blockIdx
+  for n.outer in 0..16 // blockIdx
+    for m.inner.inner.outer in 0..8 // threadIdx
+      for n.inner.inner.outer in 0..16 // threadIdx
+        acc = 0
+        for k.outer in 0..32
+          stage A -> SMEM [64, 8]
+          stage B -> SMEM [8, 32]
+          for k.inner in 0..8 // #pragma unroll 4
+            stage A -> REG [36, 1]
+            stage B -> REG [1, 2]
+            for m.inner.outer in 0..2 // vthread
+              for n.inner.outer in 0..1 // vthread
+                for m.inner.inner.inner in 0..4
+                  for n.inner.inner.inner in 0..2
+                    compute acc += A * B
+        write C <- acc
+"#;
 }

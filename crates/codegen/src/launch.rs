@@ -58,7 +58,7 @@ impl LaunchConfig {
 
 /// Pack an outer→inner dimension list into `(x, y, z)` with the innermost
 /// dimension in `x` and all excess outer dimensions fused into `z`.
-fn pack3(dims: &[u64]) -> (u64, u64, u64) {
+pub(crate) fn pack3(dims: &[u64]) -> (u64, u64, u64) {
     match dims.len() {
         0 => (1, 1, 1),
         1 => (dims[0], 1, 1),
@@ -69,6 +69,25 @@ fn pack3(dims: &[u64]) -> (u64, u64, u64) {
             (dims[n - 1], dims[n - 2], z)
         }
     }
+}
+
+/// The inverse of [`pack3`] as a C expression: the index along the `j`-th
+/// of `dims` recovered from `builtin` (`blockIdx` / `threadIdx`) — `.x` and
+/// `.y` directly, the dimensions fused into `.z` by division and modulo.
+pub(crate) fn unpack3(builtin: &str, dims: &[u64], j: usize) -> String {
+    let n = dims.len();
+    if j + 2 >= n {
+        return format!("{builtin}.{}", if j + 1 == n { 'x' } else { 'y' });
+    }
+    let inner: u64 = dims[j + 1..n - 2].iter().product();
+    let mut index = format!("{builtin}.z");
+    if inner > 1 {
+        index = format!("{index} / {inner}");
+    }
+    if j > 0 {
+        index = format!("{index} % {}", dims[j]);
+    }
+    index
 }
 
 #[cfg(test)]
@@ -84,6 +103,25 @@ mod tests {
         assert_eq!(pack3(&[5]), (5, 1, 1));
         assert_eq!(pack3(&[3, 7]), (7, 3, 1));
         assert_eq!(pack3(&[2, 3, 4, 5]), (5, 4, 6));
+    }
+
+    #[test]
+    fn unpack3_inverts_pack3() {
+        let dims = [2, 3, 4, 5];
+        let got: Vec<String> = (0..4).map(|j| unpack3("blockIdx", &dims, j)).collect();
+        assert_eq!(
+            got,
+            [
+                "blockIdx.z / 3",
+                "blockIdx.z % 3",
+                "blockIdx.y",
+                "blockIdx.x"
+            ]
+        );
+        assert_eq!(unpack3("threadIdx", &[7], 0), "threadIdx.x");
+        assert_eq!(unpack3("threadIdx", &[3, 7], 0), "threadIdx.y");
+        // Three fused dimensions: the middle one needs both operators.
+        assert_eq!(unpack3("b", &[2, 3, 4, 5, 6], 1), "b.z / 4 % 3");
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Lowering: from the compact [`Etir`] schedule state to an explicit,
 //! executable loop structure.
 //!
-//! [`LoopNest`] is the summary form consumed by the CPU interpreter and the
-//! performance simulator; [`LoopNest::to_nest`] additionally *derives* the
-//! explicit [`crate::loops::Nest`] by applying the Table I primitives
-//! (split / reorder / bind / unroll / cache) exactly as a TVM-style schedule
-//! would — grid loops outermost, then virtual-thread loops, physical-thread
-//! loops, the staged reduction, and the register tile innermost.
+//! [`LoopNest`] is the summary form (resolved extents per level) read by
+//! the performance simulator, the verifier's interval passes and the launch
+//! geometry. [`LoopNest::to_nest`] is the one place a schedule becomes
+//! loops: it *derives* the explicit [`crate::loops::Nest`] by applying the
+//! Table I primitives (split / reorder / bind / unroll / cache) exactly as a
+//! TVM-style schedule would, and `interp` runs and `codegen` prints that
+//! object.
 
-use crate::loops::{Binding, Nest};
+use crate::loops::{Binding, Level, Nest};
 use crate::state::Etir;
 use serde::{Deserialize, Serialize};
 use tensor_expr::OpSpec;
@@ -86,91 +87,104 @@ impl LoopNest {
     }
 
     /// Express this schedule as an explicit loop nest via the Table I
-    /// primitives. The returned nest is what `codegen` prints and what the
-    /// schedule would look like applied to a TVM-like tensor IR.
+    /// primitives. The loop order is stated here and nowhere else:
+    ///
+    /// ```text
+    /// grid → thread → [accumulator] → reduce step → SMEM stages →
+    /// reduce element (unrolled) → REG stages → vthread → register tile →
+    /// compute;  write-back when the accumulator's loops close
+    /// ```
+    ///
+    /// Every input is staged at both levels, one reduction step at a time
+    /// (what `ScheduleStats::smem_bytes_per_block` charges); without reduce
+    /// axes the stages sit directly inside the thread loops.
     pub fn to_nest(&self) -> Nest {
         let sp_names = self.op.spatial_names();
         let rd_names = self.op.reduce_names();
-        // Naive padded nest: spatial axes then reduce axes.
-        let mut axes: Vec<(String, u64)> = Vec::new();
-        for (i, n) in sp_names.iter().enumerate() {
-            axes.push((n.to_string(), self.padded_extents[i]));
-        }
-        for (j, n) in rd_names.iter().enumerate() {
-            axes.push((n.to_string(), self.reduce_steps[j] * self.reduce_tile[j]));
-        }
-        let borrowed: Vec<(&str, u64)> = axes.iter().map(|(n, e)| (n.as_str(), *e)).collect();
-        let mut nest = Nest::naive(&borrowed);
+        // Naive nest over the padded space: spatial axes then reduce axes.
+        let reduce_padded = self.reduce_steps.iter().zip(&self.reduce_tile);
+        let axes: Vec<(&str, u64)> = sp_names
+            .iter()
+            .zip(&self.padded_extents)
+            .map(|(&n, &e)| (n, e))
+            .chain(
+                rd_names
+                    .iter()
+                    .zip(reduce_padded)
+                    .map(|(&n, (&s, &t))| (n, s * t)),
+            )
+            .collect();
+        let mut nest = Nest::naive(&axes);
+        nest.extents = [self.op.spatial_extents(), self.op.reduce_extents()].concat();
+        nest.operands = self.op.accesses();
 
         // Split every spatial axis: grid / vthread / thread / reg.
-        for (i, n) in sp_names.iter().enumerate() {
-            nest.split(n, self.smem_tile[i]).expect("grid split");
-            let inner = format!("{n}.inner");
-            let per_vt = self.smem_tile[i] / self.vthreads[i];
-            nest.split(&inner, per_vt).expect("vthread split");
+        let tiles = self
+            .smem_tile
+            .iter()
+            .zip(&self.vthreads)
+            .zip(&self.reg_tile);
+        for (n, ((&smem, &vt), &reg)) in sp_names.iter().zip(tiles) {
+            nest.split(n, smem).expect("grid split");
+            nest.split(&format!("{n}.inner"), smem / vt)
+                .expect("vthread split");
             // `{n}.inner.outer` now has extent = vthreads.
-            let inner2 = format!("{n}.inner.inner");
-            nest.split(&inner2, self.reg_tile[i]).expect("thread split");
-            nest.bind(&format!("{n}.outer"), Binding::Grid).unwrap();
-            nest.bind(&format!("{n}.inner.outer"), Binding::VThread)
-                .unwrap();
-            nest.bind(&format!("{n}.inner.inner.outer"), Binding::Thread)
-                .unwrap();
+            nest.split(&format!("{n}.inner.inner"), reg)
+                .expect("thread split");
+            for (suffix, binding) in [
+                ("outer", Binding::Grid),
+                ("inner.outer", Binding::VThread),
+                ("inner.inner.outer", Binding::Thread),
+            ] {
+                nest.bind(&format!("{n}.{suffix}"), binding)
+                    .expect("split made this loop");
+            }
         }
         // Split every reduce axis into outer step / inner element.
-        for (j, n) in rd_names.iter().enumerate() {
-            nest.split(n, self.reduce_tile[j]).expect("reduce split");
+        for (n, &t) in rd_names.iter().zip(&self.reduce_tile) {
+            nest.split(n, t).expect("reduce split");
         }
 
-        // Reorder: grids, vthreads, threads, reduce outers, reduce inners,
-        // register loops.
-        let mut order: Vec<String> = Vec::new();
-        for n in &sp_names {
-            order.push(format!("{n}.outer"));
-        }
-        for n in &sp_names {
-            order.push(format!("{n}.inner.outer"));
-        }
-        for n in &sp_names {
-            order.push(format!("{n}.inner.inner.outer"));
-        }
-        for n in &rd_names {
-            order.push(format!("{n}.outer"));
-        }
-        for n in &rd_names {
-            order.push(format!("{n}.inner"));
-        }
-        for n in &sp_names {
-            order.push(format!("{n}.inner.inner.inner"));
-        }
+        let level = |names: &[&str], suffix: &str| -> Vec<String> {
+            names.iter().map(|n| format!("{n}.{suffix}")).collect()
+        };
+        let order = [
+            level(&sp_names, "outer"),
+            level(&sp_names, "inner.inner.outer"),
+            level(&rd_names, "outer"),
+            level(&rd_names, "inner"),
+            level(&sp_names, "inner.outer"),
+            level(&sp_names, "inner.inner.inner"),
+        ]
+        .concat();
         let order_ref: Vec<&str> = order.iter().map(|s| s.as_str()).collect();
         nest.reorder(&order_ref).expect("reorder");
 
-        // Cache staging: operands into SMEM at the reduction step level,
-        // into registers at the element level; accumulator written back.
-        let input_names = self.op.input_names();
-        if let Some(first_rd) = rd_names.first() {
-            let smem_anchor = format!("{first_rd}.outer");
-            for op_name in &input_names {
-                nest.cache_read(&smem_anchor, op_name, "SMEM").unwrap();
-            }
-            let reg_anchor = format!("{}.inner", rd_names.last().unwrap());
-            for op_name in &input_names {
-                nest.cache_read(&reg_anchor, op_name, "REG").unwrap();
-            }
-            // Unroll the innermost reduce element loop if requested.
-            if self.unroll > 1 {
-                nest.unroll(&reg_anchor).unwrap();
-            }
-        } else {
-            // Elementwise: stage straight into registers under the last
-            // thread loop.
-            let anchor = format!("{}.inner.inner.outer", sp_names.last().unwrap());
-            for op_name in &input_names {
-                nest.cache_read(&anchor, op_name, "REG").unwrap();
+        // Markers go directly inside the last loop of their level; with no
+        // reduce axes every level collapses onto the last thread loop. A
+        // later marker lands ahead of an earlier one, so insert innermost
+        // first: register stages, shared stages, then the accumulator.
+        let threads = format!("{}.inner.inner.outer", sp_names.last().expect("rank ≥ 1"));
+        let anchor = |suffix: &str| {
+            rd_names
+                .last()
+                .map_or(threads.clone(), |n| format!("{n}.{suffix}"))
+        };
+        let inputs = nest.operands.len() - 1;
+        for (after, level) in [
+            (anchor("inner"), Level::Reg),
+            (anchor("outer"), Level::Smem),
+        ] {
+            for operand in (0..inputs).rev() {
+                nest.cache_read(&after, operand, level)
+                    .expect("anchor loop exists");
             }
         }
-        nest.cache_write("out", "GLOBAL").unwrap();
+        nest.cache_write(&threads).expect("thread loop exists");
+        if self.unroll > 1 && !rd_names.is_empty() {
+            nest.unroll(&anchor("inner"), self.unroll)
+                .expect("reduce element loop");
+        }
         nest
     }
 }
@@ -179,7 +193,7 @@ impl LoopNest {
 mod tests {
     use super::*;
     use crate::action::Action;
-    use crate::loops::{Binding, Item};
+    use crate::loops::{Binding, Item, Level};
     use hardware::GpuSpec;
 
     fn scheduled_gemm() -> Etir {
@@ -249,13 +263,33 @@ mod tests {
         let nest = LoopNest::from_etir(&scheduled_gemm()).to_nest();
         let loops = nest.loops();
         let bindings: Vec<Binding> = loops.iter().map(|l| l.binding).collect();
-        // First two loops are grid, next two vthread, next two thread.
+        // Grid, then thread, then the reduction (step, unrolled element),
+        // then vthread and the register tile.
         assert_eq!(&bindings[0..2], &[Binding::Grid, Binding::Grid]);
-        assert_eq!(&bindings[2..4], &[Binding::VThread, Binding::VThread]);
-        assert_eq!(&bindings[4..6], &[Binding::Thread, Binding::Thread]);
+        assert_eq!(&bindings[2..4], &[Binding::Thread, Binding::Thread]);
+        assert_eq!(&bindings[4..6], &[Binding::Serial, Binding::Unrolled(2)]);
+        assert_eq!(&bindings[6..8], &[Binding::VThread, Binding::VThread]);
+        assert_eq!(&bindings[8..10], &[Binding::Serial, Binding::Serial]);
         // vthread extents match the schedule.
-        assert_eq!(loops[2].extent, 2);
-        assert_eq!(loops[3].extent, 1);
+        assert_eq!(loops[6].extent, 2);
+        assert_eq!(loops[7].extent, 1);
+        // Per axis the strides nest: m = 32·grid + 16·vthread + 4·thread + reg.
+        let m: Vec<(u64, u64)> = loops
+            .iter()
+            .filter(|l| l.axis == 0)
+            .map(|l| (l.extent, l.stride))
+            .collect();
+        assert_eq!(m, vec![(8, 32), (4, 4), (2, 16), (4, 1)]);
+    }
+
+    #[test]
+    fn to_nest_opens_the_accumulator_outside_the_reduction() {
+        let nest = LoopNest::from_etir(&scheduled_gemm()).to_nest();
+        let pos = |want: &dyn Fn(&Item) -> bool| nest.items.iter().position(want).unwrap();
+        let acc = pos(&|i| *i == Item::CacheWrite);
+        let last_thread = pos(&|i| matches!(i, Item::Loop(l) if l.name == "n.inner.inner.outer"));
+        let first_step = pos(&|i| matches!(i, Item::Loop(l) if l.name == "k.outer"));
+        assert!(last_thread < acc && acc < first_step);
     }
 
     #[test]
@@ -264,26 +298,25 @@ mod tests {
         let smem_stages = nest
             .items
             .iter()
-            .filter(|i| matches!(i, Item::CacheRead { level, .. } if level == "SMEM"))
+            .filter(|i| matches!(i, Item::CacheRead(s) if s.level == Level::Smem))
             .count();
         let reg_stages = nest
             .items
             .iter()
-            .filter(|i| matches!(i, Item::CacheRead { level, .. } if level == "REG"))
+            .filter(|i| matches!(i, Item::CacheRead(s) if s.level == Level::Reg))
             .count();
         assert_eq!(smem_stages, 2); // A and B
         assert_eq!(reg_stages, 2);
-    }
-
-    #[test]
-    fn to_nest_render_is_parsable_pseudocode() {
-        let s = LoopNest::from_etir(&scheduled_gemm()).to_nest().render();
-        assert!(s.contains("// blockIdx"));
-        assert!(s.contains("// vthread"));
-        assert!(s.contains("// threadIdx"));
-        assert!(s.contains("// #pragma unroll"));
-        assert!(s.contains("stage A -> SMEM"));
-        assert!(s.contains("stage B -> REG"));
+        // One reduction step of the block tile: A is 32×8, B is 8×64.
+        let smem_shapes: Vec<&Vec<u64>> = nest
+            .items
+            .iter()
+            .filter_map(|i| match i {
+                Item::CacheRead(s) if s.level == Level::Smem => Some(&s.shape),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(smem_shapes, vec![&vec![32, 8], &vec![8, 64]]);
     }
 
     #[test]
@@ -296,10 +329,7 @@ mod tests {
         let ln = LoopNest::from_etir(&e);
         let nest = ln.to_nest();
         assert!(nest.volume() >= 1 << 12);
-        assert!(nest
-            .items
-            .iter()
-            .any(|i| matches!(i, Item::CacheRead { .. })));
+        assert!(nest.items.iter().any(|i| matches!(i, Item::CacheRead(_))));
     }
 
     #[test]

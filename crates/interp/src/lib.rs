@@ -3,27 +3,27 @@
 //! The paper's stack generates CUDA and checks results on the device
 //! ("while ensuring the correctness of calculation", §V-A). This repository
 //! cannot run CUDA, so correctness is established here instead: an
-//! [`etir::Etir`] schedule is lowered to its exact blocked loop structure —
-//! grid blocks, staged reduction steps, virtual-thread groups, physical
-//! threads, register tiles, padding masks — and *executed* on the CPU. The
+//! [`etir::Etir`] schedule is lowered by `LoopNest::to_nest` to the explicit
+//! [`etir::loops::Nest`] — the very object `codegen` prints as CUDA — and
+//! that nest is *executed* on the CPU, loop by loop, stage by stage. The
 //! result is compared against a naive direct evaluation of the operator.
 //!
 //! What this validates is precisely the part a schedule can break: that the
-//! tiled/strip-mined iteration covers every output point exactly once, that
-//! ragged (padded) lanes are masked, that conv/pool halo arithmetic indexes
-//! the right input elements, and that virtual-thread decomposition is a
-//! partition. What it deliberately does not validate is performance — that
-//! is `simgpu`'s job.
+//! tiled/strip-mined iteration covers every output point exactly once
+//! (counted, in every build), that ragged (padded) lanes are masked, that
+//! conv/pool halo arithmetic indexes the right input elements, that every
+//! operand element the compute touches lies inside the staging buffers the
+//! nest declares, and that the write-back happens after the reduction
+//! closes. What it deliberately does not validate is performance — that is
+//! `simgpu`'s job.
 
 pub mod exec;
 pub mod reference;
 pub mod semantics;
-pub mod staged;
 pub mod tensor;
 
-pub use exec::execute_scheduled;
+pub use exec::{execute_nest, execute_scheduled};
 pub use reference::execute_reference;
-pub use staged::{execute_gemm_staged, try_execute_gemm_staged};
 pub use tensor::Tensor;
 
 /// Typed failure from the reference executors, so sweeps (`gensor lint`,
@@ -31,12 +31,20 @@ pub use tensor::Tensor;
 /// aborting the whole run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
-    /// The executor does not implement this operator class.
-    UnsupportedOp {
-        /// Which executor declined.
-        executor: &'static str,
-        /// `OpSpec::label()` of the operator.
-        op: String,
+    /// `Compute` read an operand element outside a live stage of that
+    /// operand, or the operand has no live stage at all.
+    UnstagedRead {
+        /// Name of the operand.
+        operand: String,
+        /// The (possibly out-of-tensor) coordinates it read.
+        coords: Vec<i64>,
+    },
+    /// An output element was not written exactly once.
+    Coverage {
+        /// Flat output index.
+        index: usize,
+        /// How often the nest wrote it.
+        writes: u32,
     },
     /// The scheduled execution disagrees with the direct reference.
     Mismatch {
@@ -56,9 +64,16 @@ pub enum ExecError {
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ExecError::UnsupportedOp { executor, op } => {
-                write!(f, "{executor} does not support {op}")
+            ExecError::UnstagedRead { operand, coords } => {
+                write!(
+                    f,
+                    "compute reads {operand}{coords:?} outside its staging buffers"
+                )
             }
+            ExecError::Coverage { index, writes } => write!(
+                f,
+                "output element {index} written {writes} times, want exactly once"
+            ),
             ExecError::Mismatch {
                 op,
                 schedule,
@@ -92,7 +107,7 @@ pub fn mismatch(a: &Tensor, b: &Tensor, rel_tol: f32) -> Option<usize> {
 pub fn try_check_schedule(e: &etir::Etir) -> Result<(), ExecError> {
     let inputs = tensor::make_inputs(&e.op, 7);
     let want = execute_reference(&e.op, &inputs);
-    let got = execute_scheduled(e, &inputs);
+    let got = execute_nest(&e.op, &etir::LoopNest::from_etir(e).to_nest(), &inputs)?;
     match mismatch(&want, &got, 1e-4) {
         None => Ok(()),
         Some(index) => Err(ExecError::Mismatch {

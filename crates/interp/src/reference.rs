@@ -2,7 +2,7 @@
 //! checked against.
 
 use crate::semantics::{combine, finalize, input_coords};
-use crate::tensor::{output_shape, Tensor};
+use crate::tensor::Tensor;
 use tensor_expr::OpSpec;
 
 /// Iterate an N-dimensional box `[0, extents)` in row-major order.
@@ -34,19 +34,18 @@ pub(crate) fn for_each_point(extents: &[u64], mut f: impl FnMut(&[u64])) {
 pub fn execute_reference(op: &OpSpec, inputs: &[Tensor]) -> Tensor {
     let sp_ext = op.spatial_extents();
     let rd_ext = op.reduce_extents();
-    let mut out = Tensor::zeros(output_shape(op));
-    let num_inputs = inputs.len();
+    let accesses = op.accesses();
+    let mut out = Tensor::zeros(accesses.last().expect("output operand").shape());
+    let mut vals = vec![0.0f32; inputs.len()];
+    let mut point = vec![0u64; sp_ext.len() + rd_ext.len()];
     for_each_point(&sp_ext, |sp| {
+        point[..sp.len()].copy_from_slice(sp);
         let mut acc = 0.0f32;
-        let reduce_space: &[u64] = if rd_ext.is_empty() { &[1] } else { &rd_ext };
-        for_each_point(reduce_space, |rd| {
-            let rd = if rd_ext.is_empty() { &[][..] } else { rd };
-            let mut vals = Vec::with_capacity(num_inputs);
-            for (i, t) in inputs.iter().enumerate() {
-                match input_coords(op, i, sp, rd) {
-                    Some(c) => vals.push(t.get(&c)),
-                    None => vals.push(0.0),
-                }
+        // An empty reduce space is one point, not none.
+        for_each_point(&rd_ext, |rd| {
+            point[sp.len()..].copy_from_slice(rd);
+            for ((v, t), access) in vals.iter_mut().zip(inputs).zip(&accesses) {
+                *v = input_coords(access, &point).map_or(0.0, |at| t.data[at]);
             }
             acc += combine(op, &vals);
         });

@@ -66,48 +66,12 @@ fn splitmix(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Shapes of the input operands of `op`.
-pub fn input_shapes(op: &OpSpec) -> Vec<Vec<usize>> {
-    match *op {
-        OpSpec::Gemm { m, k, n } => {
-            vec![vec![m as usize, k as usize], vec![k as usize, n as usize]]
-        }
-        OpSpec::Gemv { m, n } => vec![vec![m as usize, n as usize], vec![n as usize]],
-        OpSpec::Conv2d {
-            n,
-            c_in,
-            h,
-            w,
-            c_out,
-            kh,
-            kw,
-            ..
-        } => vec![
-            vec![n as usize, c_in as usize, h as usize, w as usize],
-            vec![c_out as usize, c_in as usize, kh as usize, kw as usize],
-        ],
-        OpSpec::AvgPool2d { n, c, h, w, .. } => {
-            vec![vec![n as usize, c as usize, h as usize, w as usize]]
-        }
-        OpSpec::Elementwise {
-            elems, num_inputs, ..
-        } => {
-            vec![vec![elems as usize]; num_inputs as usize]
-        }
-    }
-}
-
-/// Shape of the output tensor of `op`.
-pub fn output_shape(op: &OpSpec) -> Vec<usize> {
-    op.spatial_extents().iter().map(|&e| e as usize).collect()
-}
-
 /// Deterministic inputs for correctness checks.
 pub fn make_inputs(op: &OpSpec, seed: u64) -> Vec<Tensor> {
-    input_shapes(op)
-        .into_iter()
-        .enumerate()
-        .map(|(i, shape)| Tensor::random_small_ints(shape, seed.wrapping_add(i as u64 * 1315)))
+    let accesses = op.accesses();
+    let inputs = accesses[..accesses.len() - 1].iter().enumerate();
+    inputs
+        .map(|(i, a)| Tensor::random_small_ints(a.shape(), seed.wrapping_add(i as u64 * 1315)))
         .collect()
 }
 
@@ -140,9 +104,11 @@ mod tests {
     #[test]
     fn input_shapes_match_op() {
         let op = OpSpec::conv2d(2, 3, 8, 8, 4, 3, 3, 1, 1);
-        let shapes = input_shapes(&op);
-        assert_eq!(shapes, vec![vec![2, 3, 8, 8], vec![4, 3, 3, 3]]);
-        assert_eq!(output_shape(&op), vec![2, 4, 8, 8]);
+        let shapes: Vec<Vec<usize>> = op.accesses().iter().map(|a| a.shape()).collect();
+        assert_eq!(
+            shapes,
+            vec![vec![2, 3, 8, 8], vec![4, 3, 3, 3], vec![2, 4, 8, 8]]
+        );
     }
 
     #[test]

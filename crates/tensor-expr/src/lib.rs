@@ -16,5 +16,5 @@
 pub mod op;
 pub mod suite;
 
-pub use op::{OpClass, OpSpec, TileFootprint, DTYPE_BYTES};
+pub use op::{Access, Combine, DimAccess, OpClass, OpSpec, TileFootprint, DTYPE_BYTES};
 pub use suite::{benchmark_suite, OpConfig};

@@ -47,7 +47,7 @@ impl OpClass {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TileFootprint {
     /// Elements of each *input* operand the tile reads (order matches
-    /// [`OpSpec::input_names`]).
+    /// [`OpSpec::accesses`]).
     pub inputs: Vec<u64>,
     /// Elements of the output operand the tile writes.
     pub output: u64,
@@ -67,6 +67,74 @@ impl TileFootprint {
     /// Bytes of the input operands only (what a reduction step stages).
     pub fn input_bytes(&self) -> u64 {
         self.inputs.iter().sum::<u64>() * DTYPE_BYTES
+    }
+}
+
+/// One tensor dimension of an operand access: the index is
+/// `Σ coef · x[axis] + offset` over the iteration variables `x` (spatial
+/// axes first, then reduce axes), and the access is in bounds iff
+/// `0 ≤ index < extent`. That one predicate is conv's zero padding, pool's
+/// clipped window and every ragged tile edge.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct DimAccess {
+    /// `(axis, coefficient)` summands.
+    pub terms: Vec<(usize, u64)>,
+    /// Constant summand (`-pad` for a padded conv input).
+    pub offset: i64,
+    /// Extent of this tensor dimension.
+    pub extent: u64,
+}
+
+impl DimAccess {
+    /// The (possibly out-of-bounds) index at iteration `point`.
+    pub fn at(&self, point: &[u64]) -> i64 {
+        self.terms
+            .iter()
+            .fold(self.offset, |i, &(a, c)| i + (c * point[a]) as i64)
+    }
+}
+
+/// What one operand reads (or the output writes) per iteration point: one
+/// [`DimAccess`] per tensor dimension, outermost first, row-major storage.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct Access {
+    /// Operand name, also the kernel parameter name.
+    pub name: String,
+    pub dims: Vec<DimAccess>,
+}
+
+impl Access {
+    /// Extents of the tensor behind the access, outermost first.
+    pub fn shape(&self) -> Vec<usize> {
+        self.dims.iter().map(|d| d.extent as usize).collect()
+    }
+
+    /// Per-dimension extent of the bounding box touched by a box of
+    /// `tile[axis]` iteration points per axis (every `tile[axis] ≥ 1`).
+    pub fn tile_box(&self, tile: &[u64]) -> Vec<u64> {
+        self.dims
+            .iter()
+            .map(|d| 1 + d.terms.iter().map(|&(a, c)| c * (tile[a] - 1)).sum::<u64>())
+            .collect()
+    }
+}
+
+/// How the operand values of one iteration point combine into the
+/// accumulator (`interp::semantics::combine` evaluates it, `codegen`
+/// prints [`Combine::infix`] between the operand reads).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Combine {
+    Product,
+    Sum,
+}
+
+impl Combine {
+    /// The C operator between operand reads.
+    pub fn infix(self) -> &'static str {
+        match self {
+            Combine::Product => " * ",
+            Combine::Sum => " + ",
+        }
     }
 }
 
@@ -274,14 +342,64 @@ impl OpSpec {
         }
     }
 
-    /// Names of the input operands.
-    pub fn input_names(&self) -> Vec<&'static str> {
+    /// What every operand reads per iteration point — inputs in kernel
+    /// parameter order, then the output (one identity term per spatial
+    /// axis). Iteration axes are numbered spatial first, then reduce.
+    pub fn accesses(&self) -> Vec<Access> {
+        let extent = [self.spatial_extents(), self.reduce_extents()].concat();
+        let s = self.spatial_extents().len();
+        let dim = |terms: &[(usize, u64)], offset: i64, extent: u64| DimAccess {
+            terms: terms.to_vec(),
+            offset,
+            extent,
+        };
+        // A tensor dimension indexed by one axis, and one indexed by the
+        // strided window `stride·x[out] + x[tap] − pad` into `len` elements.
+        let v = |axis: usize| dim(&[(axis, 1)], 0, extent[axis]);
+        let win =
+            |out, tap, stride, pad: u64, len| dim(&[(out, stride), (tap, 1)], -(pad as i64), len);
+        let t = |name: &str, dims: Vec<DimAccess>| Access {
+            name: name.to_string(),
+            dims,
+        };
+        let out = |name: &str| t(name, (0..s).map(v).collect());
+        match *self {
+            OpSpec::Gemm { .. } => {
+                vec![t("A", vec![v(0), v(2)]), t("B", vec![v(2), v(1)]), out("C")]
+            }
+            OpSpec::Gemv { .. } => vec![t("A", vec![v(0), v(1)]), t("x", vec![v(1)]), out("y")],
+            OpSpec::Conv2d {
+                h, w, stride, pad, ..
+            } => {
+                let (ih, iw) = (win(2, 5, stride, pad, h), win(3, 6, stride, pad, w));
+                let input = t("I", vec![v(0), v(4), ih, iw]);
+                vec![input, t("K", vec![v(1), v(4), v(5), v(6)]), out("O")]
+            }
+            OpSpec::AvgPool2d { h, w, stride, .. } => {
+                let (ih, iw) = (win(2, 4, stride, 0, h), win(3, 5, stride, 0, w));
+                vec![t("I", vec![v(0), v(1), ih, iw]), out("O")]
+            }
+            OpSpec::Elementwise { num_inputs, .. } => {
+                let inputs = (0..num_inputs).map(|i| t(&format!("X{i}"), vec![v(0)]));
+                inputs.chain([out("O")]).collect()
+            }
+        }
+    }
+
+    /// How one iteration point's operand values combine.
+    pub fn combine(&self) -> Combine {
         match self {
-            OpSpec::Gemm { .. } => vec!["A", "B"],
-            OpSpec::Gemv { .. } => vec!["A", "x"],
-            OpSpec::Conv2d { .. } => vec!["I", "K"],
-            OpSpec::AvgPool2d { .. } => vec!["I"],
-            OpSpec::Elementwise { .. } => vec!["X"],
+            OpSpec::AvgPool2d { .. } | OpSpec::Elementwise { .. } => Combine::Sum,
+            _ => Combine::Product,
+        }
+    }
+
+    /// The finished accumulator is divided by this: pool's window size,
+    /// 1 for every other class.
+    pub fn divisor(&self) -> u64 {
+        match *self {
+            OpSpec::AvgPool2d { f, .. } => f * f,
+            _ => 1,
         }
     }
 
@@ -571,7 +689,7 @@ mod tests {
     #[test]
     fn pool_footprint_has_no_weights() {
         let op = OpSpec::avg_pool2d(16, 48, 48, 48, 2, 2);
-        assert_eq!(op.input_names().len(), 1);
+        assert_eq!(op.accesses().len(), 2); // I and O
         let fp = op.tile_footprint(&[1, 8, 4, 4], &[2, 2]);
         // (4-1)*2+2 = 8 input rows/cols.
         assert_eq!(fp.inputs[0], 8 * 8 * 8);
@@ -736,6 +854,30 @@ mod prop_tests {
             for (r, f) in rows.iter().zip(&fp.inputs) {
                 prop_assert!(r <= f, "row {} > footprint {}", r, f);
             }
+        }
+
+        /// The access map agrees with the cost model: for every suite
+        /// operator and power-of-two tiles within its extents, each input's
+        /// bounding box is `tile_footprint(..).inputs` and its innermost
+        /// run is `tile_row_elems(..)`.
+        #[test]
+        fn access_map_matches_footprint_and_rows(row in 0usize..32, shift in 0u32..8) {
+            let op = crate::suite::benchmark_suite()[row].op.clone();
+            let ext = [op.spatial_extents(), op.reduce_extents()].concat();
+            let tile: Vec<u64> = ext
+                .iter()
+                .enumerate()
+                .map(|(a, &e)| 1 << ((shift + a as u32) % 8).min(e.ilog2()))
+                .collect();
+            let (sp, rd) = tile.split_at(op.spatial_extents().len());
+            let boxes: Vec<Vec<u64>> = op.accesses().iter().map(|a| a.tile_box(&tile)).collect();
+            let (out, ins) = boxes.split_last().unwrap();
+            let fp = op.tile_footprint(sp, rd);
+            let volumes: Vec<u64> = ins.iter().map(|b| b.iter().product()).collect();
+            prop_assert_eq!(volumes, fp.inputs);
+            prop_assert_eq!(out.iter().product::<u64>(), fp.output);
+            let rows: Vec<u64> = ins.iter().map(|b| *b.last().unwrap()).collect();
+            prop_assert_eq!(rows, op.tile_row_elems(sp, rd));
         }
 
         /// FLOPs scale linearly in every extent for GEMM.

@@ -11,6 +11,27 @@ fn arb_gemm() -> impl Strategy<Value = OpSpec> {
     (16u64..2048, 4u64..512, 16u64..2048).prop_map(|(m, k, n)| OpSpec::gemm(m, k, n))
 }
 
+/// Any of the five operator classes, small enough to keep a case cheap.
+fn arb_op() -> impl Strategy<Value = OpSpec> {
+    prop_oneof![
+        arb_gemm(),
+        (16u64..4096, 16u64..4096).prop_map(|(m, n)| OpSpec::gemv(m, n)),
+        (
+            1u64..9,
+            1u64..65,
+            7u64..57,
+            1u64..65,
+            1u64..4,
+            1u64..3,
+            0u64..2
+        )
+            .prop_map(|(n, ci, hw, co, k, s, p)| OpSpec::conv2d(n, ci, hw, hw, co, k, k, s, p)),
+        (1u64..9, 1u64..65, 7u64..57, 1u64..4, 1u64..3)
+            .prop_map(|(n, c, hw, f, s)| OpSpec::avg_pool2d(n, c, hw, hw, f, s)),
+        (1u64..100_000, 1u32..4).prop_map(|(n, inputs)| OpSpec::elementwise(n, inputs, 1)),
+    ]
+}
+
 fn walk(op: &OpSpec, spec: &GpuSpec, choices: &[u8]) -> Etir {
     let mut e = Etir::initial(op.clone(), spec);
     for &c in choices {
@@ -85,7 +106,7 @@ proptest! {
     /// feasible state.
     #[test]
     fn codegen_emits_wellformed_cuda(
-        op in arb_gemm(),
+        op in arb_op(),
         choices in proptest::collection::vec(any::<u8>(), 0..30),
     ) {
         let spec = GpuSpec::rtx4090();
