@@ -1,163 +1,117 @@
-//! Bounds analysis: interval reasoning over the lowered loop structure.
+//! Cover analysis: GS010–GS014, proved about the lowered
+//! [`etir::loops::Nest`] — the object `interp` runs and `codegen` prints.
 //!
-//! For every spatial dimension the lowered kernel computes a global index
+//! A nest computes every output element exactly once iff, per iteration
+//! axis, the loops that walk it form a mixed-radix decomposition of the
+//! axis: ordered by stride, each loop steps by exactly the span the finer
+//! loops cover. [`cover`] proves that from the `Nest` alone with a sort and
+//! a running sum per axis — a wrong stride, order or extent in
+//! `LoopNest::to_nest` (or in a deserialised nest) is a typed error here,
+//! before anything executes.
 //!
-//! ```text
-//! g = block·T + ((v·td + t)·r + rr)        T = extent-clamped smem tile
-//!     block ∈ [0, grid)   v ∈ [0, vthreads)   t ∈ [0, td)   rr ∈ [0, r)
-//! ```
-//!
-//! The pass evaluates the exact maximum of that expression and proves
-//! `max(g) < padded_extent` (GS011) and `padded_extent ≥ true extent`
-//! (GS010). It then derives the explicit [`etir::loops::Nest`] and checks
-//! that its volume equals the padded iteration space and that the loops
-//! bound to grid/vthread/thread multiply out to the schedule's own counts
-//! (GS012) — a disagreement means lowering and analysis have diverged and
-//! nothing downstream can be trusted.
+//! The launch geometry, the capacity check and the simulator read the
+//! [`LoopNest`] summary instead of the nest, so [`summary_agrees`] proves
+//! the two name the same grid, vthread and thread extents.
 
 use crate::diag::{Code, Diagnostic};
-use crate::domain::AbsVal;
-use crate::pass::{Ctx, Pass};
-use crate::symbolic::{index_range, DimParams};
-use etir::loops::Binding;
+use crate::invariants::COVER_PASS;
+use etir::loops::{Binding, Loop, Nest};
+use etir::LoopNest;
 
-/// The interval + nest-volume analysis.
-pub struct BoundsPass;
-
-impl BoundsPass {
-    /// Per-dim maximum global index reachable by the decomposition —
-    /// the singleton instantiation of the symbolic evaluator: the same
-    /// four-level [`index_range`] collecting semantics bucket
-    /// verification runs over extent ranges, here fed the one concrete
-    /// grid/tile of this nest.
-    fn max_index(nest: &etir::LoopNest, i: usize) -> u64 {
-        let p = DimParams {
-            tile: nest.smem_tile[i],
-            reg: nest.reg_tile[i],
-            vthreads: nest.vthreads[i],
-            thread_dims: nest.thread_dims[i],
-        };
-        index_range(nest.smem_tile[i], &AbsVal::constant(nest.grid[i]), &p).hi()
+/// Per iteration axis of `nest`: no two iterations land on one point
+/// (GS013), no point below the reach of the loops is skipped (GS014), and
+/// the loops reach the true extent (GS010). Reaching past it is legal: the
+/// walker and the printer mask those points.
+pub fn cover(nest: &Nest) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    let loops = nest.loops();
+    if let Some(l) = loops.iter().find(|l| l.extent == 0) {
+        let message = format!("loop {} never iterates: the nest computes nothing", l.name);
+        return vec![Diagnostic::new(Code::CoverageGap, COVER_PASS, message)];
     }
-}
-
-impl Pass for BoundsPass {
-    fn name(&self) -> &'static str {
-        "bounds"
-    }
-
-    fn run(&self, ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
-        let nest = ctx.nest;
-        let sp_ext = nest.op.spatial_extents();
-        let mut lower_ok = true;
-
-        for (i, &ext) in sp_ext.iter().enumerate() {
-            if nest.padded_extents[i] < ext {
-                lower_ok = false;
-                out.push(Diagnostic::new(
-                    Code::CoverageGap,
-                    self.name(),
-                    format!(
-                        "dim {i}: padded extent {} < operator extent {ext}",
-                        nest.padded_extents[i]
-                    ),
-                ));
-            }
-            let max = Self::max_index(nest, i);
-            if max >= nest.padded_extents[i] {
-                lower_ok = false;
-                out.push(Diagnostic::new(
-                    Code::OutOfBounds,
-                    self.name(),
-                    format!(
-                        "dim {i}: max index {} reaches past padded extent {} \
-                         (grid {} · tile {}, vt {}, threads {}, reg {})",
-                        max,
-                        nest.padded_extents[i],
-                        nest.grid[i],
-                        nest.smem_tile[i],
-                        nest.vthreads[i],
-                        nest.thread_dims[i],
-                        nest.reg_tile[i]
-                    ),
-                ));
-            }
-        }
-
-        // Reduce axes: the staged loop runs steps·tile iterations with a
-        // zero-fill mask past the true extent; prove the steps bookkeeping
-        // covers the extent without a fully-masked trailing step.
-        let rd_ext = nest.op.reduce_extents();
-        for (j, &ext) in rd_ext.iter().enumerate() {
-            let tile = nest.reduce_tile[j].min(ext.next_power_of_two()).max(1);
-            let steps = nest.reduce_steps[j];
-            if steps * tile < ext {
-                lower_ok = false;
-                out.push(Diagnostic::new(
-                    Code::ReduceTile,
-                    self.name(),
-                    format!(
-                        "reduce dim {j}: {steps} steps of tile {tile} cover only {} of extent {ext}",
-                        steps * tile
-                    ),
-                ));
-            } else if steps > 1 && (steps - 1) * tile >= ext {
-                out.push(Diagnostic::new(
-                    Code::ReduceTile,
-                    self.name(),
-                    format!(
-                        "reduce dim {j}: final step of {steps}·{tile} is entirely masked \
-                         (extent {ext})",
-                    ),
-                ));
-            }
-        }
-
-        // Deriving the explicit nest needs the split factors to divide; an
-        // OOB/coverage error above already implies they may not, so only
-        // derive when the interval phase was clean.
-        if !lower_ok {
-            return;
-        }
-        let explicit = nest.to_nest();
-        let spatial_padded: u128 = nest.padded_extents.iter().map(|&x| x as u128).product();
-        let reduce_padded: u128 = nest
-            .reduce_steps
+    for (axis, &extent) in nest.extents.iter().enumerate() {
+        let mut walk: Vec<&Loop> = loops
             .iter()
-            .zip(&nest.reduce_tile)
-            .map(|(&s, &t)| (s * t) as u128)
-            .product();
-        let want = spatial_padded * reduce_padded;
-        if explicit.volume() != want {
+            .copied()
+            .filter(|l| l.axis == axis && l.extent > 1)
+            .collect();
+        walk.sort_by_key(|l| l.stride);
+        // The loops seen so far reach `[0, reach)`, each point once.
+        let mut reach = 1u64;
+        for l in walk {
+            if l.stride != reach {
+                let (code, what) = if l.stride < reach {
+                    (Code::WriteOverlap, "revisits points")
+                } else {
+                    (Code::WriteGap, "skips points")
+                };
+                out.push(Diagnostic::new(
+                    code,
+                    COVER_PASS,
+                    format!(
+                        "axis {axis}: loop {} steps by {} over the {reach} points the finer \
+                         loops cover — {what}",
+                        l.name, l.stride
+                    ),
+                ));
+            }
+            reach = reach.saturating_add((l.extent - 1).saturating_mul(l.stride));
+        }
+        if reach < extent {
             out.push(Diagnostic::new(
-                Code::VolumeMismatch,
-                self.name(),
-                format!(
-                    "derived nest volume {} ≠ padded iteration space {want}",
-                    explicit.volume()
-                ),
+                Code::CoverageGap,
+                COVER_PASS,
+                format!("axis {axis}: loops reach {reach} of extent {extent}"),
             ));
         }
-        for (binding, want, what) in [
-            (Binding::Grid, nest.total_blocks(), "grid loops"),
-            (
-                Binding::VThread,
-                nest.vthreads.iter().product::<u64>(),
-                "vthread loops",
-            ),
-            (Binding::Thread, nest.threads_per_block(), "thread loops"),
+    }
+    out
+}
+
+/// Per spatial axis the `Grid`/`VThread`/`Thread`-bound extents of `nest`
+/// equal what the `summary` launches. Past the structural gate they can
+/// differ in one way: a raw tile above the extent clamp makes the summary
+/// launch more threads than the clamped block tile holds — the surplus
+/// threads index past the tile (GS011) and into the neighbouring block's
+/// (GS013). Any other disagreement means the summary and the lowering have
+/// diverged (GS012).
+pub fn summary_agrees(summary: &LoopNest, nest: &Nest, out: &mut Vec<Diagnostic>) {
+    let loops = nest.loops();
+    for i in 0..summary.grid.len() {
+        for (binding, what, launched) in [
+            (Binding::Grid, "blocks", summary.grid[i]),
+            (Binding::VThread, "vthreads", summary.vthreads[i]),
+            (Binding::Thread, "threads", summary.thread_dims[i]),
         ] {
-            let got: u64 = explicit
-                .loops()
+            let walked: u64 = loops
                 .iter()
-                .filter(|l| l.binding == binding)
+                .filter(|l| l.axis == i && l.binding == binding)
                 .map(|l| l.extent)
                 .product();
-            if got != want {
+            if walked == launched {
+                continue;
+            }
+            if binding == Binding::Thread && launched > walked {
+                let lanes = format!(
+                    "dim {i}: {launched} threads launched over a block tile of {} that holds \
+                     {walked}",
+                    summary.smem_tile[i]
+                );
+                out.push(Diagnostic::new(
+                    Code::OutOfBounds,
+                    COVER_PASS,
+                    format!("{lanes} — thread {walked} indexes past the tile"),
+                ));
+                out.push(Diagnostic::new(
+                    Code::WriteOverlap,
+                    COVER_PASS,
+                    format!("{lanes} — the surplus write into the neighbouring block's tile"),
+                ));
+            } else {
                 out.push(Diagnostic::new(
                     Code::VolumeMismatch,
-                    self.name(),
-                    format!("{what} multiply to {got}, schedule says {want}"),
+                    COVER_PASS,
+                    format!("dim {i}: nest walks {walked} {what}, summary launches {launched}"),
                 ));
             }
         }
@@ -167,55 +121,91 @@ impl Pass for BoundsPass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etir::{Etir, LoopNest};
+    use etir::{Action, Etir};
     use hardware::GpuSpec;
     use tensor_expr::OpSpec;
 
-    fn ctx_run(e: &Etir) -> Vec<Diagnostic> {
-        let nest = LoopNest::from_etir(e);
-        let mut out = Vec::new();
-        BoundsPass.run(
-            &Ctx {
-                etir: e,
-                nest: &nest,
-                spec: None,
-            },
-            &mut out,
-        );
+    fn run_on(e: &Etir) -> Vec<Diagnostic> {
+        let summary = LoopNest::from_etir(e);
+        let nest = summary.to_nest();
+        let mut out = cover(&nest);
+        summary_agrees(&summary, &nest, &mut out);
         out
     }
 
-    #[test]
-    fn initial_state_is_in_bounds() {
-        let e = Etir::initial(OpSpec::gemm(100, 60, 16), &GpuSpec::rtx4090());
-        assert!(ctx_run(&e).is_empty());
+    fn has(diags: &[Diagnostic], code: Code) -> bool {
+        diags.iter().any(|d| d.code == code)
     }
 
     #[test]
-    fn tiled_ragged_gemm_is_in_bounds() {
+    fn initial_state_is_covered() {
+        let e = Etir::initial(OpSpec::gemm(100, 60, 16), &GpuSpec::rtx4090());
+        assert!(run_on(&e).is_empty());
+    }
+
+    #[test]
+    fn tiled_ragged_gemm_is_covered() {
         let spec = GpuSpec::rtx4090();
         let mut e = Etir::initial(OpSpec::gemm(100, 60, 24), &spec);
         for _ in 0..5 {
-            e = e.apply(&etir::Action::Tile { dim: 0 });
+            e = e.apply(&Action::Tile { dim: 0 });
         }
-        assert!(ctx_run(&e).is_empty());
+        assert!(run_on(&e).is_empty());
+    }
+
+    #[test]
+    fn legal_vthreaded_schedule_partitions_cleanly() {
+        let spec = GpuSpec::rtx4090();
+        let mut e = Etir::initial(OpSpec::gemm(512, 512, 512), &spec);
+        for _ in 0..6 {
+            e = e.apply(&Action::Tile { dim: 0 });
+            e = e.apply(&Action::Tile { dim: 1 });
+        }
+        e = e.apply(&Action::Cache);
+        for _ in 0..2 {
+            e = e.apply(&Action::Tile { dim: 0 });
+            e = e.apply(&Action::Tile { dim: 1 });
+        }
+        e = e.apply(&Action::SetVthread { dim: 0 });
+        assert!(run_on(&e).is_empty());
     }
 
     #[test]
     fn tile_past_the_extent_clamp_is_out_of_bounds() {
         // Extent 8 clamps the block tile to 8, but the raw tile says 32:
-        // thread_dims is derived from the raw tile, so vt·td·r = 32 lanes
-        // index into an 8-wide padded dim.
+        // thread_dims is derived from the raw tile, so 8 threads are
+        // launched over a tile whose nest walks 2.
         let spec = GpuSpec::rtx4090();
         let mut e = Etir::initial(OpSpec::gemm(8, 64, 8), &spec);
         e.smem_tile[0] = 32;
         e.reg_tile[0] = 2;
         e.vthreads[0] = 2;
-        assert!(e.validate().is_ok(), "gate must pass for bounds to run");
-        let diags = ctx_run(&e);
-        assert!(
-            diags.iter().any(|d| d.code == Code::OutOfBounds),
-            "{diags:?}"
-        );
+        assert!(e.validate().is_ok(), "gate must pass for cover to run");
+        let diags = run_on(&e);
+        assert!(has(&diags, Code::OutOfBounds), "{diags:?}");
+    }
+
+    #[test]
+    fn overclaimed_tile_is_a_write_overlap() {
+        let spec = GpuSpec::rtx4090();
+        let mut e = Etir::initial(OpSpec::gemm(8, 64, 8), &spec);
+        // Raw tile 32 over an 8-wide extent: 8 threads, 2 walked.
+        e.smem_tile[0] = 32;
+        e.reg_tile[0] = 4;
+        let diags = run_on(&e);
+        assert!(has(&diags, Code::WriteOverlap), "{diags:?}");
+    }
+
+    #[test]
+    fn a_nest_that_disagrees_with_its_summary_is_a_volume_mismatch() {
+        let e = Etir::initial(OpSpec::gemm(64, 16, 64), &GpuSpec::rtx4090());
+        let summary = LoopNest::from_etir(&e);
+        let mut other = e.clone();
+        other.smem_tile[0] = 4;
+        let nest = LoopNest::from_etir(&other).to_nest();
+        assert!(cover(&nest).is_empty(), "the other nest is itself legal");
+        let mut out = Vec::new();
+        summary_agrees(&summary, &nest, &mut out);
+        assert!(has(&out, Code::VolumeMismatch), "{out:?}");
     }
 }

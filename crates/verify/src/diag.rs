@@ -52,15 +52,17 @@ pub enum Code {
     RegOverflow,
     /// GS009 — block thread count outside the device's legal range.
     ThreadBudget,
-    /// GS010 — padded extents do not cover the operator's iteration space.
+    /// GS010 — the loops of an iteration axis stop short of its extent.
     CoverageGap,
-    /// GS011 — an index provably escapes the padded extents.
+    /// GS011 — more threads launched than the block tile holds; the
+    /// surplus index past it.
     OutOfBounds,
-    /// GS012 — derived loop-nest volume disagrees with the padded space.
+    /// GS012 — the launch summary and the lowered nest disagree on a grid,
+    /// vthread or thread extent.
     VolumeMismatch,
-    /// GS013 — two threads own overlapping register-tile footprints.
+    /// GS013 — two iterations of the nest land on one point.
     WriteOverlap,
-    /// GS014 — some tile element is owned by no thread.
+    /// GS014 — a point below the loops' reach is visited by no iteration.
     WriteGap,
     /// GS020 — shared-memory access stride causes heavy bank conflicts.
     BankConflict,
@@ -152,11 +154,11 @@ impl Code {
             Code::SmemOverflow => "staged smem tile exceeds per-block capacity",
             Code::RegOverflow => "per-thread registers exceed the device limit",
             Code::ThreadBudget => "block thread count outside the legal range",
-            Code::CoverageGap => "padded extents do not cover the iteration space",
-            Code::OutOfBounds => "an index provably escapes the padded extents",
-            Code::VolumeMismatch => "derived nest volume disagrees with the padded space",
-            Code::WriteOverlap => "two threads own overlapping tile elements",
-            Code::WriteGap => "some tile element is owned by no thread",
+            Code::CoverageGap => "the loops of an iteration axis stop short of its extent",
+            Code::OutOfBounds => "more threads launched than the block tile holds",
+            Code::VolumeMismatch => "launch summary and lowered nest disagree on an extent",
+            Code::WriteOverlap => "two iterations of the nest land on one point",
+            Code::WriteGap => "a point below the loops' reach is never visited",
             Code::BankConflict => "shared-memory stride causes heavy bank conflicts",
             Code::SubWarpBlock => {
                 "sub-warp block whose idle lanes are not compensated by per-thread work"
@@ -180,13 +182,14 @@ impl Code {
             Code::SmemOverflow => "128×128 FP32 tiles staged on a 48 KiB-smem device",
             Code::RegOverflow => "reg_tile [32, 32] — 1024 accumulators per thread",
             Code::ThreadBudget => "thread_dims [64, 32] — 2048 threads on a 1024 cap",
-            Code::CoverageGap => "padded extent 96 < operator extent 100",
+            Code::CoverageGap => "grid 3 × tile 32 reaches 96 of extent 100",
             Code::OutOfBounds => {
-                "extent 8 clamps the tile to 8, but vt 2 · td 8 · reg 2 = 32 lanes index it"
+                "extent 8 clamps the tile to 8 = vt 2 · 2 threads · reg 2, but the raw tile 32 \
+                 launches 8 threads"
             }
-            Code::VolumeMismatch => "derived nest volume 2^20 ≠ padded space 2^21",
-            Code::WriteOverlap => "32 lanes claim an 8-wide tile — each element written 4×",
-            Code::WriteGap => "4 lanes claim a 16-wide tile — 12 elements never written",
+            Code::VolumeMismatch => "nest walks 16 blocks along dim 0, summary launches 64",
+            Code::WriteOverlap => "two loops of one axis both step by 1 — each point visited twice",
+            Code::WriteGap => "a loop steps by 8 over the 4 points finer loops cover",
             Code::BankConflict => "reg stride 32 on 32-bank smem — all lanes hit bank 0",
             Code::SubWarpBlock => "8-thread block with reg_tile [1, 1] on a 32-wide warp",
             Code::RegisterPressure => "220 registers per thread on a 255-reg device",
@@ -307,10 +310,10 @@ impl Report {
     }
 
     /// Canonicalize for deterministic output: findings sort by (code,
-    /// message, pass) — messages start with `dim {i}`, so per-code
-    /// findings land in dimension order — and exact (code, message)
-    /// repeats collapse to one. Rendering the same report twice, or the
-    /// same schedule through differently-ordered passes, is byte-stable.
+    /// message, pass) — messages start with `dim {i}` or `axis {i}`, so
+    /// per-code findings land in dimension order — and exact (code,
+    /// message) repeats collapse to one. Rendering the same report twice
+    /// is byte-stable.
     pub fn normalize(&mut self) {
         self.diagnostics.sort_by(|a, b| {
             (a.code.as_str(), &a.message, a.pass).cmp(&(b.code.as_str(), &b.message, b.pass))
@@ -408,7 +411,7 @@ mod tests {
         assert!(r.passes(false));
         assert!(!r.passes(true), "warnings deny under --deny-warnings");
         r.diagnostics
-            .push(Diagnostic::new(Code::OutOfBounds, "bounds", "oob"));
+            .push(Diagnostic::new(Code::OutOfBounds, "cover", "oob"));
         assert!(!r.is_legal());
         assert_eq!(r.error_count(), 1);
         assert_eq!(r.warning_count(), 1);
@@ -436,10 +439,10 @@ mod tests {
             schedule: "s".into(),
             gpu: None,
             diagnostics: vec![
-                Diagnostic::new(Code::WriteGap, "race", "dim 1: gap"),
-                Diagnostic::new(Code::OutOfBounds, "bounds", "dim 1: oob"),
-                Diagnostic::new(Code::OutOfBounds, "bounds", "dim 0: oob"),
-                Diagnostic::new(Code::OutOfBounds, "symbolic", "dim 0: oob"),
+                Diagnostic::new(Code::WriteGap, "cover", "dim 1: gap"),
+                Diagnostic::new(Code::OutOfBounds, "cover", "dim 1: oob"),
+                Diagnostic::new(Code::OutOfBounds, "cover", "dim 0: oob"),
+                Diagnostic::new(Code::OutOfBounds, "capacity", "dim 0: oob"),
             ],
         };
         r.normalize();

@@ -1,24 +1,35 @@
-//! Invariant verification: the structural gate that every other pass
-//! relies on, plus the hardware capacity-fit pass.
+//! Invariant verification: the structural gate that makes lowering total,
+//! plus the hardware capacity fit.
 //!
 //! The structural checks re-prove (as typed diagnostics) everything
 //! [`Etir::validate`] asserts, and more: they must hold for lowering to be
-//! *defined* at all — `thread_dims` divides by `reg_tile · vthreads`, so a
-//! zero or non-divisible tile would make `LoopNest::from_etir` panic. The
-//! verifier therefore runs [`structural`] on the raw state first and only
-//! lowers when no error was found.
+//! *defined* at all. `verify_schedule` therefore runs [`structural`] on the
+//! raw state first and only lowers when no error was found.
 
 use crate::diag::{Code, Diagnostic};
-use crate::pass::{Ctx, Pass};
 use etir::Etir;
 use etir::{MemCheck, ScheduleStats};
+use hardware::GpuSpec;
 
 /// Name the structural gate reports under.
 pub const STRUCTURAL_PASS: &str = "invariants";
+/// Name [`capacity`] reports under.
+pub const CAPACITY_PASS: &str = "capacity";
+/// Name [`crate::bounds`] reports under.
+pub const COVER_PASS: &str = "cover";
+/// Name [`crate::lints::lints`] reports under.
+pub const LINTS_PASS: &str = "lints";
+/// Every pass name a diagnostic can carry, in pipeline order.
+pub const PASSES: [&str; 4] = [STRUCTURAL_PASS, CAPACITY_PASS, COVER_PASS, LINTS_PASS];
 
 /// Structural (hardware-independent) invariant checks on the raw state.
 ///
-/// Emits GS001–GS006. Any error here means the state must not be lowered.
+/// Emits GS001–GS006. Any error here means the state must not be lowered;
+/// no error means lowering cannot fail: `Etir::thread_dims` and
+/// `LoopNest::from_etir` divide by tiles proved non-zero, and every
+/// `split(..).expect(..)` in `LoopNest::to_nest` divides evenly because
+/// `reg·vthread` divides the extent-clamped block tile and each reduce tile
+/// is at most `next_pow2(extent)`.
 pub fn structural(e: &Etir, out: &mut Vec<Diagnostic>) {
     let p = STRUCTURAL_PASS;
     let sp = e.op.spatial_extents();
@@ -127,54 +138,42 @@ pub fn structural(e: &Etir, out: &mut Vec<Diagnostic>) {
 
 /// Hardware capacity fit: shared memory per block, registers per thread,
 /// register file per SM, thread budget. Emits GS007–GS009. Skipped when no
-/// [`hardware::GpuSpec`] is provided.
-pub struct CapacityPass;
-
-impl Pass for CapacityPass {
-    fn name(&self) -> &'static str {
-        "capacity"
-    }
-
-    fn run(&self, ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(spec) = ctx.spec else { return };
-        let stats = ScheduleStats::compute(ctx.etir);
-        // Incomplete states have no final thread shape yet, so only the
-        // capacity subset applies (mirrors the §IV-C transition filter).
-        let check = if ctx.etir.is_complete() {
-            MemCheck::check_stats(&stats, spec)
-        } else {
-            MemCheck::check_capacity_stats(&stats, spec)
-        };
-        match check {
-            MemCheck::Fits => {}
-            MemCheck::SmemOverflow { need, cap } => out.push(Diagnostic::new(
-                Code::SmemOverflow,
-                self.name(),
-                format!("staged tiles need {need} B of shared memory per block; {cap} B allowed"),
-            )),
-            MemCheck::RegOverflow { need, cap } => out.push(Diagnostic::new(
-                Code::RegOverflow,
-                self.name(),
-                format!("schedule needs {need} registers per thread; {cap} allowed"),
-            )),
-            MemCheck::TooManyThreads { need, cap } => out.push(Diagnostic::new(
-                Code::ThreadBudget,
-                self.name(),
-                format!("block has {need} threads; device allows {cap}"),
-            )),
-            MemCheck::NoThreads => out.push(Diagnostic::new(
-                Code::ThreadBudget,
-                self.name(),
-                "block shape yields zero physical threads".to_string(),
-            )),
-        }
-    }
+/// [`GpuSpec`] is provided.
+pub fn capacity(e: &Etir, spec: Option<&GpuSpec>, out: &mut Vec<Diagnostic>) {
+    let Some(spec) = spec else { return };
+    let stats = ScheduleStats::compute(e);
+    // Incomplete states have no final thread shape yet, so only the
+    // capacity subset applies (mirrors the §IV-C transition filter).
+    let check = if e.is_complete() {
+        MemCheck::check_stats(&stats, spec)
+    } else {
+        MemCheck::check_capacity_stats(&stats, spec)
+    };
+    let (code, message) = match check {
+        MemCheck::Fits => return,
+        MemCheck::SmemOverflow { need, cap } => (
+            Code::SmemOverflow,
+            format!("staged tiles need {need} B of shared memory per block; {cap} B allowed"),
+        ),
+        MemCheck::RegOverflow { need, cap } => (
+            Code::RegOverflow,
+            format!("schedule needs {need} registers per thread; {cap} allowed"),
+        ),
+        MemCheck::TooManyThreads { need, cap } => (
+            Code::ThreadBudget,
+            format!("block has {need} threads; device allows {cap}"),
+        ),
+        MemCheck::NoThreads => (
+            Code::ThreadBudget,
+            "block shape yields zero physical threads".to_string(),
+        ),
+    };
+    out.push(Diagnostic::new(code, CAPACITY_PASS, message));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hardware::GpuSpec;
     use tensor_expr::OpSpec;
 
     fn initial() -> Etir {

@@ -13,34 +13,28 @@
 //! * codegen verifies the nest behind every kernel it emits;
 //! * `gensor lint` exposes the whole pipeline on the command line.
 //!
-//! The pipeline ([`Verifier::standard`]) runs a structural gate
-//! (GS001–GS006) on the raw [`etir::Etir`], then — only if the state is
-//! safe to lower — capacity fit (GS007–GS009), interval bounds analysis
-//! over the derived nest (GS010–GS012), a write-set disjointness proof
-//! (GS013–GS014), and performance lints (GS020–GS025). Diagnostics carry
+//! The pipeline ([`verify_schedule`]) is straight-line: a structural gate
+//! (GS001–GS006) on the raw [`etir::Etir`]; then — only if the state is
+//! safe to lower — one lowering to the [`etir::loops::Nest`] that `interp`
+//! runs and `codegen` prints; capacity fit (GS007–GS009); the cover proof
+//! about that nest and its agreement with the launch summary
+//! (GS010–GS014); and performance lints (GS020–GS025). Diagnostics carry
 //! stable codes and render both human-readable and as JSON. See DESIGN.md
 //! §9 for the full code table.
 
 pub mod bounds;
 pub mod diag;
-pub mod domain;
 pub mod invariants;
 pub mod lints;
-pub mod pass;
 pub mod provenance;
-pub mod race;
 pub mod sarif;
-pub mod symbolic;
 pub mod verdict;
 pub mod verifier;
 
 pub use diag::{Code, Diagnostic, Report, Severity};
-pub use domain::{AbsVal, Congruence, Interval, Lattice};
-pub use pass::{Ctx, Pass};
 pub use provenance::{BoundaryPolicy, Provenance, Requirement};
-pub use symbolic::{verify_bucket, DimRange, ShapeBucket};
 pub use verdict::{VerdictCache, VerdictStats, VERIFIER_EPOCH};
-pub use verifier::{verify_schedule, Verifier};
+pub use verifier::verify_schedule;
 
 /// A schedule refused by the verifier: the typed rejection carried in
 /// place of a kernel wherever a cache or service declines to serve an

@@ -6,9 +6,9 @@
 //! schedules to the same standard the tuner's cost model enforces.
 
 use crate::diag::{Code, Diagnostic};
-use crate::pass::{Ctx, Pass};
-use etir::ScheduleStats;
-use hardware::LevelKind;
+use crate::invariants::LINTS_PASS;
+use etir::{Etir, LoopNest, ScheduleStats};
+use hardware::{GpuSpec, LevelKind};
 
 /// Bank-conflict degree that turns a stride from "mild" into a warning.
 /// Consecutive threads read shared memory `reg_tile` words apart; a degree
@@ -27,141 +27,122 @@ fn gcd(a: u64, b: u64) -> u64 {
     }
 }
 
-/// The lint pass (GS020–GS025).
-pub struct LintPass;
-
-impl Pass for LintPass {
-    fn name(&self) -> &'static str {
-        "lints"
+/// The performance lints (GS020–GS025) over a schedule and its resolved
+/// extents; the hardware-dependent ones are skipped without a `spec`.
+pub fn lints(e: &Etir, nest: &LoopNest, spec: Option<&GpuSpec>, out: &mut Vec<Diagnostic>) {
+    if !e.is_complete() {
+        out.push(Diagnostic::new(
+            Code::Incomplete,
+            LINTS_PASS,
+            format!(
+                "schedule stopped at level {} of {}; register tiles never placed",
+                e.cur_level, e.num_levels
+            ),
+        ));
     }
 
-    fn run(&self, ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
-        let (e, nest) = (ctx.etir, ctx.nest);
-
-        if !e.is_complete() {
+    let tile_volume: u64 = nest.smem_tile.iter().product();
+    if e.is_complete() && tile_volume == 1 {
+        let space: u64 = e.op.spatial_extents().iter().product();
+        if space >= 1024 {
             out.push(Diagnostic::new(
-                Code::Incomplete,
-                self.name(),
+                Code::DegenerateTile,
+                LINTS_PASS,
                 format!(
-                    "schedule stopped at level {} of {}; register tiles never placed",
-                    e.cur_level, e.num_levels
+                    "complete schedule never tiled a {space}-element iteration space \
+                     (every block computes one element)"
                 ),
             ));
         }
+    }
 
-        let tile_volume: u64 = nest.smem_tile.iter().product();
-        if e.is_complete() && tile_volume == 1 {
-            let space: u64 = e.op.spatial_extents().iter().product();
-            if space >= 1024 {
+    let Some(spec) = spec else { return };
+
+    let banks = spec
+        .level_index(LevelKind::Shared)
+        .map(|i| spec.levels[i].banks as u64)
+        .unwrap_or(0);
+    if banks > 1 {
+        for (i, &r) in nest.reg_tile.iter().enumerate() {
+            if nest.thread_dims[i] <= 1 {
+                continue; // one thread along this dim: no concurrent lanes
+            }
+            let degree = gcd(r, banks);
+            if degree >= CONFLICT_DEGREE_WARN {
                 out.push(Diagnostic::new(
-                    Code::DegenerateTile,
-                    self.name(),
+                    Code::BankConflict,
+                    LINTS_PASS,
                     format!(
-                        "complete schedule never tiled a {space}-element iteration space \
-                         (every block computes one element)"
+                        "dim {i}: threads read shared memory {r} words apart → \
+                         {degree}-way bank conflict over {banks} banks"
                     ),
                 ));
             }
         }
+    }
 
-        let Some(spec) = ctx.spec else { return };
+    // A sub-warp block wastes lanes only when the threads are not each
+    // carrying a large register/vthread workload: trading occupancy for
+    // ILP is a construction outcome the cost model picks deliberately
+    // (batch-1 convolutions routinely win with 8–16 fat threads).
+    let threads = nest.threads_per_block();
+    let work_per_thread: u64 =
+        nest.reg_tile.iter().product::<u64>() * nest.vthreads.iter().product::<u64>();
+    if e.is_complete()
+        && threads > 0
+        && threads < spec.warp_size as u64
+        && tile_volume >= 2 * spec.warp_size as u64
+        && work_per_thread < spec.warp_size as u64 / 2
+    {
+        out.push(Diagnostic::new(
+            Code::SubWarpBlock,
+            LINTS_PASS,
+            format!(
+                "block of {threads} threads cannot fill one {}-lane warp despite a \
+                 {tile_volume}-element block tile ({work_per_thread} elements per thread)",
+                spec.warp_size
+            ),
+        ));
+    }
 
-        let banks = spec
-            .level_index(LevelKind::Shared)
-            .map(|i| spec.levels[i].banks as u64)
-            .unwrap_or(0);
-        if banks > 1 {
-            for (i, &r) in nest.reg_tile.iter().enumerate() {
-                if nest.thread_dims[i] <= 1 {
-                    continue; // one thread along this dim: no concurrent lanes
-                }
-                let degree = gcd(r, banks);
-                if degree >= CONFLICT_DEGREE_WARN {
-                    out.push(Diagnostic::new(
-                        Code::BankConflict,
-                        self.name(),
-                        format!(
-                            "dim {i}: threads read shared memory {r} words apart → \
-                             {degree}-way bank conflict over {banks} banks"
-                        ),
-                    ));
-                }
-            }
-        }
+    let stats = ScheduleStats::compute(e);
+    let cap = spec.max_regs_per_thread as u64;
+    if stats.regs_per_thread * REG_PRESSURE_DEN >= cap * REG_PRESSURE_NUM
+        && stats.regs_per_thread <= cap
+    {
+        out.push(Diagnostic::new(
+            Code::RegisterPressure,
+            LINTS_PASS,
+            format!(
+                "{} registers per thread is ≥ 85% of the {cap}-register cap; \
+                 occupancy will be register-bound",
+                stats.regs_per_thread
+            ),
+        ));
+    }
 
-        // A sub-warp block wastes lanes only when the threads are not each
-        // carrying a large register/vthread workload: trading occupancy for
-        // ILP is a construction outcome the cost model picks deliberately
-        // (batch-1 convolutions routinely win with 8–16 fat threads).
-        let threads = nest.threads_per_block();
-        let work_per_thread: u64 =
-            nest.reg_tile.iter().product::<u64>() * nest.vthreads.iter().product::<u64>();
-        if e.is_complete()
-            && threads > 0
-            && threads < spec.warp_size as u64
-            && tile_volume >= 2 * spec.warp_size as u64
-            && work_per_thread < spec.warp_size as u64 / 2
-        {
-            out.push(Diagnostic::new(
-                Code::SubWarpBlock,
-                self.name(),
-                format!(
-                    "block of {threads} threads cannot fill one {}-lane warp despite a \
-                     {tile_volume}-element block tile ({work_per_thread} elements per thread)",
-                    spec.warp_size
-                ),
-            ));
-        }
-
-        let stats = ScheduleStats::compute(e);
-        let cap = spec.max_regs_per_thread as u64;
-        if stats.regs_per_thread * REG_PRESSURE_DEN >= cap * REG_PRESSURE_NUM
-            && stats.regs_per_thread <= cap
-        {
-            out.push(Diagnostic::new(
-                Code::RegisterPressure,
-                self.name(),
-                format!(
-                    "{} registers per thread is ≥ 85% of the {cap}-register cap; \
-                     occupancy will be register-bound",
-                    stats.regs_per_thread
-                ),
-            ));
-        }
-
-        if e.is_complete() && nest.total_blocks() < spec.num_sms as u64 {
-            out.push(Diagnostic::new(
-                Code::GridUnderfill,
-                self.name(),
-                format!(
-                    "grid of {} block(s) leaves {} of {} SMs idle",
-                    nest.total_blocks(),
-                    spec.num_sms as u64 - nest.total_blocks(),
-                    spec.num_sms
-                ),
-            ));
-        }
+    if e.is_complete() && nest.total_blocks() < spec.num_sms as u64 {
+        out.push(Diagnostic::new(
+            Code::GridUnderfill,
+            LINTS_PASS,
+            format!(
+                "grid of {} block(s) leaves {} of {} SMs idle",
+                nest.total_blocks(),
+                spec.num_sms as u64 - nest.total_blocks(),
+                spec.num_sms
+            ),
+        ));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etir::{Etir, LoopNest};
-    use hardware::GpuSpec;
     use tensor_expr::OpSpec;
 
     fn run_on(e: &Etir, spec: Option<&GpuSpec>) -> Vec<Diagnostic> {
-        let nest = LoopNest::from_etir(e);
         let mut out = Vec::new();
-        LintPass.run(
-            &Ctx {
-                etir: e,
-                nest: &nest,
-                spec,
-            },
-            &mut out,
-        );
+        lints(e, &LoopNest::from_etir(e), spec, &mut out);
         out
     }
 

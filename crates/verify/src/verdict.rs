@@ -19,10 +19,10 @@
 //!
 //! The cached value is the *entire* [`Report`] (diagnostics included),
 //! so a warm sweep renders byte-identically to a cold one — the golden
-//! tests and the `BENCH_verify.json` identical-verdicts check rely on
-//! this.
+//! tests and CI's "Verdict cache warm sweep" step rely on this.
 
 use crate::diag::{Code, Diagnostic, Report};
+use crate::invariants::PASSES;
 use crate::provenance::Provenance;
 use crate::verifier::verify_schedule;
 use etir::Etir;
@@ -37,7 +37,7 @@ use std::sync::Mutex;
 /// Version of the verifier's semantics. Bump on ANY change to checks,
 /// severities, message wording, or pass structure: persisted verdicts
 /// from other epochs are never trusted.
-pub const VERIFIER_EPOCH: u32 = 1;
+pub const VERIFIER_EPOCH: u32 = 2;
 
 /// Hit/miss counters of one cache instance (process-lifetime metrics
 /// live in `obs`).
@@ -127,20 +127,12 @@ struct DiagLine {
 /// Re-intern a persisted pass name onto the crate's static names, so a
 /// rehydrated diagnostic is indistinguishable from a fresh one.
 fn intern_pass(name: &str) -> &'static str {
-    for p in [
-        crate::invariants::STRUCTURAL_PASS,
-        "capacity",
-        "bounds",
-        "race",
-        "lints",
-        crate::symbolic::SYMBOLIC_PASS,
-    ] {
-        if p == name {
-            return p;
-        }
-    }
-    "cached"
+    PASSES.into_iter().find(|p| *p == name).unwrap_or("cached")
 }
+
+/// Tells apart the tmp files of concurrent [`VerdictCache::persist`] calls
+/// in one process (the pid tells processes apart); publishes nothing else.
+static PERSIST_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// The verdict cache. Thread-safe; cheap to share behind an `Arc`.
 pub struct VerdictCache {
@@ -258,45 +250,66 @@ impl VerdictCache {
         report
     }
 
-    /// Write every current-epoch verdict to the sidecar (atomic
-    /// tmp-then-rename). No-op for in-memory caches.
+    /// Write every current-epoch verdict to the sidecar, atomically and
+    /// durably: the lines go to a tmp file no other writer shares (a daemon
+    /// and a `gensor lint --verdicts` may persist to one store at once) and
+    /// are fsynced, the tmp file is renamed over the sidecar, and the parent
+    /// directory is fsynced. On failure the sidecar is untouched and the tmp
+    /// file removed. No-op for in-memory caches.
     pub fn persist(&self) -> std::io::Result<()> {
         let Some(path) = &self.path else {
             return Ok(());
         };
-        let map = self.map.lock().unwrap();
-        let mut lines: Vec<String> = Vec::with_capacity(map.len());
-        let mut entries: Vec<_> = map.iter().collect();
-        entries.sort_by_key(|((fp, gpu), _)| (*fp, *gpu));
-        for ((fp, gpu), report) in entries {
-            let line = Line {
-                fp: *fp,
-                gpu: *gpu,
-                epoch: VERIFIER_EPOCH,
-                op: report.op_label.clone(),
-                schedule: report.schedule.clone(),
-                gpu_name: report.gpu.clone(),
-                diags: report
-                    .diagnostics
-                    .iter()
-                    .map(|d| DiagLine {
-                        code: d.code.as_str().to_string(),
-                        pass: d.pass.to_string(),
-                        message: d.message.clone(),
-                    })
-                    .collect(),
-            };
-            lines.push(serde_json::to_string(&line).expect("verdict line serializes"));
-        }
-        let tmp = path.with_extension("verdicts.tmp");
+        let mut body = String::new();
         {
-            let mut f = std::fs::File::create(&tmp)?;
-            for l in &lines {
-                writeln!(f, "{l}")?;
+            let map = self.map.lock().unwrap();
+            let mut entries: Vec<_> = map.iter().collect();
+            entries.sort_by_key(|((fp, gpu), _)| (*fp, *gpu));
+            for ((fp, gpu), report) in entries {
+                let line = Line {
+                    fp: *fp,
+                    gpu: *gpu,
+                    epoch: VERIFIER_EPOCH,
+                    op: report.op_label.clone(),
+                    schedule: report.schedule.clone(),
+                    gpu_name: report.gpu.clone(),
+                    diags: report
+                        .diagnostics
+                        .iter()
+                        .map(|d| DiagLine {
+                            code: d.code.as_str().to_string(),
+                            pass: d.pass.to_string(),
+                            message: d.message.clone(),
+                        })
+                        .collect(),
+                };
+                body.push_str(&serde_json::to_string(&line).expect("verdict line serializes"));
+                body.push('\n');
             }
-            f.sync_all()?;
         }
-        std::fs::rename(&tmp, path)
+        let tmp = path.with_extension(format!(
+            "verdicts.tmp.{}.{}",
+            std::process::id(),
+            PERSIST_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let renamed = std::fs::File::create(&tmp)
+            .and_then(|mut f| {
+                f.write_all(body.as_bytes())?;
+                f.sync_all()
+            })
+            .and_then(|()| std::fs::rename(&tmp, path));
+        if let Err(e) = renamed {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
+        }
+        let dir = match path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        if let Ok(d) = std::fs::File::open(dir) {
+            let _ = d.sync_all();
+        }
+        Ok(())
     }
 
     /// Hit/miss counters since this instance was created.
@@ -404,6 +417,82 @@ mod tests {
             serde_json::to_string(&cold_bad.to_json()).unwrap(),
             serde_json::to_string(&warm_bad.to_json()).unwrap()
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_pass_name_survives_a_reload() {
+        let dir = std::env::temp_dir().join(format!("verdicts-pass-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.verdicts");
+        let spec = GpuSpec::orin_nano();
+        // Gate failure: the only way to see the structural pass.
+        let mut gated = dirty_state();
+        gated.unroll = 3;
+        // Past the gate: tiles beyond Orin's shared memory (capacity), a raw
+        // tile over the extent clamp (cover), never finished (lints).
+        let mut rest = Etir::initial(OpSpec::gemm(8, 4096, 4096), &spec);
+        rest.smem_tile = vec![32, 512];
+        rest.reduce_tile = vec![64];
+
+        let cache = VerdictCache::open(&path);
+        let cold = [&gated, &rest].map(|e| cache.verify(e, Some(&spec)));
+        let mut seen: Vec<&str> = cold
+            .iter()
+            .flat_map(|r| r.diagnostics.iter().map(|d| d.pass))
+            .collect();
+        seen.sort_unstable();
+        seen.dedup();
+        let mut all = PASSES.to_vec();
+        all.sort_unstable();
+        assert_eq!(seen, all, "the two states exercise every pass");
+        cache.persist().unwrap();
+
+        let reopened = VerdictCache::open(&path);
+        let warm = [&gated, &rest].map(|e| reopened.verify(e, Some(&spec)));
+        assert_eq!(reopened.stats(), VerdictStats { hits: 2, misses: 0 });
+        for (cold, warm) in cold.iter().zip(&warm) {
+            assert!(warm.diagnostics.iter().all(|d| d.pass != "cached"));
+            assert_eq!(cold.render(), warm.render());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_persists_to_one_sidecar_never_interleave() {
+        let dir = std::env::temp_dir().join(format!("verdicts-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.verdicts");
+        let spec = GpuSpec::rtx4090();
+        // Two writers with differently sized contents, as a daemon and a
+        // `gensor lint --verdicts` on one store would be.
+        let writers = [24u64, 40].map(|n| {
+            let cache = VerdictCache::open(&path);
+            for m in 1..=n {
+                cache.verify(&Etir::initial(OpSpec::gemm(8 * m, 64, 8 * n), &spec), None);
+            }
+            cache
+        });
+        let start = std::sync::Barrier::new(writers.len());
+        std::thread::scope(|s| {
+            for cache in &writers {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..50 {
+                        cache.persist().unwrap();
+                    }
+                });
+            }
+        });
+        let survivor = std::fs::read_to_string(&path).unwrap();
+        assert!(survivor
+            .lines()
+            .all(|l| serde_json::from_str::<Line>(l).is_ok()));
+        let lines = survivor.lines().count();
+        assert!(writers.iter().any(|c| c.len() == lines), "{lines} lines");
+        assert_eq!(VerdictCache::open(&path).len(), lines);
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+        assert_eq!(left.len(), 1, "tmp files left behind: {left:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,100 +1,62 @@
-//! The driver: structural gate, lowering, then the pass pipeline.
+//! The driver: structural gate, one lowering, then capacity, cover, lints.
 
-use crate::bounds::BoundsPass;
+use crate::bounds::{cover, summary_agrees};
 use crate::diag::Report;
-use crate::invariants::{structural, CapacityPass};
-use crate::lints::LintPass;
-use crate::pass::{Ctx, Pass};
-use crate::race::RacePass;
+use crate::invariants::{
+    capacity, structural, CAPACITY_PASS, COVER_PASS, LINTS_PASS, STRUCTURAL_PASS,
+};
+use crate::lints::lints;
 use etir::{Etir, LoopNest};
 use hardware::GpuSpec;
 
-/// A configured pipeline of analyses.
+/// Verify `e`, optionally against a concrete device. With `spec = None`
+/// the hardware-dependent checks (capacity, bank conflicts, occupancy) are
+/// skipped; everything structural still runs.
 ///
 /// Verification never panics, whatever garbage the schedule contains: the
 /// structural gate (GS001–GS006) runs on the raw state first, and only
-/// when it finds no error is the state lowered and handed to the
-/// remaining passes — lowering divides by tile products the gate proves
-/// non-zero.
-pub struct Verifier {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl Verifier {
-    /// The standard pipeline: capacity fit, bounds analysis, race check,
-    /// performance lints.
-    pub fn standard() -> Verifier {
-        Verifier {
-            passes: vec![
-                Box::new(CapacityPass),
-                Box::new(BoundsPass),
-                Box::new(RacePass),
-                Box::new(LintPass),
-            ],
-        }
+/// when it finds no error is the state lowered — once — into the
+/// [`LoopNest`] summary and the [`etir::loops::Nest`] that `interp` runs
+/// and `codegen` prints, which the remaining checks read.
+pub fn verify_schedule(e: &Etir, spec: Option<&GpuSpec>) -> Report {
+    let _sp = obs::span!("verify", op = e.op.label(), with_spec = spec.is_some());
+    obs::counter_inc!("gensor_verify_runs_total", "Schedule verifications run");
+    let mut report = Report {
+        op_label: e.op.label(),
+        schedule: e.describe(),
+        gpu: spec.map(|s| s.name.clone()),
+        diagnostics: Vec::new(),
+    };
+    {
+        let _gate = obs::span!("verify.pass", pass = STRUCTURAL_PASS);
+        structural(e, &mut report.diagnostics);
     }
-
-    /// A pipeline with exactly the given passes (the structural gate
-    /// always runs first regardless).
-    pub fn with_passes(passes: Vec<Box<dyn Pass>>) -> Verifier {
-        Verifier { passes }
-    }
-
-    /// Verify `e`, optionally against a concrete device. With `spec =
-    /// None` the hardware-dependent checks (capacity, bank conflicts,
-    /// occupancy) are skipped; everything structural still runs.
-    pub fn verify(&self, e: &Etir, spec: Option<&GpuSpec>) -> Report {
-        let _sp = obs::span!("verify", op = e.op.label(), with_spec = spec.is_some());
-        obs::counter_inc!("gensor_verify_runs_total", "Schedule verifications run");
-        let mut report = Report {
-            op_label: e.op.label(),
-            schedule: e.describe(),
-            gpu: spec.map(|s| s.name.clone()),
-            diagnostics: Vec::new(),
-        };
+    if report.is_legal() {
+        let out = &mut report.diagnostics;
+        let summary = LoopNest::from_etir(e);
+        let nest = summary.to_nest();
         {
-            let _gate = obs::span!("verify.pass", pass = "structural");
-            structural(e, &mut report.diagnostics);
+            let _pp = obs::span!("verify.pass", pass = CAPACITY_PASS);
+            capacity(e, spec, out);
         }
-        if report.error_count() > 0 {
-            Self::count_rejected();
-            report.normalize();
-            return report; // unsafe to lower
+        {
+            let _pp = obs::span!("verify.pass", pass = COVER_PASS);
+            out.extend(cover(&nest));
+            summary_agrees(&summary, &nest, out);
         }
-        let nest = LoopNest::from_etir(e);
-        let ctx = Ctx {
-            etir: e,
-            nest: &nest,
-            spec,
-        };
-        for pass in &self.passes {
-            let _pp = obs::span!("verify.pass", pass = pass.name());
-            pass.run(&ctx, &mut report.diagnostics);
+        {
+            let _pp = obs::span!("verify.pass", pass = LINTS_PASS);
+            lints(e, &summary, spec, out);
         }
-        if report.error_count() > 0 {
-            Self::count_rejected();
-        }
-        report.normalize();
-        report
     }
-
-    fn count_rejected() {
+    if report.error_count() > 0 {
         obs::counter_inc!(
             "gensor_verify_rejected_total",
             "Verifications that found at least one error"
         );
     }
-}
-
-impl Default for Verifier {
-    fn default() -> Self {
-        Verifier::standard()
-    }
-}
-
-/// One-shot verification with the standard pipeline.
-pub fn verify_schedule(e: &Etir, spec: Option<&GpuSpec>) -> Report {
-    Verifier::standard().verify(e, spec)
+    report.normalize();
+    report
 }
 
 #[cfg(test)]

@@ -1,21 +1,22 @@
 //! Static-verification properties: every schedule the tuner constructs is
 //! provably legal on its target device, every state reachable through the
-//! construction primitives verifies clean, and damaged schedules never
-//! slip past the verifier.
+//! construction primitives verifies clean, and damaged schedules — or
+//! damaged lowerings of sound ones — never slip past the verifier.
 
-use etir::{Action, Etir};
+use etir::loops::{Item, Loop, Nest};
+use etir::{Action, Etir, LoopNest};
 use gensor::{Gensor, GensorConfig};
 use hardware::GpuSpec;
 use proptest::prelude::*;
 use simgpu::Tuner;
 use tensor_expr::{benchmark_suite, OpSpec};
-use verify::domain::{fixpoint, Fixpoint, Interval, Lattice, FIXPOINT_BUDGET};
-use verify::symbolic::{eval_spatial, index_range, DimParams};
-use verify::{verify_schedule, AbsVal};
+use verify::bounds::cover;
+use verify::{verify_schedule, Code};
 
 /// Tuner winners across the paper's 32-operator suite × the GPU presets
 /// verify with zero `GS0xx` errors (warnings allowed — `gensor lint
-/// --deny-warnings` in CI owns the stricter policy).
+/// --deny-warnings` in CI owns the stricter policy), and the nest each
+/// lowers to passes the `&Nest` cover check on its own.
 #[test]
 fn tuner_output_verifies_clean_across_suite_and_presets() {
     let presets = GpuSpec::all_presets();
@@ -36,6 +37,8 @@ fn tuner_output_verifies_clean_across_suite_and_presets() {
             spec.name,
             report.render()
         );
+        let nest = LoopNest::from_etir(&ck.etir).to_nest();
+        assert_eq!(cover(&nest), vec![], "{} on {}", cfg.label, spec.name);
     }
 }
 
@@ -80,52 +83,50 @@ fn corrupted_schedules_are_rejected() {
     }
 }
 
-/// One symbolic verification of a dynamic-shape bucket covers every
-/// concrete shape in it: the bucket verdict equals the conjunction of
-/// per-shape concrete verification of the same schedule template — for a
-/// clean template, and for one that overclaims lanes on part of the
-/// extent range (so some members pass and some fail concretely).
+/// The mutants `interp::exec::mutation_tests` kills by running them, on its
+/// GEMM and conv schedules (several reduction steps; register tile and
+/// vthreads > 1 along `dim`), are typed errors from the `&Nest` check alone.
 #[test]
-fn bucket_verdict_matches_per_shape_concrete_verification() {
+fn mutated_nests_are_static_errors() {
+    fn loop_mut<'a>(nest: &'a mut Nest, dim: &str, level: &str) -> &'a mut Loop {
+        let name = format!("{dim}.{level}");
+        let named = nest.items.iter_mut().find_map(|i| match i {
+            Item::Loop(l) if l.name == name => Some(l),
+            _ => None,
+        });
+        named.unwrap_or_else(|| panic!("no loop {name}"))
+    }
     let spec = GpuSpec::rtx4090();
-    let instantiate = |template: &Etir, op: &OpSpec| -> Etir {
-        let mut m = Etir::initial(op.clone(), &spec);
-        m.smem_tile = template.smem_tile.clone();
-        m.reg_tile = template.reg_tile.clone();
-        m.vthreads = template.vthreads.clone();
-        m.reduce_tile = template.reduce_tile.clone();
-        m.unroll = template.unroll;
-        m.cur_level = template.cur_level;
-        m
-    };
-
-    // Clean: a large-extent GEMM family under the default template.
-    let big: Vec<OpSpec> = (1..=16).map(|i| OpSpec::gemm(64 * i, 256, 512)).collect();
-    // Overclaiming: extents 8..=64 with a 32-wide tile claiming 32 lanes —
-    // the extent clamp caps the tile below the claim for the small end of
-    // the bucket, so concrete verification splits (m=64 legal, m=8 not).
-    let small: Vec<OpSpec> = (1..=8).map(|i| OpSpec::gemm(8 * i, 64, 64)).collect();
-    let mut overclaim = Etir::initial(small[0].clone(), &spec);
-    overclaim.smem_tile[0] = 32;
-    overclaim.reg_tile[0] = 2;
-    overclaim.vthreads[0] = 2;
-
-    for (members, template) in [
-        (&big, Etir::initial(big[0].clone(), &spec)),
-        (&small, overclaim),
-    ] {
-        let bucket = verify::ShapeBucket::cover(members.iter()).unwrap();
-        let symbolic_legal = verify::verify_bucket(&template, &bucket).is_legal();
-        let concrete: Vec<bool> = members
-            .iter()
-            .map(|op| verify_schedule(&instantiate(&template, op), None).is_legal())
-            .collect();
-        assert_eq!(
-            symbolic_legal,
-            concrete.iter().all(|&ok| ok),
-            "bucket {} disagrees with per-shape verdicts {concrete:?}",
-            bucket.describe()
-        );
+    let mut gemm = Etir::initial(OpSpec::gemm(32, 16, 24), &spec);
+    (gemm.smem_tile, gemm.reg_tile) = (vec![8, 8], vec![2, 2]);
+    (gemm.vthreads, gemm.reduce_tile) = (vec![2, 1], vec![4]);
+    let mut conv = Etir::initial(OpSpec::conv2d(2, 4, 9, 9, 8, 3, 3, 1, 1), &spec);
+    (conv.smem_tile, conv.reg_tile) = (vec![2, 4, 4, 4], vec![1, 2, 1, 1]);
+    (conv.vthreads, conv.reduce_tile) = (vec![1, 2, 1, 1], vec![2, 2, 1]);
+    let [grid, vt, thread, reg] = [
+        "outer",
+        "inner.outer",
+        "inner.inner.outer",
+        "inner.inner.inner",
+    ];
+    for (e, dim) in [(gemm, "m"), (conv, "oc")] {
+        let codes = |mutate: &dyn Fn(&mut Nest)| -> Vec<Code> {
+            let mut nest = LoopNest::from_etir(&e).to_nest();
+            mutate(&mut nest);
+            cover(&nest).iter().map(|d| d.code).collect()
+        };
+        assert_eq!(codes(&|_| {}), [], "{}", e.describe());
+        // A halved grid stops short of the extent; halved threads leave
+        // holes under the coarser strides.
+        for halved in [grid, thread] {
+            let got = codes(&|n| loop_mut(n, dim, halved).extent /= 2);
+            let gaps = |c: &Code| matches!(c, Code::WriteGap | Code::CoverageGap);
+            assert!(!got.is_empty() && got.iter().all(gaps), "{halved}: {got:?}");
+        }
+        let tied = codes(&|n| loop_mut(n, dim, vt).stride = loop_mut(n, dim, reg).stride);
+        assert!(tied.contains(&Code::WriteOverlap), "{tied:?}");
+        let doubled = codes(&|n| loop_mut(n, dim, vt).stride *= 2);
+        assert!(doubled.contains(&Code::WriteGap), "{doubled:?}");
     }
 }
 
@@ -184,56 +185,54 @@ proptest! {
         let _ = verify_schedule(&e, Some(&spec));
         let _ = verify_schedule(&e, None);
     }
+}
 
-    /// The symbolic evaluator instantiated at a *singleton* extent agrees
-    /// with the concrete arithmetic the bounds pass historically
-    /// hard-coded: the widening/narrowing fixpoint over the four-level
-    /// index loop is exact, not just sound, on affine nests.
-    #[test]
-    fn symbolic_singleton_agrees_with_concrete_index_and_volume_math(
-        r in 1u64..=8,
-        v in 1u64..=8,
-        q in 1u64..=16,
-        g in 1u64..=64,
-        ext in 1u64..=4096,
-    ) {
-        let t = r * v * q;
-        let p = DimParams { tile: t, reg: r, vthreads: v, thread_dims: q };
-        // Index range at a fixed grid: exactly the closed form.
-        let idx = index_range(t, &AbsVal::constant(g), &p);
-        let closed = (g - 1) * t + ((v - 1) * q + (q - 1)) * r + (r - 1);
-        prop_assert_eq!(idx.hi(), closed);
-        prop_assert_eq!(idx.lo(), 0);
-        // Volume math at a fixed extent: clamp, grid, and padding all
-        // collapse to the concrete values.
-        let f = eval_spatial(&p, &AbsVal::constant(ext));
-        let tc = t.min(ext.next_power_of_two()).max(1);
-        let grid = ext.div_ceil(tc);
-        prop_assert_eq!(f.tile.as_const(), Some(tc));
-        prop_assert_eq!(f.grid.as_const(), Some(grid));
-        prop_assert_eq!(f.padded.as_const(), Some(grid * tc));
-    }
+/// The five operator classes at extents small enough for tiles to overshoot.
+fn small_op() -> impl Strategy<Value = OpSpec> {
+    prop_oneof![
+        (1u64..200, 1u64..100, 1u64..200).prop_map(|(m, k, n)| OpSpec::gemm(m, k, n)),
+        (1u64..300, 1u64..300).prop_map(|(m, n)| OpSpec::gemv(m, n)),
+        (1u64..5, 1u64..9, 5u64..20, 1u64..20, 1u64..3)
+            .prop_map(|(n, c, hw, oc, s)| OpSpec::conv2d(n, c, hw, hw, oc, 3, 3, s, 1)),
+        (1u64..5, 1u64..20, 4u64..30, 2u64..4)
+            .prop_map(|(n, c, hw, f)| OpSpec::avg_pool2d(n, c, hw, hw, f, f)),
+        (1u64..5000).prop_map(|n| OpSpec::elementwise(n, 2, 1)),
+    ]
+}
 
-    /// Threshold widening makes every ascending chain stabilise inside
-    /// the engine's iteration budget, whatever (monotone-ish) growth the
-    /// transfer function applies per step.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16384, max_global_rejects: 1 << 20 })]
+
+    /// What the checks after the structural gate decide, stated without
+    /// them: a gate-clean state is illegal exactly when a raw block tile
+    /// exceeds `next_pow2(extent)`, and then each such dim carries one
+    /// GS011 and one GS013 and nothing else is an error.
     #[test]
-    fn widened_fixpoints_converge_within_the_budget(
-        seed_hi in 0u64..1000,
-        step in 1u64..(1 << 40),
-        factor in 1u64..16,
+    fn past_the_gate_only_an_overshot_tile_is_illegal(
+        op in small_op(),
+        spatial in proptest::collection::vec((1u64..5, 1u64..4, 1u64..17), 4),
+        reduce in proptest::collection::vec(1u64..65, 3),
     ) {
-        let seed = Interval::range(0, seed_hi);
-        let result = fixpoint(seed, FIXPOINT_BUDGET, |iv: &Interval| {
-            // Grows without bound concretely; only widening stops it.
-            let grown = Interval::range(iv.lo, iv.hi.saturating_mul(factor).saturating_add(step));
-            iv.join(&grown)
-        });
-        prop_assert!(result.converged(), "diverged: {:?}", result);
-        if let Fixpoint::Reached(iv, iters) = result {
-            // A post-fixpoint of a growing transfer is ⊤-like above.
-            prop_assert!(iv.hi == u64::MAX || iv.hi >= step, "{iv:?}");
-            prop_assert!(iters < FIXPOINT_BUDGET);
-        }
+        let mut e = Etir::initial(op, &GpuSpec::rtx4090());
+        let (rank, reduce_rank) = (e.smem_tile.len(), e.reduce_tile.len());
+        e.reg_tile = spatial[..rank].iter().map(|t| t.0).collect();
+        e.vthreads = spatial[..rank].iter().map(|t| t.1).collect();
+        e.smem_tile = spatial[..rank].iter().map(|t| t.0 * t.1 * t.2).collect();
+        e.reduce_tile = reduce[..reduce_rank].to_vec();
+        let mut gate = Vec::new();
+        verify::invariants::structural(&e, &mut gate);
+        prop_assume!(gate.is_empty());
+        let overshot = e
+            .smem_tile
+            .iter()
+            .zip(e.op.spatial_extents())
+            .filter(|(&t, ext)| t > ext.next_power_of_two())
+            .count();
+        let report = verify_schedule(&e, None);
+        let count = |c| report.diagnostics.iter().filter(|d| d.code == c).count();
+        prop_assert_eq!(
+            (count(Code::OutOfBounds), count(Code::WriteOverlap), report.error_count()),
+            (overshot, overshot, 2 * overshot)
+        );
     }
 }
