@@ -19,21 +19,21 @@ fn faults_overhead(c: &mut Criterion) {
     let tuner = CachedTuner::new(&gensor, cache);
     // Warm the key once so every iteration below is a pure cache hit —
     // the path the serve daemon answers most requests from.
-    let _ = tuner.compile_with_outcome(&op, &spec);
+    let _ = tuner.compile_verified(&op, &spec);
 
     let mut group = c.benchmark_group("faults");
     group.sample_size(30);
 
     faults::disarm_all();
     group.bench_function("cached_hit_disabled", |b| {
-        b.iter(|| tuner.compile_with_outcome(&op, &spec))
+        b.iter(|| tuner.compile_verified(&op, &spec))
     });
 
     // Armed, but on a site the hit path never passes: the fast-path gate
     // opens, the registry lookup runs and misses.
     faults::arm("bench.unrelated", faults::Policy::ErrNth(u64::MAX));
     group.bench_function("cached_hit_armed_elsewhere", |b| {
-        b.iter(|| tuner.compile_with_outcome(&op, &spec))
+        b.iter(|| tuner.compile_verified(&op, &spec))
     });
     faults::disarm_all();
 

@@ -1,11 +1,14 @@
 //! Extension experiment (paper §VII's ongoing work): the real-time
-//! dynamic-optimization system — schedule cache + warm-started
-//! construction — on a stream of shape-shifting BERT projections.
+//! dynamic-optimization system — `schedcache`'s schedule cache +
+//! warm-started construction — on a stream of shape-shifting BERT
+//! projections.
 
 use bench::{print_table, write_json};
-use gensor::{DynamicOptimizer, Gensor};
+use gensor::Gensor;
+use schedcache::{CachedTuner, Outcome, ScheduleCache};
 use serde::Serialize;
 use simgpu::Tuner;
+use std::sync::Arc;
 use tensor_expr::OpSpec;
 
 #[derive(Serialize)]
@@ -31,21 +34,21 @@ fn main() {
         .map(|&s| OpSpec::gemm(8 * s, 512, 2048))
         .collect();
 
-    let opt = DynamicOptimizer::default();
     let cold = Gensor::default();
+    let cache = Arc::new(ScheduleCache::in_memory());
+    let opt = CachedTuner::for_gensor(&cold, cache.clone());
     println!("Dynamic optimization stream (BERT FFN projection, varying seq length)\n");
     let mut data = Vec::new();
     let mut rows = Vec::new();
     for (i, op) in shapes.iter().enumerate() {
-        let stats_before = opt.stats();
-        let k = opt.compile(op, &spec);
-        let stats_after = opt.stats();
-        let mode = if stats_after.hits > stats_before.hits {
-            "hit"
-        } else if stats_after.warm_starts > stats_before.warm_starts {
-            "warm"
-        } else {
-            "cold"
+        let warm_before = cache.stats().warm_starts;
+        let (k, outcome) = opt
+            .compile_verified(op, &spec)
+            .expect("construction yields legal schedules");
+        let mode = match outcome {
+            Outcome::Hit | Outcome::Coalesced => "hit",
+            Outcome::Built if cache.stats().warm_starts > warm_before => "warm",
+            Outcome::Built => "cold",
         };
         let ck = cold.compile(op, &spec);
         rows.push(vec![
@@ -79,12 +82,12 @@ fn main() {
         ],
         &rows,
     );
-    let s = opt.stats();
+    let s = cache.stats();
     println!(
         "\nCache: {} hits, {} warm starts, {} cold misses over {} requests",
         s.hits,
         s.warm_starts,
-        s.cold_misses,
+        s.misses - s.warm_starts,
         shapes.len()
     );
     let warm_quality: Vec<f64> = data

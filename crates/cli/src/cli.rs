@@ -908,7 +908,7 @@ fn metrics_cmd(pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> 
         // Two passes per operator: the first misses (tuner + verifier +
         // cache-miss counters), the second hits.
         for _ in 0..2 {
-            let (ck, _outcome) = tuner.compile_with_outcome(op, &gpu);
+            let ck = tuner.compile(op, &gpu);
             let _ = verify::verify_schedule(&ck.etir, Some(&gpu));
         }
     }
@@ -1224,8 +1224,8 @@ fn serve_stats(_pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError>
             );
             let _ = writeln!(
                 out,
-                "compiles    : {} ({} built / {} hits / {} coalesced), {} batches",
-                s.compiles, s.misses, s.hits, s.coalesced, s.batches
+                "compiles    : {} ({} built / {} hits / {} coalesced)",
+                s.compiles, s.misses, s.hits, s.coalesced
             );
             let _ = writeln!(
                 out,

@@ -1,149 +1,19 @@
-//! Real-time optimization for dynamic DNNs — the paper's stated ongoing
+//! Schedule transplanting — the primitive under the paper's stated ongoing
 //! work ("design a dynamic optimizing system based on Gensor to achieve
 //! efficient real-time optimization of dynamic deep neural networks",
 //! §VII).
 //!
-//! [`DynamicOptimizer`] wraps the Gensor tuner with two mechanisms:
-//!
-//! 1. **Schedule cache** — exact shapes seen before return their compiled
-//!    kernel instantly (the kernel-cache behaviour of deployed compilers).
-//! 2. **Warm starts** — a new shape *transplants* the schedules of its
-//!    nearest cached neighbours (tiles clamped into the new shape's
-//!    envelope, divisibility repaired) as ready-made candidates, and runs
-//!    a reduced-chain construction around them. Because tensor programs
-//!    are memory-less (the paper's own premise), a good schedule for a
-//!    nearby shape is a good *state* to start the Markov exploration from.
+//! Because tensor programs are memory-less (the paper's own premise), a
+//! good schedule for a nearby shape is a good *state* to start the Markov
+//! exploration from: [`transplant`] clamps a cached schedule's tiles into a
+//! new shape's envelope and repairs divisibility. The dynamic optimizing
+//! system built on it — exact-shape hits, nearest-neighbour warm starts, a
+//! quarter-chain construction raced against the transplants — is
+//! `schedcache::CachedTuner::for_gensor` over `schedcache::ScheduleCache`.
 
-use crate::tuner::{Gensor, GensorConfig};
 use etir::Etir;
 use hardware::GpuSpec;
-use parking_lot::RwLock;
-use simgpu::{pick_best, CompiledKernel, Tuner};
-use std::collections::HashMap;
-use std::time::Instant;
 use tensor_expr::OpSpec;
-
-/// Cache + warm-start wrapper around [`Gensor`].
-pub struct DynamicOptimizer {
-    /// The underlying tuner used for cold compiles.
-    cold: Gensor,
-    /// Reduced-budget tuner used when warm candidates exist.
-    warm: Gensor,
-    cache: RwLock<HashMap<OpSpec, CompiledKernel>>,
-    stats: RwLock<CacheStats>,
-}
-
-/// Cache behaviour counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Exact-shape hits (no tuning at all).
-    pub hits: u64,
-    /// Compiles that reused a neighbour's schedule as a warm start.
-    pub warm_starts: u64,
-    /// Cold compiles (empty or unrelated cache).
-    pub cold_misses: u64,
-}
-
-impl Default for DynamicOptimizer {
-    fn default() -> Self {
-        DynamicOptimizer::new(Gensor::default())
-    }
-}
-
-impl DynamicOptimizer {
-    /// Wrap a tuner; the warm-path variant runs a quarter of its chains.
-    pub fn new(cold: Gensor) -> Self {
-        let warm_cfg = GensorConfig {
-            chains: (cold.cfg.chains / 4).max(1),
-            ..cold.cfg.clone()
-        };
-        DynamicOptimizer {
-            cold,
-            warm: Gensor::with_config(warm_cfg),
-            cache: RwLock::new(HashMap::new()),
-            stats: RwLock::new(CacheStats::default()),
-        }
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> CacheStats {
-        *self.stats.read()
-    }
-
-    /// Number of cached shapes.
-    pub fn len(&self) -> usize {
-        self.cache.read().len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.cache.read().is_empty()
-    }
-
-    /// Compile `op`, consulting the cache.
-    pub fn compile(&self, op: &OpSpec, spec: &GpuSpec) -> CompiledKernel {
-        if let Some(hit) = self.cache.read().get(op) {
-            self.stats.write().hits += 1;
-            let mut k = hit.clone();
-            k.wall_time_s = 0.0; // a cache hit costs nothing
-            return k;
-        }
-        let t0 = Instant::now();
-        let neighbours = self.nearest_neighbours(op, 3);
-        let result = if neighbours.is_empty() {
-            self.stats.write().cold_misses += 1;
-            self.cold.compile(op, spec)
-        } else {
-            self.stats.write().warm_starts += 1;
-            // Transplanted candidates compete with a reduced-budget run.
-            let transplanted: Vec<Etir> = neighbours
-                .iter()
-                .filter_map(|n| transplant(n, op, spec))
-                .collect();
-            let warm_best = pick_best(&transplanted, spec);
-            let mut fresh = self.warm.compile(op, spec);
-            if let Some((e, r)) = warm_best {
-                if r.time_us < fresh.report.time_us {
-                    fresh.etir = e;
-                    fresh.report = r;
-                }
-            }
-            fresh.wall_time_s = t0.elapsed().as_secs_f64();
-            fresh
-        };
-        self.cache.write().insert(op.clone(), result.clone());
-        result
-    }
-
-    /// The cached schedules of the same operator class, nearest first by
-    /// log-shape distance.
-    fn nearest_neighbours(&self, op: &OpSpec, k: usize) -> Vec<Etir> {
-        let cache = self.cache.read();
-        let mut scored: Vec<(f64, Etir)> = cache
-            .iter()
-            .filter(|(o, _)| o.class() == op.class())
-            .filter(|(o, _)| {
-                o.spatial_extents().len() == op.spatial_extents().len()
-                    && o.reduce_extents().len() == op.reduce_extents().len()
-            })
-            .map(|(o, ck)| (shape_distance(o, op), ck.etir.clone()))
-            .collect();
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-        scored.into_iter().take(k).map(|(_, e)| e).collect()
-    }
-}
-
-/// Σ |log2 extent ratios| over spatial + reduce axes.
-fn shape_distance(a: &OpSpec, b: &OpSpec) -> f64 {
-    let dist = |x: &[u64], y: &[u64]| -> f64 {
-        x.iter()
-            .zip(y)
-            .map(|(&p, &q)| ((p as f64).log2() - (q as f64).log2()).abs())
-            .sum()
-    };
-    dist(&a.spatial_extents(), &b.spatial_extents())
-        + dist(&a.reduce_extents(), &b.reduce_extents())
-}
 
 /// Re-target a schedule found for one shape onto another shape of the same
 /// class: tiles are clamped into the new extents' power-of-two envelope
@@ -180,61 +50,8 @@ pub fn transplant(source: &Etir, op: &OpSpec, spec: &GpuSpec) -> Option<Etir> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn seqs() -> Vec<OpSpec> {
-        [64u64, 96, 128, 192, 256]
-            .iter()
-            .map(|&s| OpSpec::gemm(8 * s, 512, 512))
-            .collect()
-    }
-
-    #[test]
-    fn exact_hit_is_free_and_identical() {
-        let spec = GpuSpec::rtx4090();
-        let opt = DynamicOptimizer::default();
-        let op = OpSpec::gemm(1024, 512, 512);
-        let a = opt.compile(&op, &spec);
-        let b = opt.compile(&op, &spec);
-        assert_eq!(a.etir, b.etir);
-        assert_eq!(b.wall_time_s, 0.0);
-        let s = opt.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.cold_misses, 1);
-        assert_eq!(opt.len(), 1);
-    }
-
-    #[test]
-    fn warm_starts_kick_in_for_neighbouring_shapes() {
-        let spec = GpuSpec::rtx4090();
-        let opt = DynamicOptimizer::default();
-        for op in seqs() {
-            opt.compile(&op, &spec);
-        }
-        let s = opt.stats();
-        assert_eq!(s.cold_misses, 1, "only the first shape is cold");
-        assert_eq!(s.warm_starts, 4);
-        assert_eq!(s.hits, 0);
-    }
-
-    #[test]
-    fn warm_quality_matches_cold_quality() {
-        // The warm path runs 1/4 of the chains but inherits neighbour
-        // schedules; quality must stay within a few percent of cold.
-        let spec = GpuSpec::rtx4090();
-        let opt = DynamicOptimizer::default();
-        let cold_tuner = Gensor::default();
-        for op in seqs() {
-            let warm = opt.compile(&op, &spec);
-            let cold = cold_tuner.compile(&op, &spec);
-            assert!(
-                warm.report.time_us <= cold.report.time_us * 1.08,
-                "{}: warm {} vs cold {}",
-                op.label(),
-                warm.report.time_us,
-                cold.report.time_us
-            );
-        }
-    }
+    use crate::tuner::Gensor;
+    use simgpu::Tuner;
 
     #[test]
     fn transplant_repairs_divisibility_and_capacity() {
@@ -261,30 +78,5 @@ mod tests {
         assert_eq!(t.reg_tile, src.reg_tile);
         assert_eq!(t.vthreads, src.vthreads);
         assert_eq!(t.reduce_tile, src.reduce_tile);
-    }
-
-    #[test]
-    fn different_classes_never_cross_pollinate() {
-        let spec = GpuSpec::rtx4090();
-        let opt = DynamicOptimizer::default();
-        opt.compile(&OpSpec::gemm(1024, 512, 512), &spec);
-        opt.compile(&OpSpec::gemv(4096, 512), &spec);
-        let s = opt.stats();
-        assert_eq!(s.cold_misses, 2, "GEMV must not warm-start from GEMM");
-    }
-
-    #[test]
-    fn warm_path_is_cheaper_than_cold() {
-        let spec = GpuSpec::rtx4090();
-        let opt = DynamicOptimizer::default();
-        let ops = seqs();
-        let cold = opt.compile(&ops[0], &spec);
-        let warm = opt.compile(&ops[1], &spec);
-        assert!(
-            warm.candidates_evaluated < cold.candidates_evaluated,
-            "warm {} !< cold {}",
-            warm.candidates_evaluated,
-            cold.candidates_evaluated
-        );
     }
 }

@@ -22,9 +22,9 @@
 //! * [`tuner`] — the user-facing [`Gensor`] tuner (multi-chain, parallel).
 //! * [`markov`] — §IV-D: explicit-chain irreducibility / aperiodicity /
 //!   stationarity checks and multiplicative value iteration.
-//! * [`dynamic`] — the paper's stated ongoing work: a real-time
-//!   re-optimization system (schedule cache + warm-started construction)
-//!   for dynamic DNNs.
+//! * [`dynamic`] — [`transplant`]: re-target a schedule onto a nearby
+//!   shape, the primitive the schedule cache's warm starts (the paper's
+//!   §VII ongoing work, `schedcache::CachedTuner`) are built on.
 
 pub mod benefit;
 pub mod dynamic;
@@ -33,7 +33,7 @@ pub mod policy;
 pub mod tuner;
 pub mod walk;
 
-pub use dynamic::{transplant, CacheStats, DynamicOptimizer};
+pub use dynamic::transplant;
 pub use policy::{ActionProb, Policy, StepScoring};
 pub use tuner::{Gensor, GensorConfig};
 pub use walk::{Walk, WalkRecord};

@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Default bound on queued hints; beyond it new hints are dropped (and
 /// counted) rather than growing without limit while a peer stays dead.
@@ -39,7 +39,10 @@ pub struct Hint {
     pub kernel: WireKernel,
 }
 
-/// The bounded, optionally durable hint queue.
+/// The bounded, optionally durable hint queue. The queue mutex is held
+/// across every spool write (append or rewrite), so the file's order is
+/// the queue's order however many threads share the log — an append can
+/// never land on a file a concurrent rewrite is about to replace.
 pub struct HintLog {
     path: Option<PathBuf>,
     cap: usize,
@@ -102,14 +105,20 @@ impl HintLog {
                 log.path.as_deref().unwrap_or(Path::new("-")).display(),
                 log.len()
             );
-            log.persist()?;
+            log.persist(&log.queue())?;
         }
         Ok(log)
     }
 
+    /// Every queue update leaves the queue valid, so a poisoned lock is
+    /// recovered rather than propagated.
+    fn queue(&self) -> MutexGuard<'_, VecDeque<Hint>> {
+        self.queue.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Queued hints right now.
     pub fn len(&self) -> usize {
-        self.queue.lock().unwrap_or_else(|p| p.into_inner()).len()
+        self.queue().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -118,9 +127,7 @@ impl HintLog {
 
     /// Distinct targets with queued hints, sorted.
     pub fn targets(&self) -> Vec<String> {
-        let g = self.queue.lock().unwrap_or_else(|p| p.into_inner());
-        let mut v: Vec<String> = g.iter().map(|h| h.target.clone()).collect();
-        drop(g);
+        let mut v: Vec<String> = self.queue().iter().map(|h| h.target.clone()).collect();
         v.sort();
         v.dedup();
         v
@@ -130,27 +137,26 @@ impl HintLog {
     /// is full — a peer dead long enough to overflow the bound gets
     /// anti-entropy repair on rejoin instead of an unbounded spool.
     pub fn enqueue(&self, hint: Hint) -> bool {
-        {
-            let mut g = self.queue.lock().unwrap_or_else(|p| p.into_inner());
-            if g.len() >= self.cap {
-                drop(g);
-                obs::counter_inc!(
-                    "gensor_fabric_hints_dropped_total",
-                    "Hints dropped because the bounded queue was full"
-                );
-                return false;
-            }
-            g.push_back(hint.clone());
+        let mut g = self.queue();
+        if g.len() >= self.cap {
+            drop(g);
+            obs::counter_inc!(
+                "gensor_fabric_hints_dropped_total",
+                "Hints dropped because the bounded queue was full"
+            );
+            return false;
         }
-        obs::counter_inc!(
-            "gensor_fabric_hints_queued_total",
-            "Writes queued for a dead owner (hinted handoff)"
-        );
         if let Err(e) = self.append(&hint) {
             // The hint survives in memory either way; durability is
             // best-effort once the disk starts failing.
             obs::log!(Warn, "hints: append failed ({e}); hint kept in memory only");
         }
+        g.push_back(hint);
+        drop(g);
+        obs::counter_inc!(
+            "gensor_fabric_hints_queued_total",
+            "Writes queued for a dead owner (hinted handoff)"
+        );
         true
     }
 
@@ -158,20 +164,17 @@ impl HintLog {
     /// to replay them). Failed replays should be re-queued with
     /// [`HintLog::requeue`].
     pub fn take(&self, target: &str) -> Vec<Hint> {
-        let taken: Vec<Hint> = {
-            let mut g = self.queue.lock().unwrap_or_else(|p| p.into_inner());
-            let (keep, take): (VecDeque<Hint>, VecDeque<Hint>) = std::mem::take(&mut *g)
-                .into_iter()
-                .partition(|h| h.target != target);
-            *g = keep;
-            take.into()
-        };
-        if !taken.is_empty() {
-            if let Err(e) = self.persist() {
+        let mut g = self.queue();
+        let (keep, take): (VecDeque<Hint>, VecDeque<Hint>) = std::mem::take(&mut *g)
+            .into_iter()
+            .partition(|h| h.target != target);
+        *g = keep;
+        if !take.is_empty() {
+            if let Err(e) = self.persist(&g) {
                 obs::log!(Warn, "hints: compaction after take failed: {e}");
             }
         }
-        taken
+        take.into()
     }
 
     /// Put back hints whose replay failed (front of the queue, so they
@@ -180,18 +183,17 @@ impl HintLog {
         if hints.is_empty() {
             return;
         }
-        {
-            let mut g = self.queue.lock().unwrap_or_else(|p| p.into_inner());
-            for h in hints.into_iter().rev() {
-                g.push_front(h);
-            }
+        let mut g = self.queue();
+        for h in hints.into_iter().rev() {
+            g.push_front(h);
         }
-        if let Err(e) = self.persist() {
+        if let Err(e) = self.persist(&g) {
             obs::log!(Warn, "hints: compaction after requeue failed: {e}");
         }
     }
 
-    /// Append one frame to the spool (durable logs only).
+    /// Append one frame to the spool (durable logs only). The caller holds
+    /// the queue lock.
     fn append(&self, hint: &Hint) -> std::io::Result<()> {
         let Some(path) = &self.path else {
             return Ok(());
@@ -207,20 +209,17 @@ impl HintLog {
         f.sync_data()
     }
 
-    /// Rewrite the spool to match the in-memory queue, atomically and
-    /// durably (the store's [`replace_file`]).
-    fn persist(&self) -> std::io::Result<()> {
+    /// Rewrite the spool to match `queue` — the locked in-memory queue —
+    /// atomically and durably (the store's [`replace_file`]).
+    fn persist(&self, queue: &VecDeque<Hint>) -> std::io::Result<()> {
         let Some(path) = &self.path else {
             return Ok(());
         };
         let mut body = String::new();
-        {
-            let g = self.queue.lock().unwrap_or_else(|p| p.into_inner());
-            for hint in g.iter() {
-                let payload = serde_json::to_string(hint)
-                    .map_err(|e| std::io::Error::other(format!("hint encode: {e}")))?;
-                body.push_str(&frame_line(&payload));
-            }
+        for hint in queue {
+            let payload = serde_json::to_string(hint)
+                .map_err(|e| std::io::Error::other(format!("hint encode: {e}")))?;
+            body.push_str(&frame_line(&payload));
         }
         replace_file(path, body.as_bytes())
     }
@@ -264,6 +263,40 @@ mod tests {
         let log = HintLog::open(&path, 8).unwrap();
         assert_eq!(log.len(), 2);
         assert_eq!(log.targets(), vec!["tcp://a".to_string(), "tcp://b".into()]);
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_spool_writers_never_collide_and_file_order_is_queue_order() {
+        let _g = faults::exclusive();
+        let path = tmp("concurrent");
+        let hints: Vec<Hint> = (0..4).map(|t| hint(&format!("tcp://{t}"), 16)).collect();
+        for _round in 0..2 {
+            fs::remove_file(&path).ok();
+            let log = HintLog::open(&path, usize::MAX).unwrap();
+            std::thread::scope(|s| {
+                for h in &hints {
+                    let log = &log;
+                    s.spawn(move || {
+                        for _ in 0..25 {
+                            assert!(log.enqueue(h.clone()));
+                            assert!(log.enqueue(h.clone()));
+                            let taken = log.take(&h.target);
+                            log.requeue(taken);
+                            // `take`/`requeue` only log a failed rewrite;
+                            // the same rewrite, asked for directly, must
+                            // never lose its tmp file to a sibling.
+                            log.persist(&log.queue()).unwrap();
+                        }
+                    });
+                }
+            });
+            let in_memory: Vec<Hint> = log.queue().iter().cloned().collect();
+            assert_eq!(in_memory.len(), 4 * 25 * 2);
+            drop(log);
+            let reopened = HintLog::open(&path, usize::MAX).unwrap();
+            assert!(*reopened.queue() == in_memory, "spool is not the queue");
+        }
         fs::remove_file(&path).ok();
     }
 

@@ -1,5 +1,6 @@
 //! The cache façade: memory tier + optional persistent tier + neighbour
-//! index + statistics, behind one `get_or_compile` call.
+//! index + statistics, behind one way in (`admit`) and one way out
+//! (`get_or_compile`).
 
 use crate::key::CacheKey;
 use crate::map::{Outcome, ShardedMap};
@@ -8,7 +9,7 @@ use crate::store::{self, CompactReport, Store};
 use etir::Etir;
 use hardware::GpuSpec;
 use simgpu::CompiledKernel;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 use tensor_expr::OpSpec;
@@ -85,12 +86,24 @@ fn key_digest(key: &CacheKey) -> u64 {
 /// neighbour at equal shape distance always ranks first.
 pub const CROSS_DEVICE_PENALTY: f64 = 1.0;
 
+/// What the cache remembers about a banked key beyond the kernel the map
+/// holds: the method string an exported entry or store record needs back
+/// (the map keys on fingerprints only) and the schedule, offered to
+/// [`ScheduleCache::neighbours`] as a warm-start seed.
+struct Banked {
+    key: CacheKey,
+    method: String,
+    etir: Etir,
+}
+
 /// A persistent, concurrent schedule cache.
 ///
+/// * every schedule enters through one private `admit`: verified under
+///   its [`Provenance`], made resident, recorded for neighbour lookup and
+///   export, and appended to the JSONL store (when one is attached) — a
+///   schedule the verifier refuses is counted and is none of those;
 /// * misses run the supplied construction (single-flight: concurrent
 ///   requests for the same key collapse onto one build);
-/// * every winner is appended to the JSONL store (when one is attached)
-///   and indexed for neighbour lookup;
 /// * [`ScheduleCache::neighbours`] offers cached schedules of the same
 ///   operator class, nearest first by log-shape distance (plus
 ///   [`CROSS_DEVICE_PENALTY`] for entries cached for another device), as
@@ -102,21 +115,14 @@ pub struct ScheduleCache {
     map: ShardedMap,
     store: Option<Store>,
     stats: Stats,
-    /// Every resident schedule, for nearest-neighbour warm starts. The
-    /// `OpSpec` lives inside each `Etir`; the key's `gpu_fp` drives the
-    /// cross-device penalty. Pruned when the map evicts.
-    index: parking_lot::RwLock<Vec<(CacheKey, Etir)>>,
-    /// Method name per resident key. The in-memory map keys on
-    /// fingerprints only, but exporting an entry for anti-entropy repair
-    /// needs the method string back (the receiving store record carries
-    /// it); this side table remembers it for every banked entry. Pruned
-    /// when the map evicts.
-    methods: parking_lot::RwLock<HashMap<CacheKey, String>>,
+    /// One row per admitted schedule, in admission order (which breaks
+    /// distance ties in [`ScheduleCache::neighbours`]). Written by
+    /// `admit`, pruned when the map evicts.
+    banked: parking_lot::RwLock<Vec<Banked>>,
     /// Incremental verification cache: verdicts keyed by schedule
     /// fingerprint × verifier epoch × target, persisted as a
     /// `<store>.verdicts` sidecar when this cache persists. Every
-    /// verification this cache performs — store load, fabric install,
-    /// banking a construction winner — goes through it, so re-proving a
+    /// verification this cache performs goes through it, so re-proving a
     /// known schedule costs a hash lookup.
     verdicts: VerdictCache,
 }
@@ -157,32 +163,15 @@ impl ScheduleCache {
             map: ShardedMap::with_entry_cap(cap),
             store,
             stats: Stats::default(),
-            index: parking_lot::RwLock::new(Vec::new()),
-            methods: parking_lot::RwLock::new(HashMap::new()),
+            banked: parking_lot::RwLock::new(Vec::new()),
             verdicts,
         };
         if let Some(store) = &cache.store {
             let (records, report) = store.load()?;
             cache.stats.record_load(&report);
-            let mut index = cache.index.write();
             for rec in records {
-                // A store record is untrusted input: bit rot or a foreign
-                // writer can yield a line that parses but encodes an
-                // illegal schedule. Structural verification (no device
-                // spec is available at load time) gates admission — warm
-                // via the verdict sidecar when the record's fingerprint is
-                // already proven; a reject is counted and never becomes a
-                // servable entry.
-                if !cache
-                    .verdicts
-                    .verify_as(&rec.etir, None, Provenance::Store)
-                    .is_legal()
-                {
-                    cache.stats.record_rejected();
-                    continue;
-                }
                 let kernel = CompiledKernel {
-                    etir: rec.etir.clone(),
+                    etir: rec.etir,
                     report: rec.report,
                     // Carry the original tuning cost so hits can account
                     // the seconds they save.
@@ -190,12 +179,21 @@ impl ScheduleCache {
                     simulated_tuning_s: 0.0,
                     candidates_evaluated: rec.candidates_evaluated,
                 };
-                cache.map.insert(rec.key, Arc::new(kernel));
-                index.push((rec.key, rec.etir));
-                cache.methods.write().insert(rec.key, rec.method);
+                // A store record is untrusted input: bit rot or a foreign
+                // writer can yield a line that parses but encodes an
+                // illegal schedule. No device spec is available at load
+                // time, so admission proves structure only; the device
+                // check is `get_or_compile`'s, when the record is asked
+                // for. A reject is counted and skipped, never fatal.
+                let _ = cache.admit(
+                    rec.key,
+                    rec.op_label,
+                    &rec.method,
+                    Arc::new(kernel),
+                    None,
+                    Provenance::Store,
+                );
             }
-            drop(index);
-            cache.prune_index();
         }
         Ok(cache)
     }
@@ -278,15 +276,67 @@ impl ScheduleCache {
         Ok(Some(report))
     }
 
-    /// Drop neighbour-index entries whose key the map has evicted.
-    fn prune_index(&self) {
-        let evicted = self.map.drain_evicted();
-        if evicted.is_empty() {
-            return;
+    /// The one way in. Verifies `kernel` as `provenance` demands (against
+    /// `spec` when the caller has one), and only then makes it resident,
+    /// records its method and schedule, reconciles with the map's LRU
+    /// evictions and persists it. `Ok(false)`: a peer offered a key that is
+    /// already resident — replicas never clobber each other's winners.
+    /// `Err`: the verifier refused it; the reject is counted and the
+    /// schedule is nowhere — not resident, not a seed, not on disk.
+    fn admit(
+        &self,
+        key: CacheKey,
+        op_label: String,
+        method: &str,
+        kernel: Arc<CompiledKernel>,
+        spec: Option<&GpuSpec>,
+        provenance: Provenance,
+    ) -> Result<bool, verify::Rejected> {
+        let report = self.verdicts.verify_as(&kernel.etir, spec, provenance);
+        // A `Local` kernel is the single-flight build's own result: the
+        // map holds it already, and must stop holding it if it is illegal.
+        let built_here = provenance == Provenance::Local;
+        if !report.is_legal() {
+            self.stats.record_rejected();
+            if built_here {
+                self.map.remove(&key);
+            }
+            return Err(verify::Rejected(report));
         }
-        let gone: std::collections::HashSet<CacheKey> = evicted.into_iter().collect();
-        self.index.write().retain(|(k, _)| !gone.contains(k));
-        self.methods.write().retain(|k, _| !gone.contains(k));
+        if !built_here {
+            // A later store line supersedes an earlier one (newest wins,
+            // as in `Store::compact`); a peer's copy never does.
+            if provenance != Provenance::Store && self.map.get(&key).is_some() {
+                return Ok(false);
+            }
+            self.map.insert(key, kernel.clone());
+        }
+        let mut banked = self.banked.write();
+        banked.push(Banked {
+            key,
+            method: method.to_string(),
+            etir: kernel.etir.clone(),
+        });
+        let evicted = self.map.drain_evicted();
+        if !evicted.is_empty() {
+            let gone: HashSet<CacheKey> = evicted.into_iter().collect();
+            banked.retain(|b| !gone.contains(&b.key));
+        }
+        drop(banked);
+        // What came from the store is already in it.
+        let store = self.store.as_ref();
+        if let Some(store) = store.filter(|_| provenance != Provenance::Store) {
+            let rec = store::record(key, op_label, method, &kernel);
+            if let Err(e) = store.append(&rec) {
+                obs::log!(
+                    Warn,
+                    "schedcache: could not persist {provenance} {} to {}: {e}",
+                    rec.op_label,
+                    store.path().display()
+                );
+            }
+        }
+        Ok(true)
     }
 
     /// Cached schedules usable as warm-start seeds when compiling `op` on
@@ -299,22 +349,22 @@ impl ScheduleCache {
     /// operator. At most `k`.
     pub fn neighbours(&self, op: &OpSpec, spec: &GpuSpec, k: usize) -> Vec<Etir> {
         let my_gpu = crate::key::gpu_fingerprint(spec);
-        let index = self.index.read();
-        let mut scored: Vec<(f64, &Etir)> = index
+        let banked = self.banked.read();
+        let mut scored: Vec<(f64, &Etir)> = banked
             .iter()
-            .filter(|(key, e)| !(e.op == *op && key.gpu_fp == my_gpu))
-            .filter(|(_, e)| {
-                e.op.class() == op.class()
-                    && e.op.spatial_extents().len() == op.spatial_extents().len()
-                    && e.op.reduce_extents().len() == op.reduce_extents().len()
+            .filter(|b| !(b.etir.op == *op && b.key.gpu_fp == my_gpu))
+            .filter(|b| {
+                b.etir.op.class() == op.class()
+                    && b.etir.op.spatial_extents().len() == op.spatial_extents().len()
+                    && b.etir.op.reduce_extents().len() == op.reduce_extents().len()
             })
-            .map(|(key, e)| {
-                let penalty = if key.gpu_fp == my_gpu {
+            .map(|b| {
+                let penalty = if b.key.gpu_fp == my_gpu {
                     0.0
                 } else {
                     CROSS_DEVICE_PENALTY
                 };
-                (shape_distance(&e.op, op) + penalty, e)
+                (shape_distance(&b.etir.op, op) + penalty, &b.etir)
             })
             .collect();
         scored.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -330,12 +380,11 @@ impl ScheduleCache {
 
     /// Install an externally compiled kernel — the fabric's write-through
     /// and read-repair path, where a kernel built on one daemon is
-    /// replicated into this one. The kernel is statically verified before
-    /// admission (a peer is as untrusted as a disk record); an illegal
-    /// schedule is refused with the typed report and never banked.
-    /// Returns `true` when the kernel was admitted, `false` when the key
-    /// was already resident (the existing entry wins — replicas never
-    /// clobber each other's banked winners).
+    /// replicated into this one. The kernel is statically verified against
+    /// `spec` before admission (a peer is as untrusted as a disk record);
+    /// an illegal schedule is refused with the typed report and never
+    /// banked. Returns `true` when the kernel was admitted, `false` when
+    /// the key was already resident (the existing entry wins).
     pub fn install(
         &self,
         op: &OpSpec,
@@ -343,74 +392,31 @@ impl ScheduleCache {
         method: &str,
         kernel: CompiledKernel,
     ) -> Result<bool, verify::Rejected> {
-        let report = self
-            .verdicts
-            .verify_as(&kernel.etir, Some(spec), Provenance::RemotePeer);
-        if !report.is_legal() {
-            self.stats.record_rejected();
-            return Err(verify::Rejected(report));
-        }
-        let key = CacheKey::new(op, spec, method);
-        if self.map.get(&key).is_some() {
-            return Ok(false);
-        }
-        let kernel = Arc::new(kernel);
-        self.map.insert(key, kernel.clone());
-        self.index.write().push((key, kernel.etir.clone()));
-        self.methods.write().insert(key, method.to_string());
-        self.prune_index();
-        if let Some(store) = &self.store {
-            let rec = store::record(key, op.label(), method, &kernel);
-            if let Err(e) = store.append(&rec) {
-                obs::log!(
-                    Warn,
-                    "schedcache: could not persist replicated {} to {}: {e}",
-                    op.label(),
-                    store.path().display()
-                );
-            }
-        }
-        Ok(true)
+        self.admit(
+            CacheKey::new(op, spec, method),
+            op.label(),
+            method,
+            Arc::new(kernel),
+            Some(spec),
+            Provenance::RemotePeer,
+        )
     }
 
     /// Install a repaired entry by its *raw* key — the anti-entropy path,
     /// where the key travelled with the entry because the receiving side
     /// cannot recompute fingerprints it never saw the specs for. The
     /// kernel is verified structurally (no device spec is reconstructable
-    /// from a raw entry) under the same remote-peer provenance policy as
-    /// [`install`]; an illegal schedule is refused and never banked.
-    /// Returns `true` when admitted, `false` when the key was already
-    /// resident.
-    ///
-    /// [`install`]: ScheduleCache::install
+    /// from a raw entry) under the same remote-peer provenance as
+    /// [`install`](ScheduleCache::install), with the same answers.
     pub fn install_raw(&self, entry: CacheEntry) -> Result<bool, verify::Rejected> {
-        let report = self
-            .verdicts
-            .verify_as(&entry.kernel.etir, None, Provenance::RemotePeer);
-        if !report.is_legal() {
-            self.stats.record_rejected();
-            return Err(verify::Rejected(report));
-        }
-        if self.map.get(&entry.key).is_some() {
-            return Ok(false);
-        }
-        let kernel = Arc::new(entry.kernel);
-        self.map.insert(entry.key, kernel.clone());
-        self.index.write().push((entry.key, kernel.etir.clone()));
-        self.methods.write().insert(entry.key, entry.method.clone());
-        self.prune_index();
-        if let Some(store) = &self.store {
-            let rec = store::record(entry.key, entry.op_label.clone(), &entry.method, &kernel);
-            if let Err(e) = store.append(&rec) {
-                obs::log!(
-                    Warn,
-                    "schedcache: could not persist repaired {} to {}: {e}",
-                    entry.op_label,
-                    store.path().display()
-                );
-            }
-        }
-        Ok(true)
+        self.admit(
+            entry.key,
+            entry.op_label,
+            &entry.method,
+            Arc::new(entry.kernel),
+            None,
+            Provenance::RemotePeer,
+        )
     }
 
     /// The Merkle-ish fingerprint of the resident key set (see
@@ -444,30 +450,40 @@ impl ScheduleCache {
             .collect()
     }
 
-    /// Resident entries for `keys`, in transferable form. Keys not
-    /// resident (or whose method is unknown — impossible through the
-    /// public install paths, but a snapshot race could surface one) are
-    /// skipped, not errors: repair converges over repeated rounds.
+    /// Resident entries for `keys`, in transferable form (admission
+    /// order). Keys not resident are skipped, not errors: repair converges
+    /// over repeated rounds.
     pub fn export(&self, keys: &[CacheKey]) -> Vec<CacheEntry> {
-        let methods = self.methods.read();
-        keys.iter()
-            .filter_map(|key| {
-                let kernel = self.map.get(key)?;
-                let method = methods.get(key)?.clone();
+        let wanted: HashSet<&CacheKey> = keys.iter().collect();
+        let mut seen = HashSet::new();
+        self.banked
+            .read()
+            .iter()
+            .filter(|b| wanted.contains(&b.key) && seen.insert(b.key))
+            .filter_map(|b| {
+                let kernel = self.map.get(&b.key)?;
                 Some(CacheEntry {
-                    key: *key,
+                    key: b.key,
                     op_label: kernel.etir.op.label(),
-                    method,
+                    method: b.method.clone(),
                     kernel: (*kernel).clone(),
                 })
             })
             .collect()
     }
 
-    /// Fetch the kernel for (`op`, `spec`, `method`), running `build` on a
-    /// miss. `build` receives the warm-start seeds ([`neighbours`]) so it
-    /// can race transplanted candidates against fresh construction;
-    /// concurrent identical requests run `build` exactly once.
+    /// The one way out: the kernel for (`op`, `spec`, `method`), running
+    /// `build` on a miss. `build` receives the warm-start seeds
+    /// ([`neighbours`]) so it can race transplanted candidates against
+    /// fresh construction; concurrent identical requests run `build`
+    /// exactly once.
+    ///
+    /// Every answer is proved legal for `spec` before it is handed out —
+    /// a built one by `admit`, a resident one here (a store record or a
+    /// raw repair entry was admitted on structure alone). An illegal
+    /// schedule — a builder bug, a record that does not fit this device —
+    /// is counted ([`StatsSnapshot::verifier_rejected`]) and comes back as
+    /// the typed [`verify::Rejected`] report, never as a kernel.
     ///
     /// [`neighbours`]: ScheduleCache::neighbours
     pub fn get_or_compile<F>(
@@ -476,7 +492,7 @@ impl ScheduleCache {
         spec: &GpuSpec,
         method: &str,
         build: F,
-    ) -> (Arc<CompiledKernel>, Outcome)
+    ) -> Result<(Arc<CompiledKernel>, Outcome), verify::Rejected>
     where
         F: FnOnce(&[Etir]) -> CompiledKernel,
     {
@@ -488,78 +504,37 @@ impl ScheduleCache {
             build(&seeds)
         });
         match outcome {
-            Outcome::Hit => self.stats.record_hit(kernel.total_tuning_s()),
-            Outcome::Coalesced => self.stats.record_coalesced(),
             Outcome::Built => {
                 self.stats.record_miss(kernel.wall_time_s, used_seeds);
-                if self
-                    .verdicts
-                    .verify_as(&kernel.etir, Some(spec), Provenance::Local)
-                    .is_legal()
-                {
-                    self.index.write().push((key, kernel.etir.clone()));
-                    self.methods.write().insert(key, method.to_string());
-                    self.prune_index();
-                    if let Some(store) = &self.store {
-                        let rec = store::record(key, op.label(), method, &kernel);
-                        if let Err(e) = store.append(&rec) {
-                            obs::log!(
-                                Warn,
-                                "schedcache: could not persist {} to {}: {e}",
-                                op.label(),
-                                store.path().display()
-                            );
-                        }
-                    }
+                self.admit(
+                    key,
+                    op.label(),
+                    method,
+                    kernel.clone(),
+                    Some(spec),
+                    Provenance::Local,
+                )?;
+            }
+            Outcome::Hit | Outcome::Coalesced => {
+                if outcome == Outcome::Hit {
+                    self.stats.record_hit(kernel.total_tuning_s());
                 } else {
-                    // A builder that produced an illegal schedule still
-                    // gets its answer back (callers that must never see it
-                    // use `get_or_compile_verified`), but the result is
-                    // not banked: never persisted, never offered as a
-                    // warm-start seed.
+                    self.stats.record_coalesced();
+                }
+                let report = self
+                    .verdicts
+                    .verify_as(&kernel.etir, Some(spec), Provenance::Local);
+                if !report.is_legal() {
                     self.stats.record_rejected();
+                    return Err(verify::Rejected(report));
                 }
             }
         }
-        (kernel, outcome)
-    }
-
-    /// [`get_or_compile`] with the answer statically verified against
-    /// `spec` before it is handed out. An illegal schedule — a corrupted
-    /// persistent record that survived parsing, or a builder bug — is
-    /// counted ([`StatsSnapshot::verifier_rejected`]) and returned as the
-    /// typed [`verify::Rejected`] report instead of being served.
-    ///
-    /// [`get_or_compile`]: ScheduleCache::get_or_compile
-    pub fn get_or_compile_verified<F>(
-        &self,
-        op: &OpSpec,
-        spec: &GpuSpec,
-        method: &str,
-        build: F,
-    ) -> Result<(Arc<CompiledKernel>, Outcome), verify::Rejected>
-    where
-        F: FnOnce(&[Etir]) -> CompiledKernel,
-    {
-        let (kernel, outcome) = self.get_or_compile(op, spec, method, build);
-        let report = self
-            .verdicts
-            .verify_as(&kernel.etir, Some(spec), Provenance::Local);
-        if report.is_legal() {
-            Ok((kernel, outcome))
-        } else {
-            if outcome != Outcome::Built {
-                // Built rejects were already counted at banking time.
-                self.stats.record_rejected();
-            }
-            Err(verify::Rejected(report))
-        }
+        Ok((kernel, outcome))
     }
 }
 
-/// Σ |log2 extent ratios| over spatial + reduce axes — the same metric the
-/// dynamic optimizer uses, local so the cache does not reach into `gensor`
-/// internals.
+/// Σ |log2 extent ratios| over spatial + reduce axes.
 fn shape_distance(a: &OpSpec, b: &OpSpec) -> f64 {
     let dist = |x: &[u64], y: &[u64]| -> f64 {
         x.iter()
@@ -583,6 +558,12 @@ mod tests {
         dir.join(format!("{tag}-{}.jsonl", std::process::id()))
     }
 
+    fn fill(cache: &ScheduleCache, op: &OpSpec, spec: &GpuSpec) -> (Arc<CompiledKernel>, Outcome) {
+        cache
+            .get_or_compile(op, spec, "Gensor", |_| build(op, spec))
+            .expect("the initial state is legal")
+    }
+
     fn build(op: &OpSpec, spec: &GpuSpec) -> CompiledKernel {
         let e = Etir::initial(op.clone(), spec);
         let r = simgpu::simulate(&e, spec).unwrap();
@@ -602,10 +583,12 @@ mod tests {
         let op = OpSpec::gemm(512, 512, 512);
         let builds = AtomicU64::new(0);
         for _ in 0..3 {
-            cache.get_or_compile(&op, &spec, "Gensor", |_| {
-                builds.fetch_add(1, Ordering::SeqCst);
-                build(&op, &spec)
-            });
+            cache
+                .get_or_compile(&op, &spec, "Gensor", |_| {
+                    builds.fetch_add(1, Ordering::SeqCst);
+                    build(&op, &spec)
+                })
+                .unwrap();
         }
         assert_eq!(builds.load(Ordering::SeqCst), 1);
         let s = cache.stats();
@@ -621,7 +604,7 @@ mod tests {
         {
             let cache = ScheduleCache::open(&path).unwrap();
             let op = OpSpec::gemm(512, 256, 512);
-            cache.get_or_compile(&op, &spec, "Gensor", |_| build(&op, &spec));
+            fill(&cache, &op, &spec);
             // Under an enormous threshold: nothing to do.
             assert!(cache.compact_if_larger_than(u64::MAX).unwrap().is_none());
             assert_eq!(cache.stats().compactions, 0);
@@ -654,10 +637,10 @@ mod tests {
         let cache = ScheduleCache::in_memory();
         for m in [256u64, 1024, 4096] {
             let op = OpSpec::gemm(m, 512, 512);
-            cache.get_or_compile(&op, &spec, "Gensor", |_| build(&op, &spec));
+            fill(&cache, &op, &spec);
         }
         let gemv = OpSpec::gemv(4096, 512);
-        cache.get_or_compile(&gemv, &spec, "Gensor", |_| build(&gemv, &spec));
+        fill(&cache, &gemv, &spec);
 
         let n = cache.neighbours(&OpSpec::gemm(1500, 512, 512), &spec, 2);
         assert_eq!(n.len(), 2);
@@ -678,7 +661,7 @@ mod tests {
         let a100 = GpuSpec::a100();
         let cache = ScheduleCache::in_memory();
         let op = OpSpec::gemm(1024, 512, 512);
-        cache.get_or_compile(&op, &rtx, "Gensor", |_| build(&op, &rtx));
+        fill(&cache, &op, &rtx);
 
         // Same shape, new device: the RTX schedule is offered as a seed.
         let seeds = cache.neighbours(&op, &a100, 3);
@@ -690,7 +673,7 @@ mod tests {
         // A nearby same-device neighbour outranks the cross-device
         // transplant, which carries the one-octave penalty.
         let near = OpSpec::gemm(1536, 512, 512);
-        cache.get_or_compile(&near, &a100, "Gensor", |_| build(&near, &a100));
+        fill(&cache, &near, &a100);
         let seeds = cache.neighbours(&op, &a100, 2);
         assert_eq!(seeds[0].op, near, "local neighbour (d≈0.58) first");
         assert_eq!(seeds[1].op, op, "cross-device exact shape (d=0+1.0) next");
@@ -702,14 +685,18 @@ mod tests {
         let a100 = GpuSpec::a100();
         let cache = ScheduleCache::in_memory();
         let op = OpSpec::gemm(512, 512, 512);
-        cache.get_or_compile(&op, &rtx, "Gensor", |seeds| {
-            assert!(seeds.is_empty(), "first device is cold");
-            build(&op, &rtx)
-        });
-        let (_, o) = cache.get_or_compile(&op, &a100, "Gensor", |seeds| {
-            assert_eq!(seeds.len(), 1, "new device is seeded across the fp");
-            build(&op, &a100)
-        });
+        cache
+            .get_or_compile(&op, &rtx, "Gensor", |seeds| {
+                assert!(seeds.is_empty(), "first device is cold");
+                build(&op, &rtx)
+            })
+            .unwrap();
+        let (_, o) = cache
+            .get_or_compile(&op, &a100, "Gensor", |seeds| {
+                assert_eq!(seeds.len(), 1, "new device is seeded across the fp");
+                build(&op, &a100)
+            })
+            .unwrap();
         assert_eq!(o, Outcome::Built);
         assert_eq!(cache.stats().warm_starts, 1);
     }
@@ -722,7 +709,7 @@ mod tests {
         let mut ops = Vec::new();
         for m in 1..=40u64 {
             let op = OpSpec::gemm(8 * m, 64, 64);
-            cache.get_or_compile(&op, &spec, "Gensor", |_| build(&op, &spec));
+            fill(&cache, &op, &spec);
             ops.push(op);
         }
         assert!(
@@ -744,14 +731,18 @@ mod tests {
         let cache = ScheduleCache::in_memory();
         let a = OpSpec::gemm(512, 512, 512);
         let b = OpSpec::gemm(1024, 512, 512);
-        cache.get_or_compile(&a, &spec, "Gensor", |seeds| {
-            assert!(seeds.is_empty(), "first compile is cold");
-            build(&a, &spec)
-        });
-        cache.get_or_compile(&b, &spec, "Gensor", |seeds| {
-            assert_eq!(seeds.len(), 1, "second compile sees the first");
-            build(&b, &spec)
-        });
+        cache
+            .get_or_compile(&a, &spec, "Gensor", |seeds| {
+                assert!(seeds.is_empty(), "first compile is cold");
+                build(&a, &spec)
+            })
+            .unwrap();
+        cache
+            .get_or_compile(&b, &spec, "Gensor", |seeds| {
+                assert_eq!(seeds.len(), 1, "second compile sees the first");
+                build(&b, &spec)
+            })
+            .unwrap();
         let s = cache.stats();
         assert_eq!(s.warm_starts, 1);
         assert_eq!(s.misses, 2);
@@ -765,16 +756,18 @@ mod tests {
         let op = OpSpec::gemm(768, 256, 256);
         let first = {
             let cache = ScheduleCache::open(&path).unwrap();
-            let (k, o) = cache.get_or_compile(&op, &spec, "Gensor", |_| build(&op, &spec));
+            let (k, o) = fill(&cache, &op, &spec);
             assert_eq!(o, Outcome::Built);
             k.etir.clone()
         };
         let cache = ScheduleCache::open(&path).unwrap();
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().loaded_from_disk, 1);
-        let (k, o) = cache.get_or_compile(&op, &spec, "Gensor", |_| {
-            panic!("must not rebuild a persisted schedule")
-        });
+        let (k, o) = cache
+            .get_or_compile(&op, &spec, "Gensor", |_| {
+                panic!("must not rebuild a persisted schedule")
+            })
+            .unwrap();
         assert_eq!(o, Outcome::Hit);
         assert_eq!(k.etir, first);
     }
@@ -788,7 +781,7 @@ mod tests {
         let op = OpSpec::gemm(640, 256, 256);
         {
             let cache = ScheduleCache::open(&path).unwrap();
-            cache.get_or_compile(&op, &spec, "Gensor", |_| build(&op, &spec));
+            fill(&cache, &op, &spec);
             cache.flush().unwrap();
         }
         {
@@ -832,7 +825,7 @@ mod tests {
         // The poisoned entry is never served: the request reruns the
         // construction and the verified path hands back a legal kernel.
         let (k, o) = cache
-            .get_or_compile_verified(&op, &spec, "Gensor", |_| build(&op, &spec))
+            .get_or_compile(&op, &spec, "Gensor", |_| build(&op, &spec))
             .expect("fresh build is legal");
         assert_eq!(o, Outcome::Built);
         assert!(k.etir.vthreads.iter().all(|&v| v > 0));
@@ -844,7 +837,7 @@ mod tests {
         let cache = ScheduleCache::in_memory();
         let op = OpSpec::gemm(256, 256, 256);
         let err = cache
-            .get_or_compile_verified(&op, &spec, "Gensor", |_| {
+            .get_or_compile(&op, &spec, "Gensor", |_| {
                 let mut k = build(&op, &spec);
                 k.etir.reg_tile[0] = 3; // breaks tile divisibility
                 k
@@ -853,10 +846,92 @@ mod tests {
         assert!(err.0.error_count() > 0);
         assert!(err.to_string().contains("rejected"));
         assert_eq!(cache.stats().verifier_rejected, 1);
-        // The reject was never banked as a warm-start seed.
+        // The reject was never banked as a warm-start seed, and does not
+        // stay resident to answer the next request as a hit.
         assert!(cache
             .neighbours(&OpSpec::gemm(320, 256, 256), &spec, 4)
             .is_empty());
+        assert!(cache.peek(&op, &spec, "Gensor").is_none());
+    }
+
+    /// The invariant, not the call sites: whichever way an illegal
+    /// schedule arrives, the caller gets the typed report, exactly one
+    /// reject is counted, and the cache — resident set, digest, neighbour
+    /// seeds, store file — is what it was before.
+    #[test]
+    fn every_way_in_refuses_an_illegal_schedule_and_leaves_no_trace() {
+        let spec = GpuSpec::orin_nano();
+        let path = tmpfile("every-way-in");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(VerdictCache::sidecar(&path));
+        let stored = OpSpec::gemm(4096, 4096, 4096);
+        let key = |op: &OpSpec| CacheKey::new(op, &spec, "Gensor");
+        {
+            // Parses, and is structurally sound, but its tile is far
+            // beyond this device's shared memory.
+            let mut fat = build(&stored, &spec);
+            fat.etir.smem_tile = vec![512, 512];
+            fat.etir.reduce_tile = vec![64];
+            let rec = store::record(key(&stored), stored.label(), "Gensor", &fat);
+            Store::open(&path).append(&rec).unwrap();
+        }
+        let cache = ScheduleCache::open(&path).unwrap();
+        let good = OpSpec::gemm(512, 256, 256);
+        fill(&cache, &good, &spec);
+
+        let probe = OpSpec::gemm(384, 256, 256);
+        let illegal = |op: &OpSpec| {
+            let mut k = build(op, &spec);
+            k.etir.reg_tile[0] = 3; // breaks tile divisibility
+            k
+        };
+        let (a, b, c) = (
+            OpSpec::gemm(256, 256, 256),
+            OpSpec::gemm(192, 192, 192),
+            OpSpec::gemm(128, 128, 128),
+        );
+        let state = || {
+            (
+                cache.len(),
+                cache.digest(),
+                cache.neighbours(&probe, &spec, usize::MAX),
+                std::fs::read(&path).unwrap(),
+            )
+        };
+        let refused = |way: &str, enter: &dyn Fn() -> Result<bool, verify::Rejected>| {
+            let (rejected, before) = (cache.stats().verifier_rejected, state());
+            let err = enter().expect_err(way);
+            assert!(err.0.error_count() > 0, "{way}: typed report");
+            assert_eq!(
+                cache.stats().verifier_rejected,
+                rejected + 1,
+                "{way}: exactly one reject counted"
+            );
+            assert!(state() == before, "{way}: cache changed");
+        };
+        refused("store record", &|| {
+            cache
+                .get_or_compile(&stored, &spec, "Gensor", |_| panic!("record is resident"))
+                .map(|_| true)
+        });
+        refused("install", &|| {
+            cache.install(&a, &spec, "Gensor", illegal(&a))
+        });
+        refused("install_raw", &|| {
+            cache.install_raw(CacheEntry {
+                key: key(&b),
+                op_label: b.label(),
+                method: "Gensor".into(),
+                kernel: illegal(&b),
+            })
+        });
+        refused("builder", &|| {
+            cache
+                .get_or_compile(&c, &spec, "Gensor", |_| illegal(&c))
+                .map(|_| true)
+        });
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(VerdictCache::sidecar(&path));
     }
 
     #[test]
@@ -877,9 +952,11 @@ mod tests {
             .unwrap();
         assert!(!again);
         // The installed kernel answers as a hit, not a rebuild.
-        let (_, o) = cache.get_or_compile(&op, &spec, "Gensor", |_| {
-            panic!("installed kernel must hit")
-        });
+        let (_, o) = cache
+            .get_or_compile(&op, &spec, "Gensor", |_| {
+                panic!("installed kernel must hit")
+            })
+            .unwrap();
         assert_eq!(o, Outcome::Hit);
     }
 
@@ -913,7 +990,7 @@ mod tests {
             .map(|&m| OpSpec::gemm(m, 256, 256))
             .collect();
         for op in &ops {
-            a.get_or_compile(op, &spec, "Gensor", |_| build(op, &spec));
+            fill(&a, op, &spec);
         }
         let da = a.digest();
         assert_eq!(da.count, 3);
@@ -938,8 +1015,9 @@ mod tests {
         assert_eq!(a.digest(), b.digest(), "repair converges to equality");
         // The repaired entries answer as hits and survive re-export.
         for op in &ops {
-            let (_, o) =
-                b.get_or_compile(op, &spec, "Gensor", |_| panic!("repaired entry must hit"));
+            let (_, o) = b
+                .get_or_compile(op, &spec, "Gensor", |_| panic!("repaired entry must hit"))
+                .unwrap();
             assert_eq!(o, Outcome::Hit);
         }
         // A second raw install of the same entries is a no-op.
@@ -976,10 +1054,12 @@ mod tests {
         let op = OpSpec::gemm(512, 512, 512);
         let builds = AtomicU64::new(0);
         for method in ["Gensor", "Roller"] {
-            cache.get_or_compile(&op, &spec, method, |_| {
-                builds.fetch_add(1, Ordering::SeqCst);
-                build(&op, &spec)
-            });
+            cache
+                .get_or_compile(&op, &spec, method, |_| {
+                    builds.fetch_add(1, Ordering::SeqCst);
+                    build(&op, &spec)
+                })
+                .unwrap();
         }
         assert_eq!(builds.load(Ordering::SeqCst), 2);
         assert_eq!(cache.len(), 2);

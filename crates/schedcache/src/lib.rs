@@ -1,5 +1,4 @@
-//! `schedcache` — persistent schedule cache + concurrent compilation
-//! service.
+//! `schedcache` — the persistent, concurrent schedule cache.
 //!
 //! Construction-based compilation (the paper's contribution) already cuts
 //! tuning from hours to seconds; this crate removes the *re*-tuning cost
@@ -19,21 +18,19 @@
 //! * [`tuner`] — [`CachedTuner`], a drop-in [`simgpu::Tuner`] adapter so
 //!   every existing pipeline (`compile_model`, dynamic shapes, timelines)
 //!   gains caching without signature changes.
-//! * [`service`] — [`CompileService`], a worker pool that precompiles
-//!   whole model graphs through the cache.
 //! * [`stats`] — hit/miss/dedup/warm-start counters and compile-latency
 //!   percentiles for the `gensor cache` CLI.
 //!
-//! Every schedule that crosses a trust boundary is statically verified
-//! (`verify` crate): persistent records are checked at load, construction
-//! winners are re-proved before they are banked or offered as warm-start
-//! seeds, and the `*_verified` entry points return the typed [`Rejected`]
+//! Every schedule is statically verified (`verify` crate) on the way in
+//! and on the way out: store records, peer installs and construction
+//! winners all pass the cache's one admission function before they are
+//! resident, offered as warm-start seeds or persisted, and
+//! [`ScheduleCache::get_or_compile`] returns the typed [`Rejected`]
 //! report instead of ever serving an illegal schedule.
 
 pub mod cache;
 pub mod key;
 pub mod map;
-pub mod service;
 pub mod sidecar;
 pub mod stats;
 pub mod store;
@@ -42,7 +39,6 @@ pub mod tuner;
 pub use cache::{CacheDigest, CacheEntry, ScheduleCache, CROSS_DEVICE_PENALTY, DIGEST_SHARDS};
 pub use key::{CacheKey, FORMAT_VERSION, POLICY_EPOCH};
 pub use map::Outcome;
-pub use service::{CompileService, ServiceReport};
 pub use sidecar::{learned_dataset_sidecar, learned_model_sidecar};
 pub use stats::StatsSnapshot;
 pub use store::{CacheRecord, CompactReport, LoadReport, Store};

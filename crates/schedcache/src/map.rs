@@ -192,7 +192,16 @@ impl ShardedMap {
         }
     }
 
-    /// Insert a pre-built kernel (used when seeding from disk).
+    /// Drop a resident entry — the owner refused to bank what a build
+    /// returned. Not an eviction: nothing is counted or queued.
+    pub fn remove(&self, key: &CacheKey) {
+        let mut shard = self.shard(key).write();
+        if matches!(shard.get(key), Some(Slot::Ready(_))) {
+            shard.remove(key);
+        }
+    }
+
+    /// Insert a pre-built kernel (store load, fabric install).
     pub fn insert(&self, key: CacheKey, kernel: Arc<CompiledKernel>) {
         let ready = Ready {
             kernel,

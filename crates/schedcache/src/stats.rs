@@ -2,14 +2,15 @@
 //!
 //! Every interesting event — hit, miss, dedup-collapse, warm start, disk
 //! load, corrupt line — is counted, and every *actual* construction's wall
-//! time is recorded so `snapshot()` can report p50/p90/p99 compile latency
-//! alongside the tuning seconds that hits avoided.
+//! time lands in a fixed-bucket [`obs::Histogram`] (no per-sample storage,
+//! however long the daemon lives) so `snapshot()` can report p50/p90/p99
+//! compile latency alongside the tuning seconds that hits avoided.
 
 use crate::store::LoadReport;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-#[derive(Default)]
+#[derive(Default, Clone, Copy)]
 struct Inner {
     hits: u64,
     misses: u64,
@@ -22,13 +23,14 @@ struct Inner {
     verifier_rejected: u64,
     compactions: u64,
     saved_tuning_s: f64,
-    compile_latencies_s: Vec<f64>,
 }
 
 /// Thread-safe event counters for one cache.
 #[derive(Default)]
 pub struct Stats {
     inner: Mutex<Inner>,
+    /// Wall time of every construction run (one observation per miss).
+    compile_us: obs::Histogram,
 }
 
 /// Point-in-time view of the counters, serializable for `gensor cache`.
@@ -70,9 +72,10 @@ pub struct StatsSnapshot {
     pub compactions: u64,
     /// Tuning seconds that hits avoided re-spending.
     pub saved_tuning_s: f64,
-    /// Constructions actually run (length of the latency sample).
+    /// Constructions actually run (size of the latency sample).
     pub compiles: u64,
-    /// Median construction wall time, seconds.
+    /// Median construction wall time, seconds (upper bound of the
+    /// containing [`obs::Histogram`] bucket, like the two below).
     pub compile_p50_s: f64,
     /// 90th-percentile construction wall time, seconds.
     pub compile_p90_s: f64,
@@ -101,17 +104,18 @@ impl Stats {
                 "Misses seeded from cached neighbour schedules"
             );
         }
+        let latency_us = (latency_s * 1e6) as u64;
         obs::histogram_record_us!(
             "gensor_cache_compile_us",
             "Construction wall time on cache misses",
-            (latency_s * 1e6) as u64
+            latency_us
         );
+        self.compile_us.record_us(latency_us);
         let mut g = self.inner.lock();
         g.misses += 1;
         if warm {
             g.warm_starts += 1;
         }
-        g.compile_latencies_s.push(latency_s);
     }
 
     /// Count a request collapsed onto another thread's in-flight build.
@@ -161,15 +165,7 @@ impl Stats {
     /// Current counters and latency percentiles.
     pub fn snapshot(&self) -> StatsSnapshot {
         let g = self.inner.lock();
-        let mut lat = g.compile_latencies_s.clone();
-        lat.sort_by(|a, b| a.total_cmp(b));
-        let pct = |p: f64| -> f64 {
-            if lat.is_empty() {
-                return 0.0;
-            }
-            let idx = (p * (lat.len() - 1) as f64).round() as usize;
-            lat[idx.min(lat.len() - 1)]
-        };
+        let pct = |q: f64| self.compile_us.quantile_us(q) as f64 / 1e6;
         StatsSnapshot {
             hits: g.hits,
             misses: g.misses,
@@ -185,7 +181,7 @@ impl Stats {
             verdict_misses: 0,
             compactions: g.compactions,
             saved_tuning_s: g.saved_tuning_s,
-            compiles: lat.len() as u64,
+            compiles: self.compile_us.count(),
             compile_p50_s: pct(0.50),
             compile_p90_s: pct(0.90),
             compile_p99_s: pct(0.99),
@@ -230,14 +226,30 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_come_from_the_sorted_sample() {
+    fn percentiles_are_the_containing_buckets_upper_bound() {
         let s = Stats::default();
         for latency in [0.5, 0.1, 0.3, 0.2, 0.4] {
             s.record_miss(latency, false);
         }
         let snap = s.snapshot();
-        assert_eq!(snap.compile_p50_s, 0.3);
+        assert_eq!(snap.compile_p50_s, 0.5, "0.3 s lands in the ≤500 ms bucket");
         assert_eq!(snap.compile_p99_s, 0.5);
+    }
+
+    #[test]
+    fn a_long_lived_cache_holds_no_per_sample_storage() {
+        // Beside the fixed-bucket histogram, everything `Stats` owns is
+        // `Copy` — plain counters, nothing that can grow with the sample.
+        fn plain_counters<T: Copy>() {}
+        plain_counters::<Inner>();
+        let s = Stats::default();
+        for i in 0..100_000u64 {
+            s.record_miss((i % 1000) as f64 * 1e-5, false);
+        }
+        let snap = s.snapshot();
+        assert_eq!((snap.misses, snap.compiles), (100_000, 100_000));
+        assert_eq!(snap.compile_p50_s, 0.005, "median 5 ms: the ≤5 ms bucket");
+        assert_eq!(snap.compile_p99_s, 0.01);
     }
 
     #[test]

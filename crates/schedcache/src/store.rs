@@ -31,6 +31,7 @@ use simgpu::KernelReport;
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One persisted compilation result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -381,11 +382,19 @@ impl Store {
 /// tmp file in the same directory and is fsynced, the tmp file is renamed
 /// over `path`, and the parent directory is fsynced so the rename itself
 /// survives a crash. On any failure `path` is untouched and the tmp file
-/// is removed. The one rewrite every framed log in the tree uses (store
-/// compaction here, the fabric's hint spool); the `store.rename`
-/// failpoint sits between the fsync and the rename.
+/// is removed. The tmp name is unique per call (pid + a process-wide
+/// counter), so concurrent rewrites of one path — two threads, two
+/// processes — each rename a file only they wrote. The one rewrite every
+/// framed log in the tree uses (store compaction here, the fabric's hint
+/// spool); the `store.rename` failpoint sits between the fsync and the
+/// rename.
 pub fn replace_file(path: &Path, body: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension(format!("compact-tmp.{}", std::process::id()));
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let tmp = path.with_extension(format!(
+        "compact-tmp.{}.{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     let renamed = std::fs::File::create(&tmp)
         .and_then(|mut f| {
             f.write_all(body)?;

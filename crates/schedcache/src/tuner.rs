@@ -38,8 +38,8 @@ impl<'a> CachedTuner<'a> {
     }
 
     /// Cache a Gensor instance, warm-starting new shapes with a
-    /// quarter-chain construction seeded by cached neighbours (the
-    /// `DynamicOptimizer` recipe, now backed by the shared cache).
+    /// quarter-chain construction seeded by cached neighbours — the
+    /// paper's §VII dynamic optimizing system.
     pub fn for_gensor(inner: &'a Gensor, cache: Arc<ScheduleCache>) -> Self {
         let warm_cfg = GensorConfig {
             chains: (inner.cfg.chains / 4).max(1),
@@ -66,29 +66,10 @@ impl<'a> CachedTuner<'a> {
         &self.cache
     }
 
-    /// Compile and also report how the cache answered.
-    pub fn compile_with_outcome(&self, op: &OpSpec, spec: &GpuSpec) -> (CompiledKernel, Outcome) {
-        let (kernel, outcome) = self
-            .cache
-            .get_or_compile(op, spec, self.inner.name(), |seeds| {
-                construct(self.inner, self.warm.as_ref(), seeds, op, spec)
-            });
-        let mut k = (*kernel).clone();
-        if outcome != Outcome::Built {
-            // A cached answer costs nothing: no wall time, no simulated
-            // measurement clock.
-            k.wall_time_s = 0.0;
-            k.simulated_tuning_s = 0.0;
-        }
-        (k, outcome)
-    }
-
-    /// [`compile_with_outcome`] through the cache's verified path: the
-    /// answer is statically proved legal for `spec` before it is returned,
-    /// and an illegal schedule comes back as the typed
-    /// [`verify::Rejected`] report instead of a kernel.
-    ///
-    /// [`compile_with_outcome`]: CachedTuner::compile_with_outcome
+    /// Compile through the cache and report how it answered. The answer
+    /// is statically proved legal for `spec` before it is returned; an
+    /// illegal schedule comes back as the typed [`verify::Rejected`]
+    /// report instead of a kernel, and is not kept.
     pub fn compile_verified(
         &self,
         op: &OpSpec,
@@ -96,11 +77,13 @@ impl<'a> CachedTuner<'a> {
     ) -> Result<(CompiledKernel, Outcome), verify::Rejected> {
         let (kernel, outcome) =
             self.cache
-                .get_or_compile_verified(op, spec, self.inner.name(), |seeds| {
+                .get_or_compile(op, spec, self.inner.name(), |seeds| {
                     construct(self.inner, self.warm.as_ref(), seeds, op, spec)
                 })?;
         let mut k = (*kernel).clone();
         if outcome != Outcome::Built {
+            // A cached answer costs nothing: no wall time, no simulated
+            // measurement clock.
             k.wall_time_s = 0.0;
             k.simulated_tuning_s = 0.0;
         }
@@ -110,8 +93,8 @@ impl<'a> CachedTuner<'a> {
 
 /// One construction: the wrapped method, or — given seeds and a warm
 /// tuner — transplanted neighbour schedules raced against a reduced-budget
-/// run (shared by [`CachedTuner`] and the precompile service).
-pub(crate) fn construct(
+/// run.
+fn construct(
     inner: &dyn Tuner,
     warm: Option<&Gensor>,
     seeds: &[Etir],
@@ -146,8 +129,17 @@ impl Tuner for CachedTuner<'_> {
         self.inner.name()
     }
 
+    /// [`compile_verified`](CachedTuner::compile_verified); a refused
+    /// schedule is logged and answered with what the caller would have
+    /// had with no cache — the wrapped method, uncached.
     fn compile(&self, op: &OpSpec, spec: &GpuSpec) -> CompiledKernel {
-        self.compile_with_outcome(op, spec).0
+        match self.compile_verified(op, spec) {
+            Ok((kernel, _)) => kernel,
+            Err(rejected) => {
+                obs::log!(Warn, "schedcache: {rejected}; compiling uncached");
+                self.inner.compile(op, spec)
+            }
+        }
     }
 
     fn fuses_elementwise(&self) -> bool {
@@ -166,8 +158,8 @@ mod tests {
         let cache = Arc::new(ScheduleCache::in_memory());
         let tuner = CachedTuner::for_gensor(&gensor, cache.clone());
         let op = OpSpec::gemm(1024, 512, 512);
-        let (a, oa) = tuner.compile_with_outcome(&op, &spec);
-        let (b, ob) = tuner.compile_with_outcome(&op, &spec);
+        let (a, oa) = tuner.compile_verified(&op, &spec).unwrap();
+        let (b, ob) = tuner.compile_verified(&op, &spec).unwrap();
         assert_eq!(oa, Outcome::Built);
         assert_eq!(ob, Outcome::Hit);
         assert_eq!(a.etir, b.etir);

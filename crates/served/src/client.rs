@@ -287,23 +287,6 @@ impl Client {
         }
     }
 
-    /// Precompile a zoo model on the daemon; returns the raw reply
-    /// (`BatchDone` on success).
-    pub fn batch(
-        &mut self,
-        model: &str,
-        batch: u64,
-        gpu: &GpuSpec,
-        method: &str,
-    ) -> Result<Response, ClientError> {
-        self.request(&Request::Batch {
-            model: model.to_string(),
-            batch,
-            gpu: gpu.clone(),
-            method: method.to_string(),
-        })
-    }
-
     /// Install an already-compiled kernel into the daemon's cache — the
     /// fabric's write-through / read-repair frame. Returns whether the
     /// daemon admitted it fresh (`false`: the key was already resident).

@@ -1,78 +1,17 @@
-//! Server-side observability: request counters and a fixed-bucket
-//! request-latency histogram.
+//! Server-side observability: request counters and request-latency
+//! histograms.
 //!
-//! The histogram trades exactness for a wait-free hot path: recording a
-//! latency is one atomic increment into a log-spaced bucket, and
-//! percentiles are answered from the bucket counts (reported as the upper
-//! bound of the bucket containing the quantile — an over-estimate by at
-//! most one bucket width, which is what you want from an SLO number).
+//! The histograms are [`obs::Histogram`]s — wait-free fixed log-spaced
+//! buckets, percentiles reported as the upper bound of the bucket
+//! containing the quantile (an over-estimate by at most one bucket width,
+//! which is what you want from an SLO number).
 
 use crate::proto::WireOutcome;
+use obs::Histogram;
 use schedcache::StatsSnapshot;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Bucket upper bounds, microseconds (log-spaced ~2.5×); an implicit
-/// overflow bucket catches everything slower than 10 s.
-const BUCKET_BOUNDS_US: [u64; 17] = [
-    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
-    1_000_000, 2_500_000, 5_000_000, 10_000_000,
-];
-
-/// Wait-free fixed-bucket latency histogram.
-pub struct Histogram {
-    counts: [AtomicU64; BUCKET_BOUNDS_US.len() + 1],
-    total: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            total: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Histogram {
-    /// Record one observation.
-    pub fn record_us(&self, us: u64) {
-        let idx = BUCKET_BOUNDS_US
-            .iter()
-            .position(|&b| us <= b)
-            .unwrap_or(BUCKET_BOUNDS_US.len());
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Upper bound (µs) of the bucket containing quantile `q` ∈ [0, 1];
-    /// 0 when nothing was recorded. The overflow bucket reports 2× the
-    /// last bound.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        let total = self.total.load(Ordering::Relaxed);
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0;
-        for (i, c) in self.counts.iter().enumerate() {
-            seen += c.load(Ordering::Relaxed);
-            if seen >= rank {
-                return BUCKET_BOUNDS_US
-                    .get(i)
-                    .copied()
-                    .unwrap_or(2 * BUCKET_BOUNDS_US[BUCKET_BOUNDS_US.len() - 1]);
-            }
-        }
-        2 * BUCKET_BOUNDS_US[BUCKET_BOUNDS_US.len() - 1]
-    }
-
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-}
 
 /// Live counters for one server instance.
 #[derive(Default)]
@@ -80,7 +19,6 @@ pub struct Metrics {
     pub connections: AtomicU64,
     pub requests: AtomicU64,
     pub compiles: AtomicU64,
-    pub batches: AtomicU64,
     pub hits: AtomicU64,
     pub misses: AtomicU64,
     pub coalesced: AtomicU64,
@@ -135,7 +73,6 @@ impl Metrics {
             connections: load(&self.connections),
             requests: load(&self.requests),
             compiles: load(&self.compiles),
-            batches: load(&self.batches),
             hits: load(&self.hits),
             misses: load(&self.misses),
             coalesced: load(&self.coalesced),
@@ -169,8 +106,6 @@ pub struct ServeStats {
     pub requests: u64,
     /// Compile requests answered (admitted, not shed).
     pub compiles: u64,
-    /// Batch precompile requests answered.
-    pub batches: u64,
     /// Compiles answered from the resident cache.
     pub hits: u64,
     /// Compiles that ran a construction.
@@ -214,32 +149,6 @@ pub struct ServeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_percentiles_land_in_the_right_bucket() {
-        let h = Histogram::default();
-        for _ in 0..98 {
-            h.record_us(80); // ≤ 100 bucket
-        }
-        h.record_us(40_000); // ≤ 50 ms bucket
-        h.record_us(20_000_000); // overflow
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.quantile_us(0.50), 100);
-        assert_eq!(h.quantile_us(0.98), 100);
-        assert_eq!(h.quantile_us(0.99), 50_000);
-        assert_eq!(
-            h.quantile_us(1.0),
-            20_000_000,
-            "overflow reports 2× last bound"
-        );
-    }
-
-    #[test]
-    fn empty_histogram_reports_zero() {
-        let h = Histogram::default();
-        assert_eq!(h.quantile_us(0.5), 0);
-        assert_eq!(h.count(), 0);
-    }
 
     #[test]
     fn compile_outcomes_split_into_the_right_counters() {

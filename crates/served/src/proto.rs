@@ -32,7 +32,7 @@ use tensor_expr::OpSpec;
 /// Protocol version; bumped on any frame change. The handshake accepts
 /// exactly this version: the server refuses any other `Hello` with
 /// [`ErrKind::UnsupportedProto`], the client rejects any other echo.
-pub const PROTO_VERSION: u32 = 7;
+pub const PROTO_VERSION: u32 = 8;
 
 /// Upper bound on one frame's JSON payload (32 MiB — far above any real
 /// schedule, far below an allocation-of-death).
@@ -63,13 +63,6 @@ pub enum Request {
         gpu: GpuSpec,
         method: String,
         budget: Option<u32>,
-    },
-    /// Precompile every unique operator of a model-zoo graph.
-    Batch {
-        model: String,
-        batch: u64,
-        gpu: GpuSpec,
-        method: String,
     },
     /// Install an already-compiled kernel into this daemon's cache — the
     /// fabric's write-through and read-repair path. The kernel is
@@ -160,17 +153,6 @@ pub enum Response {
     Compiled {
         outcome: WireOutcome,
         kernel: WireKernel,
-    },
-    /// Reply to [`Request::Batch`]. `failed` counts jobs whose compile
-    /// panicked and was failed individually; the rest of the batch is
-    /// unaffected.
-    BatchDone {
-        requested: u64,
-        built: u64,
-        hits: u64,
-        coalesced: u64,
-        failed: u64,
-        wall_s: f64,
     },
     /// Reply to [`Request::Put`]. `installed` is `true` when the kernel
     /// was admitted fresh, `false` when the key was already resident (the
@@ -267,8 +249,6 @@ pub enum ErrKind {
     Malformed,
     /// No such tuning method registered.
     UnknownMethod,
-    /// No such model in the zoo.
-    UnknownModel,
     /// The request was admitted but missed its deadline.
     DeadlineExceeded,
     /// The compiled schedule failed static verification and was refused —

@@ -43,7 +43,7 @@ use crate::proto::{
 };
 use gensor::{Gensor, GensorConfig};
 use hardware::GpuSpec;
-use schedcache::{CachedTuner, CompileService, ScheduleCache};
+use schedcache::{CachedTuner, ScheduleCache};
 use simgpu::Tuner;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -75,7 +75,7 @@ pub struct ServerConfig {
     pub crash_site: Option<String>,
     /// Compile worker threads.
     pub workers: usize,
-    /// Max outstanding (queued + running) compile/batch jobs; beyond this
+    /// Max outstanding (queued + running) compile jobs; beyond this
     /// the server sheds with `Busy`.
     pub max_inflight: usize,
     /// Per-request compile deadline.
@@ -361,102 +361,44 @@ impl Shared {
         method: &str,
         budget: Option<u32>,
     ) -> Result<(simgpu::CompiledKernel, WireOutcome), (ErrKind, String)> {
-        let built = match self.registry.get(method) {
-            None => Err((
+        let Some(entry) = self.registry.get(method) else {
+            return Err((
                 ErrKind::UnknownMethod,
                 format!("no method '{method}' registered"),
-            )),
-            Some(Method::Gensor(cfg)) => {
+            ));
+        };
+        let primary;
+        let tuner = match entry {
+            Method::Gensor(cfg) => {
                 let mut cfg = cfg.clone();
                 if let Some(b) = budget {
                     cfg.chains = (b as usize).max(1);
                 }
-                let primary = Gensor::with_config(cfg);
-                let tuner = CachedTuner::for_gensor(&primary, self.cache.clone());
-                // The verified path: a schedule that fails static
-                // analysis (corrupted store record, builder bug) is a
-                // typed error on the wire, never a served kernel.
-                match tuner.compile_verified(op, gpu) {
-                    Ok((k, o)) => Ok((k, o.into())),
-                    Err(rej) => Err((ErrKind::Rejected, rej.to_string())),
-                }
+                primary = Gensor::with_config(cfg);
+                CachedTuner::for_gensor(&primary, self.cache.clone())
             }
-            Some(Method::Other(t)) => {
-                let tuner = CachedTuner::new(t.as_ref(), self.cache.clone());
-                match tuner.compile_verified(op, gpu) {
-                    Ok((k, o)) => Ok((k, o.into())),
-                    Err(rej) => Err((ErrKind::Rejected, rej.to_string())),
-                }
-            }
+            Method::Other(t) => CachedTuner::new(t.as_ref(), self.cache.clone()),
         };
-        match built {
-            // Chaos hook: corrupt the *outgoing* schedule after the
-            // daemon's own verify gate passed it — the wire frame stays
-            // well-formed, so only a receiver that re-verifies content
-            // (the fabric trust boundary) can catch it.
-            Ok((mut kernel, outcome))
-                if faults::armed() && faults::check("served.reply.tamper").is_some() =>
-            {
-                obs::log!(
-                    Warn,
-                    "serve: failpoint 'served.reply.tamper' fired: corrupting outgoing schedule"
-                );
-                if let Some(v) = kernel.etir.vthreads.first_mut() {
-                    *v = 0;
-                }
-                Ok((kernel, outcome))
+        // A schedule that fails static analysis (a store record that does
+        // not fit this device, a builder bug) is a typed error on the
+        // wire, never a served kernel.
+        let (mut kernel, outcome) = tuner
+            .compile_verified(op, gpu)
+            .map_err(|rej| (ErrKind::Rejected, rej.to_string()))?;
+        // Chaos hook: corrupt the *outgoing* schedule after the daemon's
+        // own verify gate passed it — the wire frame stays well-formed, so
+        // only a receiver that re-verifies content (the fabric trust
+        // boundary) can catch it.
+        if faults::armed() && faults::check("served.reply.tamper").is_some() {
+            obs::log!(
+                Warn,
+                "serve: failpoint 'served.reply.tamper' fired: corrupting outgoing schedule"
+            );
+            if let Some(v) = kernel.etir.vthreads.first_mut() {
+                *v = 0;
             }
-            other => other,
         }
-    }
-
-    /// Precompile a zoo model's unique operators through the shared cache.
-    fn batch(&self, model: &str, batch: u64, gpu: &GpuSpec, method: &str) -> Response {
-        let graph = match model.to_ascii_lowercase().as_str() {
-            "resnet50" => models::zoo::resnet50(batch),
-            "resnet34" => models::zoo::resnet34(batch),
-            "mobilenetv2" | "mobilenet" => models::zoo::mobilenet_v2(batch),
-            "bert" | "bert-small" => models::zoo::bert_small(batch, 128),
-            "gpt2" => models::zoo::gpt2(batch, 1024),
-            other => {
-                return Response::Error {
-                    kind: ErrKind::UnknownModel,
-                    message: format!("no model '{other}' in the zoo"),
-                }
-            }
-        };
-        // `precompile` fans out internally; half the pool keeps two
-        // concurrent batches from oversubscribing the host.
-        let fanout = (std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            / 2)
-        .max(1);
-        let report = match self.registry.get(method) {
-            None => {
-                return Response::Error {
-                    kind: ErrKind::UnknownMethod,
-                    message: format!("no method '{method}' registered"),
-                }
-            }
-            Some(Method::Gensor(cfg)) => {
-                let primary = Gensor::with_config(cfg.clone());
-                let tuner = CachedTuner::for_gensor(&primary, self.cache.clone());
-                CompileService::with_workers(fanout).precompile(&tuner, &[&graph], gpu)
-            }
-            Some(Method::Other(t)) => {
-                let tuner = CachedTuner::new(t.as_ref(), self.cache.clone());
-                CompileService::with_workers(fanout).precompile(&tuner, &[&graph], gpu)
-            }
-        };
-        Response::BatchDone {
-            requested: report.requested as u64,
-            built: report.built as u64,
-            hits: report.hits as u64,
-            coalesced: report.coalesced as u64,
-            failed: report.failed as u64,
-            wall_s: report.wall_s,
-        }
+        Ok((kernel, outcome.into()))
     }
 }
 
@@ -783,30 +725,6 @@ fn process_job(shared: &Shared, job: &Job, waited: Duration) -> Response {
                 Err((kind, message)) => Response::Error { kind, message },
             }
         }
-        Request::Batch {
-            model,
-            batch,
-            gpu,
-            method,
-        } => {
-            let _sp = obs::span!(
-                "serve.request",
-                kind = "batch",
-                method = method.as_str(),
-                model = model.as_str(),
-                trace = job.trace.0,
-                parent = job.trace.1
-            );
-            let r = shared.batch(model, *batch, gpu, method);
-            if matches!(r, Response::BatchDone { .. }) {
-                shared.metrics.batches.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .metrics
-                    .latency
-                    .record_us(job.accepted.elapsed().as_micros() as u64);
-            }
-            r
-        }
         other => Response::Error {
             kind: ErrKind::Internal,
             message: format!("non-work frame reached the pool: {other:?}"),
@@ -1128,7 +1046,7 @@ fn handle_connection(stream: Stream, shared: &Shared, tx: &mpsc::Sender<Job>, cf
                 let _ = server_write(&mut stream, &Response::ShuttingDown);
                 return;
             }
-            work @ (Request::Compile { .. } | Request::Batch { .. }) => {
+            work @ Request::Compile { .. } => {
                 if shared.draining(cfg.handle_signals) {
                     Response::ShuttingDown
                 } else {

@@ -332,11 +332,11 @@ fn append_fault_never_fails_a_compile() {
         let cache = Arc::new(ScheduleCache::open(&path).unwrap());
         let tuner = CachedTuner::new(&inner, cache);
         faults::arm("store.append", faults::Policy::ErrNth(1));
-        let (_k, o) = tuner.compile_with_outcome(&op1, &spec);
+        let (_k, o) = tuner.compile_verified(&op1, &spec).unwrap();
         assert_eq!(o, Outcome::Built, "a dead store must not fail the build");
         assert_eq!(faults::hits("store.append"), 1);
         faults::disarm("store.append");
-        let (_k, o) = tuner.compile_with_outcome(&op2, &spec);
+        let (_k, o) = tuner.compile_verified(&op2, &spec).unwrap();
         assert_eq!(o, Outcome::Built);
     }
     // Restart: only op2 survived — op1's record died on the failpoint.
@@ -394,9 +394,16 @@ fn failed_compaction_rename_leaves_the_store_intact() {
         .expect_err("the rename failpoint must abort the pass");
     let (recs, _) = store.load().unwrap();
     assert_eq!(recs.len(), 2, "aborted compaction leaves the file alone");
-    let tmp = path.with_extension(format!("compact-tmp.{}", std::process::id()));
+    let tmp_prefix = path.with_extension("compact-tmp");
+    let tmp_prefix = tmp_prefix.file_name().unwrap().to_string_lossy();
     assert!(
-        !tmp.exists(),
+        std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .all(|e| !e
+                .unwrap()
+                .file_name()
+                .to_string_lossy()
+                .starts_with(&*tmp_prefix)),
         "failed compaction must clean up its tmp file"
     );
 
@@ -473,11 +480,11 @@ fn builder_panic_does_not_wedge_the_flight() {
     let tuner = CachedTuner::new(&inner, cache);
 
     faults::arm("map.build", faults::Policy::ErrNth(1));
-    let r = catch_unwind(AssertUnwindSafe(|| tuner.compile_with_outcome(&op, &spec)));
+    let r = catch_unwind(AssertUnwindSafe(|| tuner.compile_verified(&op, &spec)));
     assert!(r.is_err(), "the armed builder must panic");
 
     // Same key, same cache: the aborted flight was cleaned up.
-    let (_k, o) = tuner.compile_with_outcome(&op, &spec);
+    let (_k, o) = tuner.compile_verified(&op, &spec).unwrap();
     assert_eq!(o, Outcome::Built);
     assert_eq!(builds.load(Ordering::SeqCst), 1);
 }

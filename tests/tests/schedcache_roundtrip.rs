@@ -200,7 +200,7 @@ fn n_concurrent_identical_requests_run_one_construction() {
                 let tuner = &tuner;
                 let op = &op;
                 let spec = &spec;
-                s.spawn(move |_| tuner.compile_with_outcome(op, spec).1)
+                s.spawn(move |_| tuner.compile_verified(op, spec).unwrap().1)
             })
             .collect();
         handles
@@ -270,7 +270,7 @@ fn cache_persists_schedules_across_reopen() {
         };
         let cache = Arc::new(ScheduleCache::open(&path).unwrap());
         let tuner = CachedTuner::new(&inner, cache);
-        let (k, o) = tuner.compile_with_outcome(&op, &spec);
+        let (k, o) = tuner.compile_verified(&op, &spec).unwrap();
         assert_eq!(o, Outcome::Built);
         first_etir = k.etir;
     }
@@ -282,7 +282,7 @@ fn cache_persists_schedules_across_reopen() {
     let cache = Arc::new(ScheduleCache::open(&path).unwrap());
     assert_eq!(cache.stats().loaded_from_disk, 1);
     let tuner = CachedTuner::new(&inner, cache);
-    let (k, o) = tuner.compile_with_outcome(&op, &spec);
+    let (k, o) = tuner.compile_verified(&op, &spec).unwrap();
     assert_eq!(o, Outcome::Hit);
     assert_eq!(k.etir, first_etir);
     assert_eq!(inner.builds.load(Ordering::SeqCst), 0);
@@ -300,7 +300,7 @@ fn bit_flipped_record_is_rejected_at_load_and_never_served() {
         };
         let cache = Arc::new(ScheduleCache::open(&path).unwrap());
         let tuner = CachedTuner::new(&inner, cache);
-        let (_, o) = tuner.compile_with_outcome(&op, &spec);
+        let (_, o) = tuner.compile_verified(&op, &spec).unwrap();
         assert_eq!(o, Outcome::Built);
     }
     // Damage the banked record's *payload* in place: the line still parses

@@ -192,13 +192,13 @@ fn hello_frames_carry_the_version() {
     assert_eq!(
         req,
         Request::Hello {
-            proto: 7,
+            proto: 8,
             token: None
         }
     );
     let resp = round_trip_response(&Response::Error {
         kind: ErrKind::UnsupportedProto,
-        message: "server speaks proto 6".into(),
+        message: "server speaks proto 7".into(),
     });
     assert!(matches!(
         resp,

@@ -324,7 +324,7 @@ fn version_mismatch_and_garbage_frames_are_rejected() {
 }
 
 #[test]
-fn unknown_method_and_model_answer_typed_errors() {
+fn unknown_method_answers_a_typed_error() {
     let builds = Arc::new(AtomicU64::new(0));
     let (path, _handle, join) = start(
         "typed-errors",
@@ -348,56 +348,8 @@ fn unknown_method_and_model_answer_typed_errors() {
         "{err}"
     );
 
-    let reply = c.batch("not-a-model", 1, &spec, "sleep").unwrap_err();
-    assert!(
-        matches!(
-            reply,
-            ClientError::Remote {
-                kind: ErrKind::UnknownModel,
-                ..
-            }
-        ),
-        "{reply}"
-    );
-
     // The connection survives typed errors.
     c.ping().unwrap();
-    c.shutdown().unwrap();
-    join.join().unwrap();
-}
-
-#[test]
-fn batch_precompiles_a_model_through_the_shared_cache() {
-    let builds = Arc::new(AtomicU64::new(0));
-    let (path, _handle, join) = start("batch", sleepy_registry(&builds, Duration::ZERO), |_| {});
-    let spec = GpuSpec::rtx4090();
-    let graph = models::zoo::bert_small(1, 128);
-    let unique = graph.fused_layers().count() as u64;
-
-    let mut c = Client::connect(&path).unwrap();
-    match c.batch("bert", 1, &spec, "sleep").unwrap() {
-        Response::BatchDone {
-            requested,
-            built,
-            hits,
-            coalesced,
-            failed,
-            wall_s,
-        } => {
-            assert_eq!(requested, unique);
-            assert_eq!(built + hits + coalesced, unique);
-            assert_eq!(built, builds.load(Ordering::SeqCst));
-            assert_eq!(failed, 0);
-            assert!(wall_s >= 0.0);
-        }
-        other => panic!("expected BatchDone, got {other:?}"),
-    }
-
-    // Compiling one of the model's ops afterwards is a pure hit.
-    let op = graph.fused_layers().next().unwrap().op.clone();
-    let (_, outcome) = c.compile(&op, &spec, "sleep", None).unwrap();
-    assert_eq!(outcome, WireOutcome::Hit);
-
     c.shutdown().unwrap();
     join.join().unwrap();
 }
