@@ -320,7 +320,6 @@ mod tests {
             enable_vthread: false,
             enable_unroll: false,
             enable_inverse: false,
-            ..Policy::default()
         };
         // Re-enumerate manually with the tree policy.
         let root = Etir::initial(OpSpec::gemm(16, 8, 16), &spec);

@@ -12,9 +12,7 @@ use crate::benefit::action_benefit_stats;
 use etir::analytics::ScheduleStats;
 use etir::{Action, Etir};
 use hardware::GpuSpec;
-use learned::{Pruner, Shortlist};
 use rand::Rng;
-use std::sync::Arc;
 
 /// One scored outgoing edge.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,22 +26,14 @@ pub struct ActionProb {
 }
 
 /// One step's scored distribution plus evaluation accounting — how much
-/// exact benefit work the step cost and whether the learned model pruned
-/// it. The walk aggregates these into [`crate::walk::WalkRecord`]; the
-/// `--learned` acceptance criterion (≥5× fewer exact evaluations) is
-/// measured from them.
+/// exact benefit work the step cost. The walk aggregates these into
+/// [`crate::walk::WalkRecord`].
 #[derive(Debug, Clone)]
 pub struct StepScoring {
     /// The normalized transition distribution (empty if nothing feasible).
     pub rows: Vec<ActionProb>,
     /// Exact benefit-formula evaluations this step performed.
     pub exact_evals: u64,
-    /// Learned-model predictions this step performed.
-    pub model_predictions: u64,
-    /// Whether the model's shortlist replaced full exact scoring.
-    pub pruned: bool,
-    /// Whether a pruner was present but fell back to exact scoring.
-    pub fallback: bool,
 }
 
 /// The Markov transition policy.
@@ -58,11 +48,6 @@ pub struct Policy {
     /// Whether unroll edges exist (disabled by the explicit-chain analysis
     /// in [`crate::markov`] to keep enumerated state spaces small).
     pub enable_unroll: bool,
-    /// Learned-model pruner: when set, each step ranks the applicable
-    /// actions with the trained benefit model and exact-scores only the
-    /// top-k shortlist, falling back to full scoring on low confidence
-    /// (DESIGN §12). `None` = the exact walk, unchanged.
-    pub pruner: Option<Arc<Pruner>>,
 }
 
 impl Default for Policy {
@@ -71,7 +56,6 @@ impl Default for Policy {
             enable_vthread: true,
             enable_inverse: true,
             enable_unroll: true,
-            pruner: None,
         }
     }
 }
@@ -127,66 +111,19 @@ impl Policy {
         self.score_step(state, spec, t).rows
     }
 
-    /// Score one walk step, with evaluation accounting.
-    ///
-    /// With no pruner this is the exact Alg. 2 scoring: every enabled
-    /// action is run through the benefit formulas. With a pruner, the
-    /// applicable actions are ranked by the learned model first and only
-    /// the top-k shortlist (plus `Cache`) is exact-scored; a low-confidence
-    /// shortlist falls back to the exact path.
+    /// Score one walk step, with evaluation accounting: the exact Alg. 2
+    /// scoring, every enabled action run through the benefit formulas.
     pub fn score_step(&self, state: &Etir, spec: &GpuSpec, t: u32) -> StepScoring {
         let t_score = std::time::Instant::now();
         let before = ScheduleStats::compute(state);
-        let candidates: Vec<Action> = Action::all(state.spatial_rank(), state.reduce_rank())
-            .into_iter()
-            .filter(|a| self.enabled(a))
-            .collect();
-
-        // Learned pruning: rank applicable actions with the model; keep
-        // the shortlist only when the model is confident.
-        let mut model_predictions: u64 = 0;
-        let mut pruned = false;
-        let mut fallback = false;
-        let to_score: Vec<Action> = match &self.pruner {
-            Some(pruner) => {
-                let applicable: Vec<Action> = candidates
-                    .iter()
-                    .copied()
-                    .filter(|a| state.can_apply(a))
-                    .collect();
-                match pruner.shortlist(state, &before, &applicable, spec, t as u64) {
-                    Shortlist::Keep(keep) => {
-                        model_predictions = applicable.len() as u64;
-                        pruned = true;
-                        keep
-                    }
-                    Shortlist::Fallback(reason) => {
-                        // OOD detection may have predicted a prefix of the
-                        // candidates before bailing; count what it used.
-                        model_predictions = match reason {
-                            learned::FallbackReason::LowSpread => applicable.len() as u64,
-                            _ => 0,
-                        };
-                        fallback = true;
-                        candidates
-                    }
-                }
-            }
-            None => candidates,
-        };
-
-        let record = learned::dataset::recording();
         let mut rows: Vec<ActionProb> = Vec::new();
         let mut evals: u64 = 0;
-        for action in to_score {
+        for action in Action::all(state.spatial_rank(), state.reduce_rank())
+            .into_iter()
+            .filter(|a| self.enabled(a))
+        {
             let raw = action_benefit_stats(state, &before, &action, spec);
             evals += 1;
-            if record && state.can_apply(&action) {
-                // Harvest a training pair from the exact evaluation the
-                // walk is doing anyway (raw benefit, pre cache-boost).
-                let f = learned::featurize(state, &before, &action, spec);
-                learned::dataset::record(&state.op.label(), &spec.name, f, raw);
-            }
             if raw <= 0.0 {
                 continue;
             }
@@ -212,7 +149,7 @@ impl Policy {
         let class = state.op.class().metric_key();
         obs::histogram_us(
             &format!("gensor_core_benefit_eval_us_{class}"),
-            "Per-step benefit scoring latency (Eqs. 1-3 over the shortlist), split by operator class",
+            "Per-step benefit scoring latency (Eqs. 1-3 over every enabled action), split by operator class",
         )
         .record_us(t_score.elapsed().as_micros() as u64);
         obs::event!(
@@ -233,9 +170,6 @@ impl Policy {
         StepScoring {
             rows,
             exact_evals: evals,
-            model_predictions,
-            pruned,
-            fallback,
         }
     }
 

@@ -3,9 +3,9 @@
 //! One Markov walk explores one trajectory through the construction graph.
 //! Like any Monte-Carlo process, independent chains multiply coverage for
 //! free, so the tuner runs several walks with decorrelated seeds — in
-//! parallel with `crossbeam::scope` worker threads, one RNG stream per
-//! chain — and scores every harvested state with the analytical performance
-//! model (`simgpu`), keeping the global winner.
+//! parallel through `simgpu::parallel_map`, one RNG stream per chain — and
+//! scores every harvested state with the analytical performance model
+//! (`simgpu`), keeping the global winner.
 
 use crate::walk::Walk;
 use etir::Etir;
@@ -38,13 +38,6 @@ impl Default for GensorConfig {
 }
 
 impl GensorConfig {
-    /// Attach a learned-model pruner: every chain's walk steps will
-    /// exact-score only the model's top-k shortlist (DESIGN §12).
-    pub fn with_pruner(mut self, pruner: std::sync::Arc<learned::Pruner>) -> Self {
-        self.walk.policy.pruner = Some(pruner);
-        self
-    }
-
     /// Override the base RNG seed (chain `i` walks with `seed + i`).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;

@@ -65,15 +65,8 @@ pub struct WalkRecord {
     pub best_time_trace: Vec<f64>,
     /// Exact benefit-formula evaluations across all steps. Deterministic
     /// per walk (global obs counters aggregate across racing chains and
-    /// tests — these per-walk figures are what the ≥5× pruning criterion
-    /// is asserted on).
+    /// tests).
     pub exact_benefit_evals: u64,
-    /// Learned-model predictions across all steps (0 without a pruner).
-    pub model_predictions: u64,
-    /// Steps where the model shortlist replaced full exact scoring.
-    pub pruned_steps: u32,
-    /// Steps where a present pruner fell back to exact scoring.
-    pub fallback_steps: u32,
 }
 
 impl Walk {
@@ -139,9 +132,6 @@ impl Walk {
         );
         let mut pass_start: u32 = 0;
         let mut exact_benefit_evals: u64 = 0;
-        let mut model_predictions: u64 = 0;
-        let mut pruned_steps: u32 = 0;
-        let mut fallback_steps: u32 = 0;
         while t > threshold {
             let t_step = std::time::Instant::now();
             // Annealing progress restarts with each construction pass so
@@ -153,9 +143,6 @@ impl Walk {
             // perturbing the walk.
             let scoring = self.policy.score_step(&e, spec, t_norm);
             exact_benefit_evals += scoring.exact_evals;
-            model_predictions += scoring.model_predictions;
-            pruned_steps += scoring.pruned as u32;
-            fallback_steps += scoring.fallback as u32;
             let rows = scoring.rows;
             let Some(pick) = self.policy.choose(&rows, rng) else {
                 // Construction complete (or fully blocked) with temperature
@@ -178,8 +165,7 @@ impl Walk {
                     accepted = false,
                     best_time_us = best_now,
                     state = from.describe(),
-                    exact_evals = scoring.exact_evals,
-                    pruned = scoring.pruned
+                    exact_evals = scoring.exact_evals
                 );
                 step_hist.record_us(t_step.elapsed().as_micros() as u64);
                 t /= 2.0;
@@ -208,8 +194,7 @@ impl Walk {
                 accepted = accepted,
                 best_time_us = best_now,
                 state = e.describe(),
-                exact_evals = scoring.exact_evals,
-                pruned = scoring.pruned
+                exact_evals = scoring.exact_evals
             );
             step_hist.record_us(t_step.elapsed().as_micros() as u64);
             e = next;
@@ -231,9 +216,6 @@ impl Walk {
             best_seen,
             best_time_trace,
             exact_benefit_evals,
-            model_predictions,
-            pruned_steps,
-            fallback_steps,
         }
     }
 }
@@ -282,7 +264,7 @@ mod tests {
         );
         let evals = obs::histogram_us(
             "gensor_core_benefit_eval_us_matmul",
-            "Per-step benefit scoring latency (Eqs. 1-3 over the shortlist), split by operator class",
+            "Per-step benefit scoring latency (Eqs. 1-3 over every enabled action), split by operator class",
         );
         assert!(evals.count() >= 1);
     }

@@ -2,12 +2,12 @@
 //! executable loop structure.
 //!
 //! [`LoopNest`] is the summary form (resolved extents per level) read by
-//! the performance simulator, the verifier's interval passes and the launch
-//! geometry. [`LoopNest::to_nest`] is the one place a schedule becomes
-//! loops: it *derives* the explicit [`crate::loops::Nest`] by applying the
-//! Table I primitives (split / reorder / bind / unroll / cache) exactly as a
-//! TVM-style schedule would, and `interp` runs and `codegen` prints that
-//! object.
+//! the performance simulator, the capacity check and the launch geometry;
+//! the verifier proves that summary and the nest agree. [`LoopNest::to_nest`]
+//! is the one place a schedule becomes loops: it *derives* the explicit
+//! [`crate::loops::Nest`] by applying the Table I primitives (split /
+//! reorder / bind / unroll / cache) exactly as a TVM-style schedule would,
+//! and `interp` runs and `codegen` prints that object.
 
 use crate::loops::{Binding, Level, Nest};
 use crate::state::Etir;

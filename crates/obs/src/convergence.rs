@@ -8,19 +8,16 @@
 //! step, grouped by walk span id, ready for plotting temperature/benefit
 //! convergence curves.
 //!
-//! Since the learned-benefit subsystem the rows also carry the departed
-//! state (`state`, the `Etir::describe` string), the number of exact
-//! benefit evaluations the step cost (`exact_evals`), and whether the
-//! learned shortlist pruned the step (`pruned`) — so a saved walk log
-//! doubles as labelled training data for `gensor learn train` and as an
-//! audit trail for the pruning ratio. Rows from walks recorded before
-//! those fields existed render with the trailing columns empty.
+//! The ten columns end with the departed state (`state`, the
+//! `Etir::describe` string) and the number of exact benefit evaluations
+//! the step cost (`exact_evals`). Rows from walks recorded before those
+//! fields existed render with the trailing columns empty.
 
 use crate::event::{Event, EventKind, Value};
 
 /// CSV header emitted by [`walk_csv`].
 pub const CSV_HEADER: &str =
-    "walk,step,action,benefit,probability,temperature,accepted,best_time_us,state,exact_evals,pruned";
+    "walk,step,action,benefit,probability,temperature,accepted,best_time_us,state,exact_evals";
 
 fn fmt(v: Option<&Value>) -> String {
     match v {
@@ -57,7 +54,7 @@ pub fn walk_csv(events: &[Event]) -> String {
             _ => 0,
         };
         let row = format!(
-            "{walk},{step},{},{},{},{},{},{},{},{},{}",
+            "{walk},{step},{},{},{},{},{},{},{},{}",
             fmt(ev.field("action")),
             fmt(ev.field("benefit")),
             fmt(ev.field("probability")),
@@ -66,7 +63,6 @@ pub fn walk_csv(events: &[Event]) -> String {
             fmt(ev.field("best_time_us")),
             fmt(ev.field("state")),
             fmt(ev.field("exact_evals")),
-            fmt(ev.field("pruned")),
         );
         rows.push((walk, step, row));
     }
@@ -100,7 +96,6 @@ mod tests {
                 ("best_time_us", Value::F64(123.0)),
                 ("state", Value::Str("smem[2, 1] @lvl0".into())),
                 ("exact_evals", Value::U64(13)),
-                ("pruned", Value::Bool(false)),
             ],
         }
     }
@@ -140,23 +135,23 @@ mod tests {
     }
 
     #[test]
-    fn training_columns_are_emitted_and_legacy_rows_stay_loadable() {
+    fn state_columns_are_emitted_and_legacy_rows_stay_loadable() {
         let full = step(1, 0, 1e6, true);
         let mut legacy = step(1, 1, 5e5, false);
         legacy
             .fields
-            .retain(|(k, _)| !matches!(*k, "state" | "exact_evals" | "pruned"));
+            .retain(|(k, _)| !matches!(*k, "state" | "exact_evals"));
         let csv = walk_csv(&[full, legacy]);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], CSV_HEADER);
-        // New rows carry state / exact_evals / pruned...
+        // New rows carry state / exact_evals...
         assert!(
-            lines[1].ends_with(",\"smem[2, 1] @lvl0\",13,false"),
+            lines[1].ends_with(",\"smem[2, 1] @lvl0\",13"),
             "{}",
             lines[1]
         );
         // ...legacy rows render the trailing columns empty.
-        assert!(lines[2].ends_with(",123,,,"), "{}", lines[2]);
+        assert!(lines[2].ends_with(",123,,"), "{}", lines[2]);
     }
 
     #[test]

@@ -31,7 +31,6 @@
 pub mod cache;
 pub mod key;
 pub mod map;
-pub mod sidecar;
 pub mod stats;
 pub mod store;
 pub mod tuner;
@@ -39,7 +38,6 @@ pub mod tuner;
 pub use cache::{CacheDigest, CacheEntry, ScheduleCache, CROSS_DEVICE_PENALTY, DIGEST_SHARDS};
 pub use key::{CacheKey, FORMAT_VERSION, POLICY_EPOCH};
 pub use map::Outcome;
-pub use sidecar::{learned_dataset_sidecar, learned_model_sidecar};
 pub use stats::StatsSnapshot;
 pub use store::{CacheRecord, CompactReport, LoadReport, Store};
 pub use tuner::CachedTuner;

@@ -331,20 +331,6 @@ impl Client {
         }
     }
 
-    /// Fetch the learned benefit model distributed with the server's
-    /// schedule cache (`None` when the server has none loaded). The JSON
-    /// is returned verbatim; deserializing — and validating the model's
-    /// format/feature versions — is the caller's job, so this crate
-    /// stays free of a `learned` dependency.
-    pub fn fetch_model(&mut self) -> Result<Option<String>, ClientError> {
-        match self.request(&Request::FetchModel)? {
-            Response::Model { json } => Ok(json),
-            other => Err(ClientError::Protocol(format!(
-                "fetch-model answered {other:?}"
-            ))),
-        }
-    }
-
     /// Pull the daemon's flight-recorder ring: `(tag, events)`, oldest
     /// event first. A daemon without a recorder answers an empty dump.
     pub fn trace_dump(&mut self) -> Result<(String, Vec<WireEvent>), ClientError> {

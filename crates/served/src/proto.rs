@@ -32,7 +32,7 @@ use tensor_expr::OpSpec;
 /// Protocol version; bumped on any frame change. The handshake accepts
 /// exactly this version: the server refuses any other `Hello` with
 /// [`ErrKind::UnsupportedProto`], the client rejects any other echo.
-pub const PROTO_VERSION: u32 = 8;
+pub const PROTO_VERSION: u32 = 9;
 
 /// Upper bound on one frame's JSON payload (32 MiB — far above any real
 /// schedule, far below an allocation-of-death).
@@ -135,9 +135,6 @@ pub enum Request {
     Stats,
     /// The server's metric registry in Prometheus text exposition format.
     Metrics,
-    /// The learned benefit model distributed with the server's schedule
-    /// cache (the `<cache>.model.json` sidecar), if one is loaded.
-    FetchModel,
     /// Graceful drain: finish in-flight work, flush the store, exit.
     Shutdown,
 }
@@ -198,11 +195,6 @@ pub enum Response {
     /// Reply to [`Request::Metrics`]: Prometheus text exposition, ready
     /// for a scrape endpoint or `gensor metrics --socket`.
     Metrics { text: String },
-    /// Reply to [`Request::FetchModel`]: the learned benefit model as its
-    /// JSON wire form, or `None` when the server has none loaded. The
-    /// server treats the JSON as opaque — the client validates versions
-    /// when it deserializes.
-    Model { json: Option<String> },
     /// Load shed: the admission gate is full. Back off and retry (or
     /// compile locally); nothing was queued.
     Busy { inflight: u64, max_inflight: u64 },

@@ -87,12 +87,6 @@ pub struct ServerConfig {
     /// bytes (checked periodically by the accept loop). `None` disables
     /// the daemon-side trigger; `gensor cache compact` still works.
     pub compact_bytes: Option<u64>,
-    /// Learned benefit model distributed alongside the schedule cache
-    /// (the `<cache>.model.json` sidecar), served verbatim to clients
-    /// that ask with [`Request::FetchModel`]. The daemon treats the JSON
-    /// as opaque — the *client* validates format/feature versions when
-    /// it deserializes, so the served crate needs no `learned` dep.
-    pub learned_model_json: Option<String>,
 }
 
 impl ServerConfig {
@@ -112,7 +106,6 @@ impl ServerConfig {
             deadline: Duration::from_secs(120),
             handle_signals: false,
             compact_bytes: None,
-            learned_model_json: None,
         }
     }
 }
@@ -163,9 +156,8 @@ impl MethodRegistry {
     }
 
     /// [`standard()`](Self::standard), but with a caller-supplied gensor
-    /// config — the serve CLI uses this to hand the daemon a
-    /// pruner-carrying (`--learned`) or reseeded config that every
-    /// gensor compile then inherits.
+    /// config — the serve CLI uses this to hand the daemon a reseeded
+    /// (`--seed`) config that every gensor compile then inherits.
     pub fn standard_with_gensor(cfg: GensorConfig) -> Self {
         let mut r = Self::empty();
         r.entries.push(("gensor".into(), Method::Gensor(cfg)));
@@ -874,9 +866,6 @@ fn handle_connection(stream: Stream, shared: &Shared, tx: &mpsc::Sender<Job>, cf
                     tag: String::new(),
                     events: Vec::new(),
                 },
-            },
-            Request::FetchModel => Response::Model {
-                json: cfg.learned_model_json.clone(),
             },
             // Fabric frames are answered inline: a probe is one map read,
             // a put is verify + insert — neither competes with compiles

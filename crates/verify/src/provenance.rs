@@ -3,12 +3,12 @@
 //!
 //! Construction keeps schedules legal *inside* one process; every edge
 //! where a schedule crosses into the process — the on-disk store, a
-//! fabric peer, a learned-model shortcut — is a trust boundary. The
-//! policy table below is deliberately tiny and total: each provenance
-//! maps to exactly one [`Requirement`], every banking site names its
-//! provenance, and a rejection at any boundary increments both the
-//! global `gensor_verify_rejected_total` and a per-provenance counter so
-//! audits can see *which* boundary is letting bad schedules arrive.
+//! fabric peer — is a trust boundary. The policy table below is
+//! deliberately tiny and total: each provenance maps to exactly one
+//! [`Requirement`], every banking site names its provenance, and a
+//! rejection at any boundary increments both the global
+//! `gensor_verify_rejected_total` and a per-provenance counter so audits
+//! can see *which* boundary is letting bad schedules arrive.
 //!
 //! Verdict-cache hits satisfy `FullVerify`: the cache is keyed by the
 //! schedule's content fingerprint (× verifier epoch × target), so a hit
@@ -26,10 +26,6 @@ pub enum Provenance {
     /// Received from a fabric peer (read-repair, write-through, or a
     /// remote compile answer).
     RemotePeer,
-    /// Chosen by a construction walk pruned by the learned benefit
-    /// model — the model may have discarded the evidence that would
-    /// have exposed an illegal winner.
-    LearnedPruned,
 }
 
 /// What the policy demands of a schedule with a given provenance.
@@ -47,20 +43,17 @@ pub enum Requirement {
 
 impl Provenance {
     /// The complete policy table, in declaration order.
-    pub const TABLE: [(Provenance, Requirement); 4] = [
+    pub const TABLE: [(Provenance, Requirement); 3] = [
         (Provenance::Local, Requirement::Audit),
         (Provenance::Store, Requirement::FullVerify),
         (Provenance::RemotePeer, Requirement::FullVerify),
-        (Provenance::LearnedPruned, Requirement::FullVerify),
     ];
 
     /// This provenance's row of the table.
     pub fn requirement(self) -> Requirement {
         match self {
             Provenance::Local => Requirement::Audit,
-            Provenance::Store | Provenance::RemotePeer | Provenance::LearnedPruned => {
-                Requirement::FullVerify
-            }
+            Provenance::Store | Provenance::RemotePeer => Requirement::FullVerify,
         }
     }
 
@@ -70,7 +63,6 @@ impl Provenance {
             Provenance::Local => "local",
             Provenance::Store => "store",
             Provenance::RemotePeer => "remote_peer",
-            Provenance::LearnedPruned => "learned_pruned",
         }
     }
 
@@ -90,10 +82,6 @@ impl Provenance {
             Provenance::RemotePeer => obs::counter_inc!(
                 "gensor_verify_rejected_remote_total",
                 "Schedules from fabric peers rejected by the verifier"
-            ),
-            Provenance::LearnedPruned => obs::counter_inc!(
-                "gensor_verify_rejected_learned_total",
-                "Schedules from pruned walks rejected by the verifier"
             ),
         }
     }
@@ -133,11 +121,7 @@ mod tests {
             assert_eq!(p.requirement(), r, "table row matches the function");
         }
         // Every boundary that crosses the process edge demands a proof.
-        for p in [
-            Provenance::Store,
-            Provenance::RemotePeer,
-            Provenance::LearnedPruned,
-        ] {
+        for p in [Provenance::Store, Provenance::RemotePeer] {
             assert_eq!(p.requirement(), Requirement::FullVerify);
         }
         assert_eq!(Provenance::Local.requirement(), Requirement::Audit);

@@ -196,16 +196,15 @@ fn convergence_csv_reproduces_a_walk_trace() {
             }
         }
         let cols: Vec<&str> = clean.split(',').collect();
-        assert_eq!(cols.len(), 11, "bad row '{row}'");
+        assert_eq!(cols.len(), 10, "bad row '{row}'");
         let step: i64 = cols[1].parse().expect("step");
         assert!(step > last_step, "steps must be ordered: '{row}'");
         last_step = step;
-        // The training-data columns: a non-empty source state, a positive
-        // exact-eval count, and a parseable pruned flag.
+        // The trailing columns: a non-empty source state and a positive
+        // exact-eval count.
         assert!(!cols[8].is_empty(), "missing state column: '{row}'");
         let evals: u64 = cols[9].parse().expect("exact_evals");
         assert!(evals > 0, "no exact evals recorded: '{row}'");
-        let _pruned: bool = cols[10].parse().expect("pruned");
         let prob: f64 = cols[4].parse().expect("probability");
         assert!(
             (0.0..=1.0).contains(&prob),
