@@ -1603,6 +1603,9 @@ mod tests {
 
     #[test]
     fn trace_with_dead_peers_still_writes_a_merged_document() {
+        // `trace` installs the process-global obs collector; a sibling
+        // trace test must not swap it out mid-run.
+        let _g = faults::exclusive();
         let dir = std::env::temp_dir().join("gensor-cli-trace-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join(format!("fleet-{}.json", std::process::id()));
@@ -1674,6 +1677,9 @@ mod tests {
 
     #[test]
     fn trace_writes_perfetto_trace_and_convergence_csv() {
+        // `trace` installs the process-global obs collector; a sibling
+        // trace test must not swap it out mid-run.
+        let _g = faults::exclusive();
         let dir = std::env::temp_dir().join("gensor-cli-trace-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join(format!("trace-{}.json", std::process::id()));

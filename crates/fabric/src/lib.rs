@@ -20,8 +20,6 @@
 //! * [`repair`] — anti-entropy cache repair: shard-fingerprint digests
 //!   compared peer-to-peer, only missing entries streamed, every pulled
 //!   kernel re-verified at the `RemotePeer` trust boundary.
-//! * [`hints`] — hinted handoff: writes a dead owner missed wait in a
-//!   bounded CRC-framed log and replay on recovery.
 //! * [`router`] — [`FabricClient`], the [`simgpu::Tuner`]-shaped client:
 //!   primary read, replica failover, write-through replication that
 //!   doubles as read-repair, local fallback when the fabric is gone.
@@ -31,11 +29,10 @@
 //!   histogram percentiles.
 //!
 //! See DESIGN.md §13 for routing and §16 for the self-healing layer
-//! (membership state machine, digest format, hint-log framing, and the
-//! repair trust policy).
+//! (membership state machine, digest format, and the repair trust
+//! policy).
 
 pub mod gossip;
-pub mod hints;
 pub mod membership;
 pub mod metrics_agg;
 pub mod repair;
@@ -44,7 +41,6 @@ pub mod router;
 pub mod status;
 
 pub use gossip::{Detector, DetectorHandle, GossipConfig, MemberState, MemberTable};
-pub use hints::{Hint, HintLog, DEFAULT_HINT_CAP};
 pub use membership::Membership;
 pub use metrics_agg::{cluster_metrics, ClusterMetrics, FleetHistogram, PeerScrape};
 pub use repair::{converge_cluster, sync_from_peers, ConvergeReport, RepairReport};

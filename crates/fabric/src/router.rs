@@ -18,14 +18,12 @@
 //! replica without tripping the peer's breaker — the peer is alive,
 //! just wrong.
 
-use crate::hints::{Hint, HintLog};
 use crate::membership::Membership;
 use crate::ring::ring_key;
 use hardware::GpuSpec;
 use schedcache::CacheKey;
 use served::{
-    Breaker, BreakerConfig, BreakerState, Client, ClientConfig, ClientError, ErrKind, WireKernel,
-    WireOutcome,
+    Breaker, BreakerConfig, BreakerState, Client, ClientConfig, ClientError, ErrKind, WireOutcome,
 };
 use simgpu::{CompiledKernel, Tuner};
 use std::collections::HashMap;
@@ -52,10 +50,6 @@ pub struct FabricReport {
     /// Remote kernels the verifier refused at the trust boundary —
     /// answered by a peer but never banked, written through, or returned.
     pub rejected: u64,
-    /// Write-throughs queued as hints because the owner was unreachable.
-    pub hints_queued: u64,
-    /// Queued hints successfully replayed to a recovered owner.
-    pub hints_replayed: u64,
 }
 
 #[derive(Default)]
@@ -67,8 +61,6 @@ struct FabricStats {
     failovers: AtomicU64,
     repairs: AtomicU64,
     rejected: AtomicU64,
-    hints_queued: AtomicU64,
-    hints_replayed: AtomicU64,
 }
 
 /// A [`Tuner`] that shards compiles across a cluster of `gensor serve`
@@ -84,9 +76,6 @@ pub struct FabricClient<'a> {
     /// every daemon this client touches; `(0, 0)` = no tracing.
     trace: (u64, u64),
     fallback: &'a dyn Tuner,
-    /// Hinted handoff: write-throughs that could not reach their owner
-    /// wait here and replay when the owner's breaker half-opens.
-    hints: Option<Arc<HintLog>>,
     /// Pooled connections, per endpoint.
     pools: Mutex<HashMap<String, Vec<Client>>>,
     stats: FabricStats,
@@ -116,7 +105,6 @@ impl<'a> FabricClient<'a> {
             replicas: 2,
             trace: (0, 0),
             fallback,
-            hints: None,
             pools: Mutex::new(HashMap::new()),
             stats: FabricStats::default(),
             verdicts: VerdictCache::in_memory(),
@@ -140,15 +128,6 @@ impl<'a> FabricClient<'a> {
     /// Override the replication factor (total copies per key, ≥ 1).
     pub fn with_replicas(mut self, replicas: usize) -> Self {
         self.replicas = replicas.max(1);
-        self
-    }
-
-    /// Enable hinted handoff: write-throughs that cannot reach a key's
-    /// owner are queued in `log` and replayed once the owner's breaker
-    /// lets a probe through again (or when [`FabricClient::replay_hints`]
-    /// is called explicitly).
-    pub fn with_hints(mut self, log: Arc<HintLog>) -> Self {
-        self.hints = Some(log);
         self
     }
 
@@ -184,8 +163,6 @@ impl<'a> FabricClient<'a> {
             failovers: self.stats.failovers.load(Ordering::Relaxed),
             repairs: self.stats.repairs.load(Ordering::Relaxed),
             rejected: self.stats.rejected.load(Ordering::Relaxed),
-            hints_queued: self.stats.hints_queued.load(Ordering::Relaxed),
-            hints_replayed: self.stats.hints_replayed.load(Ordering::Relaxed),
         }
     }
 
@@ -275,10 +252,6 @@ impl<'a> FabricClient<'a> {
         for &ep in targets.iter().filter(|&&ep| ep != winner) {
             let breaker = self.breaker_of(ep);
             if !breaker.allow() {
-                // The owner is down and this write would silently miss
-                // it — queue a hint so the replica converges the moment
-                // it comes back, not at the next cache miss.
-                self.enqueue_hint(ep, op, spec, kernel);
                 continue;
             }
             let outcome = self.checkout(ep, breaker).and_then(|mut client| {
@@ -303,7 +276,6 @@ impl<'a> FabricClient<'a> {
                 Ok(false) => breaker.on_success(),
                 Err(e) if Self::is_transport_failure(&e) => {
                     breaker.on_failure();
-                    self.enqueue_hint(ep, op, spec, kernel);
                     obs::log!(Debug, "fabric: write-through to {ep} failed: {e}");
                 }
                 Err(e) => {
@@ -315,93 +287,6 @@ impl<'a> FabricClient<'a> {
                 }
             }
         }
-    }
-
-    /// Queue a missed write-through for `target`, when handoff is on.
-    fn enqueue_hint(&self, target: &str, op: &OpSpec, spec: &GpuSpec, kernel: &CompiledKernel) {
-        let Some(log) = &self.hints else {
-            return;
-        };
-        if log.enqueue(Hint {
-            target: target.to_string(),
-            op: op.clone(),
-            gpu: spec.clone(),
-            method: self.method.clone(),
-            kernel: WireKernel::from(kernel),
-        }) {
-            self.stats.hints_queued.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Replay queued hints to every target whose breaker currently lets
-    /// traffic through. Returns `(replayed, requeued)`. `Put` is
-    /// idempotent on the daemon, so a hint that raced a repair pass is
-    /// a no-op there, never a duplicate. Hints for an endpoint that is
-    /// not a configured peer (a spool written under an older peer list)
-    /// stay queued. Called opportunistically after
-    /// successful compiles; also public for explicit drains (tests, the
-    /// CLI, a gossip rejoin handler).
-    pub fn replay_hints(&self) -> (u64, u64) {
-        let Some(log) = &self.hints else {
-            return (0, 0);
-        };
-        let (mut replayed, mut requeued) = (0u64, 0u64);
-        for target in log.targets() {
-            let Some(breaker) = self.membership.breaker(&target) else {
-                continue;
-            };
-            if !breaker.allow() {
-                continue;
-            }
-            let mut pending = log.take(&target);
-            while let Some(hint) = pending.first().cloned() {
-                let outcome = self.checkout(&target, breaker).and_then(|mut client| {
-                    client.set_trace(self.trace.0, self.trace.1);
-                    let kernel = CompiledKernel::from(hint.kernel.clone());
-                    match client.put(&hint.op, &hint.gpu, &hint.method, &kernel) {
-                        Ok(installed) => {
-                            self.checkin(&target, client);
-                            Ok(installed)
-                        }
-                        Err(e) => Err(e),
-                    }
-                });
-                match outcome {
-                    Ok(_) => {
-                        breaker.on_success();
-                        pending.remove(0);
-                        replayed += 1;
-                        self.stats.hints_replayed.fetch_add(1, Ordering::Relaxed);
-                        obs::counter_inc!(
-                            "gensor_fabric_hints_replayed_total",
-                            "Queued hints replayed to a recovered owner"
-                        );
-                    }
-                    Err(e) if Self::is_transport_failure(&e) => {
-                        // Still down: everything left goes back in the
-                        // queue for the next recovery window.
-                        breaker.on_failure();
-                        requeued += pending.len() as u64;
-                        log.requeue(pending);
-                        pending = Vec::new();
-                        obs::log!(Debug, "fabric: hint replay to {target} failed: {e}");
-                        break;
-                    }
-                    Err(e) => {
-                        // The daemon answered and refused (its
-                        // verifier's call); dropping the hint is
-                        // correct — replaying it would refuse again.
-                        breaker.on_success();
-                        pending.remove(0);
-                        obs::log!(Warn, "fabric: {target} refused a hint replay: {e}");
-                    }
-                }
-            }
-            if !pending.is_empty() {
-                log.requeue(pending);
-            }
-        }
-        (replayed, requeued)
     }
 
     fn try_fabric(&self, op: &OpSpec, spec: &GpuSpec) -> Option<CompiledKernel> {
@@ -520,12 +405,6 @@ impl Tuner for FabricClient<'_> {
         match self.try_fabric(op, spec) {
             Some(kernel) => {
                 self.stats.remote.fetch_add(1, Ordering::Relaxed);
-                // The fabric is clearly reachable; a good moment to
-                // drain any hints whose owner has recovered. Free when
-                // the queue is empty.
-                if self.hints.as_ref().is_some_and(|h| !h.is_empty()) {
-                    self.replay_hints();
-                }
                 kernel
             }
             None => {

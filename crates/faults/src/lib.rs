@@ -30,8 +30,13 @@
 //! code, the policy comes from the outside), so every test that arms a
 //! policy — or runs code whose outcome an armed site would change —
 //! holds [`exclusive`] for its whole body.
+//!
+//! The crate also owns [`replace_file`], the tree's one atomic file
+//! rewrite, because the `store.rename` site sits inside it.
 
 use std::collections::HashMap;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Duration;
@@ -277,6 +282,46 @@ macro_rules! failpoint {
             ::std::io::Result::Ok(())
         }
     };
+}
+
+/// Replace `path` with `body`, atomically and durably: `body` goes to a
+/// tmp file beside `path` (`<path>.tmp.<pid>.<seq>`) and is fsynced, the
+/// tmp file is renamed over `path`, and the parent directory is fsynced
+/// so the rename itself survives a crash. On any failure `path` is
+/// untouched and the tmp file is removed. The tmp name is unique per call
+/// (pid + a process-wide counter), so concurrent rewrites of one path —
+/// two threads, two processes — each rename a file only they wrote. The
+/// one rewrite in the tree (schedule-store compaction, the verdict
+/// sidecar); the `store.rename` failpoint sits between the fsync and the
+/// rename.
+pub fn replace_file(path: &Path, body: &[u8]) -> std::io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(format!(
+        ".tmp.{}.{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    let renamed = std::fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(body)?;
+            f.sync_all()
+        })
+        .and_then(|()| failpoint!("store.rename"))
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = renamed {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    if let Ok(d) = std::fs::File::open(dir) {
+        let _ = d.sync_all();
+    }
+    Ok(())
 }
 
 /// Human-readable text of a `catch_unwind` payload (panics carry `&str`

@@ -31,7 +31,6 @@ use simgpu::KernelReport;
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One persisted compilation result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -139,13 +138,9 @@ pub fn frame_line(payload: &str) -> String {
 
 /// `Ok(Some(json))`: valid frame. `Ok(None)`: legacy unframed line.
 /// `Err(())`: a frame that announces itself but fails validation
-/// (truncated, bit-flipped, wrong length). Public (like [`frame_line`])
-/// so other CRC-framed logs — the fabric's hint log — share one frame
-/// dialect instead of inventing a second.
-// The unit error is deliberate: "damaged" has no useful substructure,
-// and every caller treats it as a truncation point, not a message.
-#[allow(clippy::result_unit_err)]
-pub fn unframe(line: &str) -> Result<Option<&str>, ()> {
+/// (truncated, bit-flipped, wrong length) — "damaged" has no useful
+/// substructure, and the loader treats it as a truncation point.
+fn unframe(line: &str) -> Result<Option<&str>, ()> {
     let Some(rest) = line.strip_prefix(const_format_prefix()) else {
         return Ok(None);
     };
@@ -333,10 +328,9 @@ impl Store {
     /// Rewrite the append-only file keeping only the newest line per key:
     /// older duplicates (superseded winners), foreign-[`FORMAT_VERSION`]
     /// lines and corrupt lines are dropped. The rewrite is atomic *and
-    /// durable* ([`replace_file`]): a crash mid-compaction leaves the old
-    /// file intact. Surviving lines keep
-    /// their original bytes (no re-serialization, so floats cannot drift)
-    /// and their relative order.
+    /// durable* ([`faults::replace_file`]): a crash mid-compaction leaves
+    /// the old file intact. Surviving lines keep their original bytes (no
+    /// re-serialization, so floats cannot drift) and their relative order.
     pub fn compact(&self) -> std::io::Result<CompactReport> {
         faults::failpoint!("store.compact")?;
         let text = match std::fs::read_to_string(&self.path) {
@@ -373,47 +367,9 @@ impl Store {
             body.extend_from_slice(lines[*i].as_bytes());
             body.push(b'\n');
         }
-        replace_file(&self.path, &body)?;
+        faults::replace_file(&self.path, &body)?;
         Ok(report)
     }
-}
-
-/// Replace `path` with `body`, atomically and durably: `body` goes to a
-/// tmp file in the same directory and is fsynced, the tmp file is renamed
-/// over `path`, and the parent directory is fsynced so the rename itself
-/// survives a crash. On any failure `path` is untouched and the tmp file
-/// is removed. The tmp name is unique per call (pid + a process-wide
-/// counter), so concurrent rewrites of one path — two threads, two
-/// processes — each rename a file only they wrote. The one rewrite every
-/// framed log in the tree uses (store compaction here, the fabric's hint
-/// spool); the `store.rename` failpoint sits between the fsync and the
-/// rename.
-pub fn replace_file(path: &Path, body: &[u8]) -> std::io::Result<()> {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let tmp = path.with_extension(format!(
-        "compact-tmp.{}.{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let renamed = std::fs::File::create(&tmp)
-        .and_then(|mut f| {
-            f.write_all(body)?;
-            f.sync_all()
-        })
-        .and_then(|()| faults::failpoint!("store.rename"))
-        .and_then(|()| std::fs::rename(&tmp, path));
-    if let Err(e) = renamed {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    let dir = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    if let Ok(d) = std::fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
 }
 
 /// Build a record from a compile result.
@@ -648,12 +604,11 @@ mod tests {
             "a second pass must not change a single byte"
         );
         // No tmp file left behind.
-        assert!(std::fs::read_dir(&dir).unwrap().all(|e| {
-            !e.unwrap()
-                .file_name()
-                .to_string_lossy()
-                .contains("compact-tmp")
-        }));
+        assert!(std::fs::read_dir(&dir).unwrap().all(|e| !e
+            .unwrap()
+            .file_name()
+            .to_string_lossy()
+            .contains(".tmp.")));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

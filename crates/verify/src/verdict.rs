@@ -15,7 +15,8 @@
 //! check, fixed check, changed severity) must bump [`VERIFIER_EPOCH`],
 //! which orphans every persisted verdict at load time. Stale lines are
 //! skipped, not deleted — the next [`VerdictCache::persist`] rewrites
-//! the sidecar with current-epoch verdicts only.
+//! the sidecar with current-epoch verdicts only, through the same atomic
+//! rewrite as store compaction ([`faults::replace_file`]).
 //!
 //! The cached value is the *entire* [`Report`] (diagnostics included),
 //! so a warm sweep renders byte-identically to a cold one — the golden
@@ -29,7 +30,7 @@ use etir::Etir;
 use hardware::GpuSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::io::{BufRead, Write as _};
+use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -129,10 +130,6 @@ struct DiagLine {
 fn intern_pass(name: &str) -> &'static str {
     PASSES.into_iter().find(|p| *p == name).unwrap_or("cached")
 }
-
-/// Tells apart the tmp files of concurrent [`VerdictCache::persist`] calls
-/// in one process (the pid tells processes apart); publishes nothing else.
-static PERSIST_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// The verdict cache. Thread-safe; cheap to share behind an `Arc`.
 pub struct VerdictCache {
@@ -250,12 +247,10 @@ impl VerdictCache {
         report
     }
 
-    /// Write every current-epoch verdict to the sidecar, atomically and
-    /// durably: the lines go to a tmp file no other writer shares (a daemon
-    /// and a `gensor lint --verdicts` may persist to one store at once) and
-    /// are fsynced, the tmp file is renamed over the sidecar, and the parent
-    /// directory is fsynced. On failure the sidecar is untouched and the tmp
-    /// file removed. No-op for in-memory caches.
+    /// Write every current-epoch verdict to the sidecar through the
+    /// store's one atomic, durable rewrite ([`faults::replace_file`]), so a
+    /// daemon and a `gensor lint --verdicts` may persist to one store at
+    /// once. No-op for in-memory caches.
     pub fn persist(&self) -> std::io::Result<()> {
         let Some(path) = &self.path else {
             return Ok(());
@@ -287,29 +282,7 @@ impl VerdictCache {
                 body.push('\n');
             }
         }
-        let tmp = path.with_extension(format!(
-            "verdicts.tmp.{}.{}",
-            std::process::id(),
-            PERSIST_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let renamed = std::fs::File::create(&tmp)
-            .and_then(|mut f| {
-                f.write_all(body.as_bytes())?;
-                f.sync_all()
-            })
-            .and_then(|()| std::fs::rename(&tmp, path));
-        if let Err(e) = renamed {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-        let dir = match path.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p,
-            _ => Path::new("."),
-        };
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
+        faults::replace_file(path, body.as_bytes())
     }
 
     /// Hit/miss counters since this instance was created.

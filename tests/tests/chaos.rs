@@ -394,8 +394,7 @@ fn failed_compaction_rename_leaves_the_store_intact() {
         .expect_err("the rename failpoint must abort the pass");
     let (recs, _) = store.load().unwrap();
     assert_eq!(recs.len(), 2, "aborted compaction leaves the file alone");
-    let tmp_prefix = path.with_extension("compact-tmp");
-    let tmp_prefix = tmp_prefix.file_name().unwrap().to_string_lossy();
+    let tmp_prefix = format!("{}.tmp.", path.file_name().unwrap().to_string_lossy());
     assert!(
         std::fs::read_dir(path.parent().unwrap())
             .unwrap()

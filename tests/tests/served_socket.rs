@@ -451,3 +451,36 @@ fn metrics_frame_answers_prometheus_text_and_stats_split_latency() {
     c.shutdown().unwrap();
     join.join().unwrap();
 }
+
+/// `Put` is idempotent on the daemon: three distinct kernels install, a
+/// repeat of one answers "not installed", and the cache does not grow.
+#[test]
+fn put_installs_once_and_a_duplicate_is_a_no_op() {
+    let path = sock("put-idempotent");
+    let cache = Arc::new(schedcache::ScheduleCache::in_memory());
+    let server = Server::bind(
+        ServerConfig::new(&path),
+        cache.clone(),
+        MethodRegistry::standard(),
+    )
+    .unwrap();
+    let join = std::thread::spawn(move || server.run().unwrap());
+
+    let tuner = roller::Roller::default();
+    let gpu = GpuSpec::rtx4090();
+    let ops: Vec<OpSpec> = (1..4).map(|i| OpSpec::gemm(64 * i, 64, 64)).collect();
+    let mut c = Client::connect(&path).unwrap();
+    for op in &ops {
+        let kernel = tuner.compile(op, &gpu);
+        assert!(c.put(op, &gpu, "roller", &kernel).unwrap(), "fresh key");
+    }
+    assert_eq!(cache.digest().count, 3, "every put installed");
+
+    let kernel = tuner.compile(&ops[0], &gpu);
+    assert!(!c.put(&ops[0], &gpu, "roller", &kernel).unwrap());
+    assert_eq!(cache.digest().count, 3, "duplicate put was a no-op");
+    assert_eq!(c.stats().unwrap().puts, 4, "three installs + one no-op");
+
+    c.shutdown().unwrap();
+    join.join().unwrap();
+}
