@@ -293,29 +293,56 @@ fn parse_op(pos: &[&str]) -> Result<OpSpec, CliError> {
     let (kind, rest) = pos
         .split_first()
         .ok_or_else(|| CliError::Usage("missing operator".into()))?;
-    Ok(match *kind {
+    let op = match *kind {
         "gemm" => {
             let d = dims(rest, 3, "gemm")?;
-            OpSpec::gemm(d[0], d[1], d[2])
+            OpSpec::Gemm {
+                m: d[0],
+                k: d[1],
+                n: d[2],
+            }
         }
         "gemv" => {
             let d = dims(rest, 2, "gemv")?;
-            OpSpec::gemv(d[0], d[1])
+            OpSpec::Gemv { m: d[0], n: d[1] }
         }
         "conv" => {
             let d = dims(rest, 9, "conv")?;
-            OpSpec::conv2d(d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7], d[8])
+            OpSpec::Conv2d {
+                n: d[0],
+                c_in: d[1],
+                h: d[2],
+                w: d[3],
+                c_out: d[4],
+                kh: d[5],
+                kw: d[6],
+                stride: d[7],
+                pad: d[8],
+            }
         }
         "pool" => {
             let d = dims(rest, 6, "pool")?;
-            OpSpec::avg_pool2d(d[0], d[1], d[2], d[3], d[4], d[5])
+            OpSpec::AvgPool2d {
+                n: d[0],
+                c: d[1],
+                h: d[2],
+                w: d[3],
+                f: d[4],
+                stride: d[5],
+            }
         }
         "elementwise" => {
             let d = dims(rest, 2, "elementwise")?;
-            OpSpec::elementwise(d[0], d[1] as u32, 1)
+            OpSpec::Elementwise {
+                elems: d[0],
+                num_inputs: u32::try_from(d[1]).unwrap_or(u32::MAX),
+                ops_per_elem: 1,
+            }
         }
         other => return Err(CliError::Usage(format!("unknown op '{other}'"))),
-    })
+    };
+    op.validate().map_err(CliError::Usage)?;
+    Ok(op)
 }
 
 /// Run the CLI, returning the text to print.
@@ -1394,6 +1421,12 @@ mod tests {
     fn usage_errors_are_informative() {
         assert!(matches!(call("compile gemm 1 2"), Err(CliError::Usage(_))));
         assert!(matches!(call("compile frob 1"), Err(CliError::Usage(_))));
+        for bad in ["gemm 0 2 3", "pool 1 1 2 2 3 1", "elementwise 64 5"] {
+            assert!(
+                matches!(call(&format!("compile {bad}")), Err(CliError::Usage(_))),
+                "{bad}"
+            );
+        }
         assert!(matches!(
             call("compile gemm 1 2 3 --gpu h100"),
             Err(CliError::Usage(_))

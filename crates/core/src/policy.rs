@@ -117,7 +117,7 @@ impl Policy {
     pub fn score_step(&self, state: &Etir, spec: &GpuSpec, t: u32) -> StepScoring {
         let t_score = std::time::Instant::now();
         let before = ScheduleStats::compute(state);
-        let mut rows: Vec<ActionProb> = Vec::new();
+        let mut rows: Vec<ActionProb> = Vec::with_capacity(Action::ALL.len());
         let mut evals: u64 = 0;
         let (sr, rr) = (state.spatial_rank(), state.reduce_rank());
         for &action in Action::ALL

@@ -10,7 +10,7 @@
 use crate::state::Etir;
 use hardware::{GpuSpec, LevelKind};
 use serde::{Deserialize, Serialize};
-use tensor_expr::DTYPE_BYTES;
+use tensor_expr::{Extents, DTYPE_BYTES};
 
 /// Register overhead per thread beyond accumulators and operand slices
 /// (addressing, loop counters, predicates).
@@ -58,7 +58,7 @@ impl ScheduleStats {
 
         // --- Registers: accumulator tile + one reduce-element operand
         // slice + overhead.
-        let unit_rd = vec![1u64; e.reduce_rank()];
+        let unit_rd: Extents = e.reduce_tile.iter().map(|_| 1).collect();
         let reg_fp = op.tile_footprint(&e.reg_tile, &unit_rd);
         let regs_per_thread = reg_fp.output + reg_fp.inputs.iter().sum::<u64>() + REG_OVERHEAD;
 

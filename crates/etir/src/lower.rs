@@ -56,7 +56,7 @@ impl LoopNest {
             .map(|(&ext, &t)| ext.div_ceil(t))
             .collect();
         let padded_extents: Vec<u64> = grid.iter().zip(&smem_tile).map(|(&g, &t)| g * t).collect();
-        let thread_dims = e.thread_dims();
+        let thread_dims = e.thread_dims().to_vec();
         let reduce_steps: Vec<u64> = rd_ext
             .iter()
             .zip(&e.reduce_tile)
@@ -67,10 +67,10 @@ impl LoopNest {
             padded_extents,
             grid,
             smem_tile,
-            vthreads: e.vthreads.clone(),
+            vthreads: e.vthreads.to_vec(),
             thread_dims,
-            reg_tile: e.reg_tile.clone(),
-            reduce_tile: e.reduce_tile.clone(),
+            reg_tile: e.reg_tile.to_vec(),
+            reduce_tile: e.reduce_tile.to_vec(),
             reduce_steps,
             unroll: e.unroll,
         }

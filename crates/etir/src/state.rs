@@ -3,7 +3,7 @@
 use crate::action::Action;
 use hardware::GpuSpec;
 use serde::{Deserialize, Serialize};
-use tensor_expr::OpSpec;
+use tensor_expr::{Extents, OpSpec};
 
 /// A fully-specified (possibly partial-quality) schedule for one operator.
 ///
@@ -28,13 +28,13 @@ pub struct Etir {
     /// `num_levels` the construction is complete.
     pub cur_level: usize,
     /// Shared-memory (block) tile per spatial dim.
-    pub smem_tile: Vec<u64>,
+    pub smem_tile: Extents,
     /// Register (per-thread) tile per spatial dim.
-    pub reg_tile: Vec<u64>,
+    pub reg_tile: Extents,
     /// Virtual-thread count per spatial dim (paper's `setVthread`).
-    pub vthreads: Vec<u64>,
+    pub vthreads: Extents,
     /// Staged reduction-step tile per reduce dim.
-    pub reduce_tile: Vec<u64>,
+    pub reduce_tile: Extents,
     /// Unroll factor applied to the innermost reduction loop (1 = none).
     pub unroll: u64,
 }
@@ -44,16 +44,16 @@ impl Etir {
     /// to the unscheduled state without partitioning, caching, or virtual
     /// threads"): all tiles 1, scheduling starts at the shared-memory level.
     pub fn initial(op: OpSpec, spec: &GpuSpec) -> Self {
-        let sd = op.spatial_extents().len();
-        let rd = op.reduce_extents().len();
+        let ones = |ext: Extents| -> Extents { ext.iter().map(|_| 1).collect() };
+        let (sp, rd) = (ones(op.spatial_extents()), ones(op.reduce_extents()));
         Etir {
             op,
             num_levels: spec.num_schedulable_levels(),
             cur_level: 0,
-            smem_tile: vec![1; sd],
-            reg_tile: vec![1; sd],
-            vthreads: vec![1; sd],
-            reduce_tile: vec![1; rd],
+            smem_tile: sp,
+            reg_tile: sp,
+            vthreads: sp,
+            reduce_tile: rd,
             unroll: 1,
         }
     }
@@ -69,7 +69,7 @@ impl Etir {
     }
 
     /// Physical threads along each spatial dim.
-    pub fn thread_dims(&self) -> Vec<u64> {
+    pub fn thread_dims(&self) -> Extents {
         self.smem_tile
             .iter()
             .zip(self.reg_tile.iter().zip(&self.vthreads))
@@ -210,7 +210,7 @@ impl Etir {
     }
 
     /// Effective (extent-clamped) shared-memory tile.
-    pub fn clamped_smem_tile(&self) -> Vec<u64> {
+    pub fn clamped_smem_tile(&self) -> Extents {
         self.smem_tile
             .iter()
             .zip(self.op.spatial_extents().iter())
@@ -280,18 +280,18 @@ mod tests {
         // Length-prefixed vectors: moving an element across vector
         // boundaries must not collide.
         let mut shifted = e.clone();
-        shifted.smem_tile = vec![1, 1, 1];
-        shifted.reg_tile = vec![1];
+        shifted.smem_tile = [1, 1, 1].into();
+        shifted.reg_tile = [1].into();
         assert_ne!(e.fingerprint(), shifted.fingerprint());
     }
 
     #[test]
     fn initial_state_is_unscheduled() {
         let e = gemm_state();
-        assert_eq!(e.smem_tile, vec![1, 1]);
-        assert_eq!(e.reg_tile, vec![1, 1]);
-        assert_eq!(e.vthreads, vec![1, 1]);
-        assert_eq!(e.reduce_tile, vec![1]);
+        assert_eq!(*e.smem_tile, [1, 1]);
+        assert_eq!(*e.reg_tile, [1, 1]);
+        assert_eq!(*e.vthreads, [1, 1]);
+        assert_eq!(*e.reduce_tile, [1]);
         assert_eq!(e.cur_level, 0);
         assert_eq!(e.num_levels, 2);
         assert!(!e.is_complete());
@@ -302,12 +302,12 @@ mod tests {
     fn tile_grows_current_level_only() {
         let e = gemm_state();
         let e2 = e.apply(&Action::Tile { dim: 0 });
-        assert_eq!(e2.smem_tile, vec![2, 1]);
-        assert_eq!(e2.reg_tile, vec![1, 1]);
+        assert_eq!(*e2.smem_tile, [2, 1]);
+        assert_eq!(*e2.reg_tile, [1, 1]);
         let e3 = e2.apply(&Action::Cache); // now scheduling registers
         let e4 = e3.apply(&Action::Tile { dim: 0 });
-        assert_eq!(e4.smem_tile, vec![2, 1]);
-        assert_eq!(e4.reg_tile, vec![2, 1]);
+        assert_eq!(*e4.smem_tile, [2, 1]);
+        assert_eq!(*e4.reg_tile, [2, 1]);
     }
 
     #[test]
@@ -337,10 +337,10 @@ mod tests {
         e = e.apply(&Action::Cache);
         assert!(e.can_apply(&Action::SetVthread { dim: 0 }));
         let ev = e.apply(&Action::SetVthread { dim: 0 });
-        assert_eq!(ev.vthreads, vec![2, 1]);
+        assert_eq!(*ev.vthreads, [2, 1]);
         // smem 2 = reg 1 * vt 2 * threads 1; no room for more vthreads.
         assert!(!ev.can_apply(&Action::SetVthread { dim: 0 }));
-        assert_eq!(ev.thread_dims(), vec![1, 1]);
+        assert_eq!(*ev.thread_dims(), [1, 1]);
     }
 
     #[test]
@@ -400,7 +400,7 @@ mod tests {
         e = e.apply(&Action::Cache);
         e = e.apply(&Action::Tile { dim: 0 }); // reg[0]=2
         e = e.apply(&Action::SetVthread { dim: 0 }); // vt[0]=2
-        assert_eq!(e.thread_dims(), vec![64 / (2 * 2), 32]);
+        assert_eq!(*e.thread_dims(), [64 / (2 * 2), 32]);
         assert_eq!(e.threads_per_block(), 16 * 32);
         assert_eq!(e.total_vthreads(), 2);
     }
@@ -419,8 +419,8 @@ mod tests {
     #[test]
     fn validate_catches_broken_divisibility() {
         let mut e = gemm_state();
-        e.smem_tile = vec![4, 4];
-        e.reg_tile = vec![3, 1];
+        e.smem_tile = [4, 4].into();
+        e.reg_tile = [3, 1].into();
         assert!(e.validate().is_err());
     }
 

@@ -230,7 +230,7 @@ mod tests {
                 Action::SetVthread { dim: 1 },
             ],
         );
-        assert_eq!(e.vthreads, vec![2, 2]);
+        assert_eq!(*e.vthreads, [2, 2]);
         check_schedule(&e);
     }
 

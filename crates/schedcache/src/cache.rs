@@ -870,8 +870,8 @@ mod tests {
             // Parses, and is structurally sound, but its tile is far
             // beyond this device's shared memory.
             let mut fat = build(&stored, &spec);
-            fat.etir.smem_tile = vec![512, 512];
-            fat.etir.reduce_tile = vec![64];
+            fat.etir.smem_tile = [512, 512].into();
+            fat.etir.reduce_tile = [64].into();
             let rec = store::record(key(&stored), stored.label(), "Gensor", &fat);
             Store::open(&path).append(&rec).unwrap();
         }

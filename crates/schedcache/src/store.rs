@@ -490,6 +490,19 @@ mod tests {
     }
 
     #[test]
+    fn a_tile_array_longer_than_any_operator_is_a_corrupt_line() {
+        let store = Store::open(tmpfile("long-tile"));
+        let _ = std::fs::remove_file(store.path());
+        let long =
+            json_of(&sample(128)).replace("\"smem_tile\":[1,1]", "\"smem_tile\":[1,1,1,1,1]");
+        std::fs::write(store.path(), frame_line(&long)).unwrap();
+        store.append(&sample(256)).unwrap();
+        let (recs, rep) = store.load().unwrap();
+        assert_eq!((rep.loaded, rep.corrupt), (1, 1));
+        assert_eq!(recs, vec![sample(256)]);
+    }
+
+    #[test]
     fn torn_tail_is_truncated_back_to_the_last_valid_record() {
         let store = Store::open(tmpfile("torn"));
         let _ = std::fs::remove_file(store.path());

@@ -833,6 +833,21 @@ fn handle_connection(stream: Stream, shared: &Shared, tx: &mpsc::Sender<Job>, cf
         );
         shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let reply = match request {
+            // An operator the cost model cannot handle (a zero extent, a
+            // window past its input, more inputs than a tile footprint
+            // holds) is refused before anything costs a tile of it; the
+            // connection stays usable.
+            Request::Compile { ref op, .. }
+            | Request::Put { ref op, .. }
+            | Request::Probe { ref op, .. }
+                if op.validate().is_err() =>
+            {
+                shared.metrics.proto_errors.fetch_add(1, Ordering::Relaxed);
+                Response::Error {
+                    kind: ErrKind::Malformed,
+                    message: op.validate().err().unwrap_or_default(),
+                }
+            }
             Request::Hello { .. } => Response::Hello {
                 proto: PROTO_VERSION,
             },

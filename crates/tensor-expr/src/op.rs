@@ -48,7 +48,7 @@ impl OpClass {
 pub struct TileFootprint {
     /// Elements of each *input* operand the tile reads (order matches
     /// [`OpSpec::accesses`]).
-    pub inputs: Vec<u64>,
+    pub inputs: Extents,
     /// Elements of the output operand the tile writes.
     pub output: u64,
 }
@@ -70,11 +70,17 @@ impl TileFootprint {
     }
 }
 
-/// The extents of an operator's spatial or reduce axes, held on the stack
-/// (no operator has more than [`Extents::MAX`] axes of either kind), so the
-/// walk's per-action checks read them without allocating. Built with
-/// `collect()` (panics past [`Extents::MAX`] values); derefs to `[u64]`;
-/// call `.to_vec()` where a `Vec` is really needed.
+/// One value per axis or per operand, held inline: an operator's spatial
+/// or reduce extents, a schedule's tiles along them, and a tile's
+/// per-input footprints and row runs. No operator has more than
+/// [`Extents::MAX`] axes of either kind or more than that many inputs, so
+/// copying a schedule or costing a tile never touches the heap.
+///
+/// Built with `collect()` or `From<[u64; N]>` (both panic past
+/// [`Extents::MAX`] values); derefs to `[u64]`; equality and hashing see
+/// only those values; serializes as a plain JSON array, exactly as a
+/// `Vec<u64>` does, and refuses to deserialize a longer one. Call
+/// `.to_vec()` where a `Vec` is really needed.
 #[derive(Clone, Copy, Default)]
 pub struct Extents {
     vals: [u64; Extents::MAX],
@@ -82,7 +88,8 @@ pub struct Extents {
 }
 
 impl Extents {
-    /// Most axes of one kind any operator has (conv and pool: 4 spatial).
+    /// Most axes of one kind (conv and pool: 4 spatial), and most inputs,
+    /// any operator has.
     pub const MAX: usize = 4;
 }
 
@@ -90,6 +97,20 @@ impl std::ops::Deref for Extents {
     type Target = [u64];
     fn deref(&self) -> &[u64] {
         &self.vals[..self.len as usize]
+    }
+}
+
+impl std::ops::DerefMut for Extents {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        &mut self.vals[..self.len as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a Extents {
+    type Item = &'a u64;
+    type IntoIter = std::slice::Iter<'a, u64>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
     }
 }
 
@@ -104,9 +125,63 @@ impl FromIterator<u64> for Extents {
     }
 }
 
+impl<const N: usize> From<[u64; N]> for Extents {
+    fn from(vals: [u64; N]) -> Self {
+        const { assert!(N <= Extents::MAX, "more extents than fit") };
+        let mut out = Extents {
+            len: N as u8,
+            ..Extents::default()
+        };
+        out.vals[..N].copy_from_slice(&vals);
+        out
+    }
+}
+
+impl From<Vec<u64>> for Extents {
+    fn from(vals: Vec<u64>) -> Self {
+        vals.into_iter().collect()
+    }
+}
+
+impl PartialEq for Extents {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Extents {}
+
+impl std::hash::Hash for Extents {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (**self).hash(state)
+    }
+}
+
 impl std::fmt::Debug for Extents {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         (**self).fmt(f)
+    }
+}
+
+impl Serialize for Extents {
+    fn to_value(&self) -> serde::Value {
+        (**self).to_value()
+    }
+}
+
+impl Deserialize for Extents {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let vals = v
+            .as_array()
+            .ok_or_else(|| serde::DeError::custom(format!("expected array, got {v:?}")))?;
+        if vals.len() > Extents::MAX {
+            return Err(serde::DeError::custom(format!(
+                "{} values where at most {} fit",
+                vals.len(),
+                Extents::MAX
+            )));
+        }
+        vals.iter().map(u64::deserialize).collect()
     }
 }
 
@@ -226,15 +301,14 @@ pub enum OpSpec {
 }
 
 impl OpSpec {
-    /// Convenience constructors ------------------------------------------
+    /// Convenience constructors (each panics unless [`OpSpec::validate`]
+    /// accepts the result) ------------------------------------------------
     pub fn gemm(m: u64, k: u64, n: u64) -> Self {
-        assert!(m > 0 && k > 0 && n > 0, "GEMM dims must be positive");
-        OpSpec::Gemm { m, k, n }
+        OpSpec::Gemm { m, k, n }.checked()
     }
 
     pub fn gemv(m: u64, n: u64) -> Self {
-        assert!(m > 0 && n > 0, "GEMV dims must be positive");
-        OpSpec::Gemv { m, n }
+        OpSpec::Gemv { m, n }.checked()
     }
 
     /// `input = [n, c_in, h, w]`, `kernel = [c_out, c_in, kh, kw]`.
@@ -250,18 +324,6 @@ impl OpSpec {
         stride: u64,
         pad: u64,
     ) -> Self {
-        assert!(
-            n > 0 && c_in > 0 && h > 0 && w > 0 && c_out > 0,
-            "conv dims must be positive"
-        );
-        assert!(
-            kh > 0 && kw > 0 && stride > 0,
-            "kernel/stride must be positive"
-        );
-        assert!(
-            h + 2 * pad >= kh && w + 2 * pad >= kw,
-            "kernel larger than padded input"
-        );
         OpSpec::Conv2d {
             n,
             c_in,
@@ -273,10 +335,10 @@ impl OpSpec {
             stride,
             pad,
         }
+        .checked()
     }
 
     pub fn avg_pool2d(n: u64, c: u64, h: u64, w: u64, f: u64, stride: u64) -> Self {
-        assert!(n > 0 && c > 0 && h >= f && w >= f && f > 0 && stride > 0);
         OpSpec::AvgPool2d {
             n,
             c,
@@ -285,15 +347,68 @@ impl OpSpec {
             f,
             stride,
         }
+        .checked()
     }
 
     pub fn elementwise(elems: u64, num_inputs: u32, ops_per_elem: u32) -> Self {
-        assert!(elems > 0 && num_inputs > 0);
         OpSpec::Elementwise {
             elems,
             num_inputs,
             ops_per_elem,
         }
+        .checked()
+    }
+
+    fn checked(self) -> Self {
+        if let Err(why) = self.validate() {
+            panic!("{why}");
+        }
+        self
+    }
+
+    /// Whether the shape is one the cost model can handle: every extent
+    /// positive, the conv kernel and pool window within the (padded)
+    /// input, and an elementwise op with 1 to [`Extents::MAX`] inputs.
+    /// The constructors assert it; every operator that arrives from
+    /// outside the process (a wire frame, a store record, a CLI argument)
+    /// must pass it before anything costs a tile of it.
+    pub fn validate(&self) -> Result<(), String> {
+        let padded = |x: u64, pad: u64| x.saturating_add(pad.saturating_mul(2));
+        let why = match *self {
+            OpSpec::Gemm { m, k, n } if m == 0 || k == 0 || n == 0 => "GEMM dims must be positive",
+            OpSpec::Gemv { m, n } if m == 0 || n == 0 => "GEMV dims must be positive",
+            OpSpec::Conv2d {
+                n,
+                c_in,
+                h,
+                w,
+                c_out,
+                ..
+            } if [n, c_in, h, w, c_out].contains(&0) => "conv dims must be positive",
+            OpSpec::Conv2d { kh, kw, stride, .. } if [kh, kw, stride].contains(&0) => {
+                "kernel/stride must be positive"
+            }
+            OpSpec::Conv2d {
+                h, w, kh, kw, pad, ..
+            } if padded(h, pad) < kh || padded(w, pad) < kw => "kernel larger than padded input",
+            OpSpec::AvgPool2d {
+                n,
+                c,
+                h,
+                w,
+                f,
+                stride,
+            } if [n, c, f, stride].contains(&0) || h < f || w < f => {
+                "pool dims must be positive and the window must fit the input"
+            }
+            OpSpec::Elementwise {
+                elems, num_inputs, ..
+            } if elems == 0 || num_inputs == 0 || num_inputs as usize > Extents::MAX => {
+                "elementwise needs elements and 1 to 4 inputs"
+            }
+            _ => return Ok(()),
+        };
+        Err(format!("{}: {why}", self.label()))
     }
 
     /// Class of this operator.
@@ -318,8 +433,8 @@ impl OpSpec {
     /// Extents of the spatial axes (each output element ↔ one point here).
     pub fn spatial_extents(&self) -> Extents {
         match *self {
-            OpSpec::Gemm { m, n, .. } => [m, n].into_iter().collect(),
-            OpSpec::Gemv { m, .. } => [m].into_iter().collect(),
+            OpSpec::Gemm { m, n, .. } => [m, n].into(),
+            OpSpec::Gemv { m, .. } => [m].into(),
             OpSpec::Conv2d {
                 n,
                 h,
@@ -332,7 +447,7 @@ impl OpSpec {
                 ..
             } => {
                 let (oh, ow) = Self::out_hw(h, w, kh, kw, stride, pad);
-                [n, c_out, oh, ow].into_iter().collect()
+                [n, c_out, oh, ow].into()
             }
             OpSpec::AvgPool2d {
                 n,
@@ -343,19 +458,19 @@ impl OpSpec {
                 stride,
             } => {
                 let (oh, ow) = Self::out_hw(h, w, f, f, stride, 0);
-                [n, c, oh, ow].into_iter().collect()
+                [n, c, oh, ow].into()
             }
-            OpSpec::Elementwise { elems, .. } => [elems].into_iter().collect(),
+            OpSpec::Elementwise { elems, .. } => [elems].into(),
         }
     }
 
     /// Extents of the reduce axes (possibly empty).
     pub fn reduce_extents(&self) -> Extents {
         match *self {
-            OpSpec::Gemm { k, .. } => [k].into_iter().collect(),
-            OpSpec::Gemv { n, .. } => [n].into_iter().collect(),
-            OpSpec::Conv2d { c_in, kh, kw, .. } => [c_in, kh, kw].into_iter().collect(),
-            OpSpec::AvgPool2d { f, .. } => [f, f].into_iter().collect(),
+            OpSpec::Gemm { k, .. } => [k].into(),
+            OpSpec::Gemv { n, .. } => [n].into(),
+            OpSpec::Conv2d { c_in, kh, kw, .. } => [c_in, kh, kw].into(),
+            OpSpec::AvgPool2d { f, .. } => [f, f].into(),
             OpSpec::Elementwise { .. } => Extents::default(),
         }
     }
@@ -481,7 +596,7 @@ impl OpSpec {
     }
 
     /// Total element count of each input operand (whole tensors).
-    pub fn input_elems(&self) -> Vec<u64> {
+    pub fn input_elems(&self) -> Extents {
         let sp = self.spatial_extents();
         let rd = self.reduce_extents();
         // A full-tensor footprint is the footprint of the full-space "tile",
@@ -511,11 +626,11 @@ impl OpSpec {
         let inputs = match *self {
             OpSpec::Gemm { .. } => {
                 let (tm, tn, tk) = (sp[0], sp[1], rd[0]);
-                vec![tm * tk, tk * tn]
+                [tm * tk, tk * tn].into()
             }
             OpSpec::Gemv { .. } => {
                 let (tm, tk) = (sp[0], rd[0]);
-                vec![tm * tk, tk]
+                [tm * tk, tk].into()
             }
             OpSpec::Conv2d {
                 stride, h, w, pad, ..
@@ -524,18 +639,16 @@ impl OpSpec {
                 let (tic, tkh, tkw) = (rd[0], rd[1], rd[2]);
                 let ih = ((toh - 1) * stride + tkh).min(h + 2 * pad);
                 let iw = ((tow - 1) * stride + tkw).min(w + 2 * pad);
-                vec![tn * tic * ih * iw, toc * tic * tkh * tkw]
+                [tn * tic * ih * iw, toc * tic * tkh * tkw].into()
             }
             OpSpec::AvgPool2d { stride, h, w, .. } => {
                 let (tn, tc, toh, tow) = (sp[0], sp[1], sp[2], sp[3]);
                 let (tfh, tfw) = (rd[0], rd[1]);
                 let ih = ((toh - 1) * stride + tfh).min(h);
                 let iw = ((tow - 1) * stride + tfw).min(w);
-                vec![tn * tc * ih * iw]
+                [tn * tc * ih * iw].into()
             }
-            OpSpec::Elementwise { num_inputs, .. } => {
-                vec![sp[0]; num_inputs as usize]
-            }
+            OpSpec::Elementwise { num_inputs, .. } => (0..num_inputs).map(|_| sp[0]).collect(),
         };
         TileFootprint { inputs, output }
     }
@@ -544,24 +657,24 @@ impl OpSpec {
     /// by one tile — the run length a cooperative load streams from DRAM.
     /// Short runs waste memory-transaction bandwidth (see
     /// `simgpu`'s coalescing model).
-    pub fn tile_row_elems(&self, sp_tile: &[u64], rd_tile: &[u64]) -> Vec<u64> {
+    pub fn tile_row_elems(&self, sp_tile: &[u64], rd_tile: &[u64]) -> Extents {
         let sp_ext = self.spatial_extents();
         let rd_ext = self.reduce_extents();
         let (sp, rd) = (clamp_tile(sp_tile, &sp_ext), clamp_tile(rd_tile, &rd_ext));
         match *self {
             // A is [M,K] row-major → rows of Tk; B is [K,N] → rows of Tn.
-            OpSpec::Gemm { .. } => vec![rd[0], sp[1]],
+            OpSpec::Gemm { .. } => [rd[0], sp[1]].into(),
             // A rows of Tk; x is a contiguous Tk run.
-            OpSpec::Gemv { .. } => vec![rd[0], rd[0]],
+            OpSpec::Gemv { .. } => [rd[0], rd[0]].into(),
             OpSpec::Conv2d { stride, w, pad, .. } => {
                 let iw = ((sp[3] - 1) * stride + rd[2]).min(w + 2 * pad);
-                vec![iw, rd[2]]
+                [iw, rd[2]].into()
             }
             OpSpec::AvgPool2d { stride, w, .. } => {
                 let iw = ((sp[3] - 1) * stride + rd[1]).min(w);
-                vec![iw]
+                [iw].into()
             }
-            OpSpec::Elementwise { num_inputs, .. } => vec![sp[0]; num_inputs as usize],
+            OpSpec::Elementwise { num_inputs, .. } => (0..num_inputs).map(|_| sp[0]).collect(),
         }
     }
 
@@ -684,7 +797,7 @@ mod tests {
     fn gemm_tile_footprint_matches_hand_count() {
         let op = OpSpec::gemm(128, 64, 256);
         let fp = op.tile_footprint(&[32, 16], &[8]);
-        assert_eq!(fp.inputs, vec![32 * 8, 8 * 16]);
+        assert_eq!(*fp.inputs, [32 * 8, 8 * 16]);
         assert_eq!(fp.output, 32 * 16);
         assert_eq!(fp.total_elems(), 256 + 128 + 512);
     }
@@ -741,7 +854,7 @@ mod tests {
         assert!(op.reduce_extents().is_empty());
         assert_eq!(op.reduce_steps(&[]), 1);
         let fp = op.tile_footprint(&[1024], &[]);
-        assert_eq!(fp.inputs, vec![1024, 1024]);
+        assert_eq!(*fp.inputs, [1024, 1024]);
     }
 
     #[test]
@@ -764,7 +877,7 @@ mod tests {
     fn footprint_clamps_oversized_tiles() {
         let op = OpSpec::gemm(16, 16, 16);
         let fp = op.tile_footprint(&[1000, 1000], &[1000]);
-        assert_eq!(fp.inputs, vec![16 * 16, 16 * 16]);
+        assert_eq!(*fp.inputs, [16 * 16, 16 * 16]);
         assert_eq!(fp.output, 16 * 16);
     }
 
@@ -786,6 +899,62 @@ mod tests {
     #[should_panic]
     fn zero_dim_rejected() {
         let _ = OpSpec::gemm(0, 4, 4);
+    }
+
+    #[test]
+    fn validate_mirrors_the_constructors_and_bounds_elementwise_inputs() {
+        assert_eq!(OpSpec::elementwise(8, 4, 1).validate(), Ok(()));
+        let bad = [
+            OpSpec::Gemm { m: 4, k: 0, n: 4 },
+            OpSpec::Gemv { m: 0, n: 4 },
+            OpSpec::Conv2d {
+                n: 1,
+                c_in: 1,
+                h: 2,
+                w: 8,
+                c_out: 1,
+                kh: 3,
+                kw: 3,
+                stride: 1,
+                pad: 0,
+            },
+            OpSpec::AvgPool2d {
+                n: 1,
+                c: 1,
+                h: 4,
+                w: 4,
+                f: 2,
+                stride: 0,
+            },
+            OpSpec::Elementwise {
+                elems: 8,
+                num_inputs: 0,
+                ops_per_elem: 1,
+            },
+            OpSpec::Elementwise {
+                elems: 8,
+                num_inputs: Extents::MAX as u32 + 1,
+                ops_per_elem: 1,
+            },
+        ];
+        for op in bad {
+            assert!(op.validate().is_err(), "{op:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 4 inputs")]
+    fn elementwise_constructor_bounds_its_inputs() {
+        let _ = OpSpec::elementwise(8, 5, 1);
+    }
+
+    #[test]
+    fn extents_serialize_as_a_plain_array_and_refuse_longer_ones() {
+        let e: Extents = [4, 16, 16, 8].into();
+        assert_eq!(e.to_value(), vec![4u64, 16, 16, 8].to_value());
+        assert_eq!(Extents::deserialize(&e.to_value()), Ok(e));
+        let long = vec![1u64; Extents::MAX + 1].to_value();
+        assert!(Extents::deserialize(&long).is_err());
     }
 
     #[test]
@@ -906,10 +1075,10 @@ mod prop_tests {
             let (out, ins) = boxes.split_last().unwrap();
             let fp = op.tile_footprint(sp, rd);
             let volumes: Vec<u64> = ins.iter().map(|b| b.iter().product()).collect();
-            prop_assert_eq!(volumes, fp.inputs);
+            prop_assert_eq!(&volumes[..], &fp.inputs[..]);
             prop_assert_eq!(out.iter().product::<u64>(), fp.output);
             let rows: Vec<u64> = ins.iter().map(|b| *b.last().unwrap()).collect();
-            prop_assert_eq!(rows, op.tile_row_elems(sp, rd));
+            prop_assert_eq!(&rows[..], &op.tile_row_elems(sp, rd)[..]);
         }
 
         /// FLOPs scale linearly in every extent for GEMM.

@@ -34,7 +34,8 @@ impl Severity {
 /// `GS001`–`GS014` are legality errors; `GS02x` are performance lints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Code {
-    /// GS001 — tile vector rank does not match the operator's rank.
+    /// GS001 — tile vector rank does not match the operator's rank (or the
+    /// operator itself is malformed).
     RankMismatch,
     /// GS002 — a tile or vthread count is zero.
     ZeroTile,

@@ -24,7 +24,9 @@ pub const PASSES: [&str; 4] = [STRUCTURAL_PASS, CAPACITY_PASS, COVER_PASS, LINTS
 
 /// Structural (hardware-independent) invariant checks on the raw state.
 ///
-/// Emits GS001–GS006. Any error here means the state must not be lowered;
+/// Emits GS001–GS006; a malformed operator (`OpSpec::validate` fails) is
+/// a GS001 and ends the pass. Any error here means the state must not be
+/// lowered or costed;
 /// no error means lowering cannot fail: `Etir::thread_dims` and
 /// `LoopNest::from_etir` divide by tiles proved non-zero, and every
 /// `split(..).expect(..)` in `LoopNest::to_nest` divides evenly because
@@ -32,6 +34,14 @@ pub const PASSES: [&str; 4] = [STRUCTURAL_PASS, CAPACITY_PASS, COVER_PASS, LINTS
 /// is at most `next_pow2(extent)`.
 pub fn structural(e: &Etir, out: &mut Vec<Diagnostic>) {
     let p = STRUCTURAL_PASS;
+    if let Err(why) = e.op.validate() {
+        out.push(Diagnostic::new(
+            Code::RankMismatch,
+            p,
+            format!("malformed operator {why}"),
+        ));
+        return; // nothing below is computable
+    }
     let sp = e.op.spatial_extents();
     let rd = e.op.reduce_extents();
 
@@ -190,8 +200,8 @@ mod tests {
     #[test]
     fn zero_tile_and_divisibility_are_flagged() {
         let mut e = initial();
-        e.smem_tile = vec![6, 0];
-        e.reg_tile = vec![4, 1];
+        e.smem_tile = [6, 0].into();
+        e.reg_tile = [4, 1].into();
         let mut out = Vec::new();
         structural(&e, &mut out);
         let codes: Vec<Code> = out.iter().map(|d| d.code).collect();
@@ -200,9 +210,23 @@ mod tests {
     }
 
     #[test]
+    fn a_malformed_operator_is_refused_before_it_is_costed() {
+        let mut e = Etir::initial(OpSpec::elementwise(64, 2, 1), &GpuSpec::rtx4090());
+        e.op = OpSpec::Elementwise {
+            elems: 64,
+            num_inputs: 5,
+            ops_per_elem: 1,
+        };
+        // Costing a tile of it would overflow the inline footprint.
+        let report = crate::verify_schedule(&e, Some(&GpuSpec::rtx4090()));
+        let codes: Vec<Code> = report.diagnostics.iter().map(|d| d.code).collect();
+        assert_eq!(codes, [Code::RankMismatch]);
+    }
+
+    #[test]
     fn rank_mismatch_short_circuits() {
         let mut e = initial();
-        e.smem_tile = vec![4];
+        e.smem_tile = [4].into();
         let mut out = Vec::new();
         structural(&e, &mut out);
         assert_eq!(out.len(), 1);
@@ -212,7 +236,7 @@ mod tests {
     #[test]
     fn absurd_reduce_tile_and_unroll_flagged() {
         let mut e = initial();
-        e.reduce_tile = vec![4096]; // extent 256 → cap 256
+        e.reduce_tile = [4096].into(); // extent 256 → cap 256
         e.unroll = 3;
         e.cur_level = 7;
         let mut out = Vec::new();

@@ -181,8 +181,8 @@ mod tests {
     fn sub_warp_block_warns_only_without_ilp_compensation() {
         let spec = GpuSpec::rtx4090();
         let mut e = Etir::initial(OpSpec::gemm(1024, 64, 1024), &spec);
-        e.smem_tile = vec![8, 8];
-        e.reg_tile = vec![2, 2]; // 16 threads × 4 elements: lanes idle for real
+        e.smem_tile = [8, 8].into();
+        e.reg_tile = [2, 2].into(); // 16 threads × 4 elements: lanes idle for real
         e.cur_level = 2;
         let diags = run_on(&e, Some(&spec));
         assert!(
@@ -192,8 +192,8 @@ mod tests {
 
         // Same 16-thread block, but each thread carries a 16-element register
         // tile: occupancy traded for ILP on purpose — no warning.
-        e.smem_tile = vec![16, 16];
-        e.reg_tile = vec![8, 2];
+        e.smem_tile = [16, 16].into();
+        e.reg_tile = [8, 2].into();
         let diags = run_on(&e, Some(&spec));
         assert!(
             !diags.iter().any(|d| d.code == Code::SubWarpBlock),

@@ -352,8 +352,8 @@ mod tests {
         let cache = VerdictCache::in_memory();
         let spec = GpuSpec::orin_nano();
         let mut e = Etir::initial(OpSpec::gemm(4096, 4096, 4096), &spec);
-        e.smem_tile = vec![512, 512];
-        e.reduce_tile = vec![64];
+        e.smem_tile = [512, 512].into();
+        e.reduce_tile = [64].into();
         assert!(!cache.verify(&e, Some(&spec)).is_legal());
         assert!(cache.verify(&e, None).is_legal(), "different target key");
         assert_eq!(cache.stats().misses, 2);
@@ -405,8 +405,8 @@ mod tests {
         // Past the gate: tiles beyond Orin's shared memory (capacity), a raw
         // tile over the extent clamp (cover), never finished (lints).
         let mut rest = Etir::initial(OpSpec::gemm(8, 4096, 4096), &spec);
-        rest.smem_tile = vec![32, 512];
-        rest.reduce_tile = vec![64];
+        rest.smem_tile = [32, 512].into();
+        rest.reduce_tile = [64].into();
 
         let cache = VerdictCache::open(&path);
         let cold = [&gated, &rest].map(|e| cache.verify(e, Some(&spec)));

@@ -69,10 +69,10 @@ mod tests {
     fn garbage_state_is_rejected_without_panicking() {
         let spec = GpuSpec::rtx4090();
         let mut e = Etir::initial(OpSpec::gemm(512, 512, 512), &spec);
-        e.smem_tile = vec![0, 7];
-        e.reg_tile = vec![3, 0];
-        e.vthreads = vec![0, 0];
-        e.reduce_tile = vec![u64::MAX];
+        e.smem_tile = [0, 7].into();
+        e.reg_tile = [3, 0].into();
+        e.vthreads = [0, 0].into();
+        e.reduce_tile = [u64::MAX].into();
         e.unroll = 0;
         e.cur_level = 99;
         let report = verify_schedule(&e, Some(&spec));
@@ -95,8 +95,8 @@ mod tests {
         let mut e = Etir::initial(OpSpec::gemm(4096, 4096, 4096), &spec);
         // A tile far beyond Orin's shared memory: illegal with the spec,
         // structurally fine without it.
-        e.smem_tile = vec![512, 512];
-        e.reduce_tile = vec![64];
+        e.smem_tile = [512, 512].into();
+        e.reduce_tile = [64].into();
         let with_spec = verify_schedule(&e, Some(&spec));
         let without = verify_schedule(&e, None);
         assert!(!with_spec.is_legal());

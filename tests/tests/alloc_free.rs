@@ -1,20 +1,22 @@
-//! The walk's per-action queries do not touch the heap.
+//! A walk step does not touch the heap, except for its one row table.
 //!
 //! `Policy::score_step` asks `Etir::can_apply` about every enabled action
-//! of every step, and the cost model reads the operator's extents and tile
-//! counts on every evaluation. This binary installs a global allocator that
-//! counts allocations per thread and asserts that those queries make none,
-//! over every Table IV operator at its initial state and at states a seeded
-//! walk visits.
+//! of every step, applies each tiling action to a copy of the state and
+//! costs the copy, and the walk simulates the state it moves to. This
+//! binary installs a global allocator that counts allocations per thread
+//! and asserts that all of that makes none, over every Table IV operator
+//! at its initial state and at states a seeded walk visits.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use etir::{Action, Etir};
-use gensor::Walk;
+use etir::{Action, Etir, MemCheck, ScheduleStats};
+use gensor::benefit::action_benefit_stats;
+use gensor::{Policy, Walk};
 use hardware::GpuSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use simgpu::SimError;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -119,6 +121,82 @@ fn can_apply_does_not_allocate() {
             }
         }
     }
+}
+
+/// A state of `op` that no device can launch: every block tile is 4096
+/// wide with one element per thread, more threads than any GPU allows.
+fn infeasible(op: &tensor_expr::OpSpec, spec: &GpuSpec) -> Etir {
+    let mut e = Etir::initial(op.clone(), spec);
+    e.smem_tile = e.smem_tile.iter().map(|_| 4096).collect();
+    e
+}
+
+/// Register the `obs` handles that `score_step` and `simulate` create on
+/// their first call (one per call site and operator class), so the counts
+/// below see only the steady state.
+fn warm_obs(policy: &Policy, spec: &GpuSpec) {
+    for cfg in tensor_expr::benchmark_suite() {
+        let e = Etir::initial(cfg.op.clone(), spec);
+        policy.score_step(&e, spec, 0);
+        simgpu::simulate(&e, spec).unwrap();
+        let _ = simgpu::simulate(&infeasible(&cfg.op, spec), spec).unwrap_err();
+    }
+}
+
+#[test]
+fn a_scored_step_allocates_only_its_row_table() {
+    let spec = GpuSpec::rtx4090();
+    let policy = Policy::default();
+    warm_obs(&policy, &spec);
+    let (mut feasible, mut refused) = (0, 0);
+    for cfg in tensor_expr::benchmark_suite() {
+        let op = &cfg.op;
+        let label = &cfg.label;
+        for e in states(op, &spec).into_iter().chain([infeasible(op, &spec)]) {
+            let at = e.describe();
+            let before = ScheduleStats::compute(&e);
+            match simgpu::simulate(&e, &spec) {
+                Ok(_) => feasible += 1,
+                Err(SimError::Infeasible(_)) => refused += 1,
+                Err(other) => panic!("{label}: {other} at {at}"),
+            }
+            let checks: [(&str, u64); 4] = [
+                ("Etir::clone", allocations_in(|| e.clone())),
+                (
+                    "ScheduleStats::compute",
+                    allocations_in(|| ScheduleStats::compute(&e)),
+                ),
+                (
+                    "MemCheck::check",
+                    allocations_in(|| MemCheck::check(&e, &spec)),
+                ),
+                (
+                    "simgpu::simulate",
+                    allocations_in(|| simgpu::simulate(&e, &spec)),
+                ),
+            ];
+            for (name, n) in checks {
+                assert_eq!(n, 0, "{label}: {name} allocated {n} time(s) at {at}");
+            }
+            for a in Action::all(e.spatial_rank(), e.reduce_rank()) {
+                if e.can_apply(&a) {
+                    let n = allocations_in(|| e.apply(&a));
+                    assert_eq!(n, 0, "{label}: apply({a:?}) allocated {n} time(s) at {at}");
+                }
+                let n = allocations_in(|| action_benefit_stats(&e, &before, &a, &spec));
+                assert_eq!(
+                    n, 0,
+                    "{label}: action_benefit_stats({a:?}) allocated {n} time(s) at {at}"
+                );
+            }
+            let n = allocations_in(|| policy.score_step(&e, &spec, 5));
+            assert_eq!(n, 1, "{label}: score_step allocated {n} time(s) at {at}");
+        }
+    }
+    assert!(
+        feasible > 0 && refused > 0,
+        "{feasible} Ok, {refused} Infeasible"
+    );
 }
 
 #[test]

@@ -354,6 +354,59 @@ fn unknown_method_answers_a_typed_error() {
     join.join().unwrap();
 }
 
+/// An operator the cost model cannot hold (here: more inputs than a tile
+/// footprint has room for) is a typed `Malformed` answer on every verb that
+/// carries one, and the same connection goes on serving.
+#[test]
+fn a_malformed_operator_is_refused_and_the_connection_survives() {
+    let builds = Arc::new(AtomicU64::new(0));
+    let (path, _handle, join) = start(
+        "malformed-op",
+        sleepy_registry(&builds, Duration::ZERO),
+        |_| {},
+    );
+    let spec = GpuSpec::rtx4090();
+    let five = OpSpec::Elementwise {
+        elems: 64,
+        num_inputs: 5,
+        ops_per_elem: 1,
+    };
+    let four = OpSpec::elementwise(64, 4, 1);
+    let malformed = |r: Result<_, ClientError>| {
+        matches!(
+            r,
+            Err(ClientError::Remote {
+                kind: ErrKind::Malformed,
+                ..
+            })
+        )
+    };
+    let mut c = Client::connect(&path).unwrap();
+    assert!(malformed(
+        c.compile(&five, &spec, "sleep", None).map(|_| ())
+    ));
+    assert!(malformed(c.probe(&five, &spec, "sleep").map(|_| ())));
+    let kernel = CompiledKernel {
+        etir: Etir::initial(four.clone(), &spec),
+        report: simgpu::simulate(&Etir::initial(four.clone(), &spec), &spec).unwrap(),
+        wall_time_s: 0.0,
+        simulated_tuning_s: 0.0,
+        candidates_evaluated: 1,
+    };
+    assert!(malformed(c.put(&five, &spec, "sleep", &kernel).map(|_| ())));
+    assert_eq!(builds.load(Ordering::SeqCst), 0, "nothing was compiled");
+
+    let (_, outcome) = c.compile(&four, &spec, "sleep", None).unwrap();
+    assert_eq!(outcome, WireOutcome::Built);
+    assert_eq!(
+        c.stats().unwrap().connections,
+        1,
+        "one connection throughout"
+    );
+    c.shutdown().unwrap();
+    join.join().unwrap();
+}
+
 #[test]
 fn expired_requests_answer_deadline_exceeded_but_still_bank_the_kernel() {
     let builds = Arc::new(AtomicU64::new(0));

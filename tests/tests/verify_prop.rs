@@ -57,9 +57,7 @@ fn corrupted_schedules_are_rejected() {
         ("zero reg tile", Box::new(|e: &mut Etir| e.reg_tile[0] = 0)),
         (
             "truncated tile vector",
-            Box::new(|e: &mut Etir| {
-                e.smem_tile.pop();
-            }),
+            Box::new(|e: &mut Etir| e.smem_tile = e.smem_tile[1..].to_vec().into()),
         ),
         (
             "non-power-of-two unroll",
@@ -98,11 +96,11 @@ fn mutated_nests_are_static_errors() {
     }
     let spec = GpuSpec::rtx4090();
     let mut gemm = Etir::initial(OpSpec::gemm(32, 16, 24), &spec);
-    (gemm.smem_tile, gemm.reg_tile) = (vec![8, 8], vec![2, 2]);
-    (gemm.vthreads, gemm.reduce_tile) = (vec![2, 1], vec![4]);
+    (gemm.smem_tile, gemm.reg_tile) = ([8, 8].into(), [2, 2].into());
+    (gemm.vthreads, gemm.reduce_tile) = ([2, 1].into(), [4].into());
     let mut conv = Etir::initial(OpSpec::conv2d(2, 4, 9, 9, 8, 3, 3, 1, 1), &spec);
-    (conv.smem_tile, conv.reg_tile) = (vec![2, 4, 4, 4], vec![1, 2, 1, 1]);
-    (conv.vthreads, conv.reduce_tile) = (vec![1, 2, 1, 1], vec![2, 2, 1]);
+    (conv.smem_tile, conv.reg_tile) = ([2, 4, 4, 4].into(), [1, 2, 1, 1].into());
+    (conv.vthreads, conv.reduce_tile) = ([1, 2, 1, 1].into(), [2, 2, 1].into());
     let [grid, vt, thread, reg] = [
         "outer",
         "inner.outer",
@@ -176,10 +174,10 @@ proptest! {
     ) {
         let spec = GpuSpec::rtx4090();
         let mut e = Etir::initial(OpSpec::gemm(512, 256, 512), &spec);
-        e.smem_tile = smem;
-        e.reg_tile = reg;
-        e.vthreads = vt;
-        e.reduce_tile = red;
+        e.smem_tile = smem.into();
+        e.reg_tile = reg.into();
+        e.vthreads = vt.into();
+        e.reduce_tile = red.into();
         e.unroll = unroll;
         e.cur_level = level;
         let _ = verify_schedule(&e, Some(&spec));
@@ -218,7 +216,7 @@ proptest! {
         e.reg_tile = spatial[..rank].iter().map(|t| t.0).collect();
         e.vthreads = spatial[..rank].iter().map(|t| t.1).collect();
         e.smem_tile = spatial[..rank].iter().map(|t| t.0 * t.1 * t.2).collect();
-        e.reduce_tile = reduce[..reduce_rank].to_vec();
+        e.reduce_tile = reduce[..reduce_rank].to_vec().into();
         let mut gate = Vec::new();
         verify::invariants::structural(&e, &mut gate);
         prop_assume!(gate.is_empty());
