@@ -52,8 +52,7 @@ pub fn tiling_benefit_stats(
 /// (farther) memory against the *higher* (nearer) one the `cache` action
 /// switches scheduling to. `S` is the data size exchanged per tile.
 pub fn caching_benefit(state: &Etir, spec: &GpuSpec) -> f64 {
-    let stats = ScheduleStats::compute(state);
-    caching_benefit_stats(state, &stats, spec)
+    caching_benefit_stats(state, &ScheduleStats::compute(state), spec)
 }
 
 /// [`caching_benefit`] on precomputed stats.
@@ -84,8 +83,7 @@ pub fn vthread_benefit(before: &Etir, after: &Etir, spec: &GpuSpec) -> f64 {
 /// Returns 0 when the action is inapplicable or the successor violates a
 /// memory capacity limit (the §IV-C memory check).
 pub fn action_benefit(state: &Etir, action: &Action, spec: &GpuSpec) -> f64 {
-    let before = ScheduleStats::compute(state);
-    action_benefit_stats(state, &before, action, spec)
+    action_benefit_stats(state, &ScheduleStats::compute(state), action, spec)
 }
 
 /// [`action_benefit`] when the *before* stats are already computed (the
@@ -105,7 +103,7 @@ pub fn action_benefit_stats(
         | Action::TileReduce { .. }
         | Action::InvTileReduce { .. } => {
             let next = state.apply(action);
-            let after = ScheduleStats::compute(&next);
+            let after = before.successor(&next, action);
             if !etir::analytics::MemCheck::check_capacity_stats(&after, spec).fits() {
                 return 0.0;
             }

@@ -115,8 +115,19 @@ impl Policy {
     /// Score one walk step, with evaluation accounting: the exact Alg. 2
     /// scoring, every enabled action run through the benefit formulas.
     pub fn score_step(&self, state: &Etir, spec: &GpuSpec, t: u32) -> StepScoring {
+        self.score_step_stats(state, &ScheduleStats::compute(state), spec, t)
+    }
+
+    /// [`Policy::score_step`] when the caller already holds `state`'s
+    /// stats (the walk carries its state's).
+    pub fn score_step_stats(
+        &self,
+        state: &Etir,
+        before: &ScheduleStats,
+        spec: &GpuSpec,
+        t: u32,
+    ) -> StepScoring {
         let t_score = std::time::Instant::now();
-        let before = ScheduleStats::compute(state);
         let mut rows: Vec<ActionProb> = Vec::with_capacity(Action::ALL.len());
         let mut evals: u64 = 0;
         let (sr, rr) = (state.spatial_rank(), state.reduce_rank());
@@ -124,7 +135,7 @@ impl Policy {
             .iter()
             .filter(|a| a.in_rank(sr, rr) && self.enabled(a))
         {
-            let raw = action_benefit_stats(state, &before, &action, spec);
+            let raw = action_benefit_stats(state, before, &action, spec);
             evals += 1;
             if raw <= 0.0 {
                 continue;

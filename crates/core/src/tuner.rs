@@ -12,7 +12,7 @@ use etir::Etir;
 use hardware::GpuSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simgpu::{pick_best, CompiledKernel, KernelReport, Tuner};
+use simgpu::{CompiledKernel, KernelReport, Tuner};
 use std::time::Instant;
 use tensor_expr::OpSpec;
 
@@ -99,18 +99,9 @@ impl Gensor {
             let mut rng = StdRng::seed_from_u64(seed);
             let rec = walk.run(op, spec, &mut rng);
             // Every visited state was scored online; the harvested
-            // top_results and the best-seen state compete.
+            // top_results and the best-seen state compete on those times.
             let n = (rec.steps + 1) as u64;
-            let mut chain_best = pick_best(&rec.top_results, spec);
-            if let Some((e, t)) = rec.best_seen {
-                let better = chain_best.as_ref().is_none_or(|(_, br)| t < br.time_us);
-                if better {
-                    if let Ok(r) = simgpu::simulate(&e, spec) {
-                        chain_best = Some((e, r));
-                    }
-                }
-            }
-            chain_best.map(|(e, r)| (e, r, n))
+            rec.winner(spec).map(|(e, r)| (e, r, n))
         });
         results.into_iter().flatten().collect()
     }

@@ -8,9 +8,10 @@
 //! memory levels scheduled).
 
 use crate::policy::Policy;
-use etir::Etir;
+use etir::{Etir, ScheduleStats};
 use hardware::GpuSpec;
 use rand::Rng;
+use simgpu::{KernelReport, SimOptions};
 use tensor_expr::OpSpec;
 
 /// Configuration of a single construction walk.
@@ -49,6 +50,10 @@ impl Default for Walk {
 pub struct WalkRecord {
     /// States accepted into `top_results` (plus the terminal state).
     pub top_results: Vec<Etir>,
+    /// Simulated time (µs) of each `top_results` entry, as the walk already
+    /// computed it when it visited the state; ∞ where the entry does not
+    /// launch.
+    pub top_time_us: Vec<f64>,
     /// Number of transitions taken.
     pub steps: u32,
     /// The terminal state.
@@ -67,6 +72,30 @@ pub struct WalkRecord {
     /// per walk (global obs counters aggregate across racing chains and
     /// tests).
     pub exact_benefit_evals: u64,
+}
+
+impl WalkRecord {
+    /// The chain's winner by [`simgpu::pick_best`]'s rule, read off the
+    /// times the walk already simulated: the first strictly fastest
+    /// harvested state, replaced by `best_seen` only if that is strictly
+    /// faster. Only the winner is simulated again, for its report.
+    pub fn winner(&self, spec: &GpuSpec) -> Option<(Etir, KernelReport)> {
+        let harvest = self
+            .top_results
+            .iter()
+            .zip(self.top_time_us.iter().copied());
+        let seen = self.best_seen.iter().map(|(e, t)| (e, *t));
+        // `<` keeps the earlier of two equal times, so `best_seen`, last in
+        // line, wins only if strictly faster.
+        let mut best: Option<(&Etir, f64)> = None;
+        for (e, t) in harvest.chain(seen) {
+            if t < best.map_or(f64::INFINITY, |(_, bt)| bt) {
+                best = Some((e, t));
+            }
+        }
+        let (e, _) = best?;
+        simgpu::simulate(e, spec).ok().map(|r| (e.clone(), r))
+    }
 }
 
 impl Walk {
@@ -101,21 +130,28 @@ impl Walk {
     /// Run one walk (Alg. 1).
     pub fn run<R: Rng + ?Sized>(&self, op: &OpSpec, spec: &GpuSpec, rng: &mut R) -> WalkRecord {
         let sp = obs::span!("walk", op = op.label(), t0 = self.t0);
-        let mut e = Etir::initial(op.clone(), spec);
+        let init = Etir::initial(op.clone(), spec);
+        let init_stats = ScheduleStats::compute(&init);
         let rank = op.spatial_extents().len() + op.reduce_extents().len();
         let threshold = self.threshold_for_rank(rank);
         let mut t = self.t0;
         let mut step: u32 = 0;
-        let mut top: Vec<Etir> = Vec::new();
+        let (mut top, mut top_time_us) = (Vec::new(), Vec::new());
         let mut best_seen: Option<(Etir, f64)> = None;
-        let consider = |state: &Etir, best: &mut Option<(Etir, f64)>| {
-            if let Ok(r) = simgpu::simulate(state, spec) {
-                if best.as_ref().is_none_or(|(_, bt)| r.time_us < *bt) {
-                    *best = Some((state.clone(), r.time_us));
-                }
+        // Simulate a visited state on the stats the walk carries for it;
+        // keep it if it leads; return its time (∞ if it does not launch).
+        let consider = |state: &Etir, stats: &ScheduleStats, best: &mut Option<(Etir, f64)>| {
+            let Ok(r) = simgpu::simulate_stats(state, stats, spec, SimOptions::default()) else {
+                return f64::INFINITY;
+            };
+            if best.as_ref().is_none_or(|(_, bt)| r.time_us < *bt) {
+                *best = Some((state.clone(), r.time_us));
             }
+            r.time_us
         };
-        consider(&e, &mut best_seen);
+        let init_time = consider(&init, &init_stats, &mut best_seen);
+        // The current state, its stats and its simulated time.
+        let (mut e, mut stats, mut time) = (init.clone(), init_stats, init_time);
         let mut best_time_trace: Vec<f64> =
             vec![best_seen.as_ref().map_or(f64::INFINITY, |(_, t)| *t)];
         // Annealing progress is normalized to the step budget so the boost
@@ -137,11 +173,11 @@ impl Walk {
             // Annealing progress restarts with each construction pass so
             // every pass sees the full low→high cache-probability ramp.
             let t_norm = ((step - pass_start) as u64 * 100 / budget as u64) as u32;
-            // `score_step` + `choose` is exactly `Policy::select` split
+            // Scoring + `choose` is exactly `Policy::select` split
             // open (same RNG draw sequence), so the chosen row's benefit
             // and probability are available to the telemetry below without
             // perturbing the walk.
-            let scoring = self.policy.score_step(&e, spec, t_norm);
+            let scoring = self.policy.score_step_stats(&e, &stats, spec, t_norm);
             exact_benefit_evals += scoring.exact_evals;
             let rows = scoring.rows;
             let Some(pick) = self.policy.choose(&rows, rng) else {
@@ -149,8 +185,9 @@ impl Walk {
                 // budget left: Alg. 1's loop runs until T < threshold, so
                 // re-initialize and spend the remainder on a fresh pass.
                 top.push(e.clone());
-                let from = e;
-                e = Etir::initial(op.clone(), spec);
+                top_time_us.push(time);
+                let from = std::mem::replace(&mut e, init.clone());
+                (stats, time) = (init_stats, init_time);
                 pass_start = step;
                 let best_now = best_seen.as_ref().map_or(f64::INFINITY, |(_, t)| *t);
                 obs::event!(
@@ -175,11 +212,13 @@ impl Walk {
             };
             let row = &rows[pick];
             let next = e.apply(&row.action);
+            let next_stats = stats.successor(&next, &row.action);
             let accepted = rng.gen::<f64>() < Self::accept_prob(t);
+            let next_time = consider(&next, &next_stats, &mut best_seen);
             if accepted {
                 top.push(next.clone());
+                top_time_us.push(next_time);
             }
-            consider(&next, &mut best_seen);
             let best_now = best_seen.as_ref().map_or(f64::INFINITY, |(_, t)| *t);
             best_time_trace.push(best_now);
             obs::event!(
@@ -197,12 +236,13 @@ impl Walk {
                 exact_evals = scoring.exact_evals
             );
             step_hist.record_us(t_step.elapsed().as_micros() as u64);
-            e = next;
+            (e, stats, time) = (next, next_stats, next_time);
             t /= 2.0;
             step += 1;
         }
         // The terminal state is always a candidate.
         top.push(e.clone());
+        top_time_us.push(time);
         obs::counter_add!(
             "gensor_core_walk_steps_total",
             "Markov-walk transitions taken (including restarts)",
@@ -211,6 +251,7 @@ impl Walk {
         obs::counter_inc!("gensor_core_walks_total", "Construction walks run");
         WalkRecord {
             top_results: top,
+            top_time_us,
             steps: step,
             terminal: e,
             best_seen,

@@ -7,91 +7,103 @@
 //! for the configuration exceeds the cache capacity, the probability is
 //! directly set to 0", §IV-C) and for the performance simulator.
 
+use crate::action::Action;
 use crate::state::Etir;
 use hardware::{GpuSpec, LevelKind};
 use serde::{Deserialize, Serialize};
+use tensor_expr::op::clamp_tile;
 use tensor_expr::{Extents, DTYPE_BYTES};
 
 /// Register overhead per thread beyond accumulators and operand slices
 /// (addressing, loop counters, predicates).
 const REG_OVERHEAD: u64 = 16;
 
-/// Derived, hardware-independent-shape quantities of a schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// What the benefit formulas and the capacity check read of a schedule, in
+/// two halves: the block half (level 0) is a function of the shared-memory
+/// and reduce tiles only, the thread half (level 1) of the register tile
+/// only. Thread and vthread counts and the tile efficiency are the
+/// schedule's own ([`Etir::threads_per_block`],
+/// [`tensor_expr::OpSpec::tile_efficiency`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleStats {
     /// Thread blocks launched (`Π ceil(extent / smem_tile)`).
     pub grid_blocks: u64,
-    /// Physical threads per block.
-    pub threads_per_block: u64,
-    /// Virtual threads per block.
-    pub vthreads_per_block: u64,
+    /// Reduction steps each block executes (`Π ceil(extent / reduce_tile)`).
+    pub reduce_steps: u64,
     /// Shared memory staged per block, bytes (input tiles for one reduction
     /// step).
     pub smem_bytes_per_block: u64,
-    /// 32-bit registers per thread (accumulators + operand slice + fixed
-    /// overhead).
-    pub regs_per_thread: u64,
-    /// Reduction steps each block executes.
-    pub reduce_steps: u64,
     /// Total DRAM traffic in bytes: every block re-loads its input tiles
     /// each reduction step, plus the output is written once.
     pub dram_traffic_bytes: f64,
+    /// 32-bit registers per thread (accumulators + operand slice + fixed
+    /// overhead).
+    pub regs_per_thread: u64,
     /// Total shared-memory→register traffic in bytes.
     pub smem_traffic_bytes: f64,
-    /// Fraction of launched spatial work that is useful (1.0 = perfect
-    /// tiling, < 1 when tiles are ragged).
-    pub tile_efficiency: f64,
 }
 
 impl ScheduleStats {
-    /// Compute all quantities for `e`.
+    /// Compute all quantities for `e`: both halves.
     pub fn compute(e: &Etir) -> ScheduleStats {
-        let op = &e.op;
-        let sp_ext = op.spatial_extents();
-        let smem_tile = e.clamped_smem_tile();
-        let grid_blocks = op.num_tiles(&smem_tile);
-        let reduce_steps = op.reduce_steps(&e.reduce_tile);
+        ScheduleStats::default().cost_level(e, 0).cost_level(e, 1)
+    }
 
-        // --- Shared-memory footprint: input tiles of one reduction step.
-        let block_fp = op.tile_footprint(&smem_tile, &e.reduce_tile);
-        let smem_bytes_per_block = block_fp.input_bytes();
-
-        // --- Registers: accumulator tile + one reduce-element operand
-        // slice + overhead.
-        let unit_rd: Extents = e.reduce_tile.iter().map(|_| 1).collect();
-        let reg_fp = op.tile_footprint(&e.reg_tile, &unit_rd);
-        let regs_per_thread = reg_fp.output + reg_fp.inputs.iter().sum::<u64>() + REG_OVERHEAD;
-
-        // --- DRAM traffic: per block, the staged input tiles are loaded
-        // once per reduction step; the output tile is written once.
-        let in_bytes_per_step = block_fp.input_bytes() as f64;
-        let out_bytes = (op.output_elems() * DTYPE_BYTES) as f64;
-        let dram_traffic_bytes =
-            grid_blocks as f64 * reduce_steps as f64 * in_bytes_per_step + out_bytes;
-
-        // --- SMEM→register traffic: every register tile re-reads its
-        // operand slices for each element of the reduce space.
-        let total_reduce_elems: u64 = op.reduce_extents().iter().product::<u64>().max(1);
-        let num_reg_tiles: u64 = sp_ext
-            .iter()
-            .zip(&e.reg_tile)
-            .map(|(&ext, &t)| ext.div_ceil(t.max(1)))
-            .product();
-        let reg_in_bytes: f64 = (reg_fp.inputs.iter().sum::<u64>() * DTYPE_BYTES) as f64;
-        let smem_traffic_bytes =
-            num_reg_tiles as f64 * total_reduce_elems as f64 * reg_in_bytes + out_bytes;
-
-        ScheduleStats {
-            grid_blocks,
-            threads_per_block: e.threads_per_block(),
-            vthreads_per_block: e.total_vthreads(),
-            smem_bytes_per_block,
-            regs_per_thread,
-            reduce_steps,
-            dram_traffic_bytes,
-            smem_traffic_bytes,
-            tile_efficiency: op.tile_efficiency(&smem_tile),
+    /// The stats of `next = state.apply(action)`, where `self` are
+    /// `state`'s: a tiling action recomputes the one half its tile
+    /// decides and copies the other, every other action leaves both
+    /// halves as they are. Equal to `ScheduleStats::compute(next)`.
+    pub fn successor(&self, next: &Etir, action: &Action) -> ScheduleStats {
+        match action {
+            Action::Tile { .. } | Action::InvTile { .. } => self.cost_level(next, next.cur_level),
+            Action::TileReduce { .. } | Action::InvTileReduce { .. } => self.cost_level(next, 0),
+            _ => *self,
         }
+    }
+
+    /// `self` with the half that level `level`'s tiles of `e` decide
+    /// (0 = block, otherwise thread) recomputed, deriving the operator's
+    /// extents once.
+    fn cost_level(mut self, e: &Etir, level: usize) -> ScheduleStats {
+        let op = &e.op;
+        let (sp_ext, rd_ext) = (op.spatial_extents(), op.reduce_extents());
+        let out_bytes = (sp_ext.iter().product::<u64>() * DTYPE_BYTES) as f64;
+        // Every tile count is `Π ceil(extent / tile)`; clamping the tile to
+        // the extent first changes no count.
+        let count = |ext: &Extents, tile: &Extents| -> u64 {
+            ext.iter().zip(tile).map(|(&x, &t)| x.div_ceil(t)).product()
+        };
+        if level == 0 {
+            let smem_tile = clamp_tile(&e.smem_tile, &sp_ext);
+            let reduce_tile = clamp_tile(&e.reduce_tile, &rd_ext);
+            self.grid_blocks = count(&sp_ext, &smem_tile);
+            self.reduce_steps = count(&rd_ext, &reduce_tile).max(1);
+            // Shared-memory footprint: input tiles of one reduction step.
+            let block_fp = op.clamped_footprint(&smem_tile, &reduce_tile);
+            self.smem_bytes_per_block = block_fp.inputs.iter().sum::<u64>() * DTYPE_BYTES;
+            // DRAM traffic: per block, the staged input tiles are loaded
+            // once per reduction step; the output tile is written once.
+            self.dram_traffic_bytes = self.grid_blocks as f64
+                * self.reduce_steps as f64
+                * self.smem_bytes_per_block as f64
+                + out_bytes;
+        } else {
+            // Registers: accumulator tile + one reduce-element operand
+            // slice + overhead.
+            let reg_tile = clamp_tile(&e.reg_tile, &sp_ext);
+            let unit_rd: Extents = rd_ext.iter().map(|_| 1).collect();
+            let reg_fp = op.clamped_footprint(&reg_tile, &unit_rd);
+            let reg_in_elems = reg_fp.inputs.iter().sum::<u64>();
+            self.regs_per_thread = reg_fp.output + reg_in_elems + REG_OVERHEAD;
+            // SMEM→register traffic: every register tile re-reads its
+            // operand slices for each element of the reduce space.
+            let total_reduce_elems: u64 = rd_ext.iter().product::<u64>().max(1);
+            let reg_in_bytes = (reg_in_elems * DTYPE_BYTES) as f64;
+            self.smem_traffic_bytes =
+                count(&sp_ext, &reg_tile) as f64 * total_reduce_elems as f64 * reg_in_bytes
+                    + out_bytes;
+        }
+        self
     }
 
     /// The paper's `Q(T)`: traffic *into* the tiles of the given schedulable
@@ -131,39 +143,30 @@ pub enum MemCheck {
 impl MemCheck {
     /// Check `e` against `spec`. This is the transition filter of §IV-C.
     pub fn check(e: &Etir, spec: &GpuSpec) -> MemCheck {
-        let stats = ScheduleStats::compute(e);
-        Self::check_stats(&stats, spec)
+        Self::check_stats(&ScheduleStats::compute(e), e.threads_per_block(), spec)
     }
 
-    /// Same check when the caller already has the stats.
-    pub fn check_stats(stats: &ScheduleStats, spec: &GpuSpec) -> MemCheck {
-        if stats.threads_per_block == 0 {
+    /// Same check when the caller already has the stats and the block's
+    /// thread count.
+    pub fn check_stats(stats: &ScheduleStats, threads_per_block: u64, spec: &GpuSpec) -> MemCheck {
+        if threads_per_block == 0 {
             return MemCheck::NoThreads;
         }
-        if stats.smem_bytes_per_block > spec.max_smem_per_block {
-            return MemCheck::SmemOverflow {
-                need: stats.smem_bytes_per_block,
-                cap: spec.max_smem_per_block,
-            };
+        let capacity = Self::check_capacity_stats(stats, spec);
+        if !capacity.fits() {
+            return capacity;
         }
-        if stats.regs_per_thread > spec.max_regs_per_thread as u64 {
-            return MemCheck::RegOverflow {
-                need: stats.regs_per_thread,
-                cap: spec.max_regs_per_thread as u64,
-            };
-        }
-        if stats.threads_per_block > spec.max_threads_per_block as u64 {
+        if threads_per_block > spec.max_threads_per_block as u64 {
             return MemCheck::TooManyThreads {
-                need: stats.threads_per_block,
+                need: threads_per_block,
                 cap: spec.max_threads_per_block as u64,
             };
         }
         // A block also cannot out-demand the register file of a whole SM.
-        let regs_per_block = stats.regs_per_thread * stats.threads_per_block;
-        if regs_per_block > spec.regs_per_sm as u64 {
+        if stats.regs_per_thread * threads_per_block > spec.regs_per_sm as u64 {
             return MemCheck::RegOverflow {
                 need: stats.regs_per_thread,
-                cap: (spec.regs_per_sm as u64 / stats.threads_per_block.max(1)),
+                cap: (spec.regs_per_sm as u64 / threads_per_block.max(1)),
             };
         }
         MemCheck::Fits
@@ -185,8 +188,7 @@ impl MemCheck {
     /// threads) is applied by the simulator before any state can be chosen
     /// as a winner.
     pub fn check_capacity(e: &Etir, spec: &GpuSpec) -> MemCheck {
-        let stats = ScheduleStats::compute(e);
-        Self::check_capacity_stats(&stats, spec)
+        Self::check_capacity_stats(&ScheduleStats::compute(e), spec)
     }
 
     /// [`MemCheck::check_capacity`] when the stats are already computed.
@@ -214,24 +216,23 @@ pub const DRAM_LINE_BYTES: f64 = 64.0;
 
 /// Coalescing efficiency of the schedule's DRAM traffic, in (0, 1].
 ///
-/// Each staged input region streams rows of `tile_row_elems` contiguous
-/// elements; a row shorter than the DRAM line leaves the rest of the line
-/// unused. The per-input efficiencies are combined weighted by each input's
-/// share of the staged bytes. This is what separates a reduction-staging
-/// tile of 8 elements (32 B rows → half the line wasted) from one of 32+
-/// elements — the effect behind the paper's GEMV results (Table VI), where
-/// Roller's transaction-aligned but untuned reduction tile leaves
-/// bandwidth on the floor.
+/// Each staged input region streams rows of
+/// [`tensor_expr::TileFootprint::rows`] contiguous elements; a row shorter
+/// than the DRAM line leaves the rest of the line unused. The per-input
+/// efficiencies are combined weighted by each input's share of the staged
+/// bytes. This is what separates a reduction-staging tile of 8 elements
+/// (32 B rows → half the line wasted) from one of 32+ elements — the effect
+/// behind the paper's GEMV results (Table VI), where Roller's
+/// transaction-aligned but untuned reduction tile leaves bandwidth on the
+/// floor.
 pub fn dram_efficiency(e: &Etir) -> f64 {
-    let smem_tile = e.clamped_smem_tile();
-    let fp = e.op.tile_footprint(&smem_tile, &e.reduce_tile);
-    let rows = e.op.tile_row_elems(&smem_tile, &e.reduce_tile);
+    let fp = e.op.tile_footprint(&e.smem_tile, &e.reduce_tile);
     let total_bytes: f64 = fp.inputs.iter().map(|&b| b as f64).sum::<f64>() * DTYPE_BYTES as f64;
     if total_bytes <= 0.0 {
         return 1.0;
     }
     let mut weighted = 0.0;
-    for (&elems, &row) in fp.inputs.iter().zip(&rows) {
+    for (&elems, &row) in fp.inputs.iter().zip(&fp.rows) {
         let bytes = elems as f64 * DTYPE_BYTES as f64;
         let row_bytes = row as f64 * DTYPE_BYTES as f64;
         let eff = (row_bytes / DRAM_LINE_BYTES).clamp(1.0 / 16.0, 1.0);
@@ -266,13 +267,9 @@ pub fn l2_hit_rate(stats: &ScheduleStats, compulsory: f64, spec: &GpuSpec) -> f6
     let fit = (l2_cap / live_set).min(1.0);
     // Even a fully-captured window can't convert *all* redundancy (cold
     // misses at wave boundaries); 0.95 ceiling keeps it physical.
-    (redundant * fit * 0.95 + (1.0 - redundant) * 0.0).clamp(0.0, 0.99) + small_baseline(redundant)
-}
-
-/// Streaming accesses still enjoy some L2 hits from prefetch-like line
-/// granularity; give a small floor proportional to non-redundant traffic.
-fn small_baseline(redundant: f64) -> f64 {
-    0.05 * (1.0 - redundant)
+    // Streaming accesses still enjoy some L2 hits from prefetch-like line
+    // granularity: a small floor proportional to non-redundant traffic.
+    (redundant * fit * 0.95 + (1.0 - redundant) * 0.0).clamp(0.0, 0.99) + 0.05 * (1.0 - redundant)
 }
 
 #[cfg(test)]
@@ -309,8 +306,8 @@ mod tests {
         // Grid: (1024/64)^2 = 256 blocks.
         assert_eq!(s.grid_blocks, 256);
         // Threads: dim0 64/(4*2)=8, dim1 64/4=16 → 128.
-        assert_eq!(s.threads_per_block, 128);
-        assert_eq!(s.vthreads_per_block, 2);
+        assert_eq!(e.threads_per_block(), 128);
+        assert_eq!(e.total_vthreads(), 2);
         // SMEM: A tile 64x8 + B tile 8x64 = 1024 elems = 4096 B.
         assert_eq!(s.smem_bytes_per_block, 4096);
         // Regs: 4x4 acc + (4 + 4) operand slice + 16 = 40.
@@ -320,7 +317,18 @@ mod tests {
         // DRAM traffic: 256 blocks * 128 steps * 4096 B + 1024*1024*4 out.
         let expect = 256.0 * 128.0 * 4096.0 + (1024.0 * 1024.0 * 4.0);
         assert!((s.dram_traffic_bytes - expect).abs() < 1.0);
-        assert_eq!(s.tile_efficiency, 1.0);
+        assert_eq!(e.op.tile_efficiency(&e.smem_tile), 1.0);
+    }
+
+    #[test]
+    fn block_counts_round_up_ragged_tiles() {
+        let spec = GpuSpec::rtx4090();
+        let mut e = Etir::initial(OpSpec::gemm(100, 10, 60), &spec);
+        e.smem_tile = [32, 32].into();
+        e.reduce_tile = [4].into();
+        let s = ScheduleStats::compute(&e);
+        assert_eq!(s.grid_blocks, 4 * 2);
+        assert_eq!(s.reduce_steps, 3);
     }
 
     #[test]

@@ -196,7 +196,10 @@ impl GpuSpec {
     /// `D = [T_L, …, T_1, T_0]` notation (2 on every NVIDIA preset:
     /// shared memory and registers).
     pub fn num_schedulable_levels(&self) -> usize {
-        self.schedulable_levels().len()
+        self.levels
+            .iter()
+            .filter(|l| l.kind.is_schedulable())
+            .count()
     }
 
     /// Peak FP32 throughput of a *single* SM in GFLOPS.

@@ -21,5 +21,5 @@ pub mod model;
 pub mod report;
 
 pub use compiled::{parallel_map, pick_best, CompiledKernel, Tuner};
-pub use model::{simulate, simulate_opts, SimError, SimOptions};
+pub use model::{simulate, simulate_opts, simulate_stats, SimError, SimOptions};
 pub use report::KernelReport;

@@ -63,6 +63,16 @@ pub fn simulate(e: &Etir, spec: &GpuSpec) -> Result<KernelReport, SimError> {
 
 /// [`simulate`] with explicit [`SimOptions`].
 pub fn simulate_opts(e: &Etir, spec: &GpuSpec, opts: SimOptions) -> Result<KernelReport, SimError> {
+    simulate_stats(e, &ScheduleStats::compute(e), spec, opts)
+}
+
+/// [`simulate_opts`] on `e`'s [`ScheduleStats`], which the caller holds.
+pub fn simulate_stats(
+    e: &Etir,
+    stats: &ScheduleStats,
+    spec: &GpuSpec,
+    opts: SimOptions,
+) -> Result<KernelReport, SimError> {
     // Chaos site: evaluation is the innermost step every tuner leans on,
     // so injecting here exercises the whole stack's error paths (a
     // `panic` policy unwinds from inside `check`).
@@ -73,8 +83,8 @@ pub fn simulate_opts(e: &Etir, spec: &GpuSpec, opts: SimOptions) -> Result<Kerne
         "gensor_simgpu_simulations_total",
         "Analytical kernel-launch simulations run"
     );
-    let stats = ScheduleStats::compute(e);
-    let check = MemCheck::check_stats(&stats, spec);
+    let threads_per_block = e.threads_per_block();
+    let check = MemCheck::check_stats(stats, threads_per_block, spec);
     if !check.fits() {
         obs::counter_inc!(
             "gensor_simgpu_infeasible_total",
@@ -84,7 +94,7 @@ pub fn simulate_opts(e: &Etir, spec: &GpuSpec, opts: SimOptions) -> Result<Kerne
     }
 
     // ---------------- Occupancy ----------------
-    let threads = stats.threads_per_block.max(1);
+    let threads = threads_per_block.max(1);
     // Warp-granularity rounding: a 3-thread block still occupies one warp.
     let warps_per_block = threads.div_ceil(spec.warp_size as u64);
     let alloc_threads = warps_per_block * spec.warp_size as u64;
@@ -115,7 +125,7 @@ pub fn simulate_opts(e: &Etir, spec: &GpuSpec, opts: SimOptions) -> Result<Kerne
 
     // ---------------- Compute pipeline ----------------
     let useful_flops = e.op.flops();
-    let launched_flops = useful_flops / stats.tile_efficiency.max(1e-6);
+    let launched_flops = useful_flops / e.op.tile_efficiency(&e.smem_tile).max(1e-6);
     let work_per_thread: u64 = e.reg_tile.iter().product::<u64>() * e.unroll;
     let hiding = 1.0 - (-(TLP_HIDING * occupancy + ILP_HIDING * work_per_thread as f64)).exp();
     // Issue-width cap: ILP can hide latency but cannot conjure lanes — an
@@ -134,7 +144,7 @@ pub fn simulate_opts(e: &Etir, spec: &GpuSpec, opts: SimOptions) -> Result<Kerne
     let smem = spec.level(LevelKind::Shared);
 
     let compulsory = e.op.compulsory_bytes() as f64;
-    let l2_hit = l2_hit_rate(&stats, compulsory, spec);
+    let l2_hit = l2_hit_rate(stats, compulsory, spec);
     let requested = stats.dram_traffic_bytes;
     let dram_bytes = (requested * (1.0 - l2_hit)).max(compulsory.min(requested));
     // Coalescing: short staged rows waste DRAM line bandwidth.

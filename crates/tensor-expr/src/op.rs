@@ -51,23 +51,10 @@ pub struct TileFootprint {
     pub inputs: Extents,
     /// Elements of the output operand the tile writes.
     pub output: u64,
-}
-
-impl TileFootprint {
-    /// Total elements (inputs + output).
-    pub fn total_elems(&self) -> u64 {
-        self.inputs.iter().sum::<u64>() + self.output
-    }
-
-    /// Total bytes (inputs + output).
-    pub fn total_bytes(&self) -> u64 {
-        self.total_elems() * DTYPE_BYTES
-    }
-
-    /// Bytes of the input operands only (what a reduction step stages).
-    pub fn input_bytes(&self) -> u64 {
-        self.inputs.iter().sum::<u64>() * DTYPE_BYTES
-    }
+    /// Innermost contiguous extent (elements) of each input region — the
+    /// run length a cooperative load streams from DRAM. Short runs waste
+    /// memory-transaction bandwidth (see `simgpu`'s coalescing model).
+    pub rows: Extents,
 }
 
 /// One value per axis or per operand, held inline: an operator's spatial
@@ -595,42 +582,42 @@ impl OpSpec {
         self.spatial_extents().iter().product()
     }
 
-    /// Total element count of each input operand (whole tensors).
-    pub fn input_elems(&self) -> Extents {
-        let sp = self.spatial_extents();
-        let rd = self.reduce_extents();
-        // A full-tensor footprint is the footprint of the full-space "tile",
-        // except conv/pool halos, which the footprint fn already handles.
-        self.tile_footprint(&sp, &rd).inputs
-    }
-
     /// Bytes moved if every tensor (inputs + output) is touched exactly once
-    /// — the compulsory-traffic lower bound used by the L2-hit model.
+    /// — the compulsory-traffic lower bound used by the L2-hit model. A
+    /// whole tensor is the footprint of the full-space "tile" (conv/pool
+    /// halos included).
     pub fn compulsory_bytes(&self) -> u64 {
-        (self.input_elems().iter().sum::<u64>() + self.output_elems()) * DTYPE_BYTES
+        let fp = self.tile_footprint(&self.spatial_extents(), &self.reduce_extents());
+        (fp.inputs.iter().sum::<u64>() + fp.output) * DTYPE_BYTES
     }
 
     /// Footprint of one tile.
     ///
     /// `sp_tile` has one entry per spatial axis, `rd_tile` one per reduce
-    /// axis; both are clamped to the axis extents. Conv/pool input regions
-    /// include the stride/halo expansion:
-    /// `in_extent = (out_tile − 1)·stride + k_tile`.
+    /// axis; both are clamped to the axis extents.
     pub fn tile_footprint(&self, sp_tile: &[u64], rd_tile: &[u64]) -> TileFootprint {
-        let sp_ext = self.spatial_extents();
-        let rd_ext = self.reduce_extents();
+        let (sp_ext, rd_ext) = (self.spatial_extents(), self.reduce_extents());
         assert_eq!(sp_tile.len(), sp_ext.len(), "spatial tile rank mismatch");
         assert_eq!(rd_tile.len(), rd_ext.len(), "reduce tile rank mismatch");
-        let (sp, rd) = (clamp_tile(sp_tile, &sp_ext), clamp_tile(rd_tile, &rd_ext));
+        self.clamped_footprint(&clamp_tile(sp_tile, &sp_ext), &clamp_tile(rd_tile, &rd_ext))
+    }
+
+    /// [`OpSpec::tile_footprint`] of tiles already within `[1, extent]`
+    /// per axis ([`clamp_tile`]), for a caller that holds the extents.
+    /// Conv/pool input regions include the stride/halo expansion:
+    /// `in_extent = (out_tile − 1)·stride + k_tile`.
+    pub fn clamped_footprint(&self, sp: &[u64], rd: &[u64]) -> TileFootprint {
         let output = sp.iter().product();
-        let inputs = match *self {
+        let (inputs, rows) = match *self {
+            // A is [M,K] row-major → rows of Tk; B is [K,N] → rows of Tn.
             OpSpec::Gemm { .. } => {
                 let (tm, tn, tk) = (sp[0], sp[1], rd[0]);
-                [tm * tk, tk * tn].into()
+                ([tm * tk, tk * tn].into(), [tk, tn].into())
             }
+            // A rows of Tk; x is a contiguous Tk run.
             OpSpec::Gemv { .. } => {
                 let (tm, tk) = (sp[0], rd[0]);
-                [tm * tk, tk].into()
+                ([tm * tk, tk].into(), [tk, tk].into())
             }
             OpSpec::Conv2d {
                 stride, h, w, pad, ..
@@ -639,63 +626,28 @@ impl OpSpec {
                 let (tic, tkh, tkw) = (rd[0], rd[1], rd[2]);
                 let ih = ((toh - 1) * stride + tkh).min(h + 2 * pad);
                 let iw = ((tow - 1) * stride + tkw).min(w + 2 * pad);
-                [tn * tic * ih * iw, toc * tic * tkh * tkw].into()
+                (
+                    [tn * tic * ih * iw, toc * tic * tkh * tkw].into(),
+                    [iw, tkw].into(),
+                )
             }
             OpSpec::AvgPool2d { stride, h, w, .. } => {
                 let (tn, tc, toh, tow) = (sp[0], sp[1], sp[2], sp[3]);
                 let (tfh, tfw) = (rd[0], rd[1]);
                 let ih = ((toh - 1) * stride + tfh).min(h);
                 let iw = ((tow - 1) * stride + tfw).min(w);
-                [tn * tc * ih * iw].into()
+                ([tn * tc * ih * iw].into(), [iw].into())
             }
-            OpSpec::Elementwise { num_inputs, .. } => (0..num_inputs).map(|_| sp[0]).collect(),
+            OpSpec::Elementwise { num_inputs, .. } => {
+                let each: Extents = (0..num_inputs).map(|_| sp[0]).collect();
+                (each, each)
+            }
         };
-        TileFootprint { inputs, output }
-    }
-
-    /// Innermost contiguous extent (elements) of each *input* region staged
-    /// by one tile — the run length a cooperative load streams from DRAM.
-    /// Short runs waste memory-transaction bandwidth (see
-    /// `simgpu`'s coalescing model).
-    pub fn tile_row_elems(&self, sp_tile: &[u64], rd_tile: &[u64]) -> Extents {
-        let sp_ext = self.spatial_extents();
-        let rd_ext = self.reduce_extents();
-        let (sp, rd) = (clamp_tile(sp_tile, &sp_ext), clamp_tile(rd_tile, &rd_ext));
-        match *self {
-            // A is [M,K] row-major → rows of Tk; B is [K,N] → rows of Tn.
-            OpSpec::Gemm { .. } => [rd[0], sp[1]].into(),
-            // A rows of Tk; x is a contiguous Tk run.
-            OpSpec::Gemv { .. } => [rd[0], rd[0]].into(),
-            OpSpec::Conv2d { stride, w, pad, .. } => {
-                let iw = ((sp[3] - 1) * stride + rd[2]).min(w + 2 * pad);
-                [iw, rd[2]].into()
-            }
-            OpSpec::AvgPool2d { stride, w, .. } => {
-                let iw = ((sp[3] - 1) * stride + rd[1]).min(w);
-                [iw].into()
-            }
-            OpSpec::Elementwise { num_inputs, .. } => (0..num_inputs).map(|_| sp[0]).collect(),
+        TileFootprint {
+            inputs,
+            output,
+            rows,
         }
-    }
-
-    /// Number of tiles covering the spatial space (`Π ceil(extent/tile)`).
-    pub fn num_tiles(&self, sp_tile: &[u64]) -> u64 {
-        self.spatial_extents()
-            .iter()
-            .zip(sp_tile)
-            .map(|(&e, &t)| e.div_ceil(t.max(1)))
-            .product()
-    }
-
-    /// Number of reduction steps (`Π ceil(extent/tile)` over reduce axes);
-    /// 1 when there are no reduce axes.
-    pub fn reduce_steps(&self, rd_tile: &[u64]) -> u64 {
-        self.reduce_extents()
-            .iter()
-            .zip(rd_tile)
-            .map(|(&e, &t)| e.div_ceil(t.max(1)))
-            .product::<u64>()
-            .max(1)
     }
 
     /// Fraction of launched work that is useful, < 1 when tiles do not
@@ -751,7 +703,7 @@ impl OpSpec {
 
 /// `tile` clamped per axis into `[1, extent]` (zip semantics: the shorter
 /// of the two sets the length).
-fn clamp_tile(tile: &[u64], extents: &[u64]) -> Extents {
+pub fn clamp_tile(tile: &[u64], extents: &[u64]) -> Extents {
     tile.iter()
         .zip(extents)
         .map(|(&t, &e)| t.clamp(1, e))
@@ -799,7 +751,8 @@ mod tests {
         let fp = op.tile_footprint(&[32, 16], &[8]);
         assert_eq!(*fp.inputs, [32 * 8, 8 * 16]);
         assert_eq!(fp.output, 32 * 16);
-        assert_eq!(fp.total_elems(), 256 + 128 + 512);
+        // A streams rows of Tk, B rows of Tn.
+        assert_eq!(*fp.rows, [8, 16]);
     }
 
     #[test]
@@ -852,15 +805,8 @@ mod tests {
     fn elementwise_has_no_reduce() {
         let op = OpSpec::elementwise(1 << 20, 2, 1);
         assert!(op.reduce_extents().is_empty());
-        assert_eq!(op.reduce_steps(&[]), 1);
         let fp = op.tile_footprint(&[1024], &[]);
         assert_eq!(*fp.inputs, [1024, 1024]);
-    }
-
-    #[test]
-    fn num_tiles_rounds_up() {
-        let op = OpSpec::gemm(100, 10, 60);
-        assert_eq!(op.num_tiles(&[32, 32]), 4 * 2);
     }
 
     #[test]
@@ -1015,18 +961,24 @@ mod prop_tests {
         }
 
         /// Full-space tile covers each tensor exactly: the footprint of the
-        /// whole-extent tile equals the tensor sizes used by compulsory
-        /// traffic accounting.
+        /// whole-extent tile is every operand's whole (zero-padded) box in
+        /// the access map, which compulsory traffic charges once.
         #[test]
         fn full_tile_footprint_is_whole_tensor(op in arb_op()) {
-            let sp = op.spatial_extents();
-            let rd = op.reduce_extents();
+            let (sp, rd) = (op.spatial_extents(), op.reduce_extents());
             let fp = op.tile_footprint(&sp, &rd);
+            let full = [&sp[..], &rd[..]].concat();
+            let boxes: Vec<u64> =
+                op.accesses().iter().map(|a| a.tile_box(&full).iter().product()).collect();
+            let (out, ins) = boxes.split_last().unwrap();
             prop_assert_eq!(fp.output, op.output_elems());
-            prop_assert_eq!(fp.inputs, op.input_elems());
+            prop_assert_eq!(*out, fp.output);
+            prop_assert_eq!(ins, &fp.inputs[..]);
+            let elems = fp.inputs.iter().sum::<u64>() + fp.output;
+            prop_assert_eq!(op.compulsory_bytes(), elems * DTYPE_BYTES);
         }
 
-        /// Tile counts and efficiency: num_tiles × tile volume ≥ the space,
+        /// Tile counts and efficiency: tile count × tile volume ≥ the space,
         /// and efficiency = space / covered.
         #[test]
         fn tile_cover_accounting(op in arb_op(), t0 in 1u64..64, t1 in 1u64..64) {
@@ -1051,8 +1003,7 @@ mod prop_tests {
             let sp: Vec<u64> = op.spatial_extents().iter().map(|_| 4).collect();
             let rd: Vec<u64> = op.reduce_extents().iter().map(|_| 4).collect();
             let fp = op.tile_footprint(&sp, &rd);
-            let rows = op.tile_row_elems(&sp, &rd);
-            for (r, f) in rows.iter().zip(&fp.inputs) {
+            for (r, f) in fp.rows.iter().zip(&fp.inputs) {
                 prop_assert!(r <= f, "row {} > footprint {}", r, f);
             }
         }
@@ -1060,7 +1011,7 @@ mod prop_tests {
         /// The access map agrees with the cost model: for every suite
         /// operator and power-of-two tiles within its extents, each input's
         /// bounding box is `tile_footprint(..).inputs` and its innermost
-        /// run is `tile_row_elems(..)`.
+        /// run is `tile_footprint(..).rows`.
         #[test]
         fn access_map_matches_footprint_and_rows(row in 0usize..32, shift in 0u32..8) {
             let op = crate::suite::benchmark_suite()[row].op.clone();
@@ -1078,7 +1029,7 @@ mod prop_tests {
             prop_assert_eq!(&volumes[..], &fp.inputs[..]);
             prop_assert_eq!(out.iter().product::<u64>(), fp.output);
             let rows: Vec<u64> = ins.iter().map(|b| *b.last().unwrap()).collect();
-            prop_assert_eq!(&rows[..], &op.tile_row_elems(sp, rd)[..]);
+            prop_assert_eq!(&rows[..], &fp.rows[..]);
         }
 
         /// FLOPs scale linearly in every extent for GEMM.

@@ -155,7 +155,7 @@ pub fn capacity(e: &Etir, spec: Option<&GpuSpec>, out: &mut Vec<Diagnostic>) {
     // Incomplete states have no final thread shape yet, so only the
     // capacity subset applies (mirrors the §IV-C transition filter).
     let check = if e.is_complete() {
-        MemCheck::check_stats(&stats, spec)
+        MemCheck::check_stats(&stats, e.threads_per_block(), spec)
     } else {
         MemCheck::check_capacity_stats(&stats, spec)
     };

@@ -2,7 +2,8 @@
 //!
 //! `Policy::score_step` asks `Etir::can_apply` about every enabled action
 //! of every step, applies each tiling action to a copy of the state and
-//! costs the copy, and the walk simulates the state it moves to. This
+//! costs the copy's changed half (`ScheduleStats::successor`), and the walk
+//! simulates the state it moves to on the stats it carries. This
 //! binary installs a global allocator that counts allocations per thread
 //! and asserts that all of that makes none, over every Table IV operator
 //! at its initial state and at states a seeded walk visits.
@@ -16,7 +17,7 @@ use gensor::{Policy, Walk};
 use hardware::GpuSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simgpu::SimError;
+use simgpu::{SimError, SimOptions};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -80,15 +81,15 @@ fn extent_and_tile_queries_do_not_allocate() {
     for cfg in tensor_expr::benchmark_suite() {
         let op = &cfg.op;
         let label = &cfg.label;
+        let n = allocations_in(|| Etir::initial(op.clone(), &spec));
+        assert_eq!(n, 0, "{label}: Etir::initial allocated {n} time(s)");
+        // Block and reduce-step counts live in `ScheduleStats`' level
+        // halves; `a_scored_step_allocates_only_its_row_table` pins them
+        // through `ScheduleStats::successor`.
         for e in states(op, &spec) {
-            let checks: [(&str, u64); 7] = [
+            let checks: [(&str, u64); 5] = [
                 ("spatial_extents", allocations_in(|| op.spatial_extents())),
                 ("reduce_extents", allocations_in(|| op.reduce_extents())),
-                ("num_tiles", allocations_in(|| op.num_tiles(&e.smem_tile))),
-                (
-                    "reduce_steps",
-                    allocations_in(|| op.reduce_steps(&e.reduce_tile)),
-                ),
                 (
                     "tile_efficiency",
                     allocations_in(|| op.tile_efficiency(&e.smem_tile)),
@@ -160,7 +161,7 @@ fn a_scored_step_allocates_only_its_row_table() {
                 Err(SimError::Infeasible(_)) => refused += 1,
                 Err(other) => panic!("{label}: {other} at {at}"),
             }
-            let checks: [(&str, u64); 4] = [
+            let checks: [(&str, u64); 5] = [
                 ("Etir::clone", allocations_in(|| e.clone())),
                 (
                     "ScheduleStats::compute",
@@ -174,6 +175,12 @@ fn a_scored_step_allocates_only_its_row_table() {
                     "simgpu::simulate",
                     allocations_in(|| simgpu::simulate(&e, &spec)),
                 ),
+                (
+                    "simgpu::simulate_stats",
+                    allocations_in(|| {
+                        simgpu::simulate_stats(&e, &before, &spec, SimOptions::default())
+                    }),
+                ),
             ];
             for (name, n) in checks {
                 assert_eq!(n, 0, "{label}: {name} allocated {n} time(s) at {at}");
@@ -182,6 +189,12 @@ fn a_scored_step_allocates_only_its_row_table() {
                 if e.can_apply(&a) {
                     let n = allocations_in(|| e.apply(&a));
                     assert_eq!(n, 0, "{label}: apply({a:?}) allocated {n} time(s) at {at}");
+                    let next = e.apply(&a);
+                    let n = allocations_in(|| before.successor(&next, &a));
+                    assert_eq!(
+                        n, 0,
+                        "{label}: ScheduleStats::successor({a:?}) allocated {n} time(s) at {at}"
+                    );
                 }
                 let n = allocations_in(|| action_benefit_stats(&e, &before, &a, &spec));
                 assert_eq!(
@@ -191,6 +204,11 @@ fn a_scored_step_allocates_only_its_row_table() {
             }
             let n = allocations_in(|| policy.score_step(&e, &spec, 5));
             assert_eq!(n, 1, "{label}: score_step allocated {n} time(s) at {at}");
+            let n = allocations_in(|| policy.score_step_stats(&e, &before, &spec, 5));
+            assert_eq!(
+                n, 1,
+                "{label}: score_step_stats allocated {n} time(s) at {at}"
+            );
         }
     }
     assert!(
