@@ -5,10 +5,9 @@
 //! benefit of an action is its predicted acceleration ratio; Alg. 2
 //! normalizes benefits into transition probabilities.
 
-use etir::analytics::ScheduleStats;
+use etir::analytics::{MemCheck, OpShape, ScheduleStats};
 use etir::{Action, Etir};
 use hardware::{GpuSpec, LevelKind};
-use simgpu::model::bank_conflict_degree;
 
 /// Multiplicative benefit attributed to one doubling of the unroll factor
 /// (instruction-pipeline utilisation). Not one of the paper's three
@@ -17,20 +16,12 @@ use simgpu::model::bank_conflict_degree;
 const UNROLL_BENEFIT: f64 = 1.08;
 
 /// Eq. 1 — tiling benefit:
-/// `(Q(T)/Q(T')) / (F(T)/F(T')) = Q(T)·F(T') / (Q(T')·F(T))`.
+/// `(Q(T)/Q(T')) / (F(T)/F(T')) = Q(T)·F(T') / (Q(T')·F(T))`, on the stats
+/// before (`sb`) and after (`sa`) the action.
 ///
 /// `Q` is the memory traffic into the current scheduling level, `F` the
 /// footprint its tiles occupy. A ratio above 1 means the traffic saved
 /// outweighs the extra footprint — a higher memory-reuse rate.
-pub fn tiling_benefit(before: &Etir, after: &Etir) -> f64 {
-    let sb = ScheduleStats::compute(before);
-    let sa = ScheduleStats::compute(after);
-    tiling_benefit_stats(before.cur_level, before.num_levels, &sb, &sa)
-}
-
-/// [`tiling_benefit`] on precomputed stats (the policy scores ~25 actions
-/// per step; recomputing the *before* stats per action would dominate the
-/// construction time).
 pub fn tiling_benefit_stats(
     cur_level: usize,
     num_levels: usize,
@@ -51,11 +42,6 @@ pub fn tiling_benefit_stats(
 /// Compares serving the current level's working set from the *lower*
 /// (farther) memory against the *higher* (nearer) one the `cache` action
 /// switches scheduling to. `S` is the data size exchanged per tile.
-pub fn caching_benefit(state: &Etir, spec: &GpuSpec) -> f64 {
-    caching_benefit_stats(state, &ScheduleStats::compute(state), spec)
-}
-
-/// [`caching_benefit`] on precomputed stats.
 pub fn caching_benefit_stats(state: &Etir, stats: &ScheduleStats, spec: &GpuSpec) -> f64 {
     let s_data = stats.footprint_at_level(state.cur_level.min(1));
     let (low, high) = match state.cur_level {
@@ -68,33 +54,31 @@ pub fn caching_benefit_stats(state: &Etir, stats: &ScheduleStats, spec: &GpuSpec
     low.transfer_time_us(s_data) / high.transfer_time_us(s_data).max(1e-12)
 }
 
-/// Eq. 3 — virtual-thread benefit:
-/// `ceil(x/W) / ceil(x/(V·W))`.
-///
-/// The ratio of shared-memory bank-conflict serialization without/with the
-/// new virtual-thread configuration. Implemented as the ratio of the
-/// simulator's conflict degree so policy and oracle agree by construction.
-pub fn vthread_benefit(before: &Etir, after: &Etir, spec: &GpuSpec) -> f64 {
-    bank_conflict_degree(before, spec) / bank_conflict_degree(after, spec).max(1.0)
-}
-
-/// Benefit of applying `action` in `state` (dispatch over Eqs. 1–3).
+/// Benefit of applying `action` in `state`, whose stats are `before`
+/// (dispatch over Eqs. 1–3).
 ///
 /// Returns 0 when the action is inapplicable or the successor violates a
 /// memory capacity limit (the §IV-C memory check).
-pub fn action_benefit(state: &Etir, action: &Action, spec: &GpuSpec) -> f64 {
-    action_benefit_stats(state, &ScheduleStats::compute(state), action, spec)
-}
-
-/// [`action_benefit`] when the *before* stats are already computed (the
-/// per-step fast path used by the policy).
 pub fn action_benefit_stats(
     state: &Etir,
     before: &ScheduleStats,
     action: &Action,
     spec: &GpuSpec,
 ) -> f64 {
-    if !state.can_apply(action) {
+    edge_benefit(state, before, &OpShape::new(&state.op), action, spec)
+}
+
+/// [`action_benefit_stats`] for a caller that holds the operator's shape
+/// (the walk derives it once). A tiling or vThread edge is costed from the
+/// one tile vector it changes ([`Etir::retile`]); no successor is built.
+pub fn edge_benefit(
+    state: &Etir,
+    before: &ScheduleStats,
+    shape: &OpShape,
+    action: &Action,
+    spec: &GpuSpec,
+) -> f64 {
+    if !state.can_apply_in(action, &shape.spatial, &shape.reduce) {
         return 0.0;
     }
     match action {
@@ -102,20 +86,22 @@ pub fn action_benefit_stats(
         | Action::InvTile { .. }
         | Action::TileReduce { .. }
         | Action::InvTileReduce { .. } => {
-            let next = state.apply(action);
-            let after = before.successor(&next, action);
-            if !etir::analytics::MemCheck::check_capacity_stats(&after, spec).fits() {
+            let after = before.edge(shape, state, action);
+            if !MemCheck::check_capacity_stats(&after, spec).fits() {
                 return 0.0;
             }
             tiling_benefit_stats(state.cur_level, state.num_levels, before, &after)
         }
         Action::Cache => caching_benefit_stats(state, before, spec),
         Action::SetVthread { .. } | Action::InvVthread { .. } => {
-            // vThread moves leave footprints unchanged (no capacity check
-            // needed); keep a small floor so the walk can explore
+            // Eq. 3 — virtual-thread benefit, `ceil(x/W) / ceil(x/(V·W))`:
+            // the ratio of the simulator's bank-conflict degree before and
+            // after. vThread moves leave footprints unchanged (no capacity
+            // check needed); keep a small floor so the walk can explore
             // conflict-free configurations too.
-            let next = state.apply(action);
-            vthread_benefit(state, &next, spec).max(0.25)
+            let degree = |vt: &[u64]| shape.bank_conflict_degree(&state.smem_tile, vt, spec);
+            let after = state.retile(action).map_or(state.vthreads, |(_, vt)| vt);
+            (degree(&state.vthreads) / degree(&after).max(1.0)).max(0.25)
         }
         Action::Unroll => UNROLL_BENEFIT,
         Action::InvUnroll => 1.0 / UNROLL_BENEFIT,
@@ -131,6 +117,11 @@ mod tests {
         Etir::initial(OpSpec::gemm(4096, 4096, 4096), spec)
     }
 
+    /// The benefit of `action` in `e`, through the one-shot scorer.
+    fn benefit(e: &Etir, action: Action, spec: &GpuSpec) -> f64 {
+        action_benefit_stats(e, &ScheduleStats::compute(e), &action, spec)
+    }
+
     #[test]
     fn tiling_benefit_matches_closed_form_gemm() {
         // Paper convention: Benefit = Q(T)·F(T') / (Q(T')·F(T)).
@@ -140,9 +131,7 @@ mod tests {
         //   F'/F = (2+1) / (1+1)   = 3/2
         // → benefit = (4/3)·(3/2) = 2.
         let spec = GpuSpec::rtx4090();
-        let e = gemm(&spec);
-        let next = e.apply(&Action::Tile { dim: 0 });
-        let b = tiling_benefit(&e, &next);
+        let b = benefit(&gemm(&spec), Action::Tile { dim: 0 }, &spec);
         assert!((b - 2.0).abs() < 0.02, "benefit {b}");
     }
 
@@ -159,8 +148,8 @@ mod tests {
         for _ in 0..6 {
             e = e.apply(&Action::Tile { dim: 0 });
         }
-        let grow_wide = action_benefit(&e, &Action::Tile { dim: 0 }, &spec);
-        let grow_narrow = action_benefit(&e, &Action::Tile { dim: 1 }, &spec);
+        let grow_wide = benefit(&e, Action::Tile { dim: 0 }, &spec);
+        let grow_narrow = benefit(&e, Action::Tile { dim: 1 }, &spec);
         for b in [grow_wide, grow_narrow] {
             assert!((1.9..=2.1).contains(&b), "benefit {b}");
         }
@@ -170,8 +159,8 @@ mod tests {
     fn inverse_tiling_benefit_is_reciprocal() {
         let spec = GpuSpec::rtx4090();
         let e = gemm(&spec).apply(&Action::Tile { dim: 0 });
-        let fwd = tiling_benefit(&gemm(&spec), &e);
-        let back = tiling_benefit(&e, &gemm(&spec));
+        let fwd = benefit(&gemm(&spec), Action::Tile { dim: 0 }, &spec);
+        let back = benefit(&e, Action::InvTile { dim: 0 }, &spec);
         assert!((fwd * back - 1.0).abs() < 1e-9);
     }
 
@@ -181,9 +170,9 @@ mod tests {
         // beneficial: nearer memory has lower latency and higher bandwidth.
         let spec = GpuSpec::rtx4090();
         let e = gemm(&spec);
-        assert!(caching_benefit(&e, &spec) > 1.0);
+        assert!(benefit(&e, Action::Cache, &spec) > 1.0);
         let deeper = e.apply(&Action::Cache);
-        assert!(caching_benefit(&deeper, &spec) > 1.0);
+        assert!(benefit(&deeper, Action::Cache, &spec) > 1.0);
     }
 
     #[test]
@@ -198,9 +187,8 @@ mod tests {
             e = e.apply(&Action::Tile { dim: 0 });
         }
         e = e.apply(&Action::Cache);
-        let with_vt = e.apply(&Action::SetVthread { dim: 1 });
         // Eq. 3: ceil(128/32)/ceil(128/(2·32)) = 4/2 = 2.
-        let b = vthread_benefit(&e, &with_vt, &spec);
+        let b = benefit(&e, Action::SetVthread { dim: 1 }, &spec);
         assert!((b - 2.0).abs() < 1e-9, "benefit {b}");
     }
 
@@ -216,7 +204,7 @@ mod tests {
             }
             let next = e.apply(&a);
             if !etir::analytics::MemCheck::check_capacity(&next, &spec).fits() {
-                assert_eq!(action_benefit(&e, &a, &spec), 0.0);
+                assert_eq!(benefit(&e, a, &spec), 0.0);
                 return;
             }
             e = next;
@@ -231,7 +219,7 @@ mod tests {
                 }
                 let next = e.apply(&a);
                 if !etir::analytics::MemCheck::check_capacity(&next, &spec).fits() {
-                    assert_eq!(action_benefit(&e, &a, &spec), 0.0);
+                    assert_eq!(benefit(&e, a, &spec), 0.0);
                     return;
                 }
                 e = next;
@@ -245,11 +233,8 @@ mod tests {
         let spec = GpuSpec::rtx4090();
         let e = gemm(&spec);
         // No vthreads at level 0.
-        assert_eq!(
-            action_benefit(&e, &Action::SetVthread { dim: 0 }, &spec),
-            0.0
-        );
-        assert_eq!(action_benefit(&e, &Action::InvTile { dim: 0 }, &spec), 0.0);
+        assert_eq!(benefit(&e, Action::SetVthread { dim: 0 }, &spec), 0.0);
+        assert_eq!(benefit(&e, Action::InvTile { dim: 0 }, &spec), 0.0);
     }
 
     #[test]
@@ -259,11 +244,11 @@ mod tests {
         let all = Action::all(e.spatial_rank(), e.reduce_rank());
         for step in 0..30 {
             for a in &all {
-                let b = action_benefit(&e, a, &spec);
+                let b = benefit(&e, *a, &spec);
                 assert!(b.is_finite() && b >= 0.0, "step {step} action {a:?} → {b}");
             }
             // Take any applicable growth action to move somewhere new.
-            if let Some(a) = all.iter().find(|a| action_benefit(&e, a, &spec) > 0.0) {
+            if let Some(a) = all.iter().find(|&&a| benefit(&e, a, &spec) > 0.0) {
                 e = e.apply(a);
             } else {
                 break;

@@ -8,8 +8,8 @@
 //! a probability distribution, and one action is drawn by roulette
 //! selection.
 
-use crate::benefit::action_benefit_stats;
-use etir::analytics::ScheduleStats;
+use crate::benefit::edge_benefit;
+use etir::analytics::{OpShape, ScheduleStats};
 use etir::{Action, Etir};
 use hardware::GpuSpec;
 use rand::Rng;
@@ -115,15 +115,18 @@ impl Policy {
     /// Score one walk step, with evaluation accounting: the exact Alg. 2
     /// scoring, every enabled action run through the benefit formulas.
     pub fn score_step(&self, state: &Etir, spec: &GpuSpec, t: u32) -> StepScoring {
-        self.score_step_stats(state, &ScheduleStats::compute(state), spec, t)
+        let shape = OpShape::new(&state.op);
+        let before = ScheduleStats::compute_in(&shape, state);
+        self.score_step_stats(state, &before, &shape, spec, t)
     }
 
     /// [`Policy::score_step`] when the caller already holds `state`'s
-    /// stats (the walk carries its state's).
+    /// stats and its operator's shape (the walk carries both).
     pub fn score_step_stats(
         &self,
         state: &Etir,
         before: &ScheduleStats,
+        shape: &OpShape,
         spec: &GpuSpec,
         t: u32,
     ) -> StepScoring {
@@ -135,7 +138,7 @@ impl Policy {
             .iter()
             .filter(|a| a.in_rank(sr, rr) && self.enabled(a))
         {
-            let raw = action_benefit_stats(state, before, &action, spec);
+            let raw = edge_benefit(state, before, shape, &action, spec);
             evals += 1;
             if raw <= 0.0 {
                 continue;

@@ -8,7 +8,7 @@
 //! memory levels scheduled).
 
 use crate::policy::Policy;
-use etir::{Etir, ScheduleStats};
+use etir::{Etir, OpCosts, ScheduleStats};
 use hardware::GpuSpec;
 use rand::Rng;
 use simgpu::{KernelReport, SimOptions};
@@ -131,8 +131,9 @@ impl Walk {
     pub fn run<R: Rng + ?Sized>(&self, op: &OpSpec, spec: &GpuSpec, rng: &mut R) -> WalkRecord {
         let sp = obs::span!("walk", op = op.label(), t0 = self.t0);
         let init = Etir::initial(op.clone(), spec);
-        let init_stats = ScheduleStats::compute(&init);
-        let rank = op.spatial_extents().len() + op.reduce_extents().len();
+        let costs = OpCosts::new(op);
+        let init_stats = ScheduleStats::compute_in(&costs.shape, &init);
+        let rank = costs.shape.spatial.len() + costs.shape.reduce.len();
         let threshold = self.threshold_for_rank(rank);
         let mut t = self.t0;
         let mut step: u32 = 0;
@@ -141,7 +142,8 @@ impl Walk {
         // Simulate a visited state on the stats the walk carries for it;
         // keep it if it leads; return its time (∞ if it does not launch).
         let consider = |state: &Etir, stats: &ScheduleStats, best: &mut Option<(Etir, f64)>| {
-            let Ok(r) = simgpu::simulate_stats(state, stats, spec, SimOptions::default()) else {
+            let Ok(r) = simgpu::simulate_stats(state, stats, &costs, spec, SimOptions::default())
+            else {
                 return f64::INFINITY;
             };
             if best.as_ref().is_none_or(|(_, bt)| r.time_us < *bt) {
@@ -177,7 +179,9 @@ impl Walk {
             // open (same RNG draw sequence), so the chosen row's benefit
             // and probability are available to the telemetry below without
             // perturbing the walk.
-            let scoring = self.policy.score_step_stats(&e, &stats, spec, t_norm);
+            let scoring = self
+                .policy
+                .score_step_stats(&e, &stats, &costs.shape, spec, t_norm);
             exact_benefit_evals += scoring.exact_evals;
             let rows = scoring.rows;
             let Some(pick) = self.policy.choose(&rows, rng) else {
@@ -211,8 +215,8 @@ impl Walk {
                 continue;
             };
             let row = &rows[pick];
+            let next_stats = stats.edge(&costs.shape, &e, &row.action);
             let next = e.apply(&row.action);
-            let next_stats = stats.successor(&next, &row.action);
             let accepted = rng.gen::<f64>() < Self::accept_prob(t);
             let next_time = consider(&next, &next_stats, &mut best_seen);
             if accepted {

@@ -94,9 +94,10 @@ impl Action {
 
     /// The applicable outgoing edges of `state` (graph out-neighbourhood).
     pub fn enumerate(state: &Etir) -> Vec<Action> {
+        let (sp, rd) = (state.op.spatial_extents(), state.op.reduce_extents());
         Action::all(state.spatial_rank(), state.reduce_rank())
             .into_iter()
-            .filter(|a| state.can_apply(a))
+            .filter(|a| state.can_apply_in(a, &sp, &rd))
             .collect()
     }
 

@@ -8,22 +8,144 @@
 //! directly set to 0", §IV-C) and for the performance simulator.
 
 use crate::action::Action;
-use crate::state::Etir;
+use crate::state::{Etir, Tiles};
 use hardware::{GpuSpec, LevelKind};
 use serde::{Deserialize, Serialize};
 use tensor_expr::op::clamp_tile;
-use tensor_expr::{Extents, DTYPE_BYTES};
+use tensor_expr::{Extents, OpSpec, DTYPE_BYTES};
 
 /// Register overhead per thread beyond accumulators and operand slices
 /// (addressing, loop counters, predicates).
 const REG_OVERHEAD: u64 = 16;
+
+/// What the stats halves and the scorer read of an operator, derived once:
+/// its spatial and reduce extents, the bytes of its whole output, and the
+/// elements of its whole reduce space (1 without reduce axes).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OpShape {
+    pub spatial: Extents,
+    pub reduce: Extents,
+    pub out_bytes: f64,
+    pub reduce_elems: u64,
+}
+
+impl OpShape {
+    pub fn new(op: &OpSpec) -> OpShape {
+        let (spatial, reduce) = (op.spatial_extents(), op.reduce_extents());
+        OpShape {
+            spatial,
+            reduce,
+            out_bytes: (spatial.iter().product::<u64>() * DTYPE_BYTES) as f64,
+            reduce_elems: reduce.iter().product::<u64>().max(1),
+        }
+    }
+
+    /// Fraction of launched work that is useful, < 1 when the block tile
+    /// `sp_tile` does not divide the extents evenly (padding waste).
+    pub fn tile_efficiency(&self, sp_tile: &[u64]) -> f64 {
+        let eff = |(&e, &t): (&u64, &u64)| {
+            let t = t.max(1).min(e);
+            e as f64 / (ceil_div(e, t) * t) as f64
+        };
+        self.spatial.iter().zip(sp_tile).map(eff).product()
+    }
+
+    /// Coalescing efficiency of `e`'s DRAM traffic, in (0, 1].
+    ///
+    /// Each staged input region streams rows of
+    /// [`tensor_expr::TileFootprint::rows`] contiguous elements; a row
+    /// shorter than the DRAM line leaves the rest of the line unused. The
+    /// per-input efficiencies are combined weighted by each input's share
+    /// of the staged bytes. This is what separates a reduction-staging tile
+    /// of 8 elements (32 B rows → half the line wasted) from one of 32+
+    /// elements — the effect behind the paper's GEMV results (Table VI),
+    /// where Roller's transaction-aligned but untuned reduction tile leaves
+    /// bandwidth on the floor.
+    pub fn dram_efficiency(&self, e: &Etir) -> f64 {
+        let (smem, reduce) = (
+            clamp_tile(&e.smem_tile, &self.spatial),
+            clamp_tile(&e.reduce_tile, &self.reduce),
+        );
+        let fp = e.op.clamped_footprint(&smem, &reduce);
+        let total_bytes: f64 =
+            fp.inputs.iter().map(|&b| b as f64).sum::<f64>() * DTYPE_BYTES as f64;
+        if total_bytes <= 0.0 {
+            return 1.0;
+        }
+        let mut weighted = 0.0;
+        for (&elems, &row) in fp.inputs.iter().zip(&fp.rows) {
+            let bytes = elems as f64 * DTYPE_BYTES as f64;
+            let row_bytes = row as f64 * DTYPE_BYTES as f64;
+            let eff = (row_bytes / DRAM_LINE_BYTES).clamp(1.0 / 16.0, 1.0);
+            weighted += bytes / total_bytes * eff;
+        }
+        weighted.clamp(1.0 / 16.0, 1.0)
+    }
+
+    /// Shared-memory access serialization from bank conflicts, ≥ 1, of the
+    /// block tile `smem_tile` split over `vthreads`.
+    ///
+    /// Mirrors the paper's Eq. 3: a block-tile row of `x` elements read by
+    /// the threads of one virtual-thread group spans `ceil(x / (V·W))` bank
+    /// groups that must be serviced serially; `V` virtual threads
+    /// interleave their accesses so the per-issue span shrinks. With
+    /// `V = 1` this degrades to `ceil(x / W)`, so
+    /// `Benefit_vThread = degree(V=1) / degree(V)` is exactly the paper's
+    /// formula, and the policy and the simulator agree by construction.
+    pub fn bank_conflict_degree(&self, smem_tile: &[u64], vthreads: &[u64], spec: &GpuSpec) -> f64 {
+        let smem = spec.level(LevelKind::Shared);
+        let (Some(&row), Some(&ext)) = (smem_tile.last(), self.spatial.last()) else {
+            return 1.0;
+        };
+        if smem.banks == 0 {
+            return 1.0;
+        }
+        // The block tile's row along the contiguous dimension, clamped as
+        // `Etir::clamped_smem_tile` clamps it.
+        let x = row.min(ext.next_power_of_two()) as f64;
+        let v = vthreads.iter().product::<u64>() as f64;
+        (x / (v * smem.banks as f64)).ceil().max(1.0)
+    }
+}
+
+/// A walk's cost context: the [`OpShape`] of its operator plus
+/// [`OpSpec::compulsory_bytes`] and [`OpSpec::flops`], which the simulator
+/// reads, derived once per walk instead of once per state or edge.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OpCosts {
+    pub shape: OpShape,
+    pub compulsory_bytes: u64,
+    pub flops: f64,
+}
+
+impl OpCosts {
+    pub fn new(op: &OpSpec) -> OpCosts {
+        let (shape, flops) = (OpShape::new(op), op.flops());
+        OpCosts {
+            shape,
+            compulsory_bytes: op.compulsory_bytes(),
+            flops,
+        }
+    }
+}
+
+/// `ceil(x / t)` for `t ≥ 1`: a shift when `t` is a power of two, as every
+/// tile the walk makes is; other tiles (transplanted or set by hand)
+/// divide.
+fn ceil_div(x: u64, t: u64) -> u64 {
+    if t.is_power_of_two() {
+        (x >> t.trailing_zeros()) + u64::from(x & (t - 1) != 0)
+    } else {
+        x.div_ceil(t)
+    }
+}
 
 /// What the benefit formulas and the capacity check read of a schedule, in
 /// two halves: the block half (level 0) is a function of the shared-memory
 /// and reduce tiles only, the thread half (level 1) of the register tile
 /// only. Thread and vthread counts and the tile efficiency are the
 /// schedule's own ([`Etir::threads_per_block`],
-/// [`tensor_expr::OpSpec::tile_efficiency`]).
+/// [`OpShape::tile_efficiency`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleStats {
     /// Thread blocks launched (`Π ceil(extent / smem_tile)`).
@@ -46,7 +168,13 @@ pub struct ScheduleStats {
 impl ScheduleStats {
     /// Compute all quantities for `e`: both halves.
     pub fn compute(e: &Etir) -> ScheduleStats {
-        ScheduleStats::default().cost_level(e, 0).cost_level(e, 1)
+        Self::compute_in(&OpShape::new(&e.op), e)
+    }
+
+    /// [`ScheduleStats::compute`] for a caller that holds `e.op`'s shape.
+    pub fn compute_in(shape: &OpShape, e: &Etir) -> ScheduleStats {
+        let block = ScheduleStats::default().retiled(shape, e, Tiles::Smem, &e.smem_tile);
+        block.retiled(shape, e, Tiles::Reg, &e.reg_tile)
     }
 
     /// The stats of `next = state.apply(action)`, where `self` are
@@ -54,54 +182,72 @@ impl ScheduleStats {
     /// decides and copies the other, every other action leaves both
     /// halves as they are. Equal to `ScheduleStats::compute(next)`.
     pub fn successor(&self, next: &Etir, action: &Action) -> ScheduleStats {
-        match action {
-            Action::Tile { .. } | Action::InvTile { .. } => self.cost_level(next, next.cur_level),
-            Action::TileReduce { .. } | Action::InvTileReduce { .. } => self.cost_level(next, 0),
-            _ => *self,
+        let Some((which, _)) = next.retile(action) else {
+            return *self;
+        };
+        self.retiled(&OpShape::new(&next.op), next, which, next.tiles(which))
+    }
+
+    /// [`ScheduleStats::successor`] before the successor exists: `self`
+    /// are `state`'s stats, and the one tile vector `action` changes
+    /// ([`Etir::retile`]) is all that is copied. Equal to
+    /// `ScheduleStats::compute(&state.apply(action))`.
+    #[inline]
+    pub fn edge(&self, shape: &OpShape, state: &Etir, action: &Action) -> ScheduleStats {
+        match state.retile(action) {
+            Some((which, tiles)) => self.retiled(shape, state, which, &tiles),
+            None => *self,
         }
     }
 
-    /// `self` with the half that level `level`'s tiles of `e` decide
-    /// (0 = block, otherwise thread) recomputed, deriving the operator's
-    /// extents once.
-    fn cost_level(mut self, e: &Etir, level: usize) -> ScheduleStats {
-        let op = &e.op;
-        let (sp_ext, rd_ext) = (op.spatial_extents(), op.reduce_extents());
-        let out_bytes = (sp_ext.iter().product::<u64>() * DTYPE_BYTES) as f64;
-        // Every tile count is `Π ceil(extent / tile)`; clamping the tile to
-        // the extent first changes no count.
-        let count = |ext: &Extents, tile: &Extents| -> u64 {
-            ext.iter().zip(tile).map(|(&x, &t)| x.div_ceil(t)).product()
+    /// `self` with the half that tile vector `which` decides recomputed for
+    /// `e` with `which` set to `tiles`; vthreads decide neither half.
+    fn retiled(mut self, shape: &OpShape, e: &Etir, which: Tiles, tiles: &[u64]) -> Self {
+        let pick = |w: Tiles| if w == which { tiles } else { e.tiles(w) };
+        // Every count is `Π ceil(extent / tile)`. Clamping a tile into
+        // `[1, extent]` first changes no count, so the tile is used as it
+        // is (at least 1) and stays a power of two.
+        let count = |ext: &[u64], tile: &[u64]| -> u64 {
+            ext.iter()
+                .zip(tile)
+                .map(|(&x, &t)| ceil_div(x, t.max(1)))
+                .product()
         };
-        if level == 0 {
-            let smem_tile = clamp_tile(&e.smem_tile, &sp_ext);
-            let reduce_tile = clamp_tile(&e.reduce_tile, &rd_ext);
-            self.grid_blocks = count(&sp_ext, &smem_tile);
-            self.reduce_steps = count(&rd_ext, &reduce_tile).max(1);
-            // Shared-memory footprint: input tiles of one reduction step.
-            let block_fp = op.clamped_footprint(&smem_tile, &reduce_tile);
-            self.smem_bytes_per_block = block_fp.inputs.iter().sum::<u64>() * DTYPE_BYTES;
-            // DRAM traffic: per block, the staged input tiles are loaded
-            // once per reduction step; the output tile is written once.
-            self.dram_traffic_bytes = self.grid_blocks as f64
-                * self.reduce_steps as f64
-                * self.smem_bytes_per_block as f64
-                + out_bytes;
-        } else {
-            // Registers: accumulator tile + one reduce-element operand
-            // slice + overhead.
-            let reg_tile = clamp_tile(&e.reg_tile, &sp_ext);
-            let unit_rd: Extents = rd_ext.iter().map(|_| 1).collect();
-            let reg_fp = op.clamped_footprint(&reg_tile, &unit_rd);
-            let reg_in_elems = reg_fp.inputs.iter().sum::<u64>();
-            self.regs_per_thread = reg_fp.output + reg_in_elems + REG_OVERHEAD;
-            // SMEM→register traffic: every register tile re-reads its
-            // operand slices for each element of the reduce space.
-            let total_reduce_elems: u64 = rd_ext.iter().product::<u64>().max(1);
-            let reg_in_bytes = (reg_in_elems * DTYPE_BYTES) as f64;
-            self.smem_traffic_bytes =
-                count(&sp_ext, &reg_tile) as f64 * total_reduce_elems as f64 * reg_in_bytes
-                    + out_bytes;
+        match which {
+            Tiles::Smem | Tiles::Reduce => {
+                let (smem, reduce) = (pick(Tiles::Smem), pick(Tiles::Reduce));
+                self.grid_blocks = count(&shape.spatial, smem);
+                self.reduce_steps = count(&shape.reduce, reduce).max(1);
+                // Shared-memory footprint: input tiles of one reduction step.
+                let (smem, reduce) = (
+                    clamp_tile(smem, &shape.spatial),
+                    clamp_tile(reduce, &shape.reduce),
+                );
+                let block_fp = e.op.clamped_footprint(&smem, &reduce);
+                self.smem_bytes_per_block = block_fp.inputs.iter().sum::<u64>() * DTYPE_BYTES;
+                // DRAM traffic: per block, the staged input tiles are loaded
+                // once per reduction step; the output tile is written once.
+                self.dram_traffic_bytes = self.grid_blocks as f64
+                    * self.reduce_steps as f64
+                    * self.smem_bytes_per_block as f64
+                    + shape.out_bytes;
+            }
+            Tiles::Reg => {
+                // Registers: accumulator tile + one reduce-element operand
+                // slice + overhead.
+                let unit_rd = &[1; Extents::MAX][..shape.reduce.len()];
+                let reg_fp =
+                    e.op.clamped_footprint(&clamp_tile(tiles, &shape.spatial), unit_rd);
+                let reg_in_elems = reg_fp.inputs.iter().sum::<u64>();
+                self.regs_per_thread = reg_fp.output + reg_in_elems + REG_OVERHEAD;
+                // SMEM→register traffic: every register tile re-reads its
+                // operand slices for each element of the reduce space.
+                let reg_in_bytes = (reg_in_elems * DTYPE_BYTES) as f64;
+                self.smem_traffic_bytes =
+                    count(&shape.spatial, tiles) as f64 * shape.reduce_elems as f64 * reg_in_bytes
+                        + shape.out_bytes;
+            }
+            Tiles::Vthreads => {}
         }
         self
     }
@@ -192,6 +338,7 @@ impl MemCheck {
     }
 
     /// [`MemCheck::check_capacity`] when the stats are already computed.
+    #[inline]
     pub fn check_capacity_stats(stats: &ScheduleStats, spec: &GpuSpec) -> MemCheck {
         if stats.smem_bytes_per_block > spec.max_smem_per_block {
             return MemCheck::SmemOverflow {
@@ -213,33 +360,6 @@ impl MemCheck {
 /// remainder of the line. 64 B (two 32-B sectors) is the effective
 /// fine-grained granularity on the modelled parts.
 pub const DRAM_LINE_BYTES: f64 = 64.0;
-
-/// Coalescing efficiency of the schedule's DRAM traffic, in (0, 1].
-///
-/// Each staged input region streams rows of
-/// [`tensor_expr::TileFootprint::rows`] contiguous elements; a row shorter
-/// than the DRAM line leaves the rest of the line unused. The per-input
-/// efficiencies are combined weighted by each input's share of the staged
-/// bytes. This is what separates a reduction-staging tile of 8 elements
-/// (32 B rows → half the line wasted) from one of 32+ elements — the effect
-/// behind the paper's GEMV results (Table VI), where Roller's
-/// transaction-aligned but untuned reduction tile leaves bandwidth on the
-/// floor.
-pub fn dram_efficiency(e: &Etir) -> f64 {
-    let fp = e.op.tile_footprint(&e.smem_tile, &e.reduce_tile);
-    let total_bytes: f64 = fp.inputs.iter().map(|&b| b as f64).sum::<f64>() * DTYPE_BYTES as f64;
-    if total_bytes <= 0.0 {
-        return 1.0;
-    }
-    let mut weighted = 0.0;
-    for (&elems, &row) in fp.inputs.iter().zip(&fp.rows) {
-        let bytes = elems as f64 * DTYPE_BYTES as f64;
-        let row_bytes = row as f64 * DTYPE_BYTES as f64;
-        let eff = (row_bytes / DRAM_LINE_BYTES).clamp(1.0 / 16.0, 1.0);
-        weighted += bytes / total_bytes * eff;
-    }
-    weighted.clamp(1.0 / 16.0, 1.0)
-}
 
 /// L2-level traffic estimate: bytes requested from L2 by all blocks, plus
 /// the share expected to miss to DRAM given inter-block reuse.
@@ -317,7 +437,17 @@ mod tests {
         // DRAM traffic: 256 blocks * 128 steps * 4096 B + 1024*1024*4 out.
         let expect = 256.0 * 128.0 * 4096.0 + (1024.0 * 1024.0 * 4.0);
         assert!((s.dram_traffic_bytes - expect).abs() < 1.0);
-        assert_eq!(e.op.tile_efficiency(&e.smem_tile), 1.0);
+        assert_eq!(OpShape::new(&e.op).tile_efficiency(&e.smem_tile), 1.0);
+    }
+
+    #[test]
+    fn tile_efficiency_penalises_ragged_tiles() {
+        let shape = OpShape::new(&OpSpec::gemm(100, 10, 64));
+        // M=100 with tile 32 → 4 tiles cover 128 → 100/128 efficiency.
+        let eff = shape.tile_efficiency(&[32, 64]);
+        assert!((eff - 100.0 / 128.0).abs() < 1e-12);
+        // Perfect tiling is 1.0.
+        assert_eq!(shape.tile_efficiency(&[25, 32]), 1.0);
     }
 
     #[test]

@@ -5,6 +5,15 @@ use hardware::GpuSpec;
 use serde::{Deserialize, Serialize};
 use tensor_expr::{Extents, OpSpec};
 
+/// One of a schedule's four tile vectors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tiles {
+    Smem,
+    Reg,
+    Vthreads,
+    Reduce,
+}
+
 /// A fully-specified (possibly partial-quality) schedule for one operator.
 ///
 /// Per spatial dimension `i` the paper's tile vector `D_i = [T_2, T_1, T_0]`
@@ -59,16 +68,19 @@ impl Etir {
     }
 
     /// Number of spatial dimensions.
+    #[inline]
     pub fn spatial_rank(&self) -> usize {
         self.smem_tile.len()
     }
 
     /// Number of reduce dimensions.
+    #[inline]
     pub fn reduce_rank(&self) -> usize {
         self.reduce_tile.len()
     }
 
     /// Physical threads along each spatial dim.
+    #[inline]
     pub fn thread_dims(&self) -> Extents {
         self.smem_tile
             .iter()
@@ -78,16 +90,19 @@ impl Etir {
     }
 
     /// Total physical threads per block.
+    #[inline]
     pub fn threads_per_block(&self) -> u64 {
         self.thread_dims().iter().product()
     }
 
     /// Total virtual threads per block (product over dims).
+    #[inline]
     pub fn total_vthreads(&self) -> u64 {
         self.vthreads.iter().product()
     }
 
     /// Whether the schedule has visited every level (construction finished).
+    #[inline]
     pub fn is_complete(&self) -> bool {
         self.cur_level >= self.num_levels
     }
@@ -139,11 +154,19 @@ impl Etir {
     /// Whether `action` may be applied in this state (divisibility, extent
     /// caps, level bounds). Capacity feasibility is checked separately.
     pub fn can_apply(&self, action: &Action) -> bool {
+        let op = &self.op;
+        self.can_apply_in(action, &op.spatial_extents(), &op.reduce_extents())
+    }
+
+    /// [`Etir::can_apply`] for a caller that holds the operator's spatial
+    /// and reduce extents.
+    #[inline]
+    pub fn can_apply_in(&self, action: &Action, spatial: &[u64], reduce: &[u64]) -> bool {
         match *action {
             Action::Tile { dim } => {
                 // Growing the tile at the current level.
                 match self.cur_level {
-                    0 => self.smem_tile[dim] < self.op.spatial_extents()[dim].next_power_of_two(),
+                    0 => self.smem_tile[dim] < spatial[dim].next_power_of_two(),
                     1 => {
                         // Register tile grows inside the block tile; one
                         // thread cannot own more than the whole block tile.
@@ -162,8 +185,7 @@ impl Etir {
                 _ => false,
             },
             Action::TileReduce { dim } => {
-                !self.is_complete()
-                    && self.reduce_tile[dim] < self.op.reduce_extents()[dim].next_power_of_two()
+                !self.is_complete() && self.reduce_tile[dim] < reduce[dim].next_power_of_two()
             }
             Action::InvTileReduce { dim } => !self.is_complete() && self.reduce_tile[dim] > 1,
             Action::Cache => !self.is_complete(),
@@ -179,6 +201,38 @@ impl Etir {
         }
     }
 
+    /// The tile vector `which`.
+    pub fn tiles(&self, which: Tiles) -> &Extents {
+        match which {
+            Tiles::Smem => &self.smem_tile,
+            Tiles::Reg => &self.reg_tile,
+            Tiles::Vthreads => &self.vthreads,
+            Tiles::Reduce => &self.reduce_tile,
+        }
+    }
+
+    /// What `action` does to the tiles: the vector it edits (tiling edits
+    /// the current level's) and that vector's new value, `None` for `Cache`
+    /// and the unroll edges. [`Etir::apply`] follows this rule, and a
+    /// scorer reads it to cost an applicable edge without building the
+    /// successor.
+    #[inline]
+    pub fn retile(&self, action: &Action) -> Option<(Tiles, Extents)> {
+        let level = [Tiles::Smem, Tiles::Reg][self.cur_level.min(1)];
+        let (which, dim, grow) = match *action {
+            Action::Tile { dim } => (level, dim, true),
+            Action::InvTile { dim } => (level, dim, false),
+            Action::TileReduce { dim } => (Tiles::Reduce, dim, true),
+            Action::InvTileReduce { dim } => (Tiles::Reduce, dim, false),
+            Action::SetVthread { dim } => (Tiles::Vthreads, dim, true),
+            Action::InvVthread { dim } => (Tiles::Vthreads, dim, false),
+            Action::Cache | Action::Unroll | Action::InvUnroll => return None,
+        };
+        let mut tiles = *self.tiles(which);
+        tiles[dim] = if grow { tiles[dim] * 2 } else { tiles[dim] / 2 };
+        Some((which, tiles))
+    }
+
     /// Apply `action`, returning the successor state (graph edge traversal).
     ///
     /// Panics if `!self.can_apply(action)`; policies must enumerate with
@@ -186,24 +240,14 @@ impl Etir {
     pub fn apply(&self, action: &Action) -> Etir {
         assert!(self.can_apply(action), "inapplicable action {action:?}");
         let mut next = self.clone();
-        match *action {
-            Action::Tile { dim } => match self.cur_level {
-                0 => next.smem_tile[dim] *= 2,
-                1 => next.reg_tile[dim] *= 2,
-                _ => unreachable!(),
-            },
-            Action::InvTile { dim } => match self.cur_level {
-                0 => next.smem_tile[dim] /= 2,
-                1 => next.reg_tile[dim] /= 2,
-                _ => unreachable!(),
-            },
-            Action::TileReduce { dim } => next.reduce_tile[dim] *= 2,
-            Action::InvTileReduce { dim } => next.reduce_tile[dim] /= 2,
-            Action::Cache => next.cur_level += 1,
-            Action::SetVthread { dim } => next.vthreads[dim] *= 2,
-            Action::InvVthread { dim } => next.vthreads[dim] /= 2,
-            Action::Unroll => next.unroll *= 2,
-            Action::InvUnroll => next.unroll /= 2,
+        match (self.retile(action), action) {
+            (Some((Tiles::Smem, t)), _) => next.smem_tile = t,
+            (Some((Tiles::Reg, t)), _) => next.reg_tile = t,
+            (Some((Tiles::Vthreads, t)), _) => next.vthreads = t,
+            (Some((Tiles::Reduce, t)), _) => next.reduce_tile = t,
+            (None, Action::Cache) => next.cur_level += 1,
+            (None, Action::Unroll) => next.unroll *= 2,
+            (None, _) => next.unroll /= 2,
         }
         debug_assert_eq!(next.validate(), Ok(()));
         next

@@ -164,6 +164,7 @@ impl GpuSpec {
 
     /// The level with the given kind, or a typed error when the spec
     /// lacks it (every preset defines all four kinds).
+    #[inline]
     pub fn try_level(&self, kind: LevelKind) -> Result<&MemLevel, SpecError> {
         self.levels
             .iter()
@@ -177,6 +178,7 @@ impl GpuSpec {
     /// The level with the given kind. Panics if the spec lacks it; use
     /// [`GpuSpec::try_level`] where a missing level should be a
     /// diagnostic rather than a crash.
+    #[inline]
     pub fn level(&self, kind: LevelKind) -> &MemLevel {
         self.try_level(kind).unwrap_or_else(|e| panic!("{e}"))
     }

@@ -1,7 +1,7 @@
 //! The analytical kernel model.
 
 use crate::report::KernelReport;
-use etir::analytics::{dram_efficiency, l2_hit_rate, MemCheck, ScheduleStats};
+use etir::analytics::{l2_hit_rate, MemCheck, OpCosts, ScheduleStats};
 use etir::Etir;
 use hardware::{GpuSpec, LevelKind};
 
@@ -63,13 +63,17 @@ pub fn simulate(e: &Etir, spec: &GpuSpec) -> Result<KernelReport, SimError> {
 
 /// [`simulate`] with explicit [`SimOptions`].
 pub fn simulate_opts(e: &Etir, spec: &GpuSpec, opts: SimOptions) -> Result<KernelReport, SimError> {
-    simulate_stats(e, &ScheduleStats::compute(e), spec, opts)
+    let costs = OpCosts::new(&e.op);
+    let stats = ScheduleStats::compute_in(&costs.shape, e);
+    simulate_stats(e, &stats, &costs, spec, opts)
 }
 
-/// [`simulate_opts`] on `e`'s [`ScheduleStats`], which the caller holds.
+/// [`simulate_opts`] on `e`'s [`ScheduleStats`] and its operator's
+/// [`OpCosts`], which the caller holds (the walk carries both).
 pub fn simulate_stats(
     e: &Etir,
     stats: &ScheduleStats,
+    costs: &OpCosts,
     spec: &GpuSpec,
     opts: SimOptions,
 ) -> Result<KernelReport, SimError> {
@@ -124,8 +128,9 @@ pub fn simulate_stats(
     let wave_quant = 1.0 + 0.5 * (wave_quant - 1.0);
 
     // ---------------- Compute pipeline ----------------
-    let useful_flops = e.op.flops();
-    let launched_flops = useful_flops / e.op.tile_efficiency(&e.smem_tile).max(1e-6);
+    let shape = &costs.shape;
+    let useful_flops = costs.flops;
+    let launched_flops = useful_flops / shape.tile_efficiency(&e.smem_tile).max(1e-6);
     let work_per_thread: u64 = e.reg_tile.iter().product::<u64>() * e.unroll;
     let hiding = 1.0 - (-(TLP_HIDING * occupancy + ILP_HIDING * work_per_thread as f64)).exp();
     // Issue-width cap: ILP can hide latency but cannot conjure lanes — an
@@ -143,19 +148,19 @@ pub fn simulate_stats(
     let l2 = spec.level(LevelKind::L2);
     let smem = spec.level(LevelKind::Shared);
 
-    let compulsory = e.op.compulsory_bytes() as f64;
+    let compulsory = costs.compulsory_bytes as f64;
     let l2_hit = l2_hit_rate(stats, compulsory, spec);
     let requested = stats.dram_traffic_bytes;
     let dram_bytes = (requested * (1.0 - l2_hit)).max(compulsory.min(requested));
     // Coalescing: short staged rows waste DRAM line bandwidth.
-    let dram_eff = dram_efficiency(e);
+    let dram_eff = shape.dram_efficiency(e);
     let t_dram = dram_bytes / (dram.bandwidth_bytes_per_us * dram_eff);
     let t_l2 = requested / l2.bandwidth_bytes_per_us;
 
     let conflict = if opts.swizzled_smem {
         1.0
     } else {
-        bank_conflict_degree(e, spec)
+        shape.bank_conflict_degree(&e.smem_tile, &e.vthreads, spec)
     };
     let conflict_penalty = 1.0 + CONFLICT_STALL * (conflict - 1.0);
     let t_smem = stats.smem_traffic_bytes * conflict_penalty / smem.bandwidth_bytes_per_us;
@@ -194,27 +199,6 @@ pub fn simulate_stats(
         t_memory_us: t_memory,
         t_latency_us: t_latency,
     })
-}
-
-/// Shared-memory access serialization from bank conflicts, ≥ 1.
-///
-/// Mirrors the paper's Eq. 3: a block-tile row of `x` elements read by the
-/// threads of one virtual-thread group spans `ceil(x / (V·W))` bank groups
-/// that must be serviced serially; `V` virtual threads interleave their
-/// accesses so the per-issue span shrinks. With `V = 1` this degrades to
-/// `ceil(x / W)`, so `Benefit_vThread = degree(V=1) / degree(V)` is exactly
-/// the paper's formula.
-pub fn bank_conflict_degree(e: &Etir, spec: &GpuSpec) -> f64 {
-    let smem = spec.level(LevelKind::Shared);
-    if smem.banks == 0 || e.spatial_rank() == 0 {
-        return 1.0;
-    }
-    let last = e.spatial_rank() - 1;
-    // Row width staged in shared memory along the contiguous dimension.
-    let x = e.clamped_smem_tile()[last] as f64;
-    let v = e.total_vthreads() as f64;
-    let w = smem.banks as f64;
-    (x / (v * w)).ceil().max(1.0)
 }
 
 #[cfg(test)]
@@ -363,12 +347,15 @@ mod tests {
             e = e.apply(&Action::Tile { dim: 0 });
             e = e.apply(&Action::Tile { dim: 1 });
         }
-        let before = bank_conflict_degree(&e, &spec);
+        let conflict = |e: &Etir| {
+            etir::OpShape::new(&e.op).bank_conflict_degree(&e.smem_tile, &e.vthreads, &spec)
+        };
+        let before = conflict(&e);
         assert!(before >= 2.0, "128-wide tile should conflict: {before}");
         let ev = e
             .apply(&Action::SetVthread { dim: 1 })
             .apply(&Action::SetVthread { dim: 1 });
-        let after = bank_conflict_degree(&ev, &spec);
+        let after = conflict(&ev);
         assert!(after < before, "{after} !< {before}");
         let rb = simulate(&e, &spec).unwrap();
         let ra = simulate(&ev, &spec).unwrap();

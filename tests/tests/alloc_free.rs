@@ -1,18 +1,19 @@
 //! A walk step does not touch the heap, except for its one row table.
 //!
 //! `Policy::score_step` asks `Etir::can_apply` about every enabled action
-//! of every step, applies each tiling action to a copy of the state and
-//! costs the copy's changed half (`ScheduleStats::successor`), and the walk
-//! simulates the state it moves to on the stats it carries. This
-//! binary installs a global allocator that counts allocations per thread
-//! and asserts that all of that makes none, over every Table IV operator
-//! at its initial state and at states a seeded walk visits.
+//! of every step and costs each tiling edge from the one tile vector it
+//! changes (`ScheduleStats::edge`), and the walk simulates the state it
+//! moves to on the stats and the operator constants (`OpCosts`) it
+//! carries. This binary installs a global allocator that counts
+//! allocations per thread and asserts that all of that makes none, over
+//! every Table IV operator at its initial state and at states a seeded
+//! walk visits.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use etir::{Action, Etir, MemCheck, ScheduleStats};
-use gensor::benefit::action_benefit_stats;
+use etir::{Action, Etir, MemCheck, OpCosts, ScheduleStats};
+use gensor::benefit::{action_benefit_stats, edge_benefit};
 use gensor::{Policy, Walk};
 use hardware::GpuSpec;
 use rand::rngs::StdRng;
@@ -85,20 +86,37 @@ fn extent_and_tile_queries_do_not_allocate() {
         assert_eq!(n, 0, "{label}: Etir::initial allocated {n} time(s)");
         // Block and reduce-step counts live in `ScheduleStats`' level
         // halves; `a_scored_step_allocates_only_its_row_table` pins them
-        // through `ScheduleStats::successor`.
+        // through `ScheduleStats::{successor, edge}`.
+        let costs = OpCosts::new(op);
+        let shape = &costs.shape;
         for e in states(op, &spec) {
-            let checks: [(&str, u64); 5] = [
-                ("spatial_extents", allocations_in(|| op.spatial_extents())),
-                ("reduce_extents", allocations_in(|| op.reduce_extents())),
+            let checks: [(&str, u64); 8] = [
                 (
-                    "tile_efficiency",
-                    allocations_in(|| op.tile_efficiency(&e.smem_tile)),
+                    "OpSpec::spatial_extents",
+                    allocations_in(|| op.spatial_extents()),
                 ),
-                ("output_elems", allocations_in(|| op.output_elems())),
-                ("flops", allocations_in(|| op.flops())),
+                (
+                    "OpSpec::reduce_extents",
+                    allocations_in(|| op.reduce_extents()),
+                ),
+                ("OpSpec::output_elems", allocations_in(|| op.output_elems())),
+                ("OpSpec::flops", allocations_in(|| op.flops())),
+                ("OpCosts::new", allocations_in(|| OpCosts::new(op))),
+                (
+                    "OpShape::tile_efficiency",
+                    allocations_in(|| shape.tile_efficiency(&e.smem_tile)),
+                ),
+                (
+                    "OpShape::dram_efficiency",
+                    allocations_in(|| shape.dram_efficiency(&e)),
+                ),
+                (
+                    "OpShape::bank_conflict_degree",
+                    allocations_in(|| shape.bank_conflict_degree(&e.smem_tile, &e.vthreads, &spec)),
+                ),
             ];
             for (name, n) in checks {
-                assert_eq!(n, 0, "{label}: OpSpec::{name} allocated {n} time(s)");
+                assert_eq!(n, 0, "{label}: {name} allocated {n} time(s)");
             }
         }
     }
@@ -153,6 +171,7 @@ fn a_scored_step_allocates_only_its_row_table() {
     for cfg in tensor_expr::benchmark_suite() {
         let op = &cfg.op;
         let label = &cfg.label;
+        let costs = OpCosts::new(op);
         for e in states(op, &spec).into_iter().chain([infeasible(op, &spec)]) {
             let at = e.describe();
             let before = ScheduleStats::compute(&e);
@@ -178,7 +197,7 @@ fn a_scored_step_allocates_only_its_row_table() {
                 (
                     "simgpu::simulate_stats",
                     allocations_in(|| {
-                        simgpu::simulate_stats(&e, &before, &spec, SimOptions::default())
+                        simgpu::simulate_stats(&e, &before, &costs, &spec, SimOptions::default())
                     }),
                 ),
             ];
@@ -195,7 +214,17 @@ fn a_scored_step_allocates_only_its_row_table() {
                         n, 0,
                         "{label}: ScheduleStats::successor({a:?}) allocated {n} time(s) at {at}"
                     );
+                    let n = allocations_in(|| before.edge(&costs.shape, &e, &a));
+                    assert_eq!(
+                        n, 0,
+                        "{label}: ScheduleStats::edge({a:?}) allocated {n} time(s) at {at}"
+                    );
                 }
+                let n = allocations_in(|| edge_benefit(&e, &before, &costs.shape, &a, &spec));
+                assert_eq!(
+                    n, 0,
+                    "{label}: edge_benefit({a:?}) allocated {n} time(s) at {at}"
+                );
                 let n = allocations_in(|| action_benefit_stats(&e, &before, &a, &spec));
                 assert_eq!(
                     n, 0,
@@ -204,7 +233,7 @@ fn a_scored_step_allocates_only_its_row_table() {
             }
             let n = allocations_in(|| policy.score_step(&e, &spec, 5));
             assert_eq!(n, 1, "{label}: score_step allocated {n} time(s) at {at}");
-            let n = allocations_in(|| policy.score_step_stats(&e, &before, &spec, 5));
+            let n = allocations_in(|| policy.score_step_stats(&e, &before, &costs.shape, &spec, 5));
             assert_eq!(
                 n, 1,
                 "{label}: score_step_stats allocated {n} time(s) at {at}"

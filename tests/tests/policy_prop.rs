@@ -1,7 +1,7 @@
 //! Property-based checks on the Markov policy and the simulator, across
 //! arbitrary reachable states.
 
-use etir::{Action, Etir};
+use etir::{Action, Etir, OpShape};
 use gensor::Policy;
 use hardware::GpuSpec;
 use proptest::prelude::*;
@@ -100,6 +100,24 @@ proptest! {
             prop_assert!(r.bank_conflict_degree >= 1.0);
             prop_assert!((0.0..=1.0).contains(&r.dram_efficiency));
         }
+    }
+
+    /// The cost context's tile efficiency is the useful share of the
+    /// launched work: the space over what whole tiles cover.
+    #[test]
+    fn tile_efficiency_is_space_over_covered(op in arb_op(), t0 in 1u64..64, t1 in 1u64..64) {
+        let sp_ext = op.spatial_extents();
+        let mut tile: Vec<u64> = sp_ext.iter().map(|_| t0).collect();
+        if tile.len() > 1 { tile[1] = t1; }
+        let clamped: Vec<u64> = tile.iter().zip(sp_ext.iter()).map(|(&t, &e)| t.min(e)).collect();
+        let covered: u64 = sp_ext
+            .iter()
+            .zip(&clamped)
+            .map(|(&e, &t)| e.div_ceil(t) * t)
+            .product();
+        let space: u64 = sp_ext.iter().product();
+        let eff = OpShape::new(&op).tile_efficiency(&clamped);
+        prop_assert!((eff - space as f64 / covered as f64).abs() < 1e-9);
     }
 
     /// Codegen emits balanced, schedule-consistent CUDA for any reachable
