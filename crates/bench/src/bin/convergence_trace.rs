@@ -1,13 +1,16 @@
 //! Convergence trace of the construction walk: best-found kernel time as a
 //! function of the Markov step — the quantitative version of the paper's
 //! "convergence can generally be achieved after about 100 iterations"
-//! (§IV-D), plus an ASCII sparkline per operator.
+//! (§IV-D), plus an ASCII sparkline per operator. A series is the initial
+//! state's simulated time, then each `walk.step` event's `best_time_us`:
+//! the stream `gensor trace --csv` reads.
 
 use bench::write_json;
 use gensor::Walk;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Serialize)]
 struct Trace {
@@ -47,26 +50,37 @@ fn main() {
     println!("Best-found kernel time vs Markov step (single chain, seed 0; lower bar = faster)\n");
     let mut out = Vec::new();
     for op in &ops {
-        let mut rng = StdRng::seed_from_u64(0);
-        let rec = Walk::default().run(op, &spec, &mut rng);
-        let last = *rec.best_time_trace.last().unwrap();
+        let ring = Arc::new(obs::RingCollector::new(1 << 16));
+        obs::install(ring.clone());
+        let steps = Walk::default()
+            .run(op, &spec, &mut StdRng::seed_from_u64(0))
+            .steps;
+        obs::uninstall();
+        let init = simgpu::simulate(&etir::Etir::initial(op.clone(), &spec), &spec);
+        let mut trace = vec![init.map_or(f64::INFINITY, |r| r.time_us)];
+        for e in ring.take().iter().filter(|e| e.kind.name() == "walk.step") {
+            trace.push(match e.field("best_time_us") {
+                Some(obs::Value::F64(t)) => *t,
+                _ => f64::INFINITY, // not reached: `best_time_us` is an f64
+            });
+        }
+        let last = *trace.last().unwrap();
         let target = last * 1.01; // within 1% of the final best
-        let step99 = rec
-            .best_time_trace
+        let step99 = trace
             .iter()
             .position(|&t| t <= target)
-            .unwrap_or(rec.best_time_trace.len() - 1);
+            .unwrap_or(trace.len() - 1);
         println!(
             "{:<32} {:>4} steps, 99% of final quality by step {:>3}\n  {}\n",
             op.label(),
-            rec.steps,
+            steps,
             step99,
-            sparkline(&rec.best_time_trace)
+            sparkline(&trace)
         );
         out.push(Trace {
             op: op.label(),
-            steps: rec.steps,
-            best_time_trace_us: rec.best_time_trace,
+            steps,
+            best_time_trace_us: trace,
             step_at_99pct: step99,
         });
     }

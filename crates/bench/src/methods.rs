@@ -12,14 +12,6 @@ pub fn all_tuners() -> Vec<Box<dyn Tuner>> {
     ]
 }
 
-/// The construction-only pair (Fig. 8's honest wall-clock comparison).
-pub fn construction_tuners() -> Vec<Box<dyn Tuner>> {
-    vec![
-        Box::new(roller::Roller::default()),
-        Box::new(gensor::Gensor::default()),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

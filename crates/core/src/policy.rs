@@ -13,7 +13,6 @@ use etir::analytics::{OpShape, ScheduleStats};
 use etir::{Action, Etir};
 use hardware::GpuSpec;
 use rand::Rng;
-use tensor_expr::OpClass;
 
 /// One scored outgoing edge.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,7 +120,9 @@ impl Policy {
     }
 
     /// [`Policy::score_step`] when the caller already holds `state`'s
-    /// stats and its operator's shape (the walk carries both).
+    /// stats and its operator's shape (the walk carries both). A pure
+    /// function: it reads no clock and records nothing, and the walk
+    /// publishes its totals once, from its [`crate::walk::WalkRecord`].
     pub fn score_step_stats(
         &self,
         state: &Etir,
@@ -130,7 +131,6 @@ impl Policy {
         spec: &GpuSpec,
         t: u32,
     ) -> StepScoring {
-        let t_score = std::time::Instant::now();
         let mut rows: Vec<ActionProb> = Vec::with_capacity(Action::ALL.len());
         let mut evals: u64 = 0;
         let (sr, rr) = (state.spatial_rank(), state.reduce_rank());
@@ -154,38 +154,6 @@ impl Policy {
                 prob: 0.0,
             });
         }
-        obs::counter_add!(
-            "gensor_core_benefit_evals_total",
-            "Benefit-formula evaluations (Eqs. 1-3) across all transition scorings",
-            evals
-        );
-        // Per-class scoring latency, `gensor_core_benefit_eval_us_<key>`
-        // with `key` the class's `OpClass::metric_key`: one cached handle
-        // per key, so a step pays an atomic add, not a registry lookup.
-        const HELP: &str = "Per-step benefit scoring latency (Eqs. 1-3 over every enabled action), split by operator class";
-        let class = state.op.class();
-        let us = t_score.elapsed().as_micros() as u64;
-        match class {
-            OpClass::Gemm | OpClass::Gemv => {
-                obs::histogram_record_us!("gensor_core_benefit_eval_us_matmul", HELP, us)
-            }
-            OpClass::Conv2d => {
-                obs::histogram_record_us!("gensor_core_benefit_eval_us_conv", HELP, us)
-            }
-            OpClass::AvgPool2d => {
-                obs::histogram_record_us!("gensor_core_benefit_eval_us_reduce", HELP, us)
-            }
-            OpClass::Elementwise => {
-                obs::histogram_record_us!("gensor_core_benefit_eval_us_elementwise", HELP, us)
-            }
-        }
-        obs::event!(
-            "benefit.eval",
-            scored = evals,
-            feasible = rows.len(),
-            t = t,
-            class = class.metric_key()
-        );
         let total: f64 = rows.iter().map(|r| r.benefit).sum();
         if total <= 0.0 {
             rows.clear();

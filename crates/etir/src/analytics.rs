@@ -177,20 +177,11 @@ impl ScheduleStats {
         block.retiled(shape, e, Tiles::Reg, &e.reg_tile)
     }
 
-    /// The stats of `next = state.apply(action)`, where `self` are
-    /// `state`'s: a tiling action recomputes the one half its tile
-    /// decides and copies the other, every other action leaves both
-    /// halves as they are. Equal to `ScheduleStats::compute(next)`.
-    pub fn successor(&self, next: &Etir, action: &Action) -> ScheduleStats {
-        let Some((which, _)) = next.retile(action) else {
-            return *self;
-        };
-        self.retiled(&OpShape::new(&next.op), next, which, next.tiles(which))
-    }
-
-    /// [`ScheduleStats::successor`] before the successor exists: `self`
-    /// are `state`'s stats, and the one tile vector `action` changes
-    /// ([`Etir::retile`]) is all that is copied. Equal to
+    /// The stats of `state.apply(action)` before that successor exists,
+    /// where `self` are `state`'s: a tiling action recomputes the one half
+    /// its tile decides, from the one tile vector it changes
+    /// ([`Etir::retile`]), and copies the other; every other action leaves
+    /// both halves as they are. Equal to
     /// `ScheduleStats::compute(&state.apply(action))`.
     #[inline]
     pub fn edge(&self, shape: &OpShape, state: &Etir, action: &Action) -> ScheduleStats {

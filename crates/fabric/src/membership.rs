@@ -20,7 +20,6 @@ pub struct Membership {
     peers: Vec<String>,
     /// One breaker per peer, index-aligned with `peers`.
     breakers: Vec<Breaker>,
-    vnodes: u32,
     /// SWIM overlay, when a gossip detector runs in this process:
     /// confirmed-dead peers leave the ring even before their breaker
     /// trips, and confirmed rejoins bring them back without waiting out
@@ -44,7 +43,6 @@ impl Membership {
         Membership {
             peers,
             breakers,
-            vnodes: DEFAULT_VNODES,
             gossip: Mutex::new(None),
             cached: Mutex::new(None),
         }
@@ -55,12 +53,6 @@ impl Membership {
     /// the table's confirmed transitions (dead ↔ rejoined).
     pub fn set_gossip(&self, table: Arc<MemberTable>) {
         *self.gossip.lock().unwrap_or_else(|p| p.into_inner()) = Some(table);
-    }
-
-    /// Override the virtual-node count (tests use small rings).
-    pub fn with_vnodes(mut self, vnodes: u32) -> Self {
-        self.vnodes = vnodes.max(1);
-        self
     }
 
     /// The full configured peer list, dead or alive.
@@ -129,7 +121,7 @@ impl Membership {
                 return ring.clone();
             }
         }
-        let ring = Arc::new(Ring::build(&live, self.vnodes));
+        let ring = Arc::new(Ring::build(&live, DEFAULT_VNODES));
         if g.is_some() {
             obs::counter_inc!(
                 "gensor_fabric_ring_rebuilds_total",

@@ -310,31 +310,6 @@ pub fn quantile_from_cumulative(cumulative: &[(u64, u64)], count: u64, q: f64) -
     overflow
 }
 
-/// Zero every registered metric (names and handles survive). Test-only
-/// escape hatch: the registry is process-global, and tests asserting exact
-/// values need a known baseline.
-#[doc(hidden)]
-pub fn reset_all() {
-    let reg = registry().lock().unwrap_or_else(|p| p.into_inner());
-    for e in reg.values() {
-        match &e.handle {
-            Handle::Counter(c) => {
-                c.0.store(0, Ordering::Relaxed);
-            }
-            Handle::Gauge(g) => {
-                g.0.store(0, Ordering::Relaxed);
-            }
-            Handle::Histogram(h) => {
-                for c in &h.counts {
-                    c.store(0, Ordering::Relaxed);
-                }
-                h.sum_us.store(0, Ordering::Relaxed);
-                h.total.store(0, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

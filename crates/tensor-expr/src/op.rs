@@ -28,8 +28,9 @@ impl OpClass {
         }
     }
 
-    /// Metric-name suffix for per-class observability series
-    /// (`gensor_core_walk_step_us_<key>` and friends): the coarse
+    /// Metric-name suffix for the per-class observability series
+    /// `gensor_core_walk_step_us_<key>`, and the `class` field of
+    /// `walk.step` events: the coarse
     /// matmul / conv / reduce / elementwise split, snake_case-safe for
     /// Prometheus names. GEMM and GEMV are both `matmul` (one class of
     /// tensor-contraction behaviour); pooling is the `reduce` shape.

@@ -86,7 +86,7 @@ fn extent_and_tile_queries_do_not_allocate() {
         assert_eq!(n, 0, "{label}: Etir::initial allocated {n} time(s)");
         // Block and reduce-step counts live in `ScheduleStats`' level
         // halves; `a_scored_step_allocates_only_its_row_table` pins them
-        // through `ScheduleStats::{successor, edge}`.
+        // through `ScheduleStats::edge`.
         let costs = OpCosts::new(op);
         let shape = &costs.shape;
         for e in states(op, &spec) {
@@ -150,9 +150,10 @@ fn infeasible(op: &tensor_expr::OpSpec, spec: &GpuSpec) -> Etir {
     e
 }
 
-/// Register the `obs` handles that `score_step` and `simulate` create on
-/// their first call (one per call site and operator class), so the counts
-/// below see only the steady state.
+/// Run a first `score_step` and `simulate` (a launch and a refusal) on every
+/// suite operator, so the counts below see only the steady state:
+/// `simulate` registers its `obs` counters on first call (one handle per
+/// call site), and scoring registers none.
 fn warm_obs(policy: &Policy, spec: &GpuSpec) {
     for cfg in tensor_expr::benchmark_suite() {
         let e = Etir::initial(cfg.op.clone(), spec);
@@ -208,12 +209,6 @@ fn a_scored_step_allocates_only_its_row_table() {
                 if e.can_apply(&a) {
                     let n = allocations_in(|| e.apply(&a));
                     assert_eq!(n, 0, "{label}: apply({a:?}) allocated {n} time(s) at {at}");
-                    let next = e.apply(&a);
-                    let n = allocations_in(|| before.successor(&next, &a));
-                    assert_eq!(
-                        n, 0,
-                        "{label}: ScheduleStats::successor({a:?}) allocated {n} time(s) at {at}"
-                    );
                     let n = allocations_in(|| before.edge(&costs.shape, &e, &a));
                     assert_eq!(
                         n, 0,

@@ -1,19 +1,19 @@
 //! The walk carries what it already knows, and that changes nothing.
 //!
-//! A tiling edge is costed by the one level it changes:
-//! `ScheduleStats::successor` recomputes one half of the stats and copies
-//! the other, and the walk moves on with the stats of the state it chose
-//! instead of recomputing them. The walk derives its operator's constants
-//! once (`OpCosts`) and costs an edge before the successor exists, from
-//! the one tile vector the edge changes (`ScheduleStats::edge`). A chain's
+//! A tiling edge is costed by the one level it changes: the walk derives
+//! its operator's constants once (`OpCosts`) and costs an edge before the
+//! successor exists, from the one tile vector the edge changes
+//! (`ScheduleStats::edge` recomputes one half of the stats and copies the
+//! other), and moves on with the stats of the state it chose instead of
+//! recomputing them. A chain's
 //! winner is read off the times the walk already simulated for its
 //! harvest (`WalkRecord::winner`) instead of simulating the harvest a
 //! second time through `simgpu::pick_best`.
 //!
 //! Every shortcut must be exact. Over the states walks visit on every
-//! Table IV operator, four seeds and both evaluation devices, every
-//! successor's and every edge's stats equal `ScheduleStats::compute` of
-//! the successor, the context's constants, efficiencies and conflict
+//! Table IV operator, four seeds and both evaluation devices, the carried
+//! stats and every edge's stats equal `ScheduleStats::compute` of their
+//! state, the context's constants, efficiencies and conflict
 //! degree equal their per-`Etir` derivations, and every chain winner
 //! equals `pick_best` followed by the strict `best_seen` rule, bit for
 //! bit. Hand-set ragged and transplanted schedules, whose tiles are not
@@ -32,16 +32,6 @@ const SEEDS: [u64; 4] = [1, 2, 3, 0xC0FFEE];
 
 fn devices() -> [GpuSpec; 2] {
     [GpuSpec::rtx4090(), GpuSpec::orin_nano()]
-}
-
-fn is_tiling(a: &Action) -> bool {
-    matches!(
-        a,
-        Action::Tile { .. }
-            | Action::InvTile { .. }
-            | Action::TileReduce { .. }
-            | Action::InvTileReduce { .. }
-    )
 }
 
 /// Walk `op` exactly as `Walk::run` does (same scoring, same RNG draws,
@@ -92,40 +82,21 @@ fn replay(
 #[test]
 fn a_successor_costs_exactly_what_a_full_compute_does() {
     let walk = Walk::default();
-    let (mut states, mut successors) = (0u64, 0u64);
+    let mut states = 0u64;
     for spec in devices() {
         for cfg in tensor_expr::benchmark_suite() {
             let op = &cfg.op;
             for seed in SEEDS {
                 let terminal = replay(&walk, op, &spec, seed, |e, carried| {
                     states += 1;
-                    let at = || {
-                        format!(
-                            "{} seed {seed} on {}: {}",
-                            cfg.label,
-                            spec.name,
-                            e.describe()
-                        )
-                    };
                     assert_eq!(
                         *carried,
                         ScheduleStats::compute(e),
-                        "carried stats at {}",
-                        at()
+                        "carried stats at {} seed {seed} on {}: {}",
+                        cfg.label,
+                        spec.name,
+                        e.describe()
                     );
-                    for a in Action::all(e.spatial_rank(), e.reduce_rank()) {
-                        if !is_tiling(&a) || !e.can_apply(&a) {
-                            continue;
-                        }
-                        successors += 1;
-                        let next = e.apply(&a);
-                        assert_eq!(
-                            carried.successor(&next, &a),
-                            ScheduleStats::compute(&next),
-                            "{a:?} at {}",
-                            at()
-                        );
-                    }
                 });
                 let rec = walk.run(op, &spec, &mut StdRng::seed_from_u64(seed));
                 assert_eq!(
@@ -136,10 +107,7 @@ fn a_successor_costs_exactly_what_a_full_compute_does() {
             }
         }
     }
-    assert!(
-        states > 30_000 && successors > 200_000,
-        "{states} states, {successors} successors"
-    );
+    assert!(states > 30_000, "{states} states");
 }
 
 // The per-`Etir` derivations the cost context replaces, written as they
@@ -429,7 +397,6 @@ fn a_cur_level_only_tie_goes_to_the_first_harvested_state() {
         steps: 1,
         terminal: e.clone(),
         best_seen: Some((e.clone(), t)),
-        best_time_trace: vec![t, t],
         exact_benefit_evals: 0,
     };
     let winner = rec.winner(&spec);

@@ -182,6 +182,7 @@ fn convergence_csv_reproduces_a_walk_trace() {
     let rows: Vec<&str> = lines.collect();
     assert!(!rows.is_empty(), "no walk steps in:\n{csv}");
     let mut best_prev = f64::INFINITY;
+    let mut bests = Vec::new();
     let mut last_step = -1i64;
     for row in &rows {
         // CSV-quoted action cells may contain commas; strip them before
@@ -222,7 +223,91 @@ fn convergence_csv_reproduces_a_walk_trace() {
             "best-so-far must be monotonically non-increasing: '{row}'"
         );
         best_prev = best;
+        bests.push(best);
     }
     // The walk found something: the final best is finite.
     assert!(best_prev.is_finite(), "walk never improved:\n{csv}");
+    // The bulk of the improvement lands within the budget (the paper's
+    // "convergence after about 100 iterations"): by mid-walk the best
+    // beats the first step's, or has already reached the final one.
+    let mid = bests[bests.len() / 2];
+    assert!(
+        mid < bests[0] || mid == best_prev,
+        "no progress by mid-walk:\n{csv}"
+    );
+}
+
+/// A registered counter's value, or a histogram's sample count; 0 when
+/// the metric is not registered.
+fn metric(name: &str) -> u64 {
+    match obs::metrics::snapshot()
+        .into_iter()
+        .find(|m| m.name == name)
+    {
+        Some(m) => match m.value {
+            obs::metrics::MetricValue::Counter(n) => n,
+            obs::metrics::MetricValue::Histogram { count, .. } => count,
+            obs::metrics::MetricValue::Gauge(g) => panic!("{name} is a gauge ({g})"),
+        },
+        None => 0,
+    }
+}
+
+#[test]
+fn a_walk_is_accounted_for_once() {
+    use rand::SeedableRng;
+    let _g = obs_lock().lock().unwrap_or_else(|p| p.into_inner());
+    let spec = GpuSpec::rtx4090();
+    let names = [
+        "gensor_core_walk_steps_total",
+        "gensor_core_benefit_evals_total",
+        "gensor_core_walk_step_us_matmul",
+        "gensor_core_walk_step_us_conv",
+    ];
+    let before = names.map(metric);
+    let walk = gensor::Walk::default();
+    let run =
+        |op: &OpSpec, seed: u64| walk.run(op, &spec, &mut rand::rngs::StdRng::seed_from_u64(seed));
+    let gemm = OpSpec::gemm(512, 256, 512);
+    let records = [
+        run(&gemm, 1),
+        run(&gemm, 2),
+        run(&gemm, 3),
+        run(&OpSpec::conv2d(4, 16, 28, 28, 32, 3, 3, 1, 1), 4),
+    ];
+    let delta: Vec<u64> = names
+        .iter()
+        .zip(before)
+        .map(|(n, b)| metric(n) - b)
+        .collect();
+    let steps: u64 = records.iter().map(|r| r.steps as u64).sum();
+    let evals: u64 = records.iter().map(|r| r.exact_benefit_evals).sum();
+    assert_eq!(delta, [steps, evals, 3, 1], "deltas of {names:?}");
+    let scorer_series: Vec<String> = obs::metrics::snapshot()
+        .into_iter()
+        .map(|m| m.name)
+        .filter(|n| n.starts_with("gensor_core_benefit_eval_us_"))
+        .collect();
+    assert!(
+        scorer_series.is_empty(),
+        "the scorer records {scorer_series:?}"
+    );
+
+    // The step trail is the `walk.step` events, and they carry what the
+    // scorer's own events used to: the scored and the feasible row counts.
+    let (_, events) = traced_compile(&OpSpec::gemm(256, 128, 256), 31);
+    assert!(events.iter().all(|e| e.kind.name() != "benefit.eval"));
+    let trail: Vec<&obs::Event> = events
+        .iter()
+        .filter(|e| e.kind.name() == "walk.step")
+        .collect();
+    assert!(!trail.is_empty(), "a traced compile emitted no walk.step");
+    for e in trail {
+        match (e.field("feasible"), e.field("exact_evals")) {
+            (Some(obs::Value::U64(feasible)), Some(obs::Value::U64(scored))) => {
+                assert!(feasible <= scored, "{e:?}")
+            }
+            _ => panic!("walk.step without feasible/exact_evals: {e:?}"),
+        }
+    }
 }
