@@ -5,9 +5,10 @@
 //! benefit of an action is its predicted acceleration ratio; Alg. 2
 //! normalizes benefits into transition probabilities.
 
-use etir::analytics::{MemCheck, OpShape, ScheduleStats};
-use etir::{Action, Etir};
+use etir::analytics::{product_with, MemCheck, OpShape, ScheduleStats, StateTiles};
+use etir::{Action, Etir, Tiles};
 use hardware::{GpuSpec, LevelKind};
+use std::borrow::Borrow;
 
 /// Multiplicative benefit attributed to one doubling of the unroll factor
 /// (instruction-pipeline utilisation). Not one of the paper's three
@@ -22,6 +23,7 @@ const UNROLL_BENEFIT: f64 = 1.08;
 /// `Q` is the memory traffic into the current scheduling level, `F` the
 /// footprint its tiles occupy. A ratio above 1 means the traffic saved
 /// outweighs the extra footprint — a higher memory-reuse rate.
+#[inline]
 pub fn tiling_benefit_stats(
     cur_level: usize,
     num_levels: usize,
@@ -42,6 +44,7 @@ pub fn tiling_benefit_stats(
 /// Compares serving the current level's working set from the *lower*
 /// (farther) memory against the *higher* (nearer) one the `cache` action
 /// switches scheduling to. `S` is the data size exchanged per tile.
+#[inline]
 pub fn caching_benefit_stats(state: &Etir, stats: &ScheduleStats, spec: &GpuSpec) -> f64 {
     let s_data = stats.footprint_at_level(state.cur_level.min(1));
     let (low, high) = match state.cur_level {
@@ -69,8 +72,7 @@ pub fn action_benefit_stats(
 }
 
 /// [`action_benefit_stats`] for a caller that holds the operator's shape
-/// (the walk derives it once). A tiling or vThread edge is costed from the
-/// one tile vector it changes ([`Etir::retile`]); no successor is built.
+/// (the walk derives it once).
 pub fn edge_benefit(
     state: &Etir,
     before: &ScheduleStats,
@@ -78,33 +80,50 @@ pub fn edge_benefit(
     action: &Action,
     spec: &GpuSpec,
 ) -> f64 {
+    let tiles = || StateTiles::new(shape, state);
+    edge_benefit_in(state, before, shape, tiles, action, spec)
+}
+
+/// [`edge_benefit`] on `state`'s [`StateTiles`], which `tiles` yields: the
+/// scorer's, derived once per state, or for one edge a derivation only a
+/// tiling edge makes. A tiling or vThread edge is costed from its one edit
+/// ([`Etir::tile_edit`]); no successor and no changed tile vector is
+/// built.
+#[inline(always)]
+pub fn edge_benefit_in<T: Borrow<StateTiles>>(
+    state: &Etir,
+    before: &ScheduleStats,
+    shape: &OpShape,
+    tiles: impl FnOnce() -> T,
+    action: &Action,
+    spec: &GpuSpec,
+) -> f64 {
     if !state.can_apply_in(action, &shape.spatial, &shape.reduce) {
         return 0.0;
     }
-    match action {
-        Action::Tile { .. }
-        | Action::InvTile { .. }
-        | Action::TileReduce { .. }
-        | Action::InvTileReduce { .. } => {
-            let after = before.edge(shape, state, action);
-            if !MemCheck::check_capacity_stats(&after, spec).fits() {
-                return 0.0;
-            }
-            tiling_benefit_stats(state.cur_level, state.num_levels, before, &after)
-        }
-        Action::Cache => caching_benefit_stats(state, before, spec),
-        Action::SetVthread { .. } | Action::InvVthread { .. } => {
+    match state.tile_edit(action) {
+        Some((Tiles::Vthreads, dim, value)) => {
             // Eq. 3 — virtual-thread benefit, `ceil(x/W) / ceil(x/(V·W))`:
             // the ratio of the simulator's bank-conflict degree before and
             // after. vThread moves leave footprints unchanged (no capacity
             // check needed); keep a small floor so the walk can explore
             // conflict-free configurations too.
-            let degree = |vt: &[u64]| shape.bank_conflict_degree(&state.smem_tile, vt, spec);
-            let after = state.retile(action).map_or(state.vthreads, |(_, vt)| vt);
-            (degree(&state.vthreads) / degree(&after).max(1.0)).max(0.25)
+            let degree = |v: u64| shape.conflict_degree(&state.smem_tile, v, spec);
+            let after = product_with(&state.vthreads, dim, value);
+            (degree(state.total_vthreads()) / degree(after).max(1.0)).max(0.25)
         }
-        Action::Unroll => UNROLL_BENEFIT,
-        Action::InvUnroll => 1.0 / UNROLL_BENEFIT,
+        Some(edit) => {
+            let after = before.edited(shape, &state.op, tiles().borrow(), edit);
+            if !MemCheck::check_capacity_stats(&after, spec).fits() {
+                return 0.0;
+            }
+            tiling_benefit_stats(state.cur_level, state.num_levels, before, &after)
+        }
+        None => match action {
+            Action::Cache => caching_benefit_stats(state, before, spec),
+            Action::Unroll => UNROLL_BENEFIT,
+            _ => 1.0 / UNROLL_BENEFIT,
+        },
     }
 }
 

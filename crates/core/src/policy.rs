@@ -8,8 +8,8 @@
 //! a probability distribution, and one action is drawn by roulette
 //! selection.
 
-use crate::benefit::edge_benefit;
-use etir::analytics::{OpShape, ScheduleStats};
+use crate::benefit::edge_benefit_in;
+use etir::analytics::{OpShape, ScheduleStats, StateTiles};
 use etir::{Action, Etir};
 use hardware::GpuSpec;
 use rand::Rng;
@@ -120,14 +120,31 @@ impl Policy {
     }
 
     /// [`Policy::score_step`] when the caller already holds `state`'s
-    /// stats and its operator's shape (the walk carries both). A pure
-    /// function: it reads no clock and records nothing, and the walk
-    /// publishes its totals once, from its [`crate::walk::WalkRecord`].
+    /// stats and its operator's shape. A pure function: it reads no clock
+    /// and records nothing, and the walk publishes its totals once, from
+    /// its [`crate::walk::WalkRecord`].
     pub fn score_step_stats(
         &self,
         state: &Etir,
         before: &ScheduleStats,
         shape: &OpShape,
+        spec: &GpuSpec,
+        t: u32,
+    ) -> StepScoring {
+        let tiles = StateTiles::new(shape, state);
+        self.score_step_in(state, before, shape, &tiles, spec, t)
+    }
+
+    /// [`Policy::score_step_stats`] when the caller also holds `state`'s
+    /// [`StateTiles`] (the walk carries the stats and the shape, and
+    /// derives the tiles once per state for every edge it scores and the
+    /// one it takes).
+    pub fn score_step_in(
+        &self,
+        state: &Etir,
+        before: &ScheduleStats,
+        shape: &OpShape,
+        tiles: &StateTiles,
         spec: &GpuSpec,
         t: u32,
     ) -> StepScoring {
@@ -138,7 +155,7 @@ impl Policy {
             .iter()
             .filter(|a| a.in_rank(sr, rr) && self.enabled(a))
         {
-            let raw = edge_benefit(state, before, shape, &action, spec);
+            let raw = edge_benefit_in(state, before, shape, || tiles, &action, spec);
             evals += 1;
             if raw <= 0.0 {
                 continue;

@@ -8,7 +8,7 @@
 //! memory levels scheduled).
 
 use crate::policy::Policy;
-use etir::{Etir, OpCosts, ScheduleStats};
+use etir::{Etir, OpCosts, ScheduleStats, StateTiles};
 use hardware::GpuSpec;
 use rand::Rng;
 use simgpu::{KernelReport, SimOptions};
@@ -176,10 +176,12 @@ impl Walk {
             // Scoring + `choose` is exactly `Policy::select` split
             // open (same RNG draw sequence), so the chosen row's benefit
             // and probability are available to the telemetry below without
-            // perturbing the walk.
+            // perturbing the walk. The state's tiles are derived once, for
+            // every edge scored and the one taken.
+            let tiles = StateTiles::new(&costs.shape, &e);
             let scoring = self
                 .policy
-                .score_step_stats(&e, &stats, &costs.shape, spec, t_norm);
+                .score_step_in(&e, &stats, &costs.shape, &tiles, spec, t_norm);
             exact_benefit_evals += scoring.exact_evals;
             let rows = scoring.rows;
             let Some(pick) = self.policy.choose(&rows, rng) else {
@@ -211,7 +213,7 @@ impl Walk {
                 continue;
             };
             let row = &rows[pick];
-            let next_stats = stats.edge(&costs.shape, &e, &row.action);
+            let next_stats = stats.edge_in(&costs.shape, &e, &tiles, &row.action);
             let next = e.apply(&row.action);
             let accepted = rng.gen::<f64>() < Self::accept_prob(t);
             let next_time = consider(&next, &next_stats, &mut best_seen);

@@ -93,6 +93,13 @@ impl OpShape {
     /// `Benefit_vThread = degree(V=1) / degree(V)` is exactly the paper's
     /// formula, and the policy and the simulator agree by construction.
     pub fn bank_conflict_degree(&self, smem_tile: &[u64], vthreads: &[u64], spec: &GpuSpec) -> f64 {
+        self.conflict_degree(smem_tile, vthreads.iter().product(), spec)
+    }
+
+    /// [`OpShape::bank_conflict_degree`] with `total_vthreads` virtual
+    /// threads in all.
+    #[inline]
+    pub fn conflict_degree(&self, smem_tile: &[u64], total_vthreads: u64, spec: &GpuSpec) -> f64 {
         let smem = spec.level(LevelKind::Shared);
         let (Some(&row), Some(&ext)) = (smem_tile.last(), self.spatial.last()) else {
             return 1.0;
@@ -103,7 +110,7 @@ impl OpShape {
         // The block tile's row along the contiguous dimension, clamped as
         // `Etir::clamped_smem_tile` clamps it.
         let x = row.min(ext.next_power_of_two()) as f64;
-        let v = vthreads.iter().product::<u64>() as f64;
+        let v = total_vthreads as f64;
         (x / (v * smem.banks as f64)).ceil().max(1.0)
     }
 }
@@ -132,11 +139,76 @@ impl OpCosts {
 /// `ceil(x / t)` for `t ≥ 1`: a shift when `t` is a power of two, as every
 /// tile the walk makes is; other tiles (transplanted or set by hand)
 /// divide.
+#[inline(always)]
 fn ceil_div(x: u64, t: u64) -> u64 {
     if t.is_power_of_two() {
         (x >> t.trailing_zeros()) + u64::from(x & (t - 1) != 0)
     } else {
         x.div_ceil(t)
+    }
+}
+
+/// `Π values` with `values[axis]` replaced by `value`.
+#[inline(always)]
+pub fn product_with(values: &[u64], axis: usize, value: u64) -> u64 {
+    let at = |(i, &v): (usize, &u64)| if i == axis { value } else { v };
+    values.iter().enumerate().map(at).product()
+}
+
+/// Axis `i` of the clamped tile vector `tiles`, with `value` at the edited
+/// `axis`, if any.
+#[inline(always)]
+fn with(tiles: &Axes, axis: Option<usize>, value: u64) -> impl Fn(usize) -> u64 + '_ {
+    move |i| if Some(i) == axis { value } else { tiles[i] }
+}
+
+type Axes = [u64; Extents::MAX];
+
+/// What every edge of one state shares, derived once per state: its block,
+/// register and reduce tiles clamped into `[1, extent]`, the tile count
+/// `ceil(extent / tile)` along every axis of each, and the state's block and
+/// reduction-step counts. Axes past the operator's rank are unused.
+#[derive(Debug, Clone, Copy)]
+pub struct StateTiles {
+    smem: Axes,
+    reg: Axes,
+    reduce: Axes,
+    smem_counts: Axes,
+    reg_counts: Axes,
+    reduce_counts: Axes,
+    grid_blocks: u64,
+    reduce_steps: u64,
+}
+
+impl StateTiles {
+    pub fn new(shape: &OpShape, e: &Etir) -> StateTiles {
+        let mut t = StateTiles {
+            smem: [0; Extents::MAX],
+            reg: [0; Extents::MAX],
+            reduce: [0; Extents::MAX],
+            smem_counts: [0; Extents::MAX],
+            reg_counts: [0; Extents::MAX],
+            reduce_counts: [0; Extents::MAX],
+            grid_blocks: 0,
+            reduce_steps: 0,
+        };
+        // Clamping a tile into `[1, extent]` changes no count, so a count
+        // divides by the tile as it is (at least 1), a power of two.
+        #[inline(always)]
+        fn fill(ext: &[u64], tile: &[u64], clamped: &mut Axes, counts: &mut Axes) -> u64 {
+            let mut product = 1;
+            for (i, (&x, &tile)) in ext.iter().zip(tile).enumerate() {
+                (clamped[i], counts[i]) = (tile.clamp(1, x), ceil_div(x, tile.max(1)));
+                product *= counts[i];
+            }
+            product
+        }
+        let (spatial, reduce) = (&shape.spatial, &shape.reduce);
+        t.grid_blocks = fill(spatial, &e.smem_tile, &mut t.smem, &mut t.smem_counts);
+        fill(spatial, &e.reg_tile, &mut t.reg, &mut t.reg_counts);
+        let steps = fill(reduce, &e.reduce_tile, &mut t.reduce, &mut t.reduce_counts);
+        t.reduce_steps = steps.max(1);
+        t
     }
 }
 
@@ -171,50 +243,81 @@ impl ScheduleStats {
         Self::compute_in(&OpShape::new(&e.op), e)
     }
 
-    /// [`ScheduleStats::compute`] for a caller that holds `e.op`'s shape.
+    /// [`ScheduleStats::compute`] for a caller that holds `e.op`'s shape:
+    /// each half by the edge rule, at an edit that changes nothing.
     pub fn compute_in(shape: &OpShape, e: &Etir) -> ScheduleStats {
-        let block = ScheduleStats::default().retiled(shape, e, Tiles::Smem, &e.smem_tile);
-        block.retiled(shape, e, Tiles::Reg, &e.reg_tile)
+        let tiles = StateTiles::new(shape, e);
+        ScheduleStats::default()
+            .edited(shape, &e.op, &tiles, (Tiles::Smem, 0, e.smem_tile[0]))
+            .edited(shape, &e.op, &tiles, (Tiles::Reg, 0, e.reg_tile[0]))
     }
 
     /// The stats of `state.apply(action)` before that successor exists,
     /// where `self` are `state`'s: a tiling action recomputes the one half
-    /// its tile decides, from the one tile vector it changes
-    /// ([`Etir::retile`]), and copies the other; every other action leaves
-    /// both halves as they are. Equal to
-    /// `ScheduleStats::compute(&state.apply(action))`.
+    /// its tile decides, from its one edit ([`Etir::tile_edit`]), and
+    /// copies the other; every other action leaves both halves as they
+    /// are. Equal to `ScheduleStats::compute(&state.apply(action))`.
     #[inline]
     pub fn edge(&self, shape: &OpShape, state: &Etir, action: &Action) -> ScheduleStats {
-        match state.retile(action) {
-            Some((which, tiles)) => self.retiled(shape, state, which, &tiles),
+        match state.tile_edit(action) {
+            Some(edit) => self.edited(shape, &state.op, &StateTiles::new(shape, state), edit),
             None => *self,
         }
     }
 
-    /// `self` with the half that tile vector `which` decides recomputed for
-    /// `e` with `which` set to `tiles`; vthreads decide neither half.
-    fn retiled(mut self, shape: &OpShape, e: &Etir, which: Tiles, tiles: &[u64]) -> Self {
-        let pick = |w: Tiles| if w == which { tiles } else { e.tiles(w) };
-        // Every count is `Π ceil(extent / tile)`. Clamping a tile into
-        // `[1, extent]` first changes no count, so the tile is used as it
-        // is (at least 1) and stays a power of two.
-        let count = |ext: &[u64], tile: &[u64]| -> u64 {
-            ext.iter()
-                .zip(tile)
-                .map(|(&x, &t)| ceil_div(x, t.max(1)))
-                .product()
-        };
+    /// [`ScheduleStats::edge`] for a caller that holds `state`'s
+    /// [`StateTiles`] (the walk derives them once per state, for the
+    /// scorer and for the edge it takes).
+    #[inline]
+    pub fn edge_in(
+        &self,
+        shape: &OpShape,
+        state: &Etir,
+        tiles: &StateTiles,
+        action: &Action,
+    ) -> ScheduleStats {
+        match state.tile_edit(action) {
+            Some(edit) => self.edited(shape, &state.op, tiles, edit),
+            None => *self,
+        }
+    }
+
+    /// `self` with the half that `edit`, an [`Etir::tile_edit`] of the
+    /// state `tiles` are derived from, decides recomputed: the edited axis
+    /// is read from the edit and every other from `tiles`, and the count
+    /// the edit leaves alone is the state's. A vthread edit decides
+    /// neither half.
+    #[inline(always)]
+    pub fn edited(
+        mut self,
+        shape: &OpShape,
+        op: &OpSpec,
+        tiles: &StateTiles,
+        (which, dim, value): (Tiles, usize, u64),
+    ) -> Self {
+        let (rank, reduce_rank) = (shape.spatial.len(), shape.reduce.len());
+        // The edited axis's tile count and clamped tile.
+        let at = |ext: &Extents| (ceil_div(ext[dim], value.max(1)), value.clamp(1, ext[dim]));
         match which {
             Tiles::Smem | Tiles::Reduce => {
-                let (smem, reduce) = (pick(Tiles::Smem), pick(Tiles::Reduce));
-                self.grid_blocks = count(&shape.spatial, smem);
-                self.reduce_steps = count(&shape.reduce, reduce).max(1);
+                let edits_smem = which == Tiles::Smem;
+                let clamped = if edits_smem {
+                    let (count, clamped) = at(&shape.spatial);
+                    self.grid_blocks = product_with(&tiles.smem_counts[..rank], dim, count);
+                    self.reduce_steps = tiles.reduce_steps;
+                    clamped
+                } else {
+                    let (count, clamped) = at(&shape.reduce);
+                    self.grid_blocks = tiles.grid_blocks;
+                    self.reduce_steps =
+                        product_with(&tiles.reduce_counts[..reduce_rank], dim, count).max(1);
+                    clamped
+                };
                 // Shared-memory footprint: input tiles of one reduction step.
-                let (smem, reduce) = (
-                    clamp_tile(smem, &shape.spatial),
-                    clamp_tile(reduce, &shape.reduce),
+                let block_fp = op.footprint_at(
+                    with(&tiles.smem, edits_smem.then_some(dim), clamped),
+                    with(&tiles.reduce, (!edits_smem).then_some(dim), clamped),
                 );
-                let block_fp = e.op.clamped_footprint(&smem, &reduce);
                 self.smem_bytes_per_block = block_fp.inputs.iter().sum::<u64>() * DTYPE_BYTES;
                 // DRAM traffic: per block, the staged input tiles are loaded
                 // once per reduction step; the output tile is written once.
@@ -226,17 +329,16 @@ impl ScheduleStats {
             Tiles::Reg => {
                 // Registers: accumulator tile + one reduce-element operand
                 // slice + overhead.
-                let unit_rd = &[1; Extents::MAX][..shape.reduce.len()];
-                let reg_fp =
-                    e.op.clamped_footprint(&clamp_tile(tiles, &shape.spatial), unit_rd);
+                let (count, clamped) = at(&shape.spatial);
+                let reg_fp = op.footprint_at(with(&tiles.reg, Some(dim), clamped), |_| 1);
                 let reg_in_elems = reg_fp.inputs.iter().sum::<u64>();
                 self.regs_per_thread = reg_fp.output + reg_in_elems + REG_OVERHEAD;
                 // SMEM→register traffic: every register tile re-reads its
                 // operand slices for each element of the reduce space.
                 let reg_in_bytes = (reg_in_elems * DTYPE_BYTES) as f64;
+                let count = product_with(&tiles.reg_counts[..rank], dim, count);
                 self.smem_traffic_bytes =
-                    count(&shape.spatial, tiles) as f64 * shape.reduce_elems as f64 * reg_in_bytes
-                        + shape.out_bytes;
+                    count as f64 * shape.reduce_elems as f64 * reg_in_bytes + shape.out_bytes;
             }
             Tiles::Vthreads => {}
         }
@@ -245,6 +347,7 @@ impl ScheduleStats {
 
     /// The paper's `Q(T)`: traffic *into* the tiles of the given schedulable
     /// level (0 = DRAM→SMEM, 1 = SMEM→REG), in bytes.
+    #[inline]
     pub fn traffic_at_level(&self, level: usize) -> f64 {
         match level {
             0 => self.dram_traffic_bytes,
@@ -254,6 +357,7 @@ impl ScheduleStats {
 
     /// The paper's `F(T)`: per-unit footprint at the given schedulable
     /// level (0 = shared memory per block, 1 = registers per thread), bytes.
+    #[inline]
     pub fn footprint_at_level(&self, level: usize) -> f64 {
         match level {
             0 => self.smem_bytes_per_block.max(1) as f64,
@@ -379,8 +483,9 @@ pub fn l2_hit_rate(stats: &ScheduleStats, compulsory: f64, spec: &GpuSpec) -> f6
     // Even a fully-captured window can't convert *all* redundancy (cold
     // misses at wave boundaries); 0.95 ceiling keeps it physical.
     // Streaming accesses still enjoy some L2 hits from prefetch-like line
-    // granularity: a small floor proportional to non-redundant traffic.
-    (redundant * fit * 0.95 + (1.0 - redundant) * 0.0).clamp(0.0, 0.99) + 0.05 * (1.0 - redundant)
+    // granularity: the floor is the `0.05 * (1.0 - redundant)` term,
+    // proportional to non-redundant traffic.
+    (redundant * fit * 0.95).clamp(0.0, 0.99) + 0.05 * (1.0 - redundant)
 }
 
 #[cfg(test)]

@@ -27,6 +27,6 @@ pub mod lower;
 pub mod state;
 
 pub use action::Action;
-pub use analytics::{MemCheck, OpCosts, OpShape, ScheduleStats};
+pub use analytics::{MemCheck, OpCosts, OpShape, ScheduleStats, StateTiles};
 pub use lower::LoopNest;
 pub use state::{Etir, Tiles};

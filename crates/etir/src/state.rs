@@ -160,7 +160,7 @@ impl Etir {
 
     /// [`Etir::can_apply`] for a caller that holds the operator's spatial
     /// and reduce extents.
-    #[inline]
+    #[inline(always)]
     pub fn can_apply_in(&self, action: &Action, spatial: &[u64], reduce: &[u64]) -> bool {
         match *action {
             Action::Tile { dim } => {
@@ -202,6 +202,7 @@ impl Etir {
     }
 
     /// The tile vector `which`.
+    #[inline]
     pub fn tiles(&self, which: Tiles) -> &Extents {
         match which {
             Tiles::Smem => &self.smem_tile,
@@ -211,13 +212,22 @@ impl Etir {
         }
     }
 
-    /// What `action` does to the tiles: the vector it edits (tiling edits
-    /// the current level's) and that vector's new value, `None` for `Cache`
-    /// and the unroll edges. [`Etir::apply`] follows this rule, and a
-    /// scorer reads it to cost an applicable edge without building the
-    /// successor.
-    #[inline]
-    pub fn retile(&self, action: &Action) -> Option<(Tiles, Extents)> {
+    fn tiles_mut(&mut self, which: Tiles) -> &mut Extents {
+        match which {
+            Tiles::Smem => &mut self.smem_tile,
+            Tiles::Reg => &mut self.reg_tile,
+            Tiles::Vthreads => &mut self.vthreads,
+            Tiles::Reduce => &mut self.reduce_tile,
+        }
+    }
+
+    /// What `action` does to the tiles, as one edit: the vector it changes
+    /// (tiling edits the current level's), the axis, and that axis's new
+    /// value; `None` for `Cache` and the unroll edges. [`Etir::apply`]
+    /// follows this rule, and the scorer costs an applicable edge from it
+    /// without building the successor or its changed vector.
+    #[inline(always)]
+    pub fn tile_edit(&self, action: &Action) -> Option<(Tiles, usize, u64)> {
         let level = [Tiles::Smem, Tiles::Reg][self.cur_level.min(1)];
         let (which, dim, grow) = match *action {
             Action::Tile { dim } => (level, dim, true),
@@ -228,8 +238,15 @@ impl Etir {
             Action::InvVthread { dim } => (Tiles::Vthreads, dim, false),
             Action::Cache | Action::Unroll | Action::InvUnroll => return None,
         };
+        let tile = self.tiles(which)[dim];
+        Some((which, dim, if grow { tile * 2 } else { tile / 2 }))
+    }
+
+    /// The tile vector [`Etir::tile_edit`] changes, with its edit applied.
+    pub fn retile(&self, action: &Action) -> Option<(Tiles, Extents)> {
+        let (which, dim, value) = self.tile_edit(action)?;
         let mut tiles = *self.tiles(which);
-        tiles[dim] = if grow { tiles[dim] * 2 } else { tiles[dim] / 2 };
+        tiles[dim] = value;
         Some((which, tiles))
     }
 
@@ -240,11 +257,8 @@ impl Etir {
     pub fn apply(&self, action: &Action) -> Etir {
         assert!(self.can_apply(action), "inapplicable action {action:?}");
         let mut next = self.clone();
-        match (self.retile(action), action) {
-            (Some((Tiles::Smem, t)), _) => next.smem_tile = t,
-            (Some((Tiles::Reg, t)), _) => next.reg_tile = t,
-            (Some((Tiles::Vthreads, t)), _) => next.vthreads = t,
-            (Some((Tiles::Reduce, t)), _) => next.reduce_tile = t,
+        match (self.tile_edit(action), action) {
+            (Some((which, dim, value)), _) => next.tiles_mut(which)[dim] = value,
             (None, Action::Cache) => next.cur_level += 1,
             (None, Action::Unroll) => next.unroll *= 2,
             (None, _) => next.unroll /= 2,

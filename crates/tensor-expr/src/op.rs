@@ -615,44 +615,56 @@ impl OpSpec {
 
     /// [`OpSpec::tile_footprint`] of tiles already within `[1, extent]`
     /// per axis ([`clamp_tile`]), for a caller that holds the extents.
-    /// Conv/pool input regions include the stride/halo expansion:
-    /// `in_extent = (out_tile − 1)·stride + k_tile`.
     #[inline]
     pub fn clamped_footprint(&self, sp: &[u64], rd: &[u64]) -> TileFootprint {
-        let output = sp.iter().product();
-        let (inputs, rows) = match *self {
+        self.footprint_at(|i| sp[i], |j| rd[j])
+    }
+
+    /// [`OpSpec::clamped_footprint`] of the tile whose spatial axis `i` is
+    /// `sp(i)` and reduce axis `j` is `rd(j)`, read one axis at a time, so
+    /// a caller that changes one axis of a tile need not build the changed
+    /// vector. Conv/pool input regions include the stride/halo expansion:
+    /// `in_extent = (out_tile − 1)·stride + k_tile`.
+    #[inline(always)]
+    pub fn footprint_at(
+        &self,
+        sp: impl Fn(usize) -> u64,
+        rd: impl Fn(usize) -> u64,
+    ) -> TileFootprint {
+        let (inputs, output, rows) = match *self {
             // A is [M,K] row-major → rows of Tk; B is [K,N] → rows of Tn.
             OpSpec::Gemm { .. } => {
-                let (tm, tn, tk) = (sp[0], sp[1], rd[0]);
-                ([tm * tk, tk * tn].into(), [tk, tn].into())
+                let (tm, tn, tk) = (sp(0), sp(1), rd(0));
+                ([tm * tk, tk * tn].into(), tm * tn, [tk, tn].into())
             }
             // A rows of Tk; x is a contiguous Tk run.
             OpSpec::Gemv { .. } => {
-                let (tm, tk) = (sp[0], rd[0]);
-                ([tm * tk, tk].into(), [tk, tk].into())
+                let (tm, tk) = (sp(0), rd(0));
+                ([tm * tk, tk].into(), tm, [tk, tk].into())
             }
             OpSpec::Conv2d {
                 stride, h, w, pad, ..
             } => {
-                let (tn, toc, toh, tow) = (sp[0], sp[1], sp[2], sp[3]);
-                let (tic, tkh, tkw) = (rd[0], rd[1], rd[2]);
+                let (tn, toc, toh, tow) = (sp(0), sp(1), sp(2), sp(3));
+                let (tic, tkh, tkw) = (rd(0), rd(1), rd(2));
                 let ih = ((toh - 1) * stride + tkh).min(h + 2 * pad);
                 let iw = ((tow - 1) * stride + tkw).min(w + 2 * pad);
                 (
                     [tn * tic * ih * iw, toc * tic * tkh * tkw].into(),
+                    tn * toc * toh * tow,
                     [iw, tkw].into(),
                 )
             }
             OpSpec::AvgPool2d { stride, h, w, .. } => {
-                let (tn, tc, toh, tow) = (sp[0], sp[1], sp[2], sp[3]);
-                let (tfh, tfw) = (rd[0], rd[1]);
+                let (tn, tc, toh, tow) = (sp(0), sp(1), sp(2), sp(3));
+                let (tfh, tfw) = (rd(0), rd(1));
                 let ih = ((toh - 1) * stride + tfh).min(h);
                 let iw = ((tow - 1) * stride + tfw).min(w);
-                ([tn * tc * ih * iw].into(), [iw].into())
+                ([tn * tc * ih * iw].into(), tn * tc * toh * tow, [iw].into())
             }
             OpSpec::Elementwise { num_inputs, .. } => {
-                let each: Extents = (0..num_inputs).map(|_| sp[0]).collect();
-                (each, each)
+                let each: Extents = (0..num_inputs).map(|_| sp(0)).collect();
+                (each, sp(0), each)
             }
         };
         TileFootprint {
