@@ -14,6 +14,8 @@
 //!   ([`state`]).
 //! * [`Action`] — the graph's edges: tiling / inverse tiling, caching-level
 //!   advance, `setVthread`, unroll ([`action`]).
+//! * The one hasher and the operator, device and schedule fingerprints
+//!   every cache key is made of ([`identity`]).
 //! * Footprint / traffic / occupancy analytics that the benefit formulas
 //!   and the performance simulator consume ([`analytics`]).
 //! * A small explicit loop-nest IR with the Table I scheduling primitives
@@ -22,6 +24,7 @@
 
 pub mod action;
 pub mod analytics;
+pub mod identity;
 pub mod loops;
 pub mod lower;
 pub mod state;

@@ -242,14 +242,6 @@ impl Etir {
         Some((which, dim, if grow { tile * 2 } else { tile / 2 }))
     }
 
-    /// The tile vector [`Etir::tile_edit`] changes, with its edit applied.
-    pub fn retile(&self, action: &Action) -> Option<(Tiles, Extents)> {
-        let (which, dim, value) = self.tile_edit(action)?;
-        let mut tiles = *self.tiles(which);
-        tiles[dim] = value;
-        Some((which, tiles))
-    }
-
     /// Apply `action`, returning the successor state (graph edge traversal).
     ///
     /// Panics if `!self.can_apply(action)`; policies must enumerate with
@@ -274,34 +266,6 @@ impl Etir {
             .zip(self.op.spatial_extents().iter())
             .map(|(&t, e)| t.min(e.next_power_of_two()))
             .collect()
-    }
-
-    /// Stable content fingerprint: FNV-1a over the operator label and
-    /// every schedule parameter. Unlike `Hash`, the value is fixed
-    /// across runs and toolchain versions, so it can key persistent
-    /// artifacts (the verifier's verdict cache); any mutation of the
-    /// operator or the schedule changes it.
-    pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        fn eat(h: u64, bytes: &[u8]) -> u64 {
-            bytes
-                .iter()
-                .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x1_0000_01b3))
-        }
-        fn eat_u64s(mut h: u64, vals: &[u64]) -> u64 {
-            h = eat(h, &(vals.len() as u64).to_le_bytes());
-            for v in vals {
-                h = eat(h, &v.to_le_bytes());
-            }
-            h
-        }
-        let mut h = eat(OFFSET, self.op.label().as_bytes());
-        h = eat_u64s(h, &[self.num_levels as u64, self.cur_level as u64]);
-        h = eat_u64s(h, &self.smem_tile);
-        h = eat_u64s(h, &self.reg_tile);
-        h = eat_u64s(h, &self.vthreads);
-        h = eat_u64s(h, &self.reduce_tile);
-        eat_u64s(h, &[self.unroll])
     }
 
     /// Display string: `smem[64,128] reg[4,8] vt[2,1] red[8] u2 @lvl1`.

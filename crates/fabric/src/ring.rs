@@ -24,8 +24,8 @@ pub const DEFAULT_VNODES: u32 = 64;
 
 /// The ring position of a cache key: [`CacheKey::mix`]. The key's three
 /// fingerprints are already FNV outputs, but xor-folding them directly
-/// would inherit whatever structure the spec JSON gave them; the mix
-/// spreads keys uniformly around the circle regardless.
+/// would inherit raw FNV's poorly mixed high bits; the mix spreads keys
+/// uniformly around the circle regardless.
 pub fn ring_key(key: &CacheKey) -> u64 {
     key.mix()
 }

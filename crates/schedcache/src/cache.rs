@@ -101,8 +101,8 @@ pub struct ScheduleCache {
     /// distance ties in [`ScheduleCache::neighbours`]). Written by
     /// `admit`, pruned when the map evicts.
     banked: parking_lot::RwLock<Vec<Banked>>,
-    /// Incremental verification cache: verdicts keyed by schedule
-    /// fingerprint × verifier epoch × target, persisted as a
+    /// Incremental verification cache: verdicts keyed by schedule,
+    /// operator and target fingerprints × verifier epoch, persisted as a
     /// `<store>.verdicts` sidecar when this cache persists. Every
     /// verification this cache performs goes through it, so re-proving a
     /// known schedule costs a hash lookup.
@@ -330,7 +330,7 @@ impl ScheduleCache {
     /// races schedules transplanted from devices that already know the
     /// operator. At most `k`.
     pub fn neighbours(&self, op: &OpSpec, spec: &GpuSpec, k: usize) -> Vec<Etir> {
-        let my_gpu = crate::key::gpu_fingerprint(spec);
+        let my_gpu = etir::identity::gpu_fingerprint(spec);
         let banked = self.banked.read();
         let mut scored: Vec<(f64, &Etir)> = banked
             .iter()

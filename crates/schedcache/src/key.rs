@@ -2,21 +2,16 @@
 //!
 //! A cached schedule is only valid for the exact (operator, device, policy)
 //! triple it was constructed for, so the key is a product of three
-//! fingerprints:
-//!
-//! * **operator** — FNV-1a over the canonical JSON of the full [`OpSpec`]
-//!   (class *and* shape; GEMM\[1024,512,512\] and GEMM\[1024,512,513\] are
-//!   different keys);
-//! * **device** — FNV-1a over the canonical JSON of the full [`GpuSpec`]
-//!   (two devices that differ in any modelled quantity — an SM count, a
-//!   cache size, a latency — must never share schedules);
-//! * **policy** — FNV-1a over the tuner's name and [`POLICY_EPOCH`]. The
-//!   epoch is bumped whenever a change to the construction policy or the
-//!   performance model makes previously cached winners stale; old entries
-//!   then simply stop matching and are recompiled.
+//! fingerprints from [`etir::identity`]: [`op_fingerprint`] (every operator
+//! field), [`gpu_fingerprint`] (every device field) and
+//! [`policy_fingerprint`] (the tuner's name × [`POLICY_EPOCH`]). Their
+//! values are the ones format-1 keys have always had, so records banked by
+//! earlier builds keep hitting.
 
+use etir::identity::{gpu_fingerprint, op_fingerprint, Fnv};
 use hardware::GpuSpec;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 use tensor_expr::OpSpec;
 
 /// On-disk format version. Records written with a different version are
@@ -24,25 +19,16 @@ use tensor_expr::OpSpec;
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Construction-policy epoch. Part of every policy fingerprint: bumping it
-/// invalidates all cached schedules without touching the files.
+/// after a change to the construction policy or the performance model
+/// makes every cached schedule stop matching, without touching the files.
 pub const POLICY_EPOCH: u32 = 1;
 
-/// FNV-1a, 64-bit.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// [`fnv1a64`] with a murmur-style finalizer: the tree's one well-mixed
+/// FNV-1a with a murmur-style finalizer: the tree's one well-mixed
 /// 64-bit hash. Raw FNV-1a mixes the *high* bits poorly for short,
 /// similar inputs (`"peer#0"`, `"peer#1"`, …), and ring placement orders
 /// by exactly those bits.
 pub fn hash64(bytes: &[u8]) -> u64 {
-    let mut h = fnv1a64(bytes);
+    let mut h = Fnv::EMPTY.bytes(bytes).finish();
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^= h >> 33;
@@ -50,25 +36,13 @@ pub fn hash64(bytes: &[u8]) -> u64 {
     h ^ (h >> 33)
 }
 
-fn fingerprint_of(value: &impl Serialize) -> u64 {
-    let json = serde_json::to_string(value).expect("fingerprint serialization");
-    fnv1a64(json.as_bytes())
-}
-
-/// Fingerprint of an operator (class + full shape).
-pub fn op_fingerprint(op: &OpSpec) -> u64 {
-    fingerprint_of(op)
-}
-
-/// Fingerprint of a device model.
-pub fn gpu_fingerprint(spec: &GpuSpec) -> u64 {
-    fingerprint_of(spec)
-}
-
 /// Fingerprint of a tuning policy: the method's name tied to the current
-/// [`POLICY_EPOCH`].
+/// [`POLICY_EPOCH`], `"{method}#epoch{POLICY_EPOCH}"` fed straight to the
+/// hasher, so deriving a key never touches the heap.
 pub fn policy_fingerprint(method: &str) -> u64 {
-    fnv1a64(format!("{method}#epoch{POLICY_EPOCH}").as_bytes())
+    let mut fnv = Fnv::EMPTY;
+    write!(fnv, "{method}#epoch{POLICY_EPOCH}").expect("hashing cannot fail");
+    fnv.finish()
 }
 
 /// The canonical cache key: operator × device × policy.
@@ -103,15 +77,10 @@ impl CacheKey {
         hash64(&bytes)
     }
 
-    /// Shard index for an `n`-way sharded map (mixes all three parts).
+    /// Shard index for an `n`-way split ([`CacheKey::mix`] mod `n`): the
+    /// concurrent map's lock shards and the `CacheDigest` shards.
     pub fn shard(&self, n: usize) -> usize {
-        let mixed = self
-            .op_fp
-            .rotate_left(17)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ self.gpu_fp.rotate_left(31)
-            ^ self.policy_fp;
-        (mixed % n as u64) as usize
+        (self.mix() % n as u64) as usize
     }
 }
 
@@ -147,6 +116,42 @@ mod tests {
             CacheKey::new(&op, &spec, "Gensor"),
             CacheKey::new(&op, &spec, "Gensor")
         );
+    }
+
+    /// What keys were derived from when they went through `serde_json`.
+    fn json_fp(value: &impl Serialize) -> u64 {
+        let json = serde_json::to_string(value).unwrap();
+        Fnv::EMPTY.bytes(json.as_bytes()).finish()
+    }
+
+    #[test]
+    fn fingerprints_hash_exactly_the_json_text_keys_were_made_of() {
+        let mut odd = GpuSpec::a100();
+        odd.name = "quote\" back\\slash\n\t\r\u{1} ünï".into();
+        odd.clock_ghz = 1e16;
+        odd.peak_fp32_gflops = -0.0;
+        odd.kernel_launch_overhead_us = f64::NAN;
+        odd.levels[0].latency_ns = 0.1 + 0.2;
+        odd.levels[1].bandwidth_bytes_per_us = f64::INFINITY;
+        odd.levels[2].latency_ns = 9_999_999_999_999_998.0;
+        odd.levels[2].bandwidth_bytes_per_us = -3.0;
+        odd.levels.pop();
+        for spec in GpuSpec::all_presets().iter().chain([&odd]) {
+            assert_eq!(gpu_fingerprint(spec), json_fp(spec), "{}", spec.name);
+        }
+        let mut ops: Vec<OpSpec> = tensor_expr::benchmark_suite()
+            .into_iter()
+            .map(|c| c.op)
+            .collect();
+        ops.extend([
+            OpSpec::gemv(u64::MAX, 1),
+            OpSpec::avg_pool2d(1, 2, 3, 4, 2, 1),
+            OpSpec::elementwise(7, 4, u32::MAX),
+            OpSpec::conv2d(1, 8, 33, 33, 8, 3, 3, 1, 1),
+        ]);
+        for op in &ops {
+            assert_eq!(op_fingerprint(op), json_fp(op), "{}", op.label());
+        }
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! can see *which* boundary is letting bad schedules arrive.
 //!
 //! Verdict-cache hits satisfy `FullVerify`: the cache is keyed by the
-//! schedule's content fingerprint (× verifier epoch × target), so a hit
-//! is a proof about these exact bytes — a tampered schedule has a
-//! different fingerprint and misses the cache into a fresh run. See
+//! schedule's content, operator and target fingerprints (× verifier
+//! epoch), so a hit is a proof about these exact bytes — a tampered
+//! schedule misses the cache into a fresh run. See
 //! [`crate::verdict::VerdictCache`].
 
 /// Where a schedule came from when it reached a banking site.

@@ -1,15 +1,16 @@
-//! The incremental verification cache: verdicts keyed by
-//! (schedule fingerprint × [`VERIFIER_EPOCH`] × target fingerprint),
-//! persisted in a sidecar beside the schedule store, in the store's
-//! CRC-framed lines ([`faults::framed`]): a flipped bit is a miss.
+//! The incremental verification cache: verdicts keyed by the schedule,
+//! operator and target fingerprints of [`etir::identity`] (target 0 for a
+//! spec-less check) and [`VERIFIER_EPOCH`], persisted beside the schedule
+//! store in its CRC-framed lines ([`faults::framed`]): a flipped bit is a
+//! miss.
 //!
-//! A verdict is a *local proof about content*: the key includes
-//! [`etir::Etir::fingerprint`] (operator label + every schedule
-//! parameter), so a cached verdict transfers to any copy of the same
-//! bytes — including one that just arrived from an untrusted peer. A
-//! tampered schedule has a different fingerprint and misses into a
-//! fresh verification; there is no way to inherit another schedule's
-//! verdict. That is why verdict hits satisfy the
+//! A verdict is a *local proof about content*: it transfers to any copy of
+//! the same bytes, including one that just arrived from an untrusted peer.
+//! A tampered schedule has another [`Etir::fingerprint`]; the same tiles
+//! on another operator have another operator fingerprint (the schedule's
+//! own holds only the operator's label). Both miss into a fresh
+//! verification; there is no way to inherit another schedule's verdict.
+//! That is why verdict hits satisfy the
 //! [`crate::provenance::Requirement::FullVerify`] policy.
 //!
 //! Invalidation is by epoch: any change to verifier semantics (new
@@ -27,6 +28,7 @@ use crate::diag::{Code, Diagnostic, Report};
 use crate::invariants::PASSES;
 use crate::provenance::Provenance;
 use crate::verifier::verify_schedule;
+use etir::identity::{gpu_fingerprint, op_fingerprint};
 use etir::Etir;
 use faults::framed::{self, Class};
 use hardware::GpuSpec;
@@ -39,7 +41,7 @@ use std::sync::Mutex;
 /// Version of the verifier's semantics. Bump on ANY change to checks,
 /// severities, message wording, or pass structure, or the sidecar's line
 /// format: persisted verdicts from other epochs are never trusted.
-pub const VERIFIER_EPOCH: u32 = 3;
+pub const VERIFIER_EPOCH: u32 = 4;
 
 /// Hit/miss counters of one cache instance (process-lifetime metrics
 /// live in `obs`).
@@ -63,55 +65,13 @@ impl VerdictStats {
     }
 }
 
-/// FNV-1a over every field of the device spec; `None` (spec-less
-/// verification) is target 0. Hashed directly (not via serialization)
-/// because this runs on every verdict lookup — the warm path must cost
-/// a hash and a map probe, nothing more.
-pub fn gpu_fingerprint(spec: Option<&GpuSpec>) -> u64 {
-    let Some(spec) = spec else { return 0 };
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(0x1_0000_01b3);
-        }
-    };
-    eat(spec.name.as_bytes());
-    for v in [
-        spec.num_sms as u64,
-        spec.clock_ghz.to_bits(),
-        spec.peak_fp32_gflops.to_bits(),
-        spec.warp_size as u64,
-        spec.max_threads_per_sm as u64,
-        spec.max_threads_per_block as u64,
-        spec.max_blocks_per_sm as u64,
-        spec.regs_per_sm as u64,
-        spec.max_regs_per_thread as u64,
-        spec.max_smem_per_block,
-        spec.kernel_launch_overhead_us.to_bits(),
-        spec.levels.len() as u64,
-    ] {
-        eat(&v.to_le_bytes());
-    }
-    for l in &spec.levels {
-        eat(l.name.as_bytes());
-        for v in [
-            l.capacity_bytes,
-            l.latency_ns.to_bits(),
-            l.bandwidth_bytes_per_us.to_bits(),
-            l.banks as u64,
-            l.bank_width_bytes as u64,
-        ] {
-            eat(&v.to_le_bytes());
-        }
-    }
-    h
-}
+/// A verdict's key: schedule, operator and target fingerprints.
+type Key = (u64, u64, u64);
 
 /// One persisted verdict.
 #[derive(Serialize, Deserialize)]
 struct Line {
-    fp: u64,
-    gpu: u64,
+    key: Key,
     epoch: u32,
     op: String,
     schedule: String,
@@ -135,7 +95,7 @@ fn intern_pass(name: &str) -> &'static str {
 /// One sidecar payload as a banked verdict. A verdict of another epoch
 /// is foreign, and so is a line whose codes no longer parse: it is from
 /// a future epoch lying about its number.
-fn parse_line(payload: &str) -> Class<((u64, u64), Report)> {
+fn parse_line(payload: &str) -> Class<(Key, Report)> {
     let Ok(l) = serde_json::from_str::<Line>(payload) else {
         return Class::Corrupt;
     };
@@ -152,7 +112,7 @@ fn parse_line(payload: &str) -> Class<((u64, u64), Report)> {
         .collect();
     match diagnostics {
         Some(diagnostics) if l.epoch == VERIFIER_EPOCH => Class::Keep((
-            (l.fp, l.gpu),
+            l.key,
             Report {
                 op_label: l.op,
                 schedule: l.schedule,
@@ -165,10 +125,9 @@ fn parse_line(payload: &str) -> Class<((u64, u64), Report)> {
 }
 
 /// One banked verdict as a sidecar payload ([`parse_line`]'s inverse).
-fn render_line(((fp, gpu), report): (&(u64, u64), &Report)) -> String {
+fn render_line((key, report): (&Key, &Report)) -> String {
     let line = Line {
-        fp: *fp,
-        gpu: *gpu,
+        key: *key,
         epoch: VERIFIER_EPOCH,
         op: report.op_label.clone(),
         schedule: report.schedule.clone(),
@@ -189,7 +148,7 @@ fn render_line(((fp, gpu), report): (&(u64, u64), &Report)) -> String {
 /// The verdict cache. Thread-safe; cheap to share behind an `Arc`.
 pub struct VerdictCache {
     path: Option<PathBuf>,
-    map: Mutex<HashMap<(u64, u64), Report>>,
+    map: Mutex<HashMap<Key, Report>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -231,7 +190,11 @@ impl VerdictCache {
     /// verbatim; a miss runs the standard pipeline and banks the
     /// verdict.
     pub fn verify(&self, e: &Etir, spec: Option<&GpuSpec>) -> Report {
-        let key = (e.fingerprint(), gpu_fingerprint(spec));
+        let key = (
+            e.fingerprint(),
+            op_fingerprint(&e.op),
+            spec.map_or(0, gpu_fingerprint),
+        );
         if let Some(report) = self.map.lock().unwrap().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             obs::counter_inc!(
@@ -342,6 +305,42 @@ mod tests {
         let report = cache.verify(&tampered, Some(&spec));
         assert!(!report.is_legal(), "tampered schedule must fail fresh");
         assert_eq!(cache.stats(), VerdictStats { hits: 0, misses: 2 });
+    }
+
+    #[test]
+    fn a_verdict_never_crosses_to_an_operator_its_label_hides() {
+        // Elementwise labels leave out the arity: one input fits an
+        // 8192-wide tile in shared memory, four do not.
+        let cache = VerdictCache::in_memory();
+        let spec = GpuSpec::rtx4090();
+        let tiled = |op: OpSpec| {
+            let mut e = Etir::initial(op, &spec);
+            e.smem_tile = [8192].into();
+            e
+        };
+        let (one, four) = (
+            tiled(OpSpec::elementwise(1 << 20, 1, 1)),
+            tiled(OpSpec::elementwise(1 << 20, 4, 1)),
+        );
+        assert_eq!(
+            one.fingerprint(),
+            four.fingerprint(),
+            "same label, same tiles"
+        );
+        assert!(cache.verify(&one, Some(&spec)).is_legal());
+        let fresh = verify_schedule(&four, Some(&spec));
+        assert!(!fresh.is_legal());
+        assert_eq!(cache.verify(&four, Some(&spec)), fresh);
+        // Conv labels leave out the padding, which moves the extents.
+        let conv = |pad| Etir::initial(OpSpec::conv2d(1, 8, 33, 33, 8, 3, 3, 1, pad), &spec);
+        let (unpadded, padded) = (conv(0), conv(1));
+        assert_eq!(*unpadded.op.spatial_extents(), [1, 8, 31, 31]);
+        assert_eq!(*padded.op.spatial_extents(), [1, 8, 33, 33]);
+        assert_eq!(unpadded.fingerprint(), padded.fingerprint());
+        cache.verify(&unpadded, Some(&spec));
+        cache.verify(&padded, Some(&spec));
+        assert_eq!(cache.stats(), VerdictStats { hits: 0, misses: 4 });
+        assert_eq!(cache.len(), 4, "four keys");
     }
 
     #[test]

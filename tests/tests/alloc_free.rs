@@ -7,7 +7,8 @@
 //! carries. This binary installs a global allocator that counts
 //! allocations per thread and asserts that all of that makes none, over
 //! every Table IV operator at its initial state and at states a seeded
-//! walk visits.
+//! walk visits. Deriving a schedule-cache key (`CacheKey::new`), which
+//! every cache hit pays, makes none either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -118,6 +119,16 @@ fn extent_and_tile_queries_do_not_allocate() {
             for (name, n) in checks {
                 assert_eq!(n, 0, "{label}: {name} allocated {n} time(s)");
             }
+        }
+    }
+}
+
+#[test]
+fn a_cache_key_does_not_allocate() {
+    for spec in [GpuSpec::rtx4090(), GpuSpec::orin_nano()] {
+        for cfg in tensor_expr::benchmark_suite() {
+            let n = allocations_in(|| schedcache::CacheKey::new(&cfg.op, &spec, "Gensor"));
+            assert_eq!(n, 0, "{}: CacheKey::new allocated {n} time(s)", cfg.label);
         }
     }
 }

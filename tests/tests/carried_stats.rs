@@ -206,11 +206,13 @@ fn assert_edges_at(e: &Etir, carried: &ScheduleStats, costs: &OpCosts, spec: &Gp
             "{a:?} at {}",
             at()
         );
-        let Some((which, tiles)) = e.retile(&a).filter(|_| applicable) else {
+        let Some((which, dim, value)) = e.tile_edit(&a).filter(|_| applicable) else {
             continue;
         };
         edges += 1;
         let next = e.apply(&a);
+        let mut tiles = *e.tiles(which);
+        tiles[dim] = value;
         assert_eq!(*next.tiles(which), tiles, "{a:?} at {}", at());
         let stats = carried.edge(shape, e, &a);
         assert_eq!(stats, ScheduleStats::compute(&next), "{a:?} at {}", at());

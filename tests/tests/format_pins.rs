@@ -8,9 +8,12 @@
 //! `Etir::fingerprint`. As long as that holds, a change to how a schedule is
 //! held in memory is invisible on disk and on the wire, so the store's
 //! `FORMAT_VERSION`, the wire's `PROTO_VERSION` and the cache and verdict
-//! epochs stay where they are.
+//! epochs stay where they are. The record's key must also be the one this
+//! build derives for its operator on the RTX 4090: every store and daemon
+//! already deployed holds keys made that way.
 
-use schedcache::{CacheRecord, FORMAT_VERSION, POLICY_EPOCH};
+use hardware::GpuSpec;
+use schedcache::{CacheKey, CacheRecord, FORMAT_VERSION, POLICY_EPOCH};
 use served::{Response, PROTO_VERSION};
 use verify::VERIFIER_EPOCH;
 
@@ -26,6 +29,8 @@ fn a_store_record_round_trips_byte_for_byte() {
     assert_eq!(serde_json::to_string(&rec).unwrap(), RECORD);
     assert_eq!(rec.etir.fingerprint(), RECORD_FINGERPRINT);
     assert_eq!(rec.v, FORMAT_VERSION);
+    let key = CacheKey::new(&rec.etir.op, &GpuSpec::rtx4090(), &rec.method);
+    assert_eq!(rec.key, key, "a banked record's key moved");
 }
 
 #[test]
@@ -46,6 +51,6 @@ fn a_compiled_frame_round_trips_byte_for_byte() {
 fn format_and_epoch_constants_hold() {
     assert_eq!(
         (PROTO_VERSION, FORMAT_VERSION, POLICY_EPOCH, VERIFIER_EPOCH),
-        (9, 1, 1, 3)
+        (10, 1, 1, 4)
     );
 }

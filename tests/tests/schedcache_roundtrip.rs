@@ -158,6 +158,27 @@ fn corrupt_lines_survive_and_are_counted() {
     );
 }
 
+/// A store written by an earlier build: its one line is the C1 record
+/// `format_pins` pins (`ci/store_v1.jsonl`, which CI also feeds to
+/// `gensor cache stats`). This build derives the same key for it, so the
+/// record loads and answers the request as a hit.
+#[test]
+fn a_store_written_by_an_earlier_build_still_answers_hits() {
+    let path = tmpfile("store-v1");
+    std::fs::write(&path, include_str!("../../ci/store_v1.jsonl")).unwrap();
+    let cache = ScheduleCache::open(&path).unwrap();
+    let stats = cache.stats();
+    assert_eq!((stats.loaded_from_disk, stats.version_skipped), (1, 0));
+    let op = OpSpec::conv2d(128, 256, 30, 30, 256, 3, 3, 2, 0);
+    let (kernel, outcome) = cache
+        .get_or_compile(&op, &GpuSpec::rtx4090(), "Gensor", |_| {
+            panic!("a banked key was rebuilt")
+        })
+        .unwrap();
+    assert_eq!(outcome, Outcome::Hit);
+    assert_eq!(kernel.etir.fingerprint(), 0xd128_38c6_04ec_e408);
+}
+
 /// A tuner that counts constructions and is slow enough that concurrent
 /// requests genuinely race.
 struct CountingTuner {
