@@ -93,11 +93,15 @@ fn intern_pass(name: &str) -> &'static str {
 }
 
 /// One sidecar payload as a banked verdict. A verdict of another epoch
-/// is foreign, and so is a line whose codes no longer parse: it is from
-/// a future epoch lying about its number.
+/// is foreign, whatever its line's shape, and so is a line whose codes no
+/// longer parse: it is from a future epoch lying about its number.
 fn parse_line(payload: &str) -> Class<(Key, Report)> {
     let Ok(l) = serde_json::from_str::<Line>(payload) else {
-        return Class::Corrupt;
+        let epoch = serde_json::from_str::<serde_json::Value>(payload).map(|v| v["epoch"].as_u64());
+        return match epoch {
+            Ok(Some(e)) if e != u64::from(VERIFIER_EPOCH) => Class::Foreign,
+            _ => Class::Corrupt,
+        };
     };
     let diagnostics: Option<Vec<Diagnostic>> = l
         .diags
@@ -498,6 +502,25 @@ mod tests {
         assert!(reopened.is_empty(), "stale verdicts are never trusted");
         let _ = reopened.verify(&e, Some(&spec));
         assert_eq!(reopened.stats().misses, 1, "re-proven from scratch");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_older_epochs_line_shape_is_foreign_not_torn() {
+        // Epoch 3 keyed a verdict by `fp` and `gpu`, without the operator.
+        let dir = std::env::temp_dir().join(format!("verdicts-shape-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.verdicts");
+        let old = framed::frame_line(
+            r#"{"fp":1,"gpu":2,"epoch":3,"op":"GEMM[8,8,8]","schedule":"s","gpu_name":null,"diags":[]}"#,
+        );
+        std::fs::write(&path, &old).unwrap();
+        assert!(VerdictCache::open(&path).is_empty());
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            old,
+            "kept, not truncated"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
