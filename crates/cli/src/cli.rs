@@ -674,12 +674,13 @@ fn lint(pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
     } else {
         Some(verify::VerdictCache::open(verdicts_path))
     };
+    let target = (&gpu, etir::identity::gpu_fingerprint(&gpu));
     let reports: Vec<verify::Report> = ops
         .iter()
         .map(|op| {
             let ck = method.compile(op, &gpu);
             match &verdicts {
-                Some(vc) => vc.verify(&ck.etir, Some(&gpu)),
+                Some(vc) => vc.verify_on(&ck.etir, Some(target)),
                 None => verify::verify_schedule(&ck.etir, Some(&gpu)),
             }
         })

@@ -3,40 +3,41 @@
 //! fabric's ring and the verdict cache are made of.
 //!
 //! An operator's and a device's fingerprint hash the compact JSON text of
-//! the value, written straight into the hasher: no string is built and
-//! nothing is allocated, and the bytes are the ones keys have always been
-//! derived from, so banked records, ring positions and digests of earlier
-//! builds stay valid. A `schedcache` test holds every field's text equal
-//! to what `serde_json` writes for it, so a new field fails it until it
-//! is hashed here too.
+//! the value, written straight into the hasher through the `serde` shim's
+//! JSON text writers: no string is built and nothing is allocated, and the
+//! bytes are the ones keys have always been derived from, so banked
+//! records, ring positions and digests of earlier builds stay valid. A
+//! `schedcache` test holds every field's text equal to what `serde_json`
+//! writes for it, so a new field fails it until it is hashed here too.
 
 use crate::state::Etir;
 use hardware::GpuSpec;
+use serde::{write_json_f64, write_json_str};
 use std::fmt::{self, Write as _};
 use tensor_expr::OpSpec;
 
-/// Streaming FNV-1a, 64-bit: the tree's one identity hasher (the hash so
-/// far, and the multiplier).
+/// FNV-1a's 64-bit offset basis.
+const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a's 64-bit prime.
+const PRIME: u64 = 0x100_0000_01b3;
+
+/// What [`Etir::fingerprint`] has always multiplied by, two zero digits
+/// short of [`PRIME`]; every pinned schedule fingerprint is made with it.
+const LEGACY_PRIME: u64 = 0x1_0000_01b3;
+
+/// Streaming FNV-1a, 64-bit: the tree's one identity hasher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fnv(u64, u64);
+pub struct Fnv(u64);
 
 impl Fnv {
-    /// The empty stream: FNV-1a's offset basis and prime.
-    pub const EMPTY: Fnv = Fnv(0xcbf2_9ce4_8422_2325, 0x100_0000_01b3);
+    /// The empty stream.
+    pub const EMPTY: Fnv = Fnv(BASIS);
 
     /// Feed raw bytes.
     #[inline]
-    pub fn bytes(mut self, bytes: &[u8]) -> Fnv {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(self.1);
-        }
-        self
-    }
-
-    /// Feed each value's eight little-endian bytes.
-    #[inline]
-    pub fn u64s(self, vals: &[u64]) -> Fnv {
-        vals.iter().fold(self, |h, v| h.bytes(&v.to_le_bytes()))
+    pub fn bytes(self, bytes: &[u8]) -> Fnv {
+        Fnv(fold(self.0, bytes, PRIME))
     }
 
     /// The hash of everything fed so far.
@@ -45,48 +46,19 @@ impl Fnv {
     }
 }
 
+/// FNV-1a's step over `bytes` with multiplier `prime`.
+#[inline]
+fn fold(h: u64, bytes: &[u8], prime: u64) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(prime))
+}
+
 /// `write!` feeds the formatted bytes, with no string built.
 impl fmt::Write for Fnv {
     fn write_str(&mut self, s: &str) -> fmt::Result {
         *self = self.bytes(s.as_bytes());
         Ok(())
-    }
-}
-
-/// A string as JSON writes it: quoted, with quotes, backslashes and
-/// control characters escaped.
-fn json_str(fnv: &mut Fnv, s: &str) -> fmt::Result {
-    fnv.write_char('"')?;
-    for c in s.chars() {
-        match c {
-            '"' => fnv.write_str("\\\"")?,
-            '\\' => fnv.write_str("\\\\")?,
-            '\n' => fnv.write_str("\\n")?,
-            '\r' => fnv.write_str("\\r")?,
-            '\t' => fnv.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(fnv, "\\u{:04x}", c as u32)?,
-            c => fnv.write_char(c)?,
-        }
-    }
-    fnv.write_char('"')
-}
-
-/// An `f64` as JSON writes it: `null` when not finite, one decimal when
-/// integral below 1e16 (so the token stays a float), else the shortest
-/// round-trip digits.
-struct JsonF64(f64);
-
-impl fmt::Display for JsonF64 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            x if !x.is_finite() => f.write_str("null"),
-            // What `{x:.1}` writes, without its slow exact-decimal path.
-            x if x.fract() == 0.0 && x.abs() < 1e16 => {
-                let sign = if x.is_sign_negative() { "-" } else { "" };
-                write!(f, "{sign}{}.0", x.abs() as u64)
-            }
-            x => write!(f, "{x}"),
-        }
     }
 }
 
@@ -147,18 +119,18 @@ pub fn gpu_fingerprint(spec: &GpuSpec) -> u64 {
 
 fn write_gpu(fnv: &mut Fnv, s: &GpuSpec) -> fmt::Result {
     fnv.write_str(r#"{"name":"#)?;
-    json_str(fnv, &s.name)?;
+    write_json_str(fnv, &s.name)?;
+    write!(fnv, r#","num_sms":{},"clock_ghz":"#, s.num_sms)?;
+    write_json_f64(fnv, s.clock_ghz)?;
+    fnv.write_str(r#","peak_fp32_gflops":"#)?;
+    write_json_f64(fnv, s.peak_fp32_gflops)?;
     write!(
         fnv,
         concat!(
-            r#","num_sms":{},"clock_ghz":{},"peak_fp32_gflops":{},"warp_size":{},"#,
-            r#""max_threads_per_sm":{},"max_threads_per_block":{},"max_blocks_per_sm":{},"#,
-            r#""regs_per_sm":{},"max_regs_per_thread":{},"max_smem_per_block":{},"#,
-            r#""kernel_launch_overhead_us":{},"levels":["#,
+            r#","warp_size":{},"max_threads_per_sm":{},"max_threads_per_block":{},"#,
+            r#""max_blocks_per_sm":{},"regs_per_sm":{},"max_regs_per_thread":{},"#,
+            r#""max_smem_per_block":{},"kernel_launch_overhead_us":"#,
         ),
-        s.num_sms,
-        JsonF64(s.clock_ghz),
-        JsonF64(s.peak_fp32_gflops),
         s.warp_size,
         s.max_threads_per_sm,
         s.max_threads_per_block,
@@ -166,23 +138,25 @@ fn write_gpu(fnv: &mut Fnv, s: &GpuSpec) -> fmt::Result {
         s.regs_per_sm,
         s.max_regs_per_thread,
         s.max_smem_per_block,
-        JsonF64(s.kernel_launch_overhead_us),
     )?;
+    write_json_f64(fnv, s.kernel_launch_overhead_us)?;
+    fnv.write_str(r#","levels":["#)?;
     for (i, l) in s.levels.iter().enumerate() {
         let comma = if i == 0 { "" } else { "," };
         write!(fnv, r#"{comma}{{"kind":"{:?}","name":"#, l.kind)?;
-        json_str(fnv, &l.name)?;
+        write_json_str(fnv, &l.name)?;
         write!(
             fnv,
-            concat!(
-                r#","capacity_bytes":{},"latency_ns":{},"bandwidth_bytes_per_us":{},"#,
-                r#""banks":{},"bank_width_bytes":{}}}"#,
-            ),
-            l.capacity_bytes,
-            JsonF64(l.latency_ns),
-            JsonF64(l.bandwidth_bytes_per_us),
-            l.banks,
-            l.bank_width_bytes,
+            r#","capacity_bytes":{},"latency_ns":"#,
+            l.capacity_bytes
+        )?;
+        write_json_f64(fnv, l.latency_ns)?;
+        fnv.write_str(r#","bandwidth_bytes_per_us":"#)?;
+        write_json_f64(fnv, l.bandwidth_bytes_per_us)?;
+        write!(
+            fnv,
+            r#","banks":{},"bank_width_bytes":{}}}"#,
+            l.banks, l.bank_width_bytes
         )?;
     }
     fnv.write_str("]}")
@@ -196,14 +170,16 @@ impl Etir {
     /// tell operators apart adds [`op_fingerprint`]. The bytes never
     /// change: suite goldens, pinned records and baseline digests hold them.
     pub fn fingerprint(&self) -> u64 {
-        let counted = |fnv: Fnv, vals: &[u64]| fnv.u64s(&[vals.len() as u64]).u64s(vals);
-        // This stream has always multiplied by 0x1_0000_01b3, two zero
-        // digits short of FNV's prime; every pinned value is made with it.
-        let fnv = Fnv(Fnv::EMPTY.0, 0x1_0000_01b3).bytes(self.op.label().as_bytes());
-        let fnv = counted(fnv, &[self.num_levels as u64, self.cur_level as u64]);
-        let fnv = counted(counted(fnv, &self.smem_tile), &self.reg_tile);
-        let fnv = counted(counted(fnv, &self.vthreads), &self.reduce_tile);
-        counted(fnv, &[self.unroll]).finish()
+        let eat = |h, bytes: &[u8]| fold(h, bytes, LEGACY_PRIME);
+        let counted = |h, vals: &[u64]| {
+            let h = eat(h, &(vals.len() as u64).to_le_bytes());
+            vals.iter().fold(h, |h, v| eat(h, &v.to_le_bytes()))
+        };
+        let h = eat(BASIS, self.op.label().as_bytes());
+        let h = counted(h, &[self.num_levels as u64, self.cur_level as u64]);
+        let h = counted(counted(h, &self.smem_tile), &self.reg_tile);
+        let h = counted(counted(h, &self.vthreads), &self.reduce_tile);
+        counted(h, &[self.unroll])
     }
 }
 

@@ -290,7 +290,8 @@ impl<'a> FabricClient<'a> {
     }
 
     fn try_fabric(&self, op: &OpSpec, spec: &GpuSpec) -> Option<CompiledKernel> {
-        let key = ring_key(&CacheKey::new(op, spec, &self.method));
+        let cache_key = CacheKey::new(op, spec, &self.method);
+        let key = ring_key(&cache_key);
         let ring = self.membership.ring();
         let targets = ring.route(key, self.replicas);
         let _sp = obs::span!(
@@ -322,9 +323,11 @@ impl<'a> FabricClient<'a> {
                     // it answered with — content problems must not trip
                     // the breaker and mask a reachable-but-corrupt peer.
                     breaker.on_success();
-                    let verdict =
-                        self.verdicts
-                            .verify_as(&kernel.etir, Some(spec), Provenance::RemotePeer);
+                    let verdict = self.verdicts.verify_as(
+                        &kernel.etir,
+                        Some((spec, cache_key.gpu_fp)),
+                        Provenance::RemotePeer,
+                    );
                     if !verdict.is_legal() {
                         self.stats.rejected.fetch_add(1, Ordering::Relaxed);
                         obs::counter_inc!(

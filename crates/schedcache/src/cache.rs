@@ -274,7 +274,8 @@ impl ScheduleCache {
         spec: Option<&GpuSpec>,
         provenance: Provenance,
     ) -> Result<bool, verify::Rejected> {
-        let report = self.verdicts.verify_as(&kernel.etir, spec, provenance);
+        let target = spec.map(|s| (s, key.gpu_fp));
+        let report = self.verdicts.verify_as(&kernel.etir, target, provenance);
         // A `Local` kernel is the single-flight build's own result: the
         // map holds it already, and must stop holding it if it is illegal.
         let built_here = provenance == Provenance::Local;
@@ -503,9 +504,11 @@ impl ScheduleCache {
                 } else {
                     self.stats.record_coalesced();
                 }
-                let report = self
-                    .verdicts
-                    .verify_as(&kernel.etir, Some(spec), Provenance::Local);
+                let report = self.verdicts.verify_as(
+                    &kernel.etir,
+                    Some((spec, key.gpu_fp)),
+                    Provenance::Local,
+                );
                 if !report.is_legal() {
                     self.stats.record_rejected();
                     return Err(verify::Rejected(report));

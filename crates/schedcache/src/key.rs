@@ -77,10 +77,15 @@ impl CacheKey {
         hash64(&bytes)
     }
 
-    /// Shard index for an `n`-way split ([`CacheKey::mix`] mod `n`): the
-    /// concurrent map's lock shards and the `CacheDigest` shards.
+    /// Shard index for an `n`-way sharded map (mixes all three parts).
     pub fn shard(&self, n: usize) -> usize {
-        (self.mix() % n as u64) as usize
+        let mixed = self
+            .op_fp
+            .rotate_left(17)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ self.gpu_fp.rotate_left(31)
+            ^ self.policy_fp;
+        (mixed % n as u64) as usize
     }
 }
 

@@ -29,11 +29,10 @@ use simgpu::{CompiledKernel, KernelReport};
 use std::io::{Read, Write};
 use tensor_expr::OpSpec;
 
-/// Protocol version; bumped on any frame change, including a change to
-/// the cache keys and digest shards frames carry. The handshake accepts
+/// Protocol version; bumped on any frame change. The handshake accepts
 /// exactly this version: the server refuses any other `Hello` with
 /// [`ErrKind::UnsupportedProto`], the client rejects any other echo.
-pub const PROTO_VERSION: u32 = 10;
+pub const PROTO_VERSION: u32 = 9;
 
 /// Upper bound on one frame's JSON payload (32 MiB — far above any real
 /// schedule, far below an allocation-of-death).

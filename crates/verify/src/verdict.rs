@@ -194,10 +194,17 @@ impl VerdictCache {
     /// verbatim; a miss runs the standard pipeline and banks the
     /// verdict.
     pub fn verify(&self, e: &Etir, spec: Option<&GpuSpec>) -> Report {
+        self.verify_on(e, spec.map(|s| (s, gpu_fingerprint(s))))
+    }
+
+    /// [`VerdictCache::verify`] against a device whose
+    /// [`gpu_fingerprint`] the caller derived already (a `CacheKey` holds
+    /// it), so a hit costs no device hash.
+    pub fn verify_on(&self, e: &Etir, target: Option<(&GpuSpec, u64)>) -> Report {
         let key = (
             e.fingerprint(),
             op_fingerprint(&e.op),
-            spec.map_or(0, gpu_fingerprint),
+            target.map_or(0, |(_, fp)| fp),
         );
         if let Some(report) = self.map.lock().unwrap().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -212,15 +219,15 @@ impl VerdictCache {
             "gensor_verify_verdict_misses_total",
             "Verifications that ran the full pipeline"
         );
-        let report = verify_schedule(e, spec);
+        let report = verify_schedule(e, target.map(|(spec, _)| spec));
         self.map.lock().unwrap().insert(key, report.clone());
         report
     }
 
-    /// [`VerdictCache::verify`] at a named trust boundary: a rejection
+    /// [`VerdictCache::verify_on`] at a named trust boundary: a rejection
     /// additionally bumps the per-provenance audit counter.
-    pub fn verify_as(&self, e: &Etir, spec: Option<&GpuSpec>, prov: Provenance) -> Report {
-        let report = self.verify(e, spec);
+    pub fn verify_as(&self, e: &Etir, target: Option<(&GpuSpec, u64)>, prov: Provenance) -> Report {
+        let report = self.verify_on(e, target);
         if !report.is_legal() {
             prov.count_rejected();
             obs::log!(

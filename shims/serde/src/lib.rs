@@ -15,9 +15,11 @@
 //! Only the API surface this workspace uses is provided. No `#[serde(...)]`
 //! attributes, no generics on derived types, no zero-copy deserialization.
 
+mod text;
 mod value;
 
 pub use serde_derive::{Deserialize, Serialize};
+pub use text::{write_json_f64, write_json_str};
 pub use value::Value;
 
 /// Serialization: convert `self` into the self-describing [`Value`] model.

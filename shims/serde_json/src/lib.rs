@@ -167,36 +167,11 @@ fn indent(out: &mut String, depth: usize) {
 }
 
 fn write_f64(out: &mut String, f: f64) {
-    if !f.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    // Integral floats below 2^53-ish print with one fractional digit so the
-    // token stays a float ("5.0", "-0.0"); everything else uses Rust's
-    // shortest round-trip formatting, which the parser inverts exactly.
-    if f.fract() == 0.0 && f.abs() < 1e16 {
-        out.push_str(&format!("{f:.1}"));
-    } else {
-        out.push_str(&format!("{f}"));
-    }
+    serde::write_json_f64(out, f).expect("writing to a String cannot fail");
 }
 
 fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    serde::write_json_str(out, s).expect("writing to a String cannot fail");
 }
 
 // ---------------------------------------------------------------------------
