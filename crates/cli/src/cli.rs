@@ -32,8 +32,8 @@ USAGE:
   gensor model <name> [--batch B] [--gpu G] [--method M] [--cache F]
                       [--remote S] [--peers A,B,C] [--token T] [--seed N]
   gensor serve (--socket S | --listen E) [--token T] [--peers A,B,C]
-               [--cache F] [--cache-cap N] [--workers N]
-               [--max-inflight N] [--deadline SECS] [--compact-bytes N]
+               [--cache F] [--cache-cap N] [--max-inflight N]
+               [--deadline SECS] [--compact-bytes N]
                [--failpoints SPEC] [--seed N]
                [--flight-dir D] [--flight-cap N] [--gossip-interval SECS]
   gensor cluster status --peers A,B,C [--token T] [--emit E]
@@ -74,8 +74,8 @@ OPTIONS:
   --listen        serve bind endpoint: tcp://host:port or unix://path
                   (tcp://host:0 picks a free port; supersedes --socket)
   --cache-cap     bound the daemon's resident cache to N schedules (LRU)
-  --workers       daemon compile threads (default: cores)
-  --max-inflight  admission cap before the daemon sheds with Busy
+  --max-inflight  running builds before the daemon sheds a miss with
+                  Busy (default: 2 × cores; hits are never shed)
   --deadline      per-request compile deadline, seconds (default 120)
   --budget        lint/trace/metrics: cap Gensor construction at N chains
   --json          lint/metrics: machine-readable report
@@ -162,7 +162,6 @@ const OPTIONS: &[&str] = &[
     "socket",
     "token",
     "verdicts",
-    "workers",
 ];
 
 /// Split positional arguments from `--key value` options.
@@ -948,9 +947,6 @@ fn serve(_pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
         cfg.token = Some(token.to_string());
     }
     cfg.peers = parse_peers(opts);
-    if let Some(w) = parse_num(opts, "workers")? {
-        cfg.workers = (w as usize).max(1);
-    }
     if let Some(m) = parse_num(opts, "max-inflight")? {
         cfg.max_inflight = (m as usize).max(1);
     }
@@ -970,7 +966,7 @@ fn serve(_pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
     if let Some(seed) = parse_num(opts, "seed")? {
         gcfg = gcfg.with_seed(seed);
     }
-    let (workers, max_inflight) = (cfg.workers, cfg.max_inflight);
+    let max_inflight = cfg.max_inflight;
     let (peers_for_gossip, token_for_gossip) = (cfg.peers.clone(), cfg.token.clone());
     let registry = served::MethodRegistry::standard_with_gensor(gcfg);
     let cache_for_gossip = cache.clone();
@@ -1039,7 +1035,7 @@ fn serve(_pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
     // drain time. The *resolved* endpoint is printed — a tcp://host:0
     // bind announces the kernel-assigned port.
     eprintln!(
-        "gensor serve: listening on {} ({workers} workers, max {max_inflight} in flight)",
+        "gensor serve: listening on {} (max {max_inflight} builds in flight)",
         server.endpoint()
     );
     let report = server
@@ -1218,8 +1214,8 @@ fn serve_stats(_pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError>
             );
             let _ = writeln!(
                 out,
-                "robustness  : {} worker panics, {} cancelled, {} torn records recovered",
-                s.worker_panics, s.cancelled, s.cache.recovered_truncated
+                "robustness  : {} worker panics, {} torn records recovered",
+                s.worker_panics, s.cache.recovered_truncated
             );
             Ok(out)
         }
@@ -1532,7 +1528,7 @@ mod tests {
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            call("serve --socket /tmp/x.sock --workers frob"),
+            call("serve --socket /tmp/x.sock --max-inflight frob"),
             Err(CliError::Usage(_))
         ));
         // serve-stats against a dead socket reports unreachable, not a
@@ -1841,7 +1837,7 @@ mod tests {
         assert!(matches!(call("serve"), Err(CliError::Usage(_))));
         // A malformed numeric option still fails fast with --listen.
         assert!(matches!(
-            call("serve --listen tcp://127.0.0.1:0 --workers frob"),
+            call("serve --listen tcp://127.0.0.1:0 --max-inflight frob"),
             Err(CliError::Usage(_))
         ));
     }

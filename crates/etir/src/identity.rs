@@ -162,6 +162,17 @@ fn write_gpu(fnv: &mut Fnv, s: &GpuSpec) -> fmt::Result {
     fnv.write_str("]}")
 }
 
+/// Folds the text written into it with [`LEGACY_PRIME`], so
+/// [`Etir::fingerprint`] hashes the operator's label without building it.
+struct LegacyFold(u64);
+
+impl fmt::Write for LegacyFold {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fold(self.0, s.as_bytes(), LEGACY_PRIME);
+        Ok(())
+    }
+}
+
 impl Etir {
     /// Stable content fingerprint: FNV-1a over the operator's label and
     /// every schedule parameter, each vector behind its length; fixed
@@ -175,7 +186,9 @@ impl Etir {
             let h = eat(h, &(vals.len() as u64).to_le_bytes());
             vals.iter().fold(h, |h, v| eat(h, &v.to_le_bytes()))
         };
-        let h = eat(BASIS, self.op.label().as_bytes());
+        let mut label = LegacyFold(BASIS);
+        let _ = write!(label, "{}", self.op);
+        let h = label.0;
         let h = counted(h, &[self.num_levels as u64, self.cur_level as u64]);
         let h = counted(counted(h, &self.smem_tile), &self.reg_tile);
         let h = counted(counted(h, &self.vthreads), &self.reduce_tile);

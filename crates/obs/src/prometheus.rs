@@ -7,6 +7,7 @@
 //! histograms. Histogram bounds stay in microseconds — the `_us` name
 //! suffix is the unit contract.
 
+use crate::json;
 use crate::metrics::{self, MetricSnapshot, MetricValue};
 
 /// Render one snapshot list (see [`metrics::snapshot`]).
@@ -47,23 +48,6 @@ pub fn render() -> String {
     render_snapshot(&metrics::snapshot())
 }
 
-/// JSON-escape a string into `out` (quotes included).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Render one snapshot list as deterministic machine-readable JSON:
 /// metrics sorted by name (the [`metrics::snapshot`] order), object keys
 /// in a fixed order, integers rendered without float noise. Two renders
@@ -78,7 +62,7 @@ pub fn render_json_snapshot(snap: &[MetricSnapshot]) -> String {
             out.push(',');
         }
         out.push_str("\n  {\"name\":");
-        push_json_str(&mut out, &m.name);
+        out.push_str(&json::string(&m.name));
         out.push_str(",\"type\":");
         match &m.value {
             MetricValue::Counter(v) => {
@@ -100,7 +84,7 @@ pub fn render_json_snapshot(snap: &[MetricSnapshot]) -> String {
             }
         }
         out.push_str(",\"help\":");
-        push_json_str(&mut out, &m.help);
+        out.push_str(&json::string(&m.help));
         out.push('}');
     }
     out.push_str("\n]}\n");

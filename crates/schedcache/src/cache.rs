@@ -1,6 +1,6 @@
 //! The cache façade: memory tier + optional persistent tier + neighbour
 //! index + statistics, behind one way in (`admit`) and one way out
-//! (`get_or_compile`).
+//! (`get_or_compile`, whose hit path is also `lookup`).
 
 use crate::key::CacheKey;
 use crate::map::{Outcome, ShardedMap};
@@ -455,6 +455,21 @@ impl ScheduleCache {
             .collect()
     }
 
+    /// The hit path: the kernel resident for (`op`, `spec`, `method`),
+    /// answered as [`get_or_compile`](ScheduleCache::get_or_compile)
+    /// answers a hit, or `None` when nothing is resident. Never compiles,
+    /// so a daemon can answer it on the connection's own thread.
+    pub fn lookup(
+        &self,
+        op: &OpSpec,
+        spec: &GpuSpec,
+        method: &str,
+    ) -> Option<Result<CompiledKernel, verify::Rejected>> {
+        let key = CacheKey::new(op, spec, method);
+        let kernel = self.map.get(&key)?;
+        Some(self.answer(key, spec, &kernel, Outcome::Hit))
+    }
+
     /// The one way out: the kernel for (`op`, `spec`, `method`), running
     /// `build` on a miss. `build` receives the warm-start seeds
     /// ([`neighbours`]) so it can race transplanted candidates against
@@ -462,20 +477,23 @@ impl ScheduleCache {
     /// exactly once.
     ///
     /// Every answer is proved legal for `spec` before it is handed out —
-    /// a built one by `admit`, a resident one here (a store record or a
-    /// raw repair entry was admitted on structure alone). An illegal
+    /// a built one by `admit`, a resident one by the check every hit and
+    /// coalesced answer shares with [`lookup`] (a store record or a raw
+    /// repair entry was admitted on structure alone). An illegal
     /// schedule — a builder bug, a record that does not fit this device —
     /// is counted ([`StatsSnapshot::verifier_rejected`]) and comes back as
-    /// the typed [`verify::Rejected`] report, never as a kernel.
+    /// the typed [`verify::Rejected`] report, never as a kernel. Only a
+    /// built answer carries its tuning cost; a cached one costs nothing.
     ///
     /// [`neighbours`]: ScheduleCache::neighbours
+    /// [`lookup`]: ScheduleCache::lookup
     pub fn get_or_compile<F>(
         &self,
         op: &OpSpec,
         spec: &GpuSpec,
         method: &str,
         build: F,
-    ) -> Result<(Arc<CompiledKernel>, Outcome), verify::Rejected>
+    ) -> Result<(CompiledKernel, Outcome), verify::Rejected>
     where
         F: FnOnce(&[Etir]) -> CompiledKernel,
     {
@@ -486,36 +504,50 @@ impl ScheduleCache {
             used_seeds = !seeds.is_empty();
             build(&seeds)
         });
-        match outcome {
-            Outcome::Built => {
-                self.stats.record_miss(kernel.wall_time_s, used_seeds);
-                self.admit(
-                    key,
-                    op.label(),
-                    method,
-                    kernel.clone(),
-                    Some(spec),
-                    Provenance::Local,
-                )?;
-            }
-            Outcome::Hit | Outcome::Coalesced => {
-                if outcome == Outcome::Hit {
-                    self.stats.record_hit(kernel.total_tuning_s());
-                } else {
-                    self.stats.record_coalesced();
-                }
-                let report = self.verdicts.verify_as(
-                    &kernel.etir,
-                    Some((spec, key.gpu_fp)),
-                    Provenance::Local,
-                );
-                if !report.is_legal() {
-                    self.stats.record_rejected();
-                    return Err(verify::Rejected(report));
-                }
-            }
+        if outcome != Outcome::Built {
+            return self
+                .answer(key, spec, &kernel, outcome)
+                .map(|k| (k, outcome));
         }
-        Ok((kernel, outcome))
+        self.stats.record_miss(kernel.wall_time_s, used_seeds);
+        self.admit(
+            key,
+            op.label(),
+            method,
+            kernel.clone(),
+            Some(spec),
+            Provenance::Local,
+        )?;
+        Ok(((*kernel).clone(), outcome))
+    }
+
+    /// Answer a resident kernel (a hit or a coalesced wait): count it,
+    /// prove it for `spec`, and hand out a copy with no tuning cost — no
+    /// wall time, no simulated measurement clock.
+    fn answer(
+        &self,
+        key: CacheKey,
+        spec: &GpuSpec,
+        kernel: &CompiledKernel,
+        outcome: Outcome,
+    ) -> Result<CompiledKernel, verify::Rejected> {
+        if outcome == Outcome::Hit {
+            self.stats.record_hit(kernel.total_tuning_s());
+        } else {
+            self.stats.record_coalesced();
+        }
+        let report =
+            self.verdicts
+                .verify_as(&kernel.etir, Some((spec, key.gpu_fp)), Provenance::Local);
+        if !report.is_legal() {
+            self.stats.record_rejected();
+            return Err(verify::Rejected(report));
+        }
+        Ok(CompiledKernel {
+            wall_time_s: 0.0,
+            simulated_tuning_s: 0.0,
+            ..kernel.clone()
+        })
     }
 }
 
@@ -543,7 +575,7 @@ mod tests {
         dir.join(format!("{tag}-{}.jsonl", std::process::id()))
     }
 
-    fn fill(cache: &ScheduleCache, op: &OpSpec, spec: &GpuSpec) -> (Arc<CompiledKernel>, Outcome) {
+    fn fill(cache: &ScheduleCache, op: &OpSpec, spec: &GpuSpec) -> (CompiledKernel, Outcome) {
         cache
             .get_or_compile(op, spec, "Gensor", |_| build(op, spec))
             .expect("the initial state is legal")
@@ -579,6 +611,25 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.misses, s.hits), (1, 2));
         assert!(s.saved_tuning_s > 0.0);
+    }
+
+    #[test]
+    fn lookup_answers_a_resident_kernel_like_a_hit_and_never_builds() {
+        let spec = GpuSpec::rtx4090();
+        let cache = ScheduleCache::in_memory();
+        let op = OpSpec::gemm(512, 256, 256);
+        assert!(cache.lookup(&op, &spec, "Gensor").is_none());
+        assert_eq!(cache.stats().hits, 0, "a miss is not counted");
+        let (built, _) = fill(&cache, &op, &spec);
+        assert!(built.total_tuning_s() > 0.0);
+        let k = cache.lookup(&op, &spec, "Gensor").unwrap().unwrap();
+        let (again, o) = fill(&cache, &op, &spec);
+        assert_eq!(o, Outcome::Hit);
+        assert_eq!(k, again, "lookup answers as get_or_compile's hit");
+        assert_eq!((&k.etir, k.total_tuning_s()), (&built.etir, 0.0));
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits), (1, 2));
+        assert!(cache.lookup(&op, &spec, "Roller").is_none());
     }
 
     #[test]

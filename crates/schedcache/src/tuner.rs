@@ -66,28 +66,20 @@ impl<'a> CachedTuner<'a> {
         &self.cache
     }
 
-    /// Compile through the cache and report how it answered. The answer
-    /// is statically proved legal for `spec` before it is returned; an
-    /// illegal schedule comes back as the typed [`verify::Rejected`]
-    /// report instead of a kernel, and is not kept.
+    /// Compile through the cache and report how it answered
+    /// ([`ScheduleCache::get_or_compile`]: a cached answer costs nothing).
+    /// The answer is statically proved legal for `spec` before it is
+    /// returned; an illegal schedule comes back as the typed
+    /// [`verify::Rejected`] report instead of a kernel, and is not kept.
     pub fn compile_verified(
         &self,
         op: &OpSpec,
         spec: &GpuSpec,
     ) -> Result<(CompiledKernel, Outcome), verify::Rejected> {
-        let (kernel, outcome) =
-            self.cache
-                .get_or_compile(op, spec, self.inner.name(), |seeds| {
-                    construct(self.inner, self.warm.as_ref(), seeds, op, spec)
-                })?;
-        let mut k = (*kernel).clone();
-        if outcome != Outcome::Built {
-            // A cached answer costs nothing: no wall time, no simulated
-            // measurement clock.
-            k.wall_time_s = 0.0;
-            k.simulated_tuning_s = 0.0;
-        }
-        Ok((k, outcome))
+        self.cache
+            .get_or_compile(op, spec, self.inner.name(), |seeds| {
+                construct(self.inner, self.warm.as_ref(), seeds, op, spec)
+            })
     }
 }
 

@@ -26,7 +26,6 @@ pub struct Metrics {
     pub deadline_expired: AtomicU64,
     pub proto_errors: AtomicU64,
     pub worker_panics: AtomicU64,
-    pub cancelled: AtomicU64,
     pub auth_failures: AtomicU64,
     pub puts: AtomicU64,
     pub latency: Histogram,
@@ -36,11 +35,11 @@ pub struct Metrics {
 
 impl Metrics {
     /// Count a compile answered with `outcome` after waiting `queue_us`
-    /// microseconds in the admission queue and spending `service_us`
-    /// microseconds compiling. Total request latency is the sum; the two
-    /// components get their own histograms so `serve-stats` can tell an
-    /// overloaded daemon (queue grows) from a slow construction (service
-    /// grows).
+    /// microseconds for its build thread to start (0 for a hit, answered
+    /// on the connection's thread) and spending `service_us` microseconds
+    /// answering. Total request latency is the sum; the two components get
+    /// their own histograms so `serve-stats` can tell thread start-up
+    /// (queue) from construction (service).
     pub fn record_compile(&self, outcome: WireOutcome, queue_us: u64, service_us: u64) {
         self.compiles.fetch_add(1, Ordering::Relaxed);
         match outcome {
@@ -54,12 +53,12 @@ impl Metrics {
         self.service.record_us(service_us);
         obs::histogram_record_us!(
             "gensor_serve_queue_us",
-            "Time compile requests waited for a worker",
+            "Time compile requests waited for a build thread to start",
             queue_us
         );
         obs::histogram_record_us!(
             "gensor_serve_service_us",
-            "Time workers spent answering compile requests",
+            "Time spent answering compile requests",
             service_us
         );
     }
@@ -80,7 +79,6 @@ impl Metrics {
             deadline_expired: load(&self.deadline_expired),
             proto_errors: load(&self.proto_errors),
             worker_panics: load(&self.worker_panics),
-            cancelled: load(&self.cancelled),
             auth_failures: load(&self.auth_failures),
             puts: load(&self.puts),
             peers: peers.to_vec(),
@@ -118,11 +116,9 @@ pub struct ServeStats {
     pub deadline_expired: u64,
     /// Malformed/oversize/truncated frames seen.
     pub proto_errors: u64,
-    /// Worker panics caught and answered as typed `Internal` errors
-    /// (the worker itself survives).
+    /// Build panics caught and answered as typed `Internal` errors
+    /// (the daemon itself survives).
     pub worker_panics: u64,
-    /// Queued jobs dropped un-run because their client disconnected.
-    pub cancelled: u64,
     /// Connections refused for a missing or wrong shared token.
     pub auth_failures: u64,
     /// Fabric `Put` frames answered (write-through / read-repair
@@ -134,11 +130,11 @@ pub struct ServeStats {
     pub latency_p50_us: u64,
     /// 99th-percentile request latency, microseconds (bucket upper bound).
     pub latency_p99_us: u64,
-    /// Median time a compile waited for a worker, microseconds.
+    /// Median time a compile waited for its build thread, microseconds.
     pub queue_p50_us: u64,
     /// 99th-percentile queue wait, microseconds.
     pub queue_p99_us: u64,
-    /// Median time a worker spent answering a compile, microseconds.
+    /// Median time spent answering a compile, microseconds.
     pub service_p50_us: u64,
     /// 99th-percentile service time, microseconds.
     pub service_p99_us: u64,

@@ -32,7 +32,7 @@ use tensor_expr::OpSpec;
 /// Protocol version; bumped on any frame change. The handshake accepts
 /// exactly this version: the server refuses any other `Hello` with
 /// [`ErrKind::UnsupportedProto`], the client rejects any other echo.
-pub const PROTO_VERSION: u32 = 9;
+pub const PROTO_VERSION: u32 = 10;
 
 /// Upper bound on one frame's JSON payload (32 MiB — far above any real
 /// schedule, far below an allocation-of-death).
@@ -246,7 +246,7 @@ pub enum ErrKind {
     /// The compiled schedule failed static verification and was refused —
     /// never served from the cache, never banked.
     Rejected,
-    /// Anything else (worker died, channel closed, …).
+    /// Anything else (a build panicked, a build thread could not start, …).
     Internal,
 }
 

@@ -6,34 +6,34 @@
 //!            accept loop (non-blocking, polls the shutdown flag)
 //!                │ one handler thread per connection
 //!                ▼
-//!   handler: handshake → frame loop ── admission gate ──▶ job queue
-//!                                        │ full → Busy              │
-//!                                        ▼                          ▼
-//!                                   (shed, no queueing)      bounded worker
-//!                                                            pool → shared
-//!                                                            ScheduleCache
+//!   handler: handshake → frame loop ── Compile ──▶ ScheduleCache::lookup
+//!                                                  hit │      │ miss
+//!                              answered on this thread ◀      ▼
+//!                                      admission gate ── permit ──▶ one
+//!                                        │ full → Busy        build thread
+//!                                        ▼                    per miss →
+//!                                   (shed, no queueing)       shared cache
 //! ```
 //!
+//! * **Hits never wait**: a `Compile` for a resident key is answered on
+//!   its connection thread by [`ScheduleCache::lookup`]. It takes no
+//!   permit and crosses no thread, so a daemon whose every build slot is
+//!   taken still answers hits.
 //! * **Backpressure** is load-shedding, not queueing: the admission gate
-//!   caps *outstanding* compile jobs (queued + running); beyond the cap a
-//!   request is answered `Busy` immediately, so a slow construction can
-//!   never grow an unbounded queue in the daemon.
-//! * **Deadlines** are enforced at the two points the server controls: a
-//!   job that expires while queued is never started, and a handler stops
-//!   waiting (answers `DeadlineExceeded`) when the deadline passes. A
-//!   construction already running is not interrupted — its result still
-//!   lands in the shared cache, so the work is banked, not wasted.
+//!   caps *running* builds; beyond the cap a miss is answered `Busy`
+//!   immediately. Nothing queues, so nothing waits to be cancelled.
+//! * **Deadlines**: a handler stops waiting for its build (answers
+//!   `DeadlineExceeded`) once the deadline passes. The build is not
+//!   interrupted — its result still lands in the shared cache, so the work
+//!   is banked, not wasted; the same holds when the client hangs up.
 //! * **Drain**: on a `Shutdown` frame or SIGTERM/SIGINT the accept loop
-//!   closes, handlers finish their current request, workers run the
-//!   remaining admitted jobs, the store is fsynced, and the socket file is
-//!   removed. New work during drain is refused with `ShuttingDown`.
-//! * **Panic isolation**: a compile that panics fails *its* request with
-//!   a typed `Internal` error; the worker survives (and is respawned if a
-//!   panic ever escapes the per-job guard), so one poisoned operator can
-//!   never kill the daemon.
-//! * **Cancellation**: a client that disconnects while its job is still
-//!   queued releases the job's admission permit immediately; the worker
-//!   skips the orphaned job instead of compiling for nobody.
+//!   closes, handlers finish their current request, every admitted build
+//!   finishes, the store is fsynced, and the socket file is removed. New
+//!   work during drain is refused with `ShuttingDown`.
+//! * **Panic isolation**: each build runs under its own panic guard; a
+//!   compile that panics fails *its* request with a typed `Internal`
+//!   error and returns its permit, so one poisoned operator can never
+//!   kill the daemon.
 
 use crate::endpoint::{Endpoint, Listener, Stream};
 use crate::metrics::{Metrics, ServeStats};
@@ -44,10 +44,10 @@ use crate::proto::{
 use gensor::{Gensor, GensorConfig};
 use hardware::GpuSpec;
 use schedcache::{CachedTuner, ScheduleCache};
-use simgpu::Tuner;
+use simgpu::{CompiledKernel, Tuner};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tensor_expr::OpSpec;
 
@@ -73,10 +73,8 @@ pub struct ServerConfig {
     /// dropped) when it fires — an in-process stand-in for SIGKILL that
     /// lets the cluster tests kill exactly one of three embedded daemons.
     pub crash_site: Option<String>,
-    /// Compile worker threads.
-    pub workers: usize,
-    /// Max outstanding (queued + running) compile jobs; beyond this
-    /// the server sheds with `Busy`.
+    /// Max running builds (each on a thread of its own); a miss beyond
+    /// this is shed with `Busy`. Hits never count against it.
     pub max_inflight: usize,
     /// Per-request compile deadline.
     pub deadline: Duration,
@@ -90,8 +88,8 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults: one worker per core, `2 × workers` in-flight, 120 s
-    /// deadline, no signal handling, no auth token, no peers.
+    /// Defaults: `2 × cores` running builds, 120 s deadline, no signal
+    /// handling, no auth token, no peers.
     pub fn new(listen: impl Into<Endpoint>) -> Self {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -101,7 +99,6 @@ impl ServerConfig {
             token: None,
             peers: Vec::new(),
             crash_site: None,
-            workers: cores,
             max_inflight: 2 * cores,
             deadline: Duration::from_secs(120),
             handle_signals: false,
@@ -137,9 +134,11 @@ enum Method {
 }
 
 /// Named methods the daemon serves; `standard()` mirrors the CLI's
-/// `--method` choices.
+/// `--method` choices. Each entry is (wire name, cache-key name, method):
+/// the cache-key name is the tuner's *display* name (`"Roller"`, not
+/// `"roller"`), fixed when the method is registered.
 pub struct MethodRegistry {
-    entries: Vec<(String, Method)>,
+    entries: Vec<(String, &'static str, Method)>,
 }
 
 impl MethodRegistry {
@@ -160,7 +159,8 @@ impl MethodRegistry {
     /// (`--seed`) config that every gensor compile then inherits.
     pub fn standard_with_gensor(cfg: GensorConfig) -> Self {
         let mut r = Self::empty();
-        r.entries.push(("gensor".into(), Method::Gensor(cfg)));
+        let name = Gensor::with_config(cfg.clone()).name();
+        r.entries.push(("gensor".into(), name, Method::Gensor(cfg)));
         r.register("roller", Box::new(roller::Roller::default()));
         r.register("ansor", Box::new(search::Ansor::default()));
         r.register("cublas", Box::new(search::VendorLib));
@@ -172,23 +172,21 @@ impl MethodRegistry {
     /// with the CLI's aliases).
     pub fn register(&mut self, name: &str, tuner: Box<dyn Tuner + Send + Sync>) {
         let name = name.to_ascii_lowercase();
-        self.entries.retain(|(n, _)| *n != name);
-        self.entries.push((name, Method::Other(tuner)));
+        self.entries.retain(|(n, ..)| *n != name);
+        self.entries
+            .push((name, tuner.name(), Method::Other(tuner)));
     }
 
     /// The name the compile path keys cache entries under for a wire
-    /// method: the resolved tuner's *display* name (`"Roller"`, not
-    /// `"roller"`). Fabric `Probe`/`Put` frames must address the same key
-    /// space as `Compile`, or a replicated kernel would be installed
-    /// under a different policy fingerprint than compiles read from.
-    fn cache_method(&self, name: &str) -> Option<String> {
-        Some(match self.get(name)? {
-            Method::Gensor(cfg) => Gensor::with_config(cfg.clone()).name().to_string(),
-            Method::Other(t) => t.name().to_string(),
-        })
+    /// method. Inline hits and fabric `Probe`/`Put` frames must address
+    /// the same key space as a build, or a replicated kernel would be
+    /// installed under a different policy fingerprint than compiles read
+    /// from.
+    fn cache_method(&self, name: &str) -> Option<&'static str> {
+        self.get(name).map(|(key_name, _)| key_name)
     }
 
-    fn get(&self, name: &str) -> Option<&Method> {
+    fn get(&self, name: &str) -> Option<(&'static str, &Method)> {
         let canonical = match name.to_ascii_lowercase().as_str() {
             "vendor" => "cublas".to_string(),
             "eager" => "pytorch".to_string(),
@@ -196,8 +194,8 @@ impl MethodRegistry {
         };
         self.entries
             .iter()
-            .find(|(n, _)| *n == canonical)
-            .map(|(_, m)| m)
+            .find(|(n, ..)| *n == canonical)
+            .map(|(_, key_name, m)| (*key_name, m))
     }
 }
 
@@ -211,63 +209,51 @@ pub struct DrainReport {
     pub stats: ServeStats,
 }
 
-/// Admission gate: a permit counter, not a queue. `try_acquire` never
-/// blocks — over the cap the caller sheds with `Busy`.
+/// Admission gate: a count of running builds, not a queue. `try_acquire`
+/// never blocks — over the cap the caller sheds with `Busy`.
 struct Gate {
-    inflight: AtomicU64,
+    running: Mutex<u64>,
+    /// Signalled when the last running build returns its permit.
+    idle: Condvar,
     cap: u64,
 }
 
 impl Gate {
+    fn count(&self) -> MutexGuard<'_, u64> {
+        self.running.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     fn try_acquire(self: &Arc<Self>) -> Option<Permit> {
-        let mut cur = self.inflight.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.cap {
-                return None;
-            }
-            match self.inflight.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Some(Permit(self.clone())),
-                Err(now) => cur = now,
-            }
+        let mut running = self.count();
+        if *running >= self.cap {
+            return None;
+        }
+        *running += 1;
+        Some(Permit(self.clone()))
+    }
+
+    /// Block until every admitted build has returned its permit.
+    fn wait_idle(&self) {
+        let mut running = self.count();
+        while *running > 0 {
+            running = self.idle.wait(running).unwrap_or_else(|p| p.into_inner());
         }
     }
 }
 
-/// RAII permit: releases its gate slot when the job finishes (or is
-/// dropped un-run at drain).
+/// RAII permit: owned by one build thread and released when its build is
+/// done (banked, refused or panicked), whether or not the client still
+/// waits.
 struct Permit(Arc<Gate>);
 
 impl Drop for Permit {
     fn drop(&mut self) {
-        self.0.inflight.fetch_sub(1, Ordering::AcqRel);
+        let mut running = self.0.count();
+        *running -= 1;
+        if *running == 0 {
+            self.0.idle.notify_all();
+        }
     }
-}
-
-/// One admitted unit of work.
-struct Job {
-    request: Request,
-    accepted: Instant,
-    deadline: Duration,
-    /// The connection's distributed trace context `(trace_id,
-    /// parent_span)` at dispatch time; `(0, 0)` when the client set none.
-    /// Stamped onto the job's `serve.request` span.
-    trace: (u64, u64),
-    reply: mpsc::Sender<Response>,
-    /// The admission permit, shared with the dispatching handler so a
-    /// cancelled job's slot can be released while the job still sits in
-    /// the queue. A worker *takes* the permit when it starts the job
-    /// (`Mutex::take` is exclusive, so handler and worker cannot both
-    /// release it); it is dropped — releasing the slot — when the job
-    /// finishes or is skipped.
-    permit: Arc<Mutex<Option<Permit>>>,
-    /// Set by the handler when the client disconnected before the job
-    /// started; the worker skips it instead of compiling for nobody.
-    cancelled: Arc<AtomicBool>,
 }
 
 /// SIGTERM/SIGINT flag (set from the signal handler; an atomic store is
@@ -311,7 +297,7 @@ pub struct Server {
     shared: Arc<Shared>,
 }
 
-/// State every handler and worker shares.
+/// State every handler and build thread shares.
 struct Shared {
     cache: Arc<ScheduleCache>,
     registry: MethodRegistry,
@@ -352,8 +338,8 @@ impl Shared {
         gpu: &GpuSpec,
         method: &str,
         budget: Option<u32>,
-    ) -> Result<(simgpu::CompiledKernel, WireOutcome), (ErrKind, String)> {
-        let Some(entry) = self.registry.get(method) else {
+    ) -> Result<(CompiledKernel, WireOutcome), (ErrKind, String)> {
+        let Some((_, entry)) = self.registry.get(method) else {
             return Err((
                 ErrKind::UnknownMethod,
                 format!("no method '{method}' registered"),
@@ -371,12 +357,20 @@ impl Shared {
             }
             Method::Other(t) => CachedTuner::new(t.as_ref(), self.cache.clone()),
         };
-        // A schedule that fails static analysis (a store record that does
-        // not fit this device, a builder bug) is a typed error on the
-        // wire, never a served kernel.
-        let (mut kernel, outcome) = tuner
-            .compile_verified(op, gpu)
-            .map_err(|rej| (ErrKind::Rejected, rej.to_string()))?;
+        let (kernel, outcome) = tuner.compile_verified(op, gpu).map_err(rejected)?;
+        Ok((kernel, outcome.into()))
+    }
+
+    /// The `Compiled` frame for an answered compile, counted with the
+    /// microseconds it waited for a build thread and was then served.
+    fn compiled(
+        &self,
+        mut kernel: CompiledKernel,
+        outcome: WireOutcome,
+        queue_us: u64,
+        service_us: u64,
+    ) -> Response {
+        self.metrics.record_compile(outcome, queue_us, service_us);
         // Chaos hook: corrupt the *outgoing* schedule after the daemon's
         // own verify gate passed it — the wire frame stays well-formed, so
         // only a receiver that re-verifies content (the fabric trust
@@ -390,8 +384,18 @@ impl Shared {
                 *v = 0;
             }
         }
-        Ok((kernel, outcome.into()))
+        Response::Compiled {
+            outcome,
+            kernel: (&kernel).into(),
+        }
     }
+}
+
+/// A schedule that fails static analysis (a store record that does not
+/// fit this device, a builder bug) is a typed error on the wire, never a
+/// served kernel.
+fn rejected(rej: schedcache::Rejected) -> (ErrKind, String) {
+    (ErrKind::Rejected, rej.to_string())
 }
 
 /// Cloneable handle for programmatic shutdown (tests, embedding).
@@ -434,7 +438,8 @@ impl Server {
             registry,
             metrics: Metrics::default(),
             gate: Arc::new(Gate {
-                inflight: AtomicU64::new(0),
+                running: Mutex::new(0),
+                idle: Condvar::new(),
                 cap: cfg.max_inflight.max(1) as u64,
             }),
             shutdown: AtomicBool::new(false),
@@ -484,37 +489,6 @@ impl Server {
             TERMINATED.store(false, Ordering::SeqCst);
             install_signal_handlers();
         }
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers: Vec<_> = (0..self.cfg.workers.max(1))
-            .map(|_| {
-                let rx = rx.clone();
-                let shared = self.shared.clone();
-                // Self-healing: `worker_loop` already isolates per-job
-                // panics, so this outer guard only trips if a panic
-                // escapes the job guard (a bug in the loop itself). Even
-                // then the pool heals: the loop is restarted in place
-                // rather than silently shrinking the pool.
-                std::thread::spawn(move || loop {
-                    match catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, &rx))) {
-                        Ok(()) => return,
-                        Err(payload) => {
-                            shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                            obs::counter_inc!(
-                                "gensor_served_worker_panics",
-                                "Worker panics caught (per-job or loop-level); the pool self-heals"
-                            );
-                            obs::log!(
-                                Warn,
-                                "serve: worker loop panicked, respawning: {}",
-                                faults::panic_message(payload.as_ref())
-                            );
-                        }
-                    }
-                })
-            })
-            .collect();
-
         let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         let mut last_compact_check = Instant::now();
         loop {
@@ -577,10 +551,9 @@ impl Server {
                         .connections
                         .fetch_add(1, Ordering::Relaxed);
                     let shared = self.shared.clone();
-                    let tx = tx.clone();
                     let cfg = self.cfg.clone();
                     handlers.push(std::thread::spawn(move || {
-                        handle_connection(stream, &shared, &tx, &cfg)
+                        handle_connection(stream, &shared, &cfg)
                     }));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -593,8 +566,8 @@ impl Server {
         }
 
         // Drain: handlers observe the flag (their reads time out every
-        // 100 ms) and exit after their current request; workers run the
-        // already-admitted queue dry once the last sender drops.
+        // 100 ms) and exit after their current request; builds whose
+        // client stopped waiting still run to the end and bank.
         let reason = if self.shared.shutdown.load(Ordering::SeqCst) {
             "shutdown-frame"
         } else {
@@ -606,10 +579,7 @@ impl Server {
         for h in handlers {
             let _ = h.join();
         }
-        drop(tx);
-        for w in workers {
-            let _ = w.join();
-        }
+        self.shared.gate.wait_idle();
         self.shared.cache.flush()?;
         if let Endpoint::Unix(path) = &self.bound {
             let _ = std::fs::remove_file(path);
@@ -621,111 +591,8 @@ impl Server {
     }
 }
 
-/// Worker: pull admitted jobs, skip the cancelled and the already-expired,
-/// compile the rest against the shared cache — each job inside its own
-/// panic guard, so a poisoned operator fails one request, not the pool.
-fn worker_loop(shared: &Shared, rx: &Mutex<mpsc::Receiver<Job>>) {
-    loop {
-        let job = match rx.lock().unwrap_or_else(|p| p.into_inner()).recv() {
-            Ok(job) => job,
-            Err(_) => return, // all senders gone: drained
-        };
-        // Take the permit before the cancellation check: from here on the
-        // handler's cancel path finds it already gone and cannot release
-        // a slot the worker is using.
-        let permit = job.permit.lock().unwrap_or_else(|p| p.into_inner()).take();
-        if job.cancelled.load(Ordering::SeqCst) {
-            shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-            obs::counter_inc!(
-                "gensor_serve_cancelled_total",
-                "Queued jobs dropped un-run because their client disconnected"
-            );
-            continue; // `permit` (if any) drops here, freeing the slot
-        }
-        let waited = job.accepted.elapsed();
-        if waited >= job.deadline {
-            shared
-                .metrics
-                .deadline_expired
-                .fetch_add(1, Ordering::Relaxed);
-            let _ = job.reply.send(Response::Error {
-                kind: ErrKind::DeadlineExceeded,
-                message: format!("expired after {:.1} s in queue", waited.as_secs_f64()),
-            });
-            continue;
-        }
-        let response = match catch_unwind(AssertUnwindSafe(|| process_job(shared, &job, waited))) {
-            Ok(r) => r,
-            Err(payload) => {
-                shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                obs::counter_inc!(
-                    "gensor_served_worker_panics",
-                    "Worker panics caught (per-job or loop-level); the pool self-heals"
-                );
-                let reason = faults::panic_message(payload.as_ref());
-                obs::log!(Warn, "serve: compile job panicked: {reason}");
-                Response::Error {
-                    kind: ErrKind::Internal,
-                    message: format!("compile job panicked: {reason}"),
-                }
-            }
-        };
-        // The handler may have stopped waiting (deadline, disconnect);
-        // the work is still banked in the cache, only the reply is
-        // dropped.
-        let _ = job.reply.send(response);
-        drop(permit);
-    }
-}
-
-/// Answer one admitted job. Runs inside the worker's per-job panic guard.
-fn process_job(shared: &Shared, job: &Job, waited: Duration) -> Response {
-    // The chaos harness's stand-in for "the tuner has a bug": any policy
-    // on this site panics here, inside the guard.
-    if let Some(_action) = faults::check("served.worker") {
-        panic!("failpoint 'served.worker': injected worker failure");
-    }
-    match &job.request {
-        Request::Compile {
-            op,
-            gpu,
-            method,
-            budget,
-        } => {
-            let _sp = obs::span!(
-                "serve.request",
-                kind = "compile",
-                method = method.as_str(),
-                op = op.label(),
-                queued_us = waited.as_micros() as u64,
-                trace = job.trace.0,
-                parent = job.trace.1
-            );
-            let t_service = Instant::now();
-            match shared.compile(op, gpu, method, *budget) {
-                Ok((kernel, outcome)) => {
-                    shared.metrics.record_compile(
-                        outcome,
-                        waited.as_micros() as u64,
-                        t_service.elapsed().as_micros() as u64,
-                    );
-                    Response::Compiled {
-                        outcome,
-                        kernel: (&kernel).into(),
-                    }
-                }
-                Err((kind, message)) => Response::Error { kind, message },
-            }
-        }
-        other => Response::Error {
-            kind: ErrKind::Internal,
-            message: format!("non-work frame reached the pool: {other:?}"),
-        },
-    }
-}
-
 /// Per-connection frame loop.
-fn handle_connection(stream: Stream, shared: &Shared, tx: &mpsc::Sender<Job>, cfg: &ServerConfig) {
+fn handle_connection(stream: Stream, shared: &Arc<Shared>, cfg: &ServerConfig) {
     let mut stream = stream;
     // Short read timeout so idle handlers poll the drain flag; writes get
     // a generous bound so a wedged client cannot pin a handler forever.
@@ -870,7 +737,7 @@ fn handle_connection(stream: Stream, shared: &Shared, tx: &mpsc::Sender<Job>, cf
                 Response::TraceAck
             }
             // Answered inline: reading the ring is a lock + clone, and a
-            // trace pull must work even when the worker pool is saturated
+            // trace pull must work even when every build slot is taken
             // (that is exactly when someone wants the trace).
             Request::TraceDump => match obs::flight::installed() {
                 Some(rec) => Response::TraceDumped {
@@ -883,14 +750,14 @@ fn handle_connection(stream: Stream, shared: &Shared, tx: &mpsc::Sender<Job>, cf
                 },
             },
             // Fabric frames are answered inline: a probe is one map read,
-            // a put is verify + insert — neither competes with compiles
-            // for the admission gate or the worker pool.
+            // a put is verify + insert — neither competes with builds for
+            // the admission gate.
             // Both canonicalize the wire method ("roller") to the cache-key
             // name the compile path uses (the tuner's display name,
             // "Roller") so fabric frames and compiles share one key space.
             Request::Probe { op, gpu, method } => match shared.registry.cache_method(&method) {
                 Some(method) => Response::Probed {
-                    cached: shared.cache.peek(&op, &gpu, &method).is_some(),
+                    cached: shared.cache.peek(&op, &gpu, method).is_some(),
                 },
                 None => Response::Error {
                     kind: ErrKind::UnknownMethod,
@@ -908,7 +775,7 @@ fn handle_connection(stream: Stream, shared: &Shared, tx: &mpsc::Sender<Job>, cf
                 } else {
                     match shared.registry.cache_method(&method) {
                         Some(method) => {
-                            match shared.cache.install(&op, &gpu, &method, (*kernel).into()) {
+                            match shared.cache.install(&op, &gpu, method, (*kernel).into()) {
                                 Ok(installed) => {
                                     shared.metrics.puts.fetch_add(1, Ordering::Relaxed);
                                     Response::PutDone { installed }
@@ -927,9 +794,9 @@ fn handle_connection(stream: Stream, shared: &Shared, tx: &mpsc::Sender<Job>, cf
                 }
             }
             // Self-healing frames are answered inline: gossip and
-            // digest reads must work even when the worker pool is
-            // saturated — a probe that sheds with Busy would look exactly
-            // like a dead daemon to the failure detector.
+            // digest reads must work even when every build slot is taken
+            // — a probe that sheds with Busy would look exactly like a
+            // dead daemon to the failure detector.
             Request::Gossip {
                 from,
                 incarnation,
@@ -1050,32 +917,16 @@ fn handle_connection(stream: Stream, shared: &Shared, tx: &mpsc::Sender<Job>, cf
                 let _ = server_write(&mut stream, &Response::ShuttingDown);
                 return;
             }
-            work @ Request::Compile { .. } => {
+            Request::Compile {
+                op,
+                gpu,
+                method,
+                budget,
+            } => {
                 if shared.draining(cfg.handle_signals) {
                     Response::ShuttingDown
                 } else {
-                    match shared.gate.try_acquire() {
-                        None => {
-                            obs::counter_inc!(
-                                "gensor_serve_shed_total",
-                                "Requests refused with Busy by the admission gate"
-                            );
-                            shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
-                            Response::Busy {
-                                inflight: shared.gate.inflight.load(Ordering::Relaxed),
-                                max_inflight: shared.gate.cap,
-                            }
-                        }
-                        Some(permit) => dispatch_work(
-                            work,
-                            conn_trace,
-                            shared,
-                            tx,
-                            cfg.deadline,
-                            permit,
-                            &stream,
-                        ),
-                    }
+                    compile(shared, op, gpu, method, budget, conn_trace, cfg.deadline)
                 }
             }
         };
@@ -1102,116 +953,145 @@ fn server_write(stream: &mut Stream, resp: &Response) -> Result<(), FrameError> 
     write_frame(stream, resp)
 }
 
-/// Has the peer hung up? A zero-byte non-blocking `MSG_PEEK` is EOF;
-/// pending bytes or `EWOULDBLOCK` mean the client is still there. Direct
-/// `recv(2)` binding in the same spirit as `install_signal_handlers`:
-/// the workspace builds offline with no libc crate. Works identically on
-/// both transports — `recv(2)` takes any connected socket fd.
-fn client_gone(stream: &Stream) -> bool {
-    use std::os::fd::AsRawFd;
-    extern "C" {
-        fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
-    }
-    const MSG_PEEK: i32 = 0x02;
-    const MSG_DONTWAIT: i32 = 0x40;
-    let mut probe = [0u8; 1];
-    let n = unsafe {
-        recv(
-            stream.as_raw_fd(),
-            probe.as_mut_ptr(),
-            probe.len(),
-            MSG_PEEK | MSG_DONTWAIT,
-        )
-    };
-    match n {
-        0 => true,           // EOF: peer closed
-        n if n > 0 => false, // pipelined bytes: alive
-        _ => !matches!(
-            std::io::Error::last_os_error().kind(),
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
-        ),
-    }
-}
-
-/// Enqueue one admitted job and wait (bounded by the deadline) for the
-/// pool's answer, watching the client socket so a disconnect cancels a
-/// job that has not started yet.
-fn dispatch_work(
-    work: Request,
+/// Answer one `Compile`: a resident key here, on the connection's own
+/// thread; a miss on a build thread of its own, behind the admission gate,
+/// waited for up to `deadline`.
+fn compile(
+    shared: &Arc<Shared>,
+    op: OpSpec,
+    gpu: GpuSpec,
+    method: String,
+    budget: Option<u32>,
     trace: (u64, u64),
-    shared: &Shared,
-    tx: &mpsc::Sender<Job>,
     deadline: Duration,
-    permit: Permit,
-    stream: &Stream,
 ) -> Response {
+    let accepted = Instant::now();
+    let _sp = obs::span!(
+        "serve.request",
+        kind = "compile",
+        method = method.as_str(),
+        op = op.label(),
+        trace = trace.0,
+        parent = trace.1
+    );
+    let Some(key_method) = shared.registry.cache_method(&method) else {
+        return Response::Error {
+            kind: ErrKind::UnknownMethod,
+            message: format!("no method '{method}' registered"),
+        };
+    };
+    match shared.cache.lookup(&op, &gpu, key_method) {
+        Some(Ok(kernel)) => {
+            let service_us = accepted.elapsed().as_micros() as u64;
+            return shared.compiled(kernel, WireOutcome::Hit, 0, service_us);
+        }
+        Some(Err(rej)) => {
+            let (kind, message) = rejected(rej);
+            return Response::Error { kind, message };
+        }
+        None => {}
+    }
+    let Some(permit) = shared.gate.try_acquire() else {
+        obs::counter_inc!(
+            "gensor_serve_shed_total",
+            "Requests refused with Busy by the admission gate"
+        );
+        shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
+        return Response::Busy {
+            inflight: *shared.gate.count(),
+            max_inflight: shared.gate.cap,
+        };
+    };
     if faults::armed() && faults::check("served.dispatch").is_some() {
         return Response::Error {
             kind: ErrKind::Internal,
             message: "failpoint 'served.dispatch': injected dispatch failure".into(),
         };
     }
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let accepted = Instant::now();
-    let permit = Arc::new(Mutex::new(Some(permit)));
-    let cancelled = Arc::new(AtomicBool::new(false));
-    let job = Job {
-        request: work,
-        accepted,
-        deadline,
-        trace,
-        reply: reply_tx,
-        permit: permit.clone(),
-        cancelled: cancelled.clone(),
-    };
-    if tx.send(job).is_err() {
+    let (reply, answer) = mpsc::sync_channel(1);
+    let builder = shared.clone();
+    let spawned = std::thread::Builder::new()
+        .name("gensor-build".into())
+        .spawn(move || {
+            let queue_us = accepted.elapsed().as_micros() as u64;
+            let _sp = obs::span!(
+                "serve.build",
+                queued_us = queue_us,
+                trace = trace.0,
+                parent = trace.1
+            );
+            let response = build(&builder, &op, &gpu, &method, budget, queue_us);
+            // The work is banked: free the slot before answering, so the
+            // client's next miss is admitted. The client may have stopped
+            // waiting (deadline, hang-up); then only the reply is dropped.
+            drop(permit);
+            let _ = reply.send(response);
+        });
+    if let Err(e) = spawned {
         return Response::Error {
             kind: ErrKind::Internal,
-            message: "worker pool is gone".into(),
+            message: format!("cannot start a build thread: {e}"),
         };
     }
-    // Small grace past the deadline so a worker's own deadline verdict
-    // (sent just under the wire) wins over ours. The wait is sliced so we
-    // can notice a client hang-up and cancel a still-queued job instead of
-    // compiling for nobody.
-    let hard_deadline = accepted + deadline + Duration::from_millis(250);
-    loop {
-        let now = Instant::now();
-        if now >= hard_deadline {
+    // Small grace past the deadline for an answer landing just under it.
+    match answer.recv_timeout(deadline + Duration::from_millis(250)) {
+        Ok(response) => response,
+        Err(mpsc::RecvTimeoutError::Timeout) => {
             shared
                 .metrics
                 .deadline_expired
                 .fetch_add(1, Ordering::Relaxed);
-            return Response::Error {
+            Response::Error {
                 kind: ErrKind::DeadlineExceeded,
                 message: format!(
                     "no result within {:.1} s; the construction keeps running and will be cached",
                     deadline.as_secs_f64()
                 ),
-            };
-        }
-        let slice = (hard_deadline - now).min(Duration::from_millis(50));
-        match reply_rx.recv_timeout(slice) {
-            Ok(r) => return r,
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Response::Error {
-                    kind: ErrKind::Internal,
-                    message: "worker dropped the job".into(),
-                }
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if client_gone(stream) {
-                    // Cancel-before-release: a worker that already took
-                    // the permit owns the slot (the job started and will
-                    // be banked); otherwise the slot frees right now, not
-                    // when the dead job finally reaches the front.
-                    cancelled.store(true, Ordering::SeqCst);
-                    drop(permit.lock().unwrap_or_else(|p| p.into_inner()).take());
-                    return Response::Error {
-                        kind: ErrKind::Internal,
-                        message: "client disconnected before the job started; cancelled".into(),
-                    };
-                }
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => Response::Error {
+            kind: ErrKind::Internal,
+            message: "the build thread ended without an answer".into(),
+        },
+    }
+}
+
+/// One miss, on its own thread, inside its own panic guard: a poisoned
+/// operator fails this request with a typed `Internal` error, nothing else.
+fn build(
+    shared: &Shared,
+    op: &OpSpec,
+    gpu: &GpuSpec,
+    method: &str,
+    budget: Option<u32>,
+    queue_us: u64,
+) -> Response {
+    let t_service = Instant::now();
+    let built = catch_unwind(AssertUnwindSafe(|| {
+        // The chaos harness's stand-in for "the tuner has a bug": any
+        // policy on this site panics here, inside the guard.
+        if faults::check("served.worker").is_some() {
+            panic!("failpoint 'served.worker': injected worker failure");
+        }
+        shared.compile(op, gpu, method, budget)
+    }));
+    match built {
+        Ok(Ok((kernel, outcome))) => {
+            let service_us = t_service.elapsed().as_micros() as u64;
+            shared.compiled(kernel, outcome, queue_us, service_us)
+        }
+        Ok(Err((kind, message))) => Response::Error { kind, message },
+        Err(payload) => {
+            shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
+            obs::counter_inc!(
+                "gensor_served_worker_panics",
+                "Build panics caught and answered as typed Internal errors"
+            );
+            let reason = faults::panic_message(payload.as_ref());
+            obs::log!(Warn, "serve: compile job panicked: {reason}");
+            Response::Error {
+                kind: ErrKind::Internal,
+                message: format!("compile job panicked: {reason}"),
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Operator descriptors and their iteration-space / footprint algebra.
 
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// All tensors in this stack are FP32.
 pub const DTYPE_BYTES: u64 = 4;
@@ -679,11 +680,20 @@ impl OpSpec {
         self.flops() / self.compulsory_bytes() as f64
     }
 
-    /// Compact display string, e.g. `GEMM[8192,8192,8192]`.
+    /// Compact display string, e.g. `GEMM[8192,8192,8192]` (the
+    /// [`Display`](fmt::Display) text).
     pub fn label(&self) -> String {
+        self.to_string()
+    }
+}
+
+/// The compact label, e.g. `GEMM[8192,8192,8192]`. It leaves out a conv's
+/// padding and an elementwise op's arity.
+impl fmt::Display for OpSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            OpSpec::Gemm { m, k, n } => format!("GEMM[{m},{k},{n}]"),
-            OpSpec::Gemv { m, n } => format!("GEMV[{m},{n}]"),
+            OpSpec::Gemm { m, k, n } => write!(f, "GEMM[{m},{k},{n}]"),
+            OpSpec::Gemv { m, n } => write!(f, "GEMV[{m},{n}]"),
             OpSpec::Conv2d {
                 n,
                 c_in,
@@ -694,20 +704,19 @@ impl OpSpec {
                 kw,
                 stride,
                 ..
-            } => {
-                format!("Conv2d[I={n}x{c_in}x{h}x{w},K={c_out}x{c_in}x{kh}x{kw},S={stride}]")
-            }
+            } => write!(
+                f,
+                "Conv2d[I={n}x{c_in}x{h}x{w},K={c_out}x{c_in}x{kh}x{kw},S={stride}]"
+            ),
             OpSpec::AvgPool2d {
                 n,
                 c,
                 h,
                 w,
-                f,
+                f: window,
                 stride,
-            } => {
-                format!("AvgPool2d[I={n}x{c}x{h}x{w},F={f},S={stride}]")
-            }
-            OpSpec::Elementwise { elems, .. } => format!("Elementwise[{elems}]"),
+            } => write!(f, "AvgPool2d[I={n}x{c}x{h}x{w},F={window},S={stride}]"),
+            OpSpec::Elementwise { elems, .. } => write!(f, "Elementwise[{elems}]"),
         }
     }
 }

@@ -7,8 +7,9 @@
 //! carries. This binary installs a global allocator that counts
 //! allocations per thread and asserts that all of that makes none, over
 //! every Table IV operator at its initial state and at states a seeded
-//! walk visits. Deriving a schedule-cache key (`CacheKey::new`), which
-//! every cache hit pays, makes none either.
+//! walk visits. Deriving a schedule-cache key (`CacheKey::new`) and a
+//! schedule's fingerprint (`Etir::fingerprint`), which every cache hit
+//! pays, makes none either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -129,6 +130,21 @@ fn a_cache_key_does_not_allocate() {
         for cfg in tensor_expr::benchmark_suite() {
             let n = allocations_in(|| schedcache::CacheKey::new(&cfg.op, &spec, "Gensor"));
             assert_eq!(n, 0, "{}: CacheKey::new allocated {n} time(s)", cfg.label);
+        }
+    }
+}
+
+#[test]
+fn a_schedule_fingerprint_does_not_allocate() {
+    let spec = GpuSpec::rtx4090();
+    for cfg in tensor_expr::benchmark_suite() {
+        for e in states(&cfg.op, &spec) {
+            let n = allocations_in(|| e.fingerprint());
+            assert_eq!(
+                n, 0,
+                "{}: Etir::fingerprint allocated {n} time(s)",
+                cfg.label
+            );
         }
     }
 }

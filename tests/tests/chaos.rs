@@ -1,8 +1,8 @@
 //! Chaos suite: deterministic fault injection (`crates/faults`) driven
 //! through the real stack — store framing, the single-flight map, the
-//! serve daemon's sockets and worker pool — proving every injected
+//! serve daemon's sockets and build threads — proving every injected
 //! failure ends in a typed error or a clean recovery, never a hang, a
-//! wedged pool, or a lost store.
+//! leaked permit, or a lost store.
 //!
 //! The failpoint registry is process-global, so every test that arms a
 //! site (or calls instrumented code) holds [`faults::exclusive`]; the
@@ -65,8 +65,8 @@ fn rec_for(op: &OpSpec, spec: &GpuSpec, method: &str) -> schedcache::CacheRecord
     )
 }
 
-/// A tuner that counts constructions and (optionally) holds the worker
-/// long enough for queue-state races to be forced deterministically.
+/// A tuner that counts constructions and (optionally) holds its build
+/// thread long enough for admission races to be forced deterministically.
 struct SleepTuner {
     builds: Arc<AtomicU64>,
     sleep: Duration,
@@ -112,7 +112,6 @@ fn start_daemon(
 ) {
     let path = sock(tag);
     let mut cfg = ServerConfig::new(&path);
-    cfg.workers = 4;
     cfg.max_inflight = 16;
     tweak(&mut cfg);
     let server = Server::bind(cfg, cache, registry).unwrap();
@@ -130,11 +129,11 @@ fn wait_until(what: &str, timeout: Duration, mut done: impl FnMut() -> bool) {
 }
 
 // ---------------------------------------------------------------------
-// Worker pool: panics are isolated, answered, and survivable.
+// Build threads: panics are isolated, answered, and survivable.
 // ---------------------------------------------------------------------
 
-/// A panicking compile job comes back as a typed `Internal` error on the
-/// same connection, and the pool keeps serving afterwards.
+/// A panicking build comes back as a typed `Internal` error on the same
+/// connection, and the daemon keeps serving afterwards.
 #[test]
 fn worker_panic_is_isolated_and_answered() {
     let _g = faults::exclusive();
@@ -159,7 +158,7 @@ fn worker_panic_is_isolated_and_answered() {
     }
     assert_eq!(faults::hits("served.worker"), 1);
 
-    // Same client, same pool: the panic consumed the job, not the worker.
+    // Same client: the panic consumed one build, not the daemon.
     let (_k, outcome) = c.compile(&op, &spec, "sleep", None).unwrap();
     assert_eq!(outcome, WireOutcome::Built);
     assert_eq!(handle.stats().worker_panics, 1);
@@ -230,81 +229,76 @@ fn dispatch_fault_is_a_typed_error() {
 }
 
 // ---------------------------------------------------------------------
-// Cancellation: a disconnected client's queued job never runs.
+// Hang-ups: a client that leaves mid-build still banks the build.
 // ---------------------------------------------------------------------
 
-/// With one worker pinned on a slow build, a second client enqueues a
-/// job and hangs up. The handler notices, releases the admission permit,
-/// the worker skips the job un-run, and the daemon counts `cancelled`.
+/// With the only build slot taken by client B's slow build, B hangs up
+/// without reading the answer. The build runs to the end and banks, its
+/// permit comes back (a fresh miss is admitted again), and the next
+/// request for B's key is a hit.
 #[test]
-fn queued_job_is_cancelled_when_its_client_disconnects() {
+fn a_hung_up_clients_build_still_banks_and_returns_its_permit() {
     let _g = faults::exclusive();
     let builds = Arc::new(AtomicU64::new(0));
     let (path, handle, join) = start_daemon(
-        "cancel",
-        sleepy_registry(&builds, Duration::from_millis(500)),
+        "hang-up",
+        sleepy_registry(&builds, Duration::from_millis(300)),
         Arc::new(ScheduleCache::in_memory()),
-        |cfg| cfg.workers = 1,
+        |cfg| cfg.max_inflight = 1,
     );
     let spec = GpuSpec::rtx4090();
-    let op_a = OpSpec::gemm(1024, 512, 512);
     let op_b = OpSpec::gemm(512, 256, 256);
+    let op_c = OpSpec::gemm(1024, 512, 512);
 
-    // Client A pins the only worker.
-    let a = {
-        let (path, op, spec) = (path.clone(), op_a.clone(), spec.clone());
-        std::thread::spawn(move || {
-            let mut c = Client::connect(&path).unwrap();
-            c.compile(&op, &spec, "sleep", None).unwrap()
-        })
-    };
-    wait_until("worker to pick up job A", Duration::from_secs(5), || {
+    // Raw client B: handshake, send a compile, hang up mid-build without
+    // reading the answer.
+    let mut s = UnixStream::connect(&path).unwrap();
+    write_frame(
+        &mut s,
+        &Request::Hello {
+            proto: PROTO_VERSION,
+            token: None,
+        },
+    )
+    .unwrap();
+    let hello: Response = read_frame(&mut s).unwrap();
+    assert!(matches!(hello, Response::Hello { .. }));
+    write_frame(
+        &mut s,
+        &Request::Compile {
+            op: op_b.clone(),
+            gpu: spec.clone(),
+            method: "sleep".into(),
+            budget: None,
+        },
+    )
+    .unwrap();
+    wait_until("B's build to start", Duration::from_secs(5), || {
         builds.load(Ordering::SeqCst) == 1
     });
+    drop(s);
 
-    // Raw client B: handshake, enqueue a compile, hang up without reading
-    // the answer.
-    {
-        let mut s = UnixStream::connect(&path).unwrap();
-        write_frame(
-            &mut s,
-            &Request::Hello {
-                proto: PROTO_VERSION,
-                token: None,
-            },
-        )
-        .unwrap();
-        let hello: Response = read_frame(&mut s).unwrap();
-        assert!(matches!(hello, Response::Hello { .. }));
-        write_frame(
-            &mut s,
-            &Request::Compile {
-                op: op_b.clone(),
-                gpu: spec.clone(),
-                method: "sleep".into(),
-                budget: None,
-            },
-        )
-        .unwrap();
-    } // <- drop closes the socket while the job is still queued
-
-    wait_until("the cancel to be counted", Duration::from_secs(5), || {
-        handle.stats().cancelled == 1
-    });
-
-    let (_kernel, outcome) = a.join().unwrap();
-    assert_eq!(outcome, WireOutcome::Built);
-    assert_eq!(
-        builds.load(Ordering::SeqCst),
-        1,
-        "the cancelled job must never reach the tuner"
-    );
-
-    // The permit came back: a fresh client gets an immediate build.
+    // The permit comes back when B's build ends: a miss for another key
+    // is shed while it runs, then admitted.
     let mut c = Client::connect(&path).unwrap();
+    let t0 = Instant::now();
+    let outcome = loop {
+        match c.compile(&op_c, &spec, "sleep", None) {
+            Ok((_, outcome)) => break outcome,
+            Err(ClientError::Busy { .. }) => {
+                assert!(t0.elapsed() < Duration::from_secs(5), "permit leaked");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("expected a build, got {e}"),
+        }
+    };
+    assert_eq!(outcome, WireOutcome::Built);
+
+    // B's build was banked for nobody in particular: its key now hits.
     let (_k, o) = c.compile(&op_b, &spec, "sleep", None).unwrap();
-    assert_eq!(o, WireOutcome::Built);
-    assert_eq!(builds.load(Ordering::SeqCst), 2);
+    assert_eq!(o, WireOutcome::Hit);
+    assert_eq!(builds.load(Ordering::SeqCst), 2, "one build per key");
+    assert_eq!(handle.stats().misses, 2);
 
     c.shutdown().unwrap();
     join.join().unwrap();

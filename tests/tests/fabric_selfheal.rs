@@ -27,7 +27,6 @@ fn bind_daemon(
     crash_site: Option<&str>,
 ) -> Server {
     let mut cfg = ServerConfig::new(addr);
-    cfg.workers = 4;
     cfg.max_inflight = 16;
     cfg.crash_site = crash_site.map(String::from);
     Server::bind(cfg, cache, MethodRegistry::standard()).unwrap()
@@ -189,7 +188,6 @@ fn kill_restart_rejoin_heals_the_cluster() {
     let deadline = Instant::now() + Duration::from_secs(5);
     let srv_b2 = loop {
         let mut cfg = ServerConfig::new(&ep_b);
-        cfg.workers = 4;
         cfg.max_inflight = 16;
         match Server::bind(cfg, cache_b2.clone(), MethodRegistry::standard()) {
             Ok(s) => break s,

@@ -32,7 +32,6 @@ fn start_tcp(
     tweak: impl FnOnce(&mut ServerConfig),
 ) -> (String, ServerHandle, std::thread::JoinHandle<DrainReport>) {
     let mut cfg = ServerConfig::new("tcp://127.0.0.1:0");
-    cfg.workers = 4;
     cfg.max_inflight = 16;
     tweak(&mut cfg);
     let cache = Arc::new(schedcache::ScheduleCache::in_memory());

@@ -192,7 +192,7 @@ fn hello_frames_carry_the_version() {
     assert_eq!(
         req,
         Request::Hello {
-            proto: 9,
+            proto: 10,
             token: None
         }
     );

@@ -64,7 +64,6 @@ fn start(
 ) {
     let path = sock(tag);
     let mut cfg = ServerConfig::new(&path);
-    cfg.workers = 8;
     cfg.max_inflight = 16;
     tweak(&mut cfg);
     let cache = Arc::new(schedcache::ScheduleCache::in_memory());
@@ -147,7 +146,6 @@ fn admission_gate_sheds_with_busy_when_full() {
         "busy",
         sleepy_registry(&builds, Duration::from_millis(400)),
         |cfg| {
-            cfg.workers = 1;
             cfg.max_inflight = 1;
         },
     );
@@ -188,6 +186,49 @@ fn admission_gate_sheds_with_busy_when_full() {
     join.join().unwrap();
 }
 
+/// A hit takes no admission permit: with the only build slot held by a
+/// slow construction, a resident key still answers `Hit` — free, not
+/// `Busy` — and nothing is shed.
+#[test]
+fn a_resident_key_answers_hit_while_every_build_slot_is_taken() {
+    let builds = Arc::new(AtomicU64::new(0));
+    let (path, _handle, join) = start(
+        "hit-when-full",
+        sleepy_registry(&builds, Duration::from_millis(400)),
+        |cfg| cfg.max_inflight = 1,
+    );
+    let spec = GpuSpec::rtx4090();
+    let resident = OpSpec::gemm(256, 128, 256);
+    let mut c = Client::connect(&path).unwrap();
+    let (_, outcome) = c.compile(&resident, &spec, "sleep", None).unwrap();
+    assert_eq!(outcome, WireOutcome::Built);
+
+    // Occupy the only slot with a slow build of another key…
+    let p2 = path.clone();
+    let s2 = spec.clone();
+    let slow = std::thread::spawn(move || {
+        let mut c = Client::connect(&p2).unwrap();
+        c.compile(&OpSpec::gemm(1024, 256, 512), &s2, "sleep", None)
+            .unwrap()
+    });
+    while builds.load(Ordering::SeqCst) < 2 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // …and the resident key still answers, at no tuning cost.
+    let (kernel, outcome) = c.compile(&resident, &spec, "sleep", None).unwrap();
+    assert_eq!(outcome, WireOutcome::Hit);
+    assert_eq!((kernel.wall_time_s, kernel.simulated_tuning_s), (0.0, 0.0));
+    let stats = c.stats().unwrap();
+    assert_eq!((stats.shed, stats.hits), (0, 1), "{stats:?}");
+
+    let (_, outcome) = slow.join().unwrap();
+    assert_eq!(outcome, WireOutcome::Built);
+    assert_eq!(builds.load(Ordering::SeqCst), 2);
+    c.shutdown().unwrap();
+    join.join().unwrap();
+}
+
 #[test]
 fn shutdown_drains_in_flight_work_and_flushes_the_store() {
     let dir = std::env::temp_dir().join("served-integration-tests");
@@ -198,7 +239,6 @@ fn shutdown_drains_in_flight_work_and_flushes_the_store() {
     let builds = Arc::new(AtomicU64::new(0));
     let path = sock("drain");
     let mut cfg = ServerConfig::new(&path);
-    cfg.workers = 2;
     cfg.max_inflight = 4;
     let cache = Arc::new(schedcache::ScheduleCache::open(&store_path).unwrap());
     let server = Server::bind(
