@@ -3,7 +3,7 @@
 //! (`get_or_compile`, whose hit path is also `lookup`).
 
 use crate::key::CacheKey;
-use crate::map::{Outcome, ShardedMap};
+use crate::map::{Outcome, ResidentMap};
 use crate::stats::{Stats, StatsSnapshot};
 use crate::store::{self, CompactReport, Store};
 use etir::Etir;
@@ -15,8 +15,7 @@ use std::sync::Arc;
 use tensor_expr::OpSpec;
 use verify::{Provenance, VerdictCache};
 
-/// Number of digest shards in a [`CacheDigest`] (independent of the
-/// concurrent map's lock shards; both happen to be 16). A shard digest
+/// Number of digest shards in a [`CacheDigest`]. A shard digest
 /// mismatch between two replicas narrows anti-entropy repair to ~1/16th
 /// of the key space before any key set is shipped.
 pub const DIGEST_SHARDS: usize = 16;
@@ -68,22 +67,13 @@ pub struct CacheEntry {
 /// neighbour at equal shape distance always ranks first.
 pub const CROSS_DEVICE_PENALTY: f64 = 1.0;
 
-/// What the cache remembers about a banked key beyond the kernel the map
-/// holds: the method string an exported entry or store record needs back
-/// (the map keys on fingerprints only) and the schedule, offered to
-/// [`ScheduleCache::neighbours`] as a warm-start seed.
-struct Banked {
-    key: CacheKey,
-    method: String,
-    etir: Etir,
-}
-
 /// A persistent, concurrent schedule cache.
 ///
 /// * every schedule enters through one private `admit`: verified under
-///   its [`Provenance`], made resident, recorded for neighbour lookup and
-///   export, and appended to the JSONL store (when one is attached) — a
-///   schedule the verifier refuses is counted and is none of those;
+///   its [`Provenance`], made resident with its method and an admission
+///   stamp (which makes it a neighbour seed and exportable), and appended
+///   to the JSONL store (when one is attached) — a schedule the verifier
+///   refuses is counted and is none of those;
 /// * misses run the supplied construction (single-flight: concurrent
 ///   requests for the same key collapse onto one build);
 /// * [`ScheduleCache::neighbours`] offers cached schedules of the same
@@ -91,16 +81,13 @@ struct Banked {
 ///   [`CROSS_DEVICE_PENALTY`] for entries cached for another device), as
 ///   warm-start seeds for new shapes — and, on a first sighting of a new
 ///   `GpuSpec`, for known shapes transplanted across devices;
-/// * an optional entry cap bounds the memory tier (LRU eviction), so a
-///   long-lived daemon serving unbounded shape churn stays bounded.
+/// * an optional entry cap bounds the memory tier (exact LRU eviction),
+///   so a long-lived daemon serving unbounded shape churn stays bounded.
 pub struct ScheduleCache {
-    map: ShardedMap,
+    /// The only record of a resident key (see [`crate::map`]).
+    map: ResidentMap,
     store: Option<Store>,
     stats: Stats,
-    /// One row per admitted schedule, in admission order (which breaks
-    /// distance ties in [`ScheduleCache::neighbours`]). Written by
-    /// `admit`, pruned when the map evicts.
-    banked: parking_lot::RwLock<Vec<Banked>>,
     /// Incremental verification cache: verdicts keyed by schedule,
     /// operator and target fingerprints × verifier epoch, persisted as a
     /// `<store>.verdicts` sidecar when this cache persists. Every
@@ -115,8 +102,8 @@ impl ScheduleCache {
         Self::with_store(None, None).expect("in-memory cache cannot fail")
     }
 
-    /// An in-memory cache bounded to roughly `cap` resident schedules
-    /// (LRU eviction; the bound is per-shard, see `map`).
+    /// An in-memory cache bounded to `cap` resident schedules (at least
+    /// one; the least recently used is evicted).
     pub fn in_memory_bounded(cap: usize) -> Self {
         Self::with_store(None, Some(cap)).expect("in-memory cache cannot fail")
     }
@@ -129,9 +116,10 @@ impl ScheduleCache {
         Self::with_store(Some(Store::open(path.as_ref())), None)
     }
 
-    /// [`ScheduleCache::open`] with an in-memory LRU entry cap. The cap
-    /// bounds resident schedules only — the JSONL file still holds every
-    /// winner ever found (use `Store::compact` to shrink it).
+    /// [`ScheduleCache::open`] with [`ScheduleCache::in_memory_bounded`]'s
+    /// LRU entry cap. The cap bounds resident schedules only — the JSONL
+    /// file still holds every winner ever found (use `Store::compact` to
+    /// shrink it).
     pub fn open_bounded(path: impl AsRef<Path>, cap: usize) -> std::io::Result<Self> {
         Self::with_store(Some(Store::open(path.as_ref())), Some(cap))
     }
@@ -142,10 +130,9 @@ impl ScheduleCache {
             None => VerdictCache::in_memory(),
         };
         let cache = ScheduleCache {
-            map: ShardedMap::with_entry_cap(cap),
+            map: ResidentMap::with_entry_cap(cap),
             store,
             stats: Stats::default(),
-            banked: parking_lot::RwLock::new(Vec::new()),
             verdicts,
         };
         if let Some(store) = &cache.store {
@@ -207,7 +194,7 @@ impl ScheduleCache {
 
     /// The incremental verification cache every admission check of this
     /// cache runs through. Shared so the serve/fabric layers can verify
-    /// against the same banked verdicts.
+    /// against the same cached verdicts.
     pub fn verdicts(&self) -> &VerdictCache {
         &self.verdicts
     }
@@ -259,9 +246,9 @@ impl ScheduleCache {
     }
 
     /// The one way in. Verifies `kernel` as `provenance` demands (against
-    /// `spec` when the caller has one), and only then makes it resident,
-    /// records its method and schedule, reconciles with the map's LRU
-    /// evictions and persists it. `Ok(false)`: a peer offered a key that is
+    /// `spec` when the caller has one, which also proves it for answers),
+    /// and only then makes it resident with its method and admission
+    /// stamp, and persists it. `Ok(false)`: a peer offered a key that is
     /// already resident — replicas never clobber each other's winners.
     /// `Err`: the verifier refused it; the reject is counted and the
     /// schedule is nowhere — not resident, not a seed, not on disk.
@@ -276,36 +263,24 @@ impl ScheduleCache {
     ) -> Result<bool, verify::Rejected> {
         let target = spec.map(|s| (s, key.gpu_fp));
         let report = self.verdicts.verify_as(&kernel.etir, target, provenance);
-        // A `Local` kernel is the single-flight build's own result: the
-        // map holds it already, and must stop holding it if it is illegal.
-        let built_here = provenance == Provenance::Local;
         if !report.is_legal() {
             self.stats.record_rejected();
-            if built_here {
+            // A `Local` kernel is the single-flight build's own result:
+            // the map holds it already, and must stop holding it.
+            if provenance == Provenance::Local {
                 self.map.remove(&key);
             }
             return Err(verify::Rejected(report));
         }
-        if !built_here {
-            // A later store line supersedes an earlier one (newest wins,
-            // as in `Store::compact`); a peer's copy never does.
-            if provenance != Provenance::Store && self.map.get(&key).is_some() {
-                return Ok(false);
-            }
-            self.map.insert(key, kernel.clone());
+        // A later store line supersedes an earlier one (newest wins, as in
+        // `Store::compact`); a peer's copy never does.
+        let supersede = provenance == Provenance::Store;
+        if !self
+            .map
+            .admit(key, &kernel, method, spec.is_some(), supersede)
+        {
+            return Ok(false);
         }
-        let mut banked = self.banked.write();
-        banked.push(Banked {
-            key,
-            method: method.to_string(),
-            etir: kernel.etir.clone(),
-        });
-        let evicted = self.map.drain_evicted();
-        if !evicted.is_empty() {
-            let gone: HashSet<CacheKey> = evicted.into_iter().collect();
-            banked.retain(|b| !gone.contains(&b.key));
-        }
-        drop(banked);
         // What came from the store is already in it.
         let store = self.store.as_ref();
         if let Some(store) = store.filter(|_| provenance != Provenance::Store) {
@@ -332,26 +307,28 @@ impl ScheduleCache {
     /// operator. At most `k`.
     pub fn neighbours(&self, op: &OpSpec, spec: &GpuSpec, k: usize) -> Vec<Etir> {
         let my_gpu = etir::identity::gpu_fingerprint(spec);
-        let banked = self.banked.read();
-        let mut scored: Vec<(f64, &Etir)> = banked
-            .iter()
-            .filter(|b| !(b.etir.op == *op && b.key.gpu_fp == my_gpu))
-            .filter(|b| {
-                b.etir.op.class() == op.class()
-                    && b.etir.op.spatial_extents().len() == op.spatial_extents().len()
-                    && b.etir.op.reduce_extents().len() == op.reduce_extents().len()
+        let mut scored = self.map.admitted(|key, e| {
+            let seed = &e.kernel.etir.op;
+            let same_rank = seed.class() == op.class()
+                && seed.spatial_extents().len() == op.spatial_extents().len()
+                && seed.reduce_extents().len() == op.reduce_extents().len();
+            let penalty = if key.gpu_fp == my_gpu {
+                0.0
+            } else {
+                CROSS_DEVICE_PENALTY
+            };
+            (same_rank && !(seed == op && penalty == 0.0)).then(|| {
+                let distance = shape_distance(seed, op) + penalty;
+                (distance, e.admitted, e.kernel.clone())
             })
-            .map(|b| {
-                let penalty = if b.key.gpu_fp == my_gpu {
-                    0.0
-                } else {
-                    CROSS_DEVICE_PENALTY
-                };
-                (shape_distance(&b.etir.op, op) + penalty, &b.etir)
-            })
-            .collect();
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-        scored.into_iter().take(k).map(|(_, e)| e.clone()).collect()
+        });
+        // Equal distances keep admission order.
+        scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        scored
+            .into_iter()
+            .take(k)
+            .map(|(_, _, kernel)| kernel.etir.clone())
+            .collect()
     }
 
     /// Is (`op`, `spec`, `method`) resident right now? Never compiles.
@@ -365,8 +342,8 @@ impl ScheduleCache {
     /// and read-repair path, where a kernel built on one daemon is
     /// replicated into this one. The kernel is statically verified against
     /// `spec` before admission (a peer is as untrusted as a disk record);
-    /// an illegal schedule is refused with the typed report and never
-    /// banked. Returns `true` when the kernel was admitted, `false` when
+    /// an illegal schedule is refused with the typed report and kept
+    /// nowhere. Returns `true` when the kernel was admitted, `false` when
     /// the key was already resident (the existing entry wins).
     pub fn install(
         &self,
@@ -409,7 +386,7 @@ impl ScheduleCache {
         let mut shards = vec![0u64; DIGEST_SHARDS];
         let mut root = 0u64;
         let mut count = 0u64;
-        for (key, _) in self.map.snapshot() {
+        for key in self.map.admitted(|key, _| Some(*key)) {
             let h = key.mix();
             shards[key.shard(DIGEST_SHARDS)] ^= h;
             root ^= h;
@@ -426,11 +403,7 @@ impl ScheduleCache {
     /// [`CacheDigest::diverging_shards`]).
     pub fn keys_in_shard(&self, shard: usize) -> Vec<CacheKey> {
         self.map
-            .snapshot()
-            .into_iter()
-            .map(|(key, _)| key)
-            .filter(|key| key.shard(DIGEST_SHARDS) == shard)
-            .collect()
+            .admitted(|key, _| Some(*key).filter(|k| k.shard(DIGEST_SHARDS) == shard))
     }
 
     /// Resident entries for `keys`, in transferable form (admission
@@ -438,21 +411,17 @@ impl ScheduleCache {
     /// over repeated rounds.
     pub fn export(&self, keys: &[CacheKey]) -> Vec<CacheEntry> {
         let wanted: HashSet<&CacheKey> = keys.iter().collect();
-        let mut seen = HashSet::new();
-        self.banked
-            .read()
-            .iter()
-            .filter(|b| wanted.contains(&b.key) && seen.insert(b.key))
-            .filter_map(|b| {
-                let kernel = self.map.get(&b.key)?;
-                Some(CacheEntry {
-                    key: b.key,
-                    op_label: kernel.etir.op.label(),
-                    method: b.method.clone(),
-                    kernel: (*kernel).clone(),
-                })
-            })
-            .collect()
+        let mut entries = self.map.admitted(|key, e| {
+            let entry = || CacheEntry {
+                key: *key,
+                op_label: e.kernel.etir.op.label(),
+                method: e.method.clone(),
+                kernel: (*e.kernel).clone(),
+            };
+            wanted.contains(key).then(|| (e.admitted, entry()))
+        });
+        entries.sort_unstable_by_key(|(stamp, _)| *stamp);
+        entries.into_iter().map(|(_, entry)| entry).collect()
     }
 
     /// The hit path: the kernel resident for (`op`, `spec`, `method`),
@@ -477,9 +446,10 @@ impl ScheduleCache {
     /// exactly once.
     ///
     /// Every answer is proved legal for `spec` before it is handed out —
-    /// a built one by `admit`, a resident one by the check every hit and
-    /// coalesced answer shares with [`lookup`] (a store record or a raw
-    /// repair entry was admitted on structure alone). An illegal
+    /// by `admit` when it was built here or installed with a spec, else by
+    /// the first hit or coalesced answer (shared with [`lookup`]) that
+    /// finds its entry unproved: a store record or a raw repair entry was
+    /// admitted on structure alone. Each entry is proved once. An illegal
     /// schedule — a builder bug, a record that does not fit this device —
     /// is counted ([`StatsSnapshot::verifier_rejected`]) and comes back as
     /// the typed [`verify::Rejected`] report, never as a kernel. Only a
@@ -522,13 +492,15 @@ impl ScheduleCache {
     }
 
     /// Answer a resident kernel (a hit or a coalesced wait): count it,
-    /// prove it for `spec`, and hand out a copy with no tuning cost — no
-    /// wall time, no simulated measurement clock.
+    /// prove it for `spec` unless its entry is proved already, and hand
+    /// out a copy with no tuning cost — no wall time, no simulated
+    /// measurement clock. A passed check marks the entry proved; an
+    /// entry that fails is never marked, so it is refused every time.
     fn answer(
         &self,
         key: CacheKey,
         spec: &GpuSpec,
-        kernel: &CompiledKernel,
+        kernel: &Arc<CompiledKernel>,
         outcome: Outcome,
     ) -> Result<CompiledKernel, verify::Rejected> {
         if outcome == Outcome::Hit {
@@ -536,17 +508,21 @@ impl ScheduleCache {
         } else {
             self.stats.record_coalesced();
         }
-        let report =
-            self.verdicts
-                .verify_as(&kernel.etir, Some((spec, key.gpu_fp)), Provenance::Local);
-        if !report.is_legal() {
-            self.stats.record_rejected();
-            return Err(verify::Rejected(report));
+        if !self.map.proved(&key, kernel) {
+            let target = Some((spec, key.gpu_fp));
+            let report = self
+                .verdicts
+                .verify_as(&kernel.etir, target, Provenance::Local);
+            if !report.is_legal() {
+                self.stats.record_rejected();
+                return Err(verify::Rejected(report));
+            }
+            self.map.prove(&key, kernel);
         }
         Ok(CompiledKernel {
             wall_time_s: 0.0,
             simulated_tuning_s: 0.0,
-            ..kernel.clone()
+            ..(**kernel).clone()
         })
     }
 }
@@ -740,25 +716,68 @@ mod tests {
     #[test]
     fn bounded_cache_evicts_and_prunes_the_neighbour_index() {
         let spec = GpuSpec::rtx4090();
-        // Cap 16 over 16 shards → at most one resident entry per shard.
         let cache = ScheduleCache::in_memory_bounded(16);
-        let mut ops = Vec::new();
         for m in 1..=40u64 {
-            let op = OpSpec::gemm(8 * m, 64, 64);
-            fill(&cache, &op, &spec);
-            ops.push(op);
+            fill(&cache, &OpSpec::gemm(8 * m, 64, 64), &spec);
+        }
+        assert_eq!(cache.len(), 16, "resident entries bounded");
+        let s = cache.stats();
+        assert_eq!((s.misses, s.evictions), (40, 24));
+        // The neighbour index is the map: the 16 newest shapes remain.
+        let survivors = cache.neighbours(&OpSpec::gemm(96, 64, 64), &spec, usize::MAX);
+        assert_eq!(survivors.len(), 16);
+        assert!(survivors.iter().all(|e| e.op.spatial_extents()[0] > 8 * 24));
+    }
+
+    #[test]
+    fn a_bounded_cache_holds_exactly_its_cap_and_first_evicts_when_full() {
+        let spec = GpuSpec::rtx4090();
+        for cap in [1usize, 4, 20, 192] {
+            let cache = ScheduleCache::in_memory_bounded(cap);
+            let mut first_eviction_at = None;
+            for m in 1..=cap as u64 + 8 {
+                let resident = cache.len();
+                let op = OpSpec::gemm(8 * m, 64, 64);
+                cache
+                    .install(&op, &spec, "Gensor", build(&op, &spec))
+                    .unwrap();
+                if cache.stats().evictions > 0 && first_eviction_at.is_none() {
+                    first_eviction_at = Some(resident);
+                }
+                assert!(cache.len() <= cap, "cap {cap}: {} resident", cache.len());
+            }
+            assert_eq!(cache.len(), cap, "cap {cap} holds exactly its cap");
+            assert_eq!(first_eviction_at, Some(cap), "cap {cap}: first eviction");
+            assert_eq!(cache.stats().evictions, 8);
+        }
+    }
+
+    /// The hit count of one request stream under a cap is a function of
+    /// the stream, not of where the keys' hashes land.
+    #[test]
+    fn hit_count_under_a_cap_does_not_depend_on_key_values() {
+        let spec = GpuSpec::rtx4090();
+        let mut counts = Vec::new();
+        for k in [64u64, 72, 80, 96] {
+            let cache = ScheduleCache::in_memory_bounded(16);
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            for _ in 0..2_000 {
+                // xorshift64*; a rank skewed towards 0 over 64 shapes.
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                let u =
+                    (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64;
+                let r = (u * u * 64.0) as u64;
+                fill(&cache, &OpSpec::gemm(8 * (r + 1), k, 64), &spec);
+            }
+            counts.push(cache.stats().hits);
         }
         assert!(
-            cache.len() <= 16,
-            "resident entries bounded: {}",
-            cache.len()
+            counts.iter().all(|&c| c == counts[0]),
+            "hits per k: {counts:?}"
         );
-        let s = cache.stats();
-        assert_eq!(s.misses, 40);
-        assert!(s.evictions >= 24, "evictions counted: {}", s.evictions);
-        // The neighbour index shrank in step with the map.
-        let survivors = cache.neighbours(&OpSpec::gemm(96, 64, 64), &spec, usize::MAX);
-        assert!(survivors.len() <= 16, "index pruned: {}", survivors.len());
+        assert_eq!(counts[0], 720, "exact LRU over this stream");
     }
 
     #[test]
@@ -806,6 +825,35 @@ mod tests {
             .unwrap();
         assert_eq!(o, Outcome::Hit);
         assert_eq!(k.etir, first);
+        // The first hit proved the record for this device; later hits
+        // do not ask the verdict cache again.
+        let verdicts = |s: StatsSnapshot| s.verdict_hits + s.verdict_misses;
+        let before = verdicts(cache.stats());
+        assert!(cache.lookup(&op, &spec, "Gensor").unwrap().is_ok());
+        assert_eq!(verdicts(cache.stats()), before);
+    }
+
+    #[test]
+    fn a_superseded_store_line_leaves_one_entry_and_one_seed() {
+        let path = tmpfile("superseded");
+        let _ = std::fs::remove_file(&path);
+        let spec = GpuSpec::rtx4090();
+        fill(
+            &ScheduleCache::open(&path).unwrap(),
+            &OpSpec::gemm(768, 256, 256),
+            &spec,
+        );
+        let body = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, format!("{body}{body}")).unwrap();
+        let cache = ScheduleCache::open(&path).unwrap();
+        assert_eq!(cache.len(), 1);
+        let seeds = cache.neighbours(&OpSpec::gemm(1024, 256, 256), &spec, usize::MAX);
+        assert_eq!(seeds.len(), 1, "one resident key, one seed");
+        let keys: Vec<CacheKey> = (0..DIGEST_SHARDS)
+            .flat_map(|i| cache.keys_in_shard(i))
+            .collect();
+        assert_eq!(cache.export(&keys).len(), 1);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -822,7 +870,7 @@ mod tests {
         }
         {
             // First reopen: the record's spec-less load verdict is not
-            // banked yet — the admission check runs cold, then persists.
+            // cached yet — the admission check runs cold, then persists.
             let cache = ScheduleCache::open(&path).unwrap();
             assert_eq!(cache.len(), 1);
             let s = cache.stats();
@@ -882,7 +930,7 @@ mod tests {
         assert!(err.0.error_count() > 0);
         assert!(err.to_string().contains("rejected"));
         assert_eq!(cache.stats().verifier_rejected, 1);
-        // The reject was never banked as a warm-start seed, and does not
+        // The reject was never offered as a warm-start seed, and does not
         // stay resident to answer the next request as a hit.
         assert!(cache
             .neighbours(&OpSpec::gemm(320, 256, 256), &spec, 4)
@@ -945,11 +993,13 @@ mod tests {
             );
             assert!(state() == before, "{way}: cache changed");
         };
-        refused("store record", &|| {
+        let ask_for_record = || {
             cache
                 .get_or_compile(&stored, &spec, "Gensor", |_| panic!("record is resident"))
                 .map(|_| true)
-        });
+        };
+        refused("store record", &ask_for_record);
+        refused("store record, asked again", &ask_for_record);
         refused("install", &|| {
             cache.install(&a, &spec, "Gensor", illegal(&a))
         });

@@ -77,7 +77,8 @@ impl CacheKey {
         hash64(&bytes)
     }
 
-    /// Shard index for an `n`-way sharded map (mixes all three parts).
+    /// Digest shard index for an `n`-shard `CacheDigest` (mixes all three
+    /// parts).
     pub fn shard(&self, n: usize) -> usize {
         let mixed = self
             .op_fp

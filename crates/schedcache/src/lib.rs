@@ -10,9 +10,10 @@
 //! * [`store`] — a corruption-tolerant JSONL persistent tier: winners are
 //!   appended atomically the moment they are found; damaged or
 //!   foreign-version lines are skipped and counted at load, never fatal.
-//! * [`map`] — the in-memory tier: a sharded concurrent map with
-//!   single-flight deduplication (N concurrent requests for one key run
-//!   exactly one construction).
+//! * [`map`] — the in-memory tier: one concurrent map with single-flight
+//!   deduplication (N concurrent requests for one key run exactly one
+//!   construction) and an exact LRU bound; its entry is the only record
+//!   of a resident key.
 //! * [`cache`] — the [`ScheduleCache`] façade tying the tiers together,
 //!   plus nearest-neighbour warm-start seeds for unseen shapes.
 //! * [`tuner`] — [`CachedTuner`], a drop-in [`simgpu::Tuner`] adapter so

@@ -1,30 +1,27 @@
-//! The in-memory tier: a sharded concurrent map with single-flight
-//! deduplication and an optional LRU entry bound.
+//! The in-memory tier: one concurrent map with single-flight
+//! deduplication and an optional exact LRU entry bound.
 //!
-//! * **Sharding** — keys are spread over [`SHARD_COUNT`] independent
-//!   `RwLock<HashMap>` shards, so a hit on one operator never contends
-//!   with a hit on another (the hit path takes one shard read lock).
+//! * **One map** — every key lives in one `RwLock<HashMap>`: a hit takes
+//!   the read lock, a build claim, an admission or an eviction the write
+//!   lock. A resident `Entry` is the cache's only record of its key: the
+//!   kernel, the method that built it, its recency tick, its admission
+//!   stamp and whether it is proved for its device.
 //! * **Single-flight** — when N threads miss the same key concurrently,
 //!   exactly one runs the (expensive, seconds-long) construction; the
-//!   others block on the in-flight [`Flight`] and receive the same
+//!   others block on the in-flight `Flight` and receive the same
 //!   `Arc`'d result. If the builder panics, waiters are woken and one of
 //!   them claims the build instead, so a crash never wedges a key.
 //! * **LRU bound** — an optional entry cap (default: unbounded) keeps a
-//!   daemon serving unbounded shape churn from growing without limit. The
-//!   cap is enforced per shard (⌈cap / [`SHARD_COUNT`]⌉ entries each), so
-//!   the bound is approximate under skewed key distributions; evicted keys
-//!   are queued for the owner to reconcile its own indexes
-//!   ([`ShardedMap::drain_evicted`]).
+//!   daemon serving unbounded shape churn from growing without limit. An
+//!   insert that would exceed it evicts the least recently used resident
+//!   entry, so [`ResidentMap::len`] never exceeds the cap.
 
 use crate::key::CacheKey;
 use parking_lot::RwLock;
 use simgpu::CompiledKernel;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// Number of shards (power of two; tuned for tens of threads).
-pub const SHARD_COUNT: usize = 16;
 
 /// How a `get_or_build` call was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,73 +76,64 @@ impl Flight {
     }
 }
 
-/// A resident schedule plus its recency stamp (for LRU eviction).
-struct Ready {
-    kernel: Arc<CompiledKernel>,
+/// A resident schedule and everything the cache knows about it.
+pub(crate) struct Entry {
+    /// The schedule.
+    pub(crate) kernel: Arc<CompiledKernel>,
+    /// The method that built it, which an exported entry or a store
+    /// record needs back (the key holds only its fingerprint).
+    pub(crate) method: String,
+    /// Admission order, a tick of the map's clock: 0 until the cache
+    /// admits the entry (a fresh build is resident a moment before).
+    pub(crate) admitted: u64,
+    /// Proved legal for the key's device, so answers skip the check.
+    /// Relaxed: it publishes no data, and the kernel it vouches for is
+    /// immutable and reached under the map's lock.
+    proved: AtomicBool,
+    /// Recency stamp for LRU eviction.
     last_used: AtomicU64,
 }
 
 enum Slot {
-    Ready(Ready),
+    Ready(Entry),
     Building(Arc<Flight>),
 }
 
-/// The sharded concurrent map.
-pub struct ShardedMap {
-    shards: Vec<RwLock<HashMap<CacheKey, Slot>>>,
-    /// Per-shard entry cap; `None` means unbounded.
-    cap_per_shard: Option<usize>,
-    /// Global recency clock (monotone; one tick per touch).
+/// The concurrent map.
+pub struct ResidentMap {
+    slots: RwLock<HashMap<CacheKey, Slot>>,
+    /// Resident-entry cap; `None` means unbounded.
+    cap: Option<usize>,
+    /// Global clock (monotone; one tick per touch or admission).
     tick: AtomicU64,
     evictions: AtomicU64,
-    /// Keys evicted since the last [`drain_evicted`] call, so the owning
-    /// cache can prune its neighbour index.
-    ///
-    /// [`drain_evicted`]: ShardedMap::drain_evicted
-    evicted: parking_lot::Mutex<Vec<CacheKey>>,
 }
 
-impl Default for ShardedMap {
+impl Default for ResidentMap {
     fn default() -> Self {
         Self::with_entry_cap(None)
     }
 }
 
-impl ShardedMap {
-    /// A map bounded to roughly `cap` resident entries (`None`:
-    /// unbounded). The bound is enforced per shard, so the worst-case
-    /// resident count is `⌈cap / SHARD_COUNT⌉ · SHARD_COUNT`.
+impl ResidentMap {
+    /// A map bounded to `cap` resident entries, at least one (`None`:
+    /// unbounded).
     pub fn with_entry_cap(cap: Option<usize>) -> Self {
-        ShardedMap {
-            shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            cap_per_shard: cap.map(|c| c.div_ceil(SHARD_COUNT).max(1)),
+        ResidentMap {
+            slots: RwLock::new(HashMap::new()),
+            cap: cap.map(|c| c.max(1)),
             tick: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            evicted: parking_lot::Mutex::new(Vec::new()),
         }
-    }
-
-    fn shard(&self, key: &CacheKey) -> &RwLock<HashMap<CacheKey, Slot>> {
-        &self.shards[key.shard(SHARD_COUNT)]
     }
 
     fn next_tick(&self) -> u64 {
         self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Resident entries across all shards.
+    /// Resident entries.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .values()
-                    .filter(|v| matches!(v, Slot::Ready(_)))
-                    .count()
-            })
-            .sum()
+        resident(&self.slots.read())
     }
 
     /// Whether no entry is resident.
@@ -158,93 +146,134 @@ impl ShardedMap {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Take the keys evicted since the last call (so the owner can prune
-    /// derived indexes).
-    pub fn drain_evicted(&self) -> Vec<CacheKey> {
-        std::mem::take(&mut *self.evicted.lock())
+    /// `f` over every admitted entry under one read lock, in no
+    /// particular order (`Entry::admitted` gives admission order).
+    /// In-flight and not-yet-admitted builds are skipped.
+    pub(crate) fn admitted<T>(&self, mut f: impl FnMut(&CacheKey, &Entry) -> Option<T>) -> Vec<T> {
+        let slots = self.slots.read();
+        slots
+            .iter()
+            .filter_map(|(k, s)| match s {
+                Slot::Ready(e) if e.admitted > 0 => f(k, e),
+                _ => None,
+            })
+            .collect()
     }
 
-    /// All resident (`Ready`) entries, one shard read lock at a time.
-    /// In-flight builds are skipped — they have nothing to export yet.
-    /// The snapshot is a point-in-time copy: entries inserted while a
-    /// later shard is scanned may or may not appear, which is fine for
-    /// the anti-entropy digest (repair converges over repeated rounds).
-    pub fn snapshot(&self) -> Vec<(CacheKey, Arc<CompiledKernel>)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read();
-            out.extend(shard.iter().filter_map(|(k, v)| match v {
-                Slot::Ready(r) => Some((*k, r.kernel.clone())),
-                Slot::Building(_) => None,
-            }));
-        }
-        out
+    fn touch(&self, e: &Entry) -> Arc<CompiledKernel> {
+        e.last_used.store(self.next_tick(), Ordering::Relaxed);
+        e.kernel.clone()
     }
 
     /// Lookup without building.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<CompiledKernel>> {
-        match self.shard(key).read().get(key) {
-            Some(Slot::Ready(r)) => {
-                r.last_used.store(self.next_tick(), Ordering::Relaxed);
-                Some(r.kernel.clone())
-            }
+        match self.slots.read().get(key) {
+            Some(Slot::Ready(e)) => Some(self.touch(e)),
             _ => None,
         }
     }
 
-    /// Drop a resident entry — the owner refused to bank what a build
-    /// returned. Not an eviction: nothing is counted or queued.
-    pub fn remove(&self, key: &CacheKey) {
-        let mut shard = self.shard(key).write();
-        if matches!(shard.get(key), Some(Slot::Ready(_))) {
-            shard.remove(key);
+    /// Whether the entry resident for `key` holds `kernel` and is proved
+    /// for its device.
+    pub(crate) fn proved(&self, key: &CacheKey, kernel: &Arc<CompiledKernel>) -> bool {
+        match self.slots.read().get(key) {
+            Some(Slot::Ready(e)) => {
+                Arc::ptr_eq(&e.kernel, kernel) && e.proved.load(Ordering::Relaxed)
+            }
+            _ => false,
         }
     }
 
-    /// Insert a pre-built kernel (store load, fabric install).
-    pub fn insert(&self, key: CacheKey, kernel: Arc<CompiledKernel>) {
-        let ready = Ready {
-            kernel,
-            last_used: AtomicU64::new(self.next_tick()),
-        };
-        let mut shard = self.shard(&key).write();
-        shard.insert(key, Slot::Ready(ready));
-        self.enforce_cap(&mut shard, &key);
+    /// Mark the entry resident for `key` proved, if it still holds `kernel`.
+    pub(crate) fn prove(&self, key: &CacheKey, kernel: &Arc<CompiledKernel>) {
+        if let Some(Slot::Ready(e)) = self.slots.read().get(key) {
+            if Arc::ptr_eq(&e.kernel, kernel) {
+                e.proved.store(true, Ordering::Relaxed);
+            }
+        }
     }
 
-    /// Evict least-recently-used `Ready` entries (never the just-touched
-    /// `protect` key, never an in-flight build) until the shard is within
-    /// its cap. Caller holds the shard's write lock.
-    fn enforce_cap(&self, shard: &mut HashMap<CacheKey, Slot>, protect: &CacheKey) {
-        let Some(cap) = self.cap_per_shard else {
+    /// Drop a resident entry — the owner refused to admit what a build
+    /// returned. Not an eviction: nothing is counted.
+    pub fn remove(&self, key: &CacheKey) {
+        let mut slots = self.slots.write();
+        if matches!(slots.get(key), Some(Slot::Ready(_))) {
+            slots.remove(key);
+        }
+    }
+
+    /// Admit `kernel` for `key` with the next admission stamp: the
+    /// single-flight build's own entry is stamped in place, anything else
+    /// is made resident — over another resident entry only when
+    /// `supersede`. `false`: the resident entry was kept.
+    pub(crate) fn admit(
+        &self,
+        key: CacheKey,
+        kernel: &Arc<CompiledKernel>,
+        method: &str,
+        proved: bool,
+        supersede: bool,
+    ) -> bool {
+        let stamp = self.next_tick();
+        let mut slots = self.slots.write();
+        match slots.get_mut(&key) {
+            Some(Slot::Ready(e)) if Arc::ptr_eq(&e.kernel, kernel) => {
+                e.method = method.to_string();
+                e.admitted = stamp;
+                *e.proved.get_mut() |= proved;
+                return true;
+            }
+            Some(Slot::Ready(e)) if !supersede => {
+                // A peer's copy of a resident key is a use of it.
+                e.last_used.store(stamp, Ordering::Relaxed);
+                return false;
+            }
+            _ => {}
+        }
+        self.put(&mut slots, key, kernel.clone(), method, stamp, proved);
+        true
+    }
+
+    /// Make `kernel` resident for `key`, then evict least-recently-used
+    /// entries (never this one, never an in-flight build) until the map
+    /// is within its cap. Caller holds the write lock.
+    fn put(
+        &self,
+        slots: &mut HashMap<CacheKey, Slot>,
+        key: CacheKey,
+        kernel: Arc<CompiledKernel>,
+        method: &str,
+        admitted: u64,
+        proved: bool,
+    ) {
+        let entry = Entry {
+            kernel,
+            method: method.to_string(),
+            admitted,
+            proved: AtomicBool::new(proved),
+            last_used: AtomicU64::new(self.next_tick()),
+        };
+        slots.insert(key, Slot::Ready(entry));
+        let Some(cap) = self.cap else {
             return;
         };
-        loop {
-            let resident = shard
+        while resident(slots) > cap {
+            let victim = slots
                 .iter()
-                .filter(|(_, v)| matches!(v, Slot::Ready(_)))
-                .count();
-            if resident <= cap {
-                return;
-            }
-            let victim = shard
-                .iter()
-                .filter_map(|(k, v)| match v {
-                    Slot::Ready(r) if k != protect => {
-                        Some((r.last_used.load(Ordering::Relaxed), *k))
-                    }
+                .filter_map(|(k, s)| match s {
+                    Slot::Ready(e) if *k != key => Some((e.last_used.load(Ordering::Relaxed), *k)),
                     _ => None,
                 })
                 .min_by_key(|(tick, _)| *tick);
-            let Some((_, key)) = victim else { return };
-            shard.remove(&key);
+            let Some((_, victim)) = victim else { return };
+            slots.remove(&victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            self.evicted.lock().push(key);
         }
     }
 
     /// Fetch `key`, running `build` (at most once across all concurrent
-    /// callers) on a miss.
+    /// callers) on a miss. The built kernel is resident but not admitted:
+    /// the owner admits it.
     pub fn get_or_build<F>(&self, key: CacheKey, build: F) -> (Arc<CompiledKernel>, Outcome)
     where
         F: FnOnce() -> CompiledKernel,
@@ -252,11 +281,8 @@ impl ShardedMap {
         let mut build = Some(build);
         loop {
             // Fast path: shared read lock only.
-            let waiting: Option<Arc<Flight>> = match self.shard(&key).read().get(&key) {
-                Some(Slot::Ready(r)) => {
-                    r.last_used.store(self.next_tick(), Ordering::Relaxed);
-                    return (r.kernel.clone(), Outcome::Hit);
-                }
+            let waiting: Option<Arc<Flight>> = match self.slots.read().get(&key) {
+                Some(Slot::Ready(e)) => return (self.touch(e), Outcome::Hit),
                 Some(Slot::Building(f)) => Some(f.clone()),
                 None => None,
             };
@@ -268,15 +294,12 @@ impl ShardedMap {
             }
             // Claim the build under the write lock.
             let flight = {
-                let mut shard = self.shard(&key).write();
-                match shard.get(&key) {
-                    Some(Slot::Ready(r)) => {
-                        r.last_used.store(self.next_tick(), Ordering::Relaxed);
-                        return (r.kernel.clone(), Outcome::Hit);
-                    }
+                let mut slots = self.slots.write();
+                match slots.get(&key) {
+                    Some(Slot::Ready(e)) => return (self.touch(e), Outcome::Hit),
                     Some(Slot::Building(f)) => {
                         let f = f.clone();
-                        drop(shard);
+                        drop(slots);
                         match f.wait() {
                             Some(k) => return (k, Outcome::Coalesced),
                             None => continue,
@@ -284,7 +307,7 @@ impl ShardedMap {
                     }
                     None => {
                         let f = Flight::new();
-                        shard.insert(key, Slot::Building(f.clone()));
+                        slots.insert(key, Slot::Building(f.clone()));
                         f
                     }
                 }
@@ -307,25 +330,22 @@ impl ShardedMap {
             let kernel = Arc::new(build.take().expect("claimed at most once")());
             let mut guard = guard;
             guard.armed = false;
-            {
-                let mut shard = self.shard(&key).write();
-                shard.insert(
-                    key,
-                    Slot::Ready(Ready {
-                        kernel: kernel.clone(),
-                        last_used: AtomicU64::new(self.next_tick()),
-                    }),
-                );
-                self.enforce_cap(&mut shard, &key);
-            }
+            self.put(&mut self.slots.write(), key, kernel.clone(), "", 0, false);
             flight.finish(FlightState::Done(kernel.clone()));
             return (kernel, Outcome::Built);
         }
     }
 }
 
+fn resident(slots: &HashMap<CacheKey, Slot>) -> usize {
+    slots
+        .values()
+        .filter(|s| matches!(s, Slot::Ready(_)))
+        .count()
+}
+
 struct AbortGuard<'a> {
-    map: &'a ShardedMap,
+    map: &'a ResidentMap,
     key: CacheKey,
     flight: &'a Arc<Flight>,
     armed: bool,
@@ -334,7 +354,7 @@ struct AbortGuard<'a> {
 impl Drop for AbortGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            self.map.shard(&self.key).write().remove(&self.key);
+            self.map.slots.write().remove(&self.key);
             self.flight.finish(FlightState::Aborted);
         }
     }
@@ -366,7 +386,7 @@ mod tests {
 
     #[test]
     fn build_once_then_hit() {
-        let map = ShardedMap::default();
+        let map = ResidentMap::default();
         let builds = AtomicU64::new(0);
         let (_, o1) = map.get_or_build(key(128), || {
             builds.fetch_add(1, Ordering::SeqCst);
@@ -384,7 +404,7 @@ mod tests {
 
     #[test]
     fn concurrent_same_key_builds_exactly_once() {
-        let map = ShardedMap::default();
+        let map = ResidentMap::default();
         let builds = AtomicU64::new(0);
         let outcomes = crossbeam::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
@@ -417,7 +437,7 @@ mod tests {
 
     #[test]
     fn aborted_build_recovers() {
-        let map = ShardedMap::default();
+        let map = ResidentMap::default();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             map.get_or_build(key(512), || panic!("builder died"));
         }));
@@ -427,56 +447,47 @@ mod tests {
         assert_eq!(o, Outcome::Built);
     }
 
-    /// Keys that all land in one shard, so the per-shard cap is exact.
-    fn same_shard_keys(n: usize) -> Vec<CacheKey> {
-        let target = key(1).shard(SHARD_COUNT);
-        (1u64..)
-            .map(key)
-            .filter(|k| k.shard(SHARD_COUNT) == target)
-            .take(n)
-            .collect()
+    /// Admit a fresh kernel for `k`, as a store load does.
+    fn insert(map: &ResidentMap, k: CacheKey) {
+        assert!(map.admit(k, &Arc::new(kernel()), "Gensor", false, true));
     }
 
     #[test]
     fn lru_cap_evicts_the_least_recently_used() {
-        // cap 16 over 16 shards → 1 entry per shard.
-        let map = ShardedMap::with_entry_cap(Some(SHARD_COUNT));
-        let keys = same_shard_keys(3);
-        map.insert(keys[0], Arc::new(kernel()));
-        map.insert(keys[1], Arc::new(kernel()));
+        let map = ResidentMap::with_entry_cap(Some(1));
+        let keys: Vec<CacheKey> = (1..=3).map(key).collect();
+        insert(&map, keys[0]);
+        insert(&map, keys[1]);
         assert_eq!(map.evictions(), 1);
         assert!(map.get(&keys[0]).is_none(), "older entry was evicted");
         assert!(map.get(&keys[1]).is_some());
-        assert_eq!(map.drain_evicted(), vec![keys[0]]);
-        assert!(map.drain_evicted().is_empty(), "drain empties the queue");
 
-        // With one slot per shard, the next insert displaces the survivor.
-        map.insert(keys[2], Arc::new(kernel()));
+        // With one slot, the next insert displaces the survivor.
+        insert(&map, keys[2]);
         assert!(map.get(&keys[1]).is_none());
         assert!(map.get(&keys[2]).is_some());
-        assert_eq!(map.evictions(), 2);
+        assert_eq!((map.len(), map.evictions()), (1, 2));
     }
 
     #[test]
     fn lru_recency_is_respected_within_a_shard() {
-        // cap 32 over 16 shards → 2 entries per shard.
-        let map = ShardedMap::with_entry_cap(Some(2 * SHARD_COUNT));
-        let keys = same_shard_keys(3);
-        map.insert(keys[0], Arc::new(kernel()));
-        map.insert(keys[1], Arc::new(kernel()));
+        let map = ResidentMap::with_entry_cap(Some(2));
+        let keys: Vec<CacheKey> = (1..=3).map(key).collect();
+        insert(&map, keys[0]);
+        insert(&map, keys[1]);
         // Touch the older entry so the *other* one becomes LRU.
         assert!(map.get(&keys[0]).is_some());
-        map.insert(keys[2], Arc::new(kernel()));
+        insert(&map, keys[2]);
         assert!(map.get(&keys[0]).is_some(), "recently touched survives");
         assert!(map.get(&keys[1]).is_none(), "LRU entry evicted");
-        assert_eq!(map.drain_evicted(), vec![keys[1]]);
+        assert_eq!((map.len(), map.evictions()), (2, 1));
     }
 
     #[test]
     fn unbounded_map_never_evicts() {
-        let map = ShardedMap::default();
-        for k in same_shard_keys(24) {
-            map.insert(k, Arc::new(kernel()));
+        let map = ResidentMap::default();
+        for k in (1..=24).map(key) {
+            insert(&map, k);
         }
         assert_eq!(map.len(), 24);
         assert_eq!(map.evictions(), 0);

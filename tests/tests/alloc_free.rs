@@ -7,9 +7,9 @@
 //! carries. This binary installs a global allocator that counts
 //! allocations per thread and asserts that all of that makes none, over
 //! every Table IV operator at its initial state and at states a seeded
-//! walk visits. Deriving a schedule-cache key (`CacheKey::new`) and a
-//! schedule's fingerprint (`Etir::fingerprint`), which every cache hit
-//! pays, makes none either.
+//! walk visits. Deriving a schedule-cache key (`CacheKey::new`), a
+//! schedule's fingerprint (`Etir::fingerprint`) and a repeated cache hit
+//! (`ScheduleCache::lookup`) make none either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -132,6 +132,48 @@ fn a_cache_key_does_not_allocate() {
             assert_eq!(n, 0, "{}: CacheKey::new allocated {n} time(s)", cfg.label);
         }
     }
+}
+
+/// A resident schedule is proved for its device once (at admission with
+/// a spec, or on its first answer), so a repeated hit neither verifies
+/// nor clones a verdict.
+#[test]
+fn a_repeated_cache_hit_does_not_allocate() {
+    let spec = GpuSpec::rtx4090();
+    let cache = schedcache::ScheduleCache::in_memory();
+    let kernel = |op: &tensor_expr::OpSpec| {
+        let etir = Etir::initial(op.clone(), &spec);
+        let report = simgpu::simulate(&etir, &spec).unwrap();
+        simgpu::CompiledKernel {
+            etir,
+            report,
+            wall_time_s: 0.05,
+            simulated_tuning_s: 0.0,
+            candidates_evaluated: 1,
+        }
+    };
+    let (proved, raw) = (
+        tensor_expr::OpSpec::gemm(256, 128, 256),
+        tensor_expr::OpSpec::gemm(512, 128, 256),
+    );
+    cache
+        .install(&proved, &spec, "Gensor", kernel(&proved))
+        .unwrap();
+    cache
+        .install_raw(schedcache::CacheEntry {
+            key: schedcache::CacheKey::new(&raw, &spec, "Gensor"),
+            op_label: raw.label(),
+            method: "Gensor".into(),
+            kernel: kernel(&raw),
+        })
+        .unwrap();
+    for op in [&proved, &raw] {
+        // The first answer proves a raw entry and registers the metrics.
+        cache.lookup(op, &spec, "Gensor").unwrap().unwrap();
+        let n = allocations_in(|| cache.lookup(op, &spec, "Gensor").unwrap().unwrap());
+        assert_eq!(n, 0, "{}: a hit allocated {n} time(s)", op.label());
+    }
+    assert_eq!(cache.stats().hits, 4);
 }
 
 #[test]
