@@ -241,8 +241,8 @@ fn configured_method(opts: &[(&str, &str)]) -> Result<Box<dyn Tuner>, CliError> 
 }
 
 /// Wrap `method` in a caching adapter. Gensor gets the warm-start path
-/// (a quarter-chain construction seeded by cached neighbours, inheriting
-/// `cfg`'s seed); other methods are cached as-is.
+/// (`cfg`'s quarter-chain warm configuration, walking from cached
+/// neighbours' schedules); other methods are cached as-is.
 fn cached_tuner<'a>(
     method: &'a dyn Tuner,
     name: &str,
@@ -250,10 +250,7 @@ fn cached_tuner<'a>(
     cfg: &gensor::GensorConfig,
 ) -> CachedTuner<'a> {
     if name == "gensor" {
-        let warm = gensor::Gensor::with_config(gensor::GensorConfig {
-            chains: (cfg.chains / 4).max(1),
-            ..cfg.clone()
-        });
+        let warm = gensor::Gensor::with_config(cfg.warm());
         CachedTuner::with_warm_tuner(method, warm, cache)
     } else {
         CachedTuner::new(method, cache)

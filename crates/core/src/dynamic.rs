@@ -6,9 +6,11 @@
 //! Because tensor programs are memory-less (the paper's own premise), a
 //! good schedule for a nearby shape is a good *state* to start the Markov
 //! exploration from: [`transplant`] clamps a cached schedule's tiles into a
-//! new shape's envelope and repairs divisibility. The dynamic optimizing
-//! system built on it — exact-shape hits, nearest-neighbour warm starts, a
-//! quarter-chain construction raced against the transplants — is
+//! new shape's envelope and repairs divisibility, and
+//! [`crate::Gensor::compile_from`] walks from the result. The dynamic
+//! optimizing system built on it — exact-shape hits, nearest-neighbour
+//! warm starts, a quarter-chain construction that walks from the
+//! transplants and is raced against the best of them — is
 //! `schedcache::CachedTuner::for_gensor` over `schedcache::ScheduleCache`.
 
 use etir::Etir;

@@ -43,6 +43,17 @@ impl GensorConfig {
         self.seed = seed;
         self
     }
+
+    /// The warm-start configuration derived from this one: a quarter of
+    /// the chains (at least one), with the same seed, annealing schedule,
+    /// step budget and action set. Its walks start at schedules
+    /// transplanted from cached neighbours ([`Gensor::compile_from`]).
+    pub fn warm(&self) -> Self {
+        GensorConfig {
+            chains: (self.chains / 4).max(1),
+            ..self.clone()
+        }
+    }
 }
 
 /// The Gensor tuner.
@@ -86,18 +97,26 @@ impl Gensor {
         (self.cfg.chains * rank).div_ceil(3).max(1)
     }
 
-    /// Run all chains, returning per-chain winners (used by the
-    /// convergence-study experiment as well as `compile`).
-    pub fn run_chains(&self, op: &OpSpec, spec: &GpuSpec) -> Vec<(Etir, KernelReport, u64)> {
-        let chains = self.chains_for(op);
-        let seeds: Vec<u64> = (0..chains)
-            .map(|i| self.cfg.seed.wrapping_add(i as u64))
-            .collect();
+    /// Run every chain and return per-chain winners. Chain `i` walks with
+    /// RNG seed `seed + i` from `starts[i % starts.len()]`, or from the
+    /// unscheduled state when `starts` is empty.
+    fn run_chains_from(
+        &self,
+        op: &OpSpec,
+        spec: &GpuSpec,
+        starts: &[Etir],
+    ) -> Vec<(Etir, KernelReport, u64)> {
+        debug_assert!(starts.iter().all(|s| s.op == *op), "a start of another op");
+        let chains: Vec<usize> = (0..self.chains_for(op)).collect();
         let walk = &self.cfg.walk;
-        let results = simgpu::parallel_map(&seeds, |&seed| {
+        let results = simgpu::parallel_map(&chains, |&i| {
+            let seed = self.cfg.seed.wrapping_add(i as u64);
             let _sp = obs::span!("chain", seed = seed, op = op.label());
             let mut rng = StdRng::seed_from_u64(seed);
-            let rec = walk.run(op, spec, &mut rng);
+            let rec = match starts {
+                [] => walk.run(op, spec, &mut rng),
+                _ => walk.run_from(starts[i % starts.len()].clone(), spec, &mut rng),
+            };
             // Every visited state was scored online; the harvested
             // top_results and the best-seen state compete on those times.
             let n = (rec.steps + 1) as u64;
@@ -105,18 +124,12 @@ impl Gensor {
         });
         results.into_iter().flatten().collect()
     }
-}
 
-impl Tuner for Gensor {
-    fn name(&self) -> &'static str {
-        if self.cfg.walk.policy.enable_vthread {
-            "Gensor"
-        } else {
-            "Gensor w/o vThread"
-        }
-    }
-
-    fn compile(&self, op: &OpSpec, spec: &GpuSpec) -> CompiledKernel {
+    /// Compile `op` with every chain walking from one of `starts` (chain
+    /// `i` from `starts[i % starts.len()]`); with no starts this is
+    /// [`Tuner::compile`], the paper's cold construction. Each start must
+    /// be a schedule of `op` that fits `spec`.
+    pub fn compile_from(&self, op: &OpSpec, spec: &GpuSpec, starts: &[Etir]) -> CompiledKernel {
         let _sp = obs::span!(
             "tune",
             tuner = self.name(),
@@ -125,7 +138,7 @@ impl Tuner for Gensor {
         );
         obs::counter_inc!("gensor_core_compiles_total", "Gensor tuner compiles run");
         let t0 = Instant::now();
-        let per_chain = self.run_chains(op, spec);
+        let per_chain = self.run_chains_from(op, spec, starts);
         let candidates_evaluated: u64 = per_chain.iter().map(|(_, _, n)| n).sum();
         let best = per_chain
             .into_iter()
@@ -158,6 +171,20 @@ impl Tuner for Gensor {
             simulated_tuning_s: 0.0,
             candidates_evaluated,
         }
+    }
+}
+
+impl Tuner for Gensor {
+    fn name(&self) -> &'static str {
+        if self.cfg.walk.policy.enable_vthread {
+            "Gensor"
+        } else {
+            "Gensor w/o vThread"
+        }
+    }
+
+    fn compile(&self, op: &OpSpec, spec: &GpuSpec) -> CompiledKernel {
+        self.compile_from(op, spec, &[])
     }
 }
 

@@ -6,6 +6,10 @@
 //! `1 − 1/(1 + e^{−0.5(−log T − 10)})`, halves the temperature, and stops
 //! when `T` falls below the threshold or the construction completes (all
 //! memory levels scheduled).
+//!
+//! [`Walk::run_from`] starts the same walk at any schedule of the operator
+//! instead — the dynamic optimizing system's warm start (§VII), which walks
+//! from a schedule transplanted off a cached neighbour shape.
 
 use crate::policy::Policy;
 use etir::{Etir, OpCosts, ScheduleStats, StateTiles};
@@ -129,14 +133,33 @@ impl Walk {
         1.0 - 1.0 / (1.0 + (-0.5 * (-t.ln() - 10.0)).exp())
     }
 
-    /// Run one walk (Alg. 1). The step loop reads no clock and records no
-    /// metric; the walk publishes its record to `obs` once, at the end.
-    /// Its `walk.step` events, emitted only while tracing, are the per-step
-    /// trail.
+    /// Run one walk (Alg. 1) from the unscheduled state:
+    /// [`Walk::run_from`] at [`Etir::initial`].
     pub fn run<R: Rng + ?Sized>(&self, op: &OpSpec, spec: &GpuSpec, rng: &mut R) -> WalkRecord {
+        self.run_from(Etir::initial(op.clone(), spec), spec, rng)
+    }
+
+    /// Run one walk (Alg. 1) from `start`, a schedule of the operator it
+    /// walks. The walk re-opens `start` at level 0, so every tile vector
+    /// stays editable, simulates it as its first visited state, and returns
+    /// to it when a construction pass completes with budget left. From the
+    /// unscheduled state this is the paper's walk. The step loop reads no
+    /// clock and records no metric; the walk publishes its record to `obs`
+    /// once, at the end. Its `walk.step` events, emitted only while
+    /// tracing, are the per-step trail.
+    pub fn run_from<R: Rng + ?Sized>(
+        &self,
+        start: Etir,
+        spec: &GpuSpec,
+        rng: &mut R,
+    ) -> WalkRecord {
         let started = std::time::Instant::now();
+        let init = Etir {
+            cur_level: 0,
+            ..start
+        };
+        let op = &init.op;
         let sp = obs::span!("walk", op = op.label(), t0 = self.t0);
-        let init = Etir::initial(op.clone(), spec);
         let costs = OpCosts::new(op);
         let init_stats = ScheduleStats::compute_in(&costs.shape, &init);
         let rank = costs.shape.spatial.len() + costs.shape.reduce.len();
@@ -187,7 +210,8 @@ impl Walk {
             let Some(pick) = self.policy.choose(&rows, rng) else {
                 // Construction complete (or fully blocked) with temperature
                 // budget left: Alg. 1's loop runs until T < threshold, so
-                // re-initialize and spend the remainder on a fresh pass.
+                // return to the start and spend the remainder on a fresh
+                // pass.
                 top.push(e.clone());
                 top_time_us.push(time);
                 let from = std::mem::replace(&mut e, init.clone());
@@ -383,6 +407,88 @@ mod tests {
         let rb = w.run(&gemm(), &spec, &mut StdRng::seed_from_u64(5));
         assert_eq!(ra.terminal, rb.terminal);
         assert_eq!(ra.top_results, rb.top_results);
+    }
+
+    /// One operator per class.
+    fn one_op_per_class() -> [OpSpec; 5] {
+        [
+            OpSpec::gemm(1024, 256, 512),
+            OpSpec::gemv(8192, 1024),
+            OpSpec::conv2d(8, 32, 28, 28, 64, 3, 3, 1, 1),
+            OpSpec::avg_pool2d(16, 48, 48, 48, 2, 2),
+            OpSpec::elementwise(1 << 20, 2, 1),
+        ]
+    }
+
+    #[test]
+    fn a_walk_from_the_unscheduled_state_is_the_cold_walk() {
+        let spec = GpuSpec::rtx4090();
+        let w = Walk::default();
+        for op in one_op_per_class() {
+            for seed in [0, 1, 0xC0FFEE] {
+                let cold = w.run(&op, &spec, &mut StdRng::seed_from_u64(seed));
+                let from = w.run_from(
+                    Etir::initial(op.clone(), &spec),
+                    &spec,
+                    &mut StdRng::seed_from_u64(seed),
+                );
+                let bits = |ts: &[f64]| ts.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+                let seen = |r: &WalkRecord| r.best_seen.clone().map(|(e, t)| (e, t.to_bits()));
+                let label = format!("{} seed {seed}", op.label());
+                assert_eq!(cold.top_results, from.top_results, "{label}");
+                assert_eq!(bits(&cold.top_time_us), bits(&from.top_time_us), "{label}");
+                assert_eq!(cold.steps, from.steps, "{label}");
+                assert_eq!(cold.terminal, from.terminal, "{label}");
+                assert_eq!(seen(&cold), seen(&from), "{label}");
+                assert_eq!(
+                    cold.exact_benefit_evals, from.exact_benefit_evals,
+                    "{label}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_walk_never_ends_slower_than_its_start() {
+        // Start at a finished schedule of a neighbouring shape, moved onto
+        // this one: the walk re-opens it at level 0, explores from it, and
+        // its best-seen state is never slower than where it started.
+        let w = Walk::default();
+        for spec in [GpuSpec::rtx4090(), GpuSpec::orin_nano()] {
+            for (from, to) in [
+                (OpSpec::gemm(1024, 512, 2048), OpSpec::gemm(1536, 512, 2048)),
+                (
+                    OpSpec::conv2d(8, 32, 28, 28, 64, 3, 3, 1, 1),
+                    OpSpec::conv2d(8, 32, 56, 56, 64, 3, 3, 1, 1),
+                ),
+            ] {
+                let source = w
+                    .run(&from, &spec, &mut StdRng::seed_from_u64(1))
+                    .winner(&spec)
+                    .expect("a launchable winner")
+                    .0;
+                let start = crate::dynamic::transplant(&source, &to, &spec).expect("fits");
+                let start_us = simgpu::simulate(&start, &spec).unwrap().time_us;
+                for seed in 0..4 {
+                    let rec = w.run_from(start.clone(), &spec, &mut StdRng::seed_from_u64(seed));
+                    let (best, best_us) = rec.best_seen.as_ref().expect("the start launches");
+                    assert!(
+                        *best_us <= start_us,
+                        "{} seed {seed}: best {best_us} slower than start {start_us}",
+                        to.label()
+                    );
+                    assert_eq!(best.op, to);
+                    assert!(
+                        rec.top_results
+                            .iter()
+                            .any(|e| e.smem_tile != start.smem_tile
+                                || e.reg_tile != start.reg_tile
+                                || e.vthreads != start.vthreads),
+                        "the re-opened start must stay editable"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

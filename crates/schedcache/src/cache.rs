@@ -92,8 +92,9 @@ pub struct ScheduleCache {
     /// operator and target fingerprints × verifier epoch, persisted as a
     /// `<store>.verdicts` sidecar when this cache persists. Every
     /// verification this cache performs goes through it, so re-proving a
-    /// known schedule costs a hash lookup.
-    verdicts: VerdictCache,
+    /// known schedule costs a hash lookup. An evicted entry's verdicts
+    /// leave it, so a bounded cache's verdicts stay bounded too.
+    verdicts: Arc<VerdictCache>,
 }
 
 impl ScheduleCache {
@@ -125,12 +126,14 @@ impl ScheduleCache {
     }
 
     fn with_store(store: Option<Store>, cap: Option<usize>) -> std::io::Result<Self> {
-        let verdicts = match &store {
+        let verdicts = Arc::new(match &store {
             Some(store) => VerdictCache::open(VerdictCache::sidecar(store.path())),
             None => VerdictCache::in_memory(),
-        };
+        });
+        let banked = verdicts.clone();
         let cache = ScheduleCache {
-            map: ResidentMap::with_entry_cap(cap),
+            map: ResidentMap::with_entry_cap(cap)
+                .on_evict(move |key, kernel| banked.forget(&kernel.etir, key.gpu_fp)),
             store,
             stats: Stats::default(),
             verdicts,
@@ -303,8 +306,8 @@ impl ScheduleCache {
     /// excluded — those are hits, not warm starts — but the *same* shape
     /// cached for a **different** device fingerprint is offered (ranked
     /// with [`CROSS_DEVICE_PENALTY`]), so the first sighting of a new GPU
-    /// races schedules transplanted from devices that already know the
-    /// operator. At most `k`.
+    /// walks from schedules transplanted from devices that already know
+    /// the operator. At most `k`.
     pub fn neighbours(&self, op: &OpSpec, spec: &GpuSpec, k: usize) -> Vec<Etir> {
         let my_gpu = etir::identity::gpu_fingerprint(spec);
         let mut scored = self.map.admitted(|key, e| {
@@ -441,9 +444,8 @@ impl ScheduleCache {
 
     /// The one way out: the kernel for (`op`, `spec`, `method`), running
     /// `build` on a miss. `build` receives the warm-start seeds
-    /// ([`neighbours`]) so it can race transplanted candidates against
-    /// fresh construction; concurrent identical requests run `build`
-    /// exactly once.
+    /// ([`neighbours`]) so it can start construction from transplanted
+    /// candidates; concurrent identical requests run `build` exactly once.
     ///
     /// Every answer is proved legal for `spec` before it is handed out —
     /// by `admit` when it was built here or installed with a spec, else by
@@ -723,6 +725,7 @@ mod tests {
         assert_eq!(cache.len(), 16, "resident entries bounded");
         let s = cache.stats();
         assert_eq!((s.misses, s.evictions), (40, 24));
+        assert_eq!(cache.verdicts().len(), 16, "evicted entries' verdicts left");
         // The neighbour index is the map: the 16 newest shapes remain.
         let survivors = cache.neighbours(&OpSpec::gemm(96, 64, 64), &spec, usize::MAX);
         assert_eq!(survivors.len(), 16);

@@ -14,7 +14,9 @@
 //! * **LRU bound** — an optional entry cap (default: unbounded) keeps a
 //!   daemon serving unbounded shape churn from growing without limit. An
 //!   insert that would exceed it evicts the least recently used resident
-//!   entry, so [`ResidentMap::len`] never exceeds the cap.
+//!   entry, so [`ResidentMap::len`] never exceeds the cap. The owner is
+//!   told of each eviction ([`ResidentMap::on_evict`]) and drops what it
+//!   keeps about the entry.
 
 use crate::key::CacheKey;
 use parking_lot::RwLock;
@@ -99,6 +101,9 @@ enum Slot {
     Building(Arc<Flight>),
 }
 
+/// What a map's owner does with an entry the LRU bound evicts.
+type OnEvict = Box<dyn Fn(&CacheKey, &CompiledKernel) + Send + Sync>;
+
 /// The concurrent map.
 pub struct ResidentMap {
     slots: RwLock<HashMap<CacheKey, Slot>>,
@@ -107,6 +112,7 @@ pub struct ResidentMap {
     /// Global clock (monotone; one tick per touch or admission).
     tick: AtomicU64,
     evictions: AtomicU64,
+    on_evict: Option<OnEvict>,
 }
 
 impl Default for ResidentMap {
@@ -124,7 +130,18 @@ impl ResidentMap {
             cap: cap.map(|c| c.max(1)),
             tick: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            on_evict: None,
         }
+    }
+
+    /// Call `f` with each entry the LRU bound evicts, under the map's
+    /// write lock (so `f` must not call back into the map).
+    pub fn on_evict(
+        mut self,
+        f: impl Fn(&CacheKey, &CompiledKernel) + Send + Sync + 'static,
+    ) -> Self {
+        self.on_evict = Some(Box::new(f));
+        self
     }
 
     fn next_tick(&self) -> u64 {
@@ -266,7 +283,9 @@ impl ResidentMap {
                 })
                 .min_by_key(|(tick, _)| *tick);
             let Some((_, victim)) = victim else { return };
-            slots.remove(&victim);
+            if let (Some(Slot::Ready(e)), Some(f)) = (slots.remove(&victim), &self.on_evict) {
+                f(&victim, &e.kernel);
+            }
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -454,7 +473,10 @@ mod tests {
 
     #[test]
     fn lru_cap_evicts_the_least_recently_used() {
-        let map = ResidentMap::with_entry_cap(Some(1));
+        let evicted = Arc::new(Mutex::new(Vec::new()));
+        let told = evicted.clone();
+        let map = ResidentMap::with_entry_cap(Some(1))
+            .on_evict(move |k, _| told.lock().unwrap().push(*k));
         let keys: Vec<CacheKey> = (1..=3).map(key).collect();
         insert(&map, keys[0]);
         insert(&map, keys[1]);
@@ -467,6 +489,7 @@ mod tests {
         assert!(map.get(&keys[1]).is_none());
         assert!(map.get(&keys[2]).is_some());
         assert_eq!((map.len(), map.evictions()), (1, 2));
+        assert_eq!(*evicted.lock().unwrap(), keys[..2], "the owner is told");
     }
 
     #[test]

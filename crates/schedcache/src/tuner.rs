@@ -5,13 +5,15 @@
 //! all take `&dyn Tuner`, wrapping a method in `CachedTuner` is the whole
 //! integration: hits return instantly (zero tuning cost), misses run the
 //! wrapped method once (deduplicated across threads), and — when a warm
-//! tuner is attached — new shapes race schedules transplanted from cached
-//! neighbours against a reduced-budget construction.
+//! tuner is attached — a new shape with cached neighbours transplants
+//! their schedules onto itself and runs a quarter-chain construction whose
+//! walks start at those transplants, not at the unscheduled state; the
+//! best bare transplant is raced against the walks' winner.
 
 use crate::cache::ScheduleCache;
 use crate::map::Outcome;
 use etir::Etir;
-use gensor::{transplant, Gensor, GensorConfig};
+use gensor::{transplant, Gensor};
 use hardware::GpuSpec;
 use simgpu::{pick_best, CompiledKernel, Tuner};
 use std::sync::Arc;
@@ -38,18 +40,11 @@ impl<'a> CachedTuner<'a> {
     }
 
     /// Cache a Gensor instance, warm-starting new shapes with a
-    /// quarter-chain construction seeded by cached neighbours — the
-    /// paper's §VII dynamic optimizing system.
+    /// quarter-chain construction ([`gensor::GensorConfig::warm`]) that
+    /// walks from cached neighbours' schedules — the paper's §VII dynamic
+    /// optimizing system.
     pub fn for_gensor(inner: &'a Gensor, cache: Arc<ScheduleCache>) -> Self {
-        let warm_cfg = GensorConfig {
-            chains: (inner.cfg.chains / 4).max(1),
-            ..inner.cfg.clone()
-        };
-        CachedTuner {
-            inner,
-            warm: Some(Gensor::with_config(warm_cfg)),
-            cache,
-        }
+        Self::with_warm_tuner(inner, Gensor::with_config(inner.cfg.warm()), cache)
     }
 
     /// Cache `inner` with an explicit warm-path tuner.
@@ -84,8 +79,8 @@ impl<'a> CachedTuner<'a> {
 }
 
 /// One construction: the wrapped method, or — given seeds and a warm
-/// tuner — transplanted neighbour schedules raced against a reduced-budget
-/// run.
+/// tuner — a reduced-budget run whose chains walk from the transplanted
+/// neighbour schedules, raced against the best bare transplant.
 fn construct(
     inner: &dyn Tuner,
     warm: Option<&Gensor>,
@@ -105,7 +100,7 @@ fn construct(
         .filter(|e| verify::verify_schedule(e, Some(spec)).is_legal())
         .collect();
     let best_seed = pick_best(&transplanted, spec);
-    let mut fresh = warm.compile(op, spec);
+    let mut fresh = warm.compile_from(op, spec, &transplanted);
     if let Some((e, r)) = best_seed {
         if r.time_us < fresh.report.time_us {
             fresh.etir = e;
@@ -189,21 +184,53 @@ mod tests {
 
     #[test]
     fn warm_quality_stays_close_to_cold() {
+        // A warm miss walks a quarter of the chains from its neighbours'
+        // schedules, and lands a kernel no slower than a full cold compile.
+        for spec in [GpuSpec::rtx4090(), GpuSpec::orin_nano()] {
+            let gensor = Gensor::default();
+            let cache = Arc::new(ScheduleCache::in_memory());
+            let tuner = CachedTuner::for_gensor(&gensor, cache.clone());
+            for m in [64u64, 96, 128, 192, 256] {
+                let op = OpSpec::gemm(8 * m, 512, 512);
+                let warm = tuner.compile(&op, &spec);
+                let cold = gensor.compile(&op, &spec);
+                assert!(
+                    warm.report.time_us <= cold.report.time_us,
+                    "{} on {}: warm {} vs cold {}",
+                    op.label(),
+                    spec.name,
+                    warm.report.time_us,
+                    cold.report.time_us
+                );
+            }
+            assert_eq!(cache.stats().warm_starts, 4, "{}", spec.name);
+        }
+    }
+
+    #[test]
+    fn the_same_request_stream_builds_the_same_schedules() {
+        // A warm walk starts at what the cache holds, so its schedule is a
+        // function of the stream so far; two fresh caches fed one stream
+        // build byte-identical schedules.
         let spec = GpuSpec::rtx4090();
         let gensor = Gensor::default();
-        let cache = Arc::new(ScheduleCache::in_memory());
-        let tuner = CachedTuner::for_gensor(&gensor, cache);
-        for m in [64u64, 96, 128, 192, 256] {
-            let op = OpSpec::gemm(8 * m, 512, 512);
-            let warm = tuner.compile(&op, &spec);
-            let cold = gensor.compile(&op, &spec);
-            assert!(
-                warm.report.time_us <= cold.report.time_us * 1.08,
-                "{}: warm {} vs cold {}",
-                op.label(),
-                warm.report.time_us,
-                cold.report.time_us
-            );
-        }
+        let stream: Vec<OpSpec> = [128u64, 160, 192, 128, 256, 320, 192, 384]
+            .iter()
+            .map(|&s| OpSpec::gemm(8 * s, 512, 1024))
+            .collect();
+        let schedules = || {
+            let tuner = CachedTuner::for_gensor(&gensor, Arc::new(ScheduleCache::in_memory()));
+            stream
+                .iter()
+                .map(|op| {
+                    let k = tuner.compile(op, &spec);
+                    (
+                        serde_json::to_string(&k.etir).unwrap(),
+                        k.report.time_us.to_bits(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(schedules(), schedules());
     }
 }

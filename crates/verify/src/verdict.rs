@@ -264,6 +264,17 @@ impl VerdictCache {
         }
     }
 
+    /// Drop the verdicts banked on `e`, for the device `gpu_fp` and for
+    /// no device, once its owner no longer holds the schedule, so the
+    /// verdicts in memory follow what is resident. The next
+    /// [`VerdictCache::persist`] leaves them out of the sidecar too.
+    pub fn forget(&self, e: &Etir, gpu_fp: u64) {
+        let (schedule, op) = (e.fingerprint(), op_fingerprint(&e.op));
+        let mut map = self.map.lock().unwrap();
+        map.remove(&(schedule, op, gpu_fp));
+        map.remove(&(schedule, op, 0));
+    }
+
     /// Number of banked verdicts.
     pub fn len(&self) -> usize {
         self.map.lock().unwrap().len()
