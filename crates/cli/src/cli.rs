@@ -35,9 +35,8 @@ USAGE:
                [--cache F] [--cache-cap N] [--max-inflight N]
                [--deadline SECS] [--compact-bytes N]
                [--failpoints SPEC] [--seed N]
-               [--flight-dir D] [--flight-cap N] [--gossip-interval SECS]
+               [--flight-dir D] [--flight-cap N]
   gensor cluster status --peers A,B,C [--token T] [--emit E]
-  gensor cluster members --peers A,B,C [--token T] [--emit E | --json]
   gensor cluster repair --peers A,B,C [--token T] [--emit E | --json]
   gensor cluster metrics --peers A,B,C [--token T] [--emit E | --json]
   gensor serve-stats --socket S [--emit E]
@@ -65,7 +64,8 @@ OPTIONS:
   --cache         persistent schedule cache file (JSONL); hits skip tuning
   --peers         comma-separated daemon endpoints forming a cache fabric;
                   compiles route by consistent hash with replica failover
-                  and fall back to in-process compilation if none answers
+                  and fall back to in-process compilation if none answers;
+                  serve: pull what the other peers hold once at start-up
   --remote        one daemon at socket S: a spelling of the one-peer
                   --peers S (--peers wins when both are given)
   --token         shared auth token for token-guarded daemons (serve
@@ -95,10 +95,6 @@ OPTIONS:
                   post-mortem JSONL dumps (default: the system temp dir)
   --flight-cap    serve: flight-recorder ring capacity in events
                   (default 4096)
-  --gossip-interval
-                  serve: run the SWIM failure detector, probing --peers
-                  every SECS seconds; rejoins trigger anti-entropy cache
-                  repair (0 or absent: disabled)
   --seed          deterministic base RNG seed for the construction walks
 
 MODELS:
@@ -149,7 +145,6 @@ const OPTIONS: &[&str] = &[
     "failpoints",
     "flight-cap",
     "flight-dir",
-    "gossip-interval",
     "gpu",
     "listen",
     "max-inflight",
@@ -229,31 +224,45 @@ fn gensor_config(opts: &[(&str, &str)]) -> Result<gensor::GensorConfig, CliError
     Ok(cfg)
 }
 
-/// The `--method` tuner, with gensor built from [`gensor_config`] so
-/// `--seed` applies to it.
-fn configured_method(opts: &[(&str, &str)]) -> Result<Box<dyn Tuner>, CliError> {
-    let method_name = opt(opts, "method", "gensor");
-    if method_name == "gensor" {
-        Ok(Box::new(gensor::Gensor::with_config(gensor_config(opts)?)))
-    } else {
-        parse_method(method_name)
+/// The `--method` tuner. Gensor is built from [`gensor_config`] (so
+/// `--seed` applies to it) and kept concrete, so a `--cache` run can
+/// warm-start it.
+enum Method {
+    Gensor(gensor::Gensor),
+    Other(Box<dyn Tuner>),
+}
+
+impl std::ops::Deref for Method {
+    type Target = dyn Tuner;
+
+    fn deref(&self) -> &(dyn Tuner + 'static) {
+        match self {
+            Method::Gensor(g) => g,
+            Method::Other(t) => t.as_ref(),
+        }
     }
 }
 
-/// Wrap `method` in a caching adapter. Gensor gets the warm-start path
-/// (`cfg`'s quarter-chain warm configuration, walking from cached
-/// neighbours' schedules); other methods are cached as-is.
-fn cached_tuner<'a>(
-    method: &'a dyn Tuner,
-    name: &str,
-    cache: Arc<ScheduleCache>,
-    cfg: &gensor::GensorConfig,
-) -> CachedTuner<'a> {
-    if name == "gensor" {
-        let warm = gensor::Gensor::with_config(cfg.warm());
-        CachedTuner::with_warm_tuner(method, warm, cache)
+impl Method {
+    /// Wrap in a caching adapter. Gensor gets the warm-start path
+    /// ([`CachedTuner::for_gensor`], as the daemon does); other methods
+    /// are cached as-is.
+    fn cached(&self, cache: Arc<ScheduleCache>) -> CachedTuner<'_> {
+        match self {
+            Method::Gensor(g) => CachedTuner::for_gensor(g, cache),
+            Method::Other(t) => CachedTuner::new(t.as_ref(), cache),
+        }
+    }
+}
+
+fn configured_method(opts: &[(&str, &str)]) -> Result<Method, CliError> {
+    let method_name = opt(opts, "method", "gensor");
+    if method_name == "gensor" {
+        Ok(Method::Gensor(gensor::Gensor::with_config(gensor_config(
+            opts,
+        )?)))
     } else {
-        CachedTuner::new(method, cache)
+        parse_method(method_name).map(Method::Other)
     }
 }
 
@@ -435,16 +444,12 @@ fn daemon_tuner<'a>(
 fn compile(pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
     let op = parse_op(pos)?;
     let gpu = parse_gpu(opt(opts, "gpu", "rtx4090"))?;
-    let method_name = opt(opts, "method", "gensor");
-    let gcfg = gensor_config(opts)?;
     let method = configured_method(opts)?;
     let cache = parse_cache(opts)?;
-    let cached = cache
-        .as_ref()
-        .map(|c| cached_tuner(method.as_ref(), method_name, c.clone(), &gcfg));
+    let cached = cache.as_ref().map(|c| method.cached(c.clone()));
     let local: &dyn Tuner = match &cached {
         Some(c) => c,
-        None => method.as_ref(),
+        None => &*method,
     };
     let fabric_tuner = daemon_tuner(opts, local);
     let tuner: &dyn Tuner = match &fabric_tuner {
@@ -538,16 +543,12 @@ fn model(pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
         .parse()
         .map_err(|_| CliError::Usage("bad --batch".into()))?;
     let gpu = parse_gpu(opt(opts, "gpu", "rtx4090"))?;
-    let method_name = opt(opts, "method", "gensor");
-    let gcfg = gensor_config(opts)?;
     let method = configured_method(opts)?;
     let cache = parse_cache(opts)?;
-    let cached = cache
-        .as_ref()
-        .map(|c| cached_tuner(method.as_ref(), method_name, c.clone(), &gcfg));
+    let cached = cache.as_ref().map(|c| method.cached(c.clone()));
     let local: &dyn Tuner = match &cached {
         Some(c) => c,
-        None => method.as_ref(),
+        None => &*method,
     };
     let fabric_tuner = daemon_tuner(opts, local);
     let tuner: &dyn Tuner = match &fabric_tuner {
@@ -786,7 +787,7 @@ fn trace(pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
         }
     } else {
         let fabric_tuner =
-            fabric::FabricClient::new(&peers, opt(opts, "method", "gensor"), None, method.as_ref())
+            fabric::FabricClient::new(&peers, opt(opts, "method", "gensor"), None, &*method)
                 .with_config(client_config(opts))
                 .with_trace(ctx);
         for op in &ops {
@@ -892,7 +893,7 @@ fn metrics_cmd(pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> 
         target_ops(pos, batch)?
     };
     let cache = Arc::new(ScheduleCache::in_memory());
-    let tuner = CachedTuner::new(method.as_ref(), cache);
+    let tuner = CachedTuner::new(&*method, cache);
     for op in &ops {
         // Two passes per operator: the first misses (tuner + verifier +
         // cache-miss counters), the second hits.
@@ -964,42 +965,14 @@ fn serve(_pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
         gcfg = gcfg.with_seed(seed);
     }
     let max_inflight = cfg.max_inflight;
-    let (peers_for_gossip, token_for_gossip) = (cfg.peers.clone(), cfg.token.clone());
+    let (peers, token) = (cfg.peers.clone(), cfg.token.clone());
     let registry = served::MethodRegistry::standard_with_gensor(gcfg);
-    let cache_for_gossip = cache.clone();
-    let server = served::Server::bind(cfg, cache, registry)
+    let server = served::Server::bind(cfg, cache.clone(), registry)
         .map_err(|e| CliError::Usage(format!("cannot bind '{socket}': {e}")))?;
-    // Self-healing layer: with `--gossip-interval` and `--peers`, run
-    // the SWIM failure detector against the fleet. The membership table
-    // also answers this daemon's Gossip/Members frames, and rejoins
-    // (ours included — the startup pass) trigger anti-entropy repair of
-    // the schedule cache.
-    let gossip_interval = parse_num(opts, "gossip-interval")?.unwrap_or(0);
-    let detector = if gossip_interval > 0 && !peers_for_gossip.is_empty() {
-        let me = server.endpoint().to_string();
-        let table = fabric::MemberTable::new(&me, &peers_for_gossip);
-        server.attach_cluster(table.clone());
-        let gcfg = fabric::GossipConfig {
-            interval: std::time::Duration::from_secs(gossip_interval),
-            suspicion_timeout: std::time::Duration::from_secs(gossip_interval.saturating_mul(3)),
-            client: served::ClientConfig {
-                token: token_for_gossip,
-                ..fabric::GossipConfig::default().client
-            },
-            ..Default::default()
-        };
-        eprintln!(
-            "gensor serve: gossip detector on ({} peers, {gossip_interval}s rounds)",
-            peers_for_gossip.len().saturating_sub(1)
-        );
-        Some(
-            fabric::Detector::new(table, gcfg)
-                .with_cache(cache_for_gossip)
-                .spawn(),
-        )
-    } else {
-        None
-    };
+    // With `--peers`, pull what the other daemons hold once, beside the
+    // accept loop: a cold-restarted daemon refills from the survivors.
+    let startup_sync = (!peers.is_empty())
+        .then(|| fabric::spawn_startup_sync(cache, &server.endpoint().to_string(), &peers, token));
     // Always-on flight recorder: a bounded ring of recent spans/events
     // that doubles as the `TraceDump` buffer and lands on disk as
     // timestamped JSONL on panic, failpoint trip, SIGUSR1, or drain.
@@ -1038,8 +1011,8 @@ fn serve(_pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
     let report = server
         .run()
         .map_err(|e| CliError::Usage(format!("serve failed: {e}")))?;
-    if let Some(handle) = detector {
-        handle.stop();
+    if let Some(handle) = startup_sync {
+        let _ = handle.join();
     }
     let s = report.stats;
     Ok(format!(
@@ -1050,17 +1023,16 @@ fn serve(_pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
 
 /// `gensor cluster` — fleet-wide views over `--peers`:
 /// `status` probes liveness, cache counters, and ring shares;
-/// `members` asks a gossip-enabled daemon for the SWIM membership view;
 /// `repair` drives the whole fleet's caches to the union key set;
 /// `metrics` scrapes every peer's Prometheus registry and merges the
 /// samples into one fleet view with per-peer labels.
 fn cluster(pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
     let sub = pos.first().ok_or_else(|| {
-        CliError::Usage("cluster expects a subcommand: status | members | repair | metrics".into())
+        CliError::Usage("cluster expects a subcommand: status | repair | metrics".into())
     })?;
-    if !matches!(*sub, "status" | "members" | "repair" | "metrics") {
+    if !matches!(*sub, "status" | "repair" | "metrics") {
         return Err(CliError::Usage(format!(
-            "unknown cluster subcommand '{sub}' (expected status | members | repair | metrics)"
+            "unknown cluster subcommand '{sub}' (expected status | repair | metrics)"
         )));
     }
     let peers = parse_peers(opts);
@@ -1091,45 +1063,6 @@ fn cluster(pos: &[&str], opts: &[(&str, &str)]) -> Result<String, CliError> {
             "prometheus" | "text" => Ok(fleet.merged_text()),
             other => Err(CliError::Usage(format!("unknown emit mode '{other}'"))),
         };
-    }
-    if *sub == "members" {
-        // The SWIM view lives on the daemons; the first reachable
-        // gossip-enabled peer answers for the cluster.
-        let mut last_err = String::from("no peer reachable");
-        for peer in &peers {
-            let mut c = match served::Client::connect_with(peer.as_str(), cfg.clone()) {
-                Ok(c) => c,
-                Err(e) => {
-                    last_err = e.to_string();
-                    continue;
-                }
-            };
-            let members = match c.members() {
-                Ok(m) => m,
-                Err(e) => {
-                    last_err = e.to_string();
-                    continue;
-                }
-            };
-            if members.is_empty() {
-                last_err = format!("{peer} runs no gossip detector (serve --gossip-interval)");
-                continue;
-            }
-            if emit == "json" {
-                return Ok(serde_json::to_string_pretty(&members).expect("serialize") + "\n");
-            }
-            let mut out = format!("membership per {peer}:\n");
-            for m in members {
-                out.push_str(&format!(
-                    "  {:<8} {:<28} incarnation {:>3}  since {}\n",
-                    m.state, m.endpoint, m.incarnation, m.since_unix_s
-                ));
-            }
-            return Ok(out);
-        }
-        return Err(CliError::Usage(format!(
-            "cluster members: no gossip view available ({last_err})"
-        )));
     }
     if *sub == "repair" {
         let report = fabric::converge_cluster(&peers, &cfg);

@@ -13,13 +13,11 @@
 //! * [`membership`] — static peer list + one circuit breaker per peer,
 //!   the only place peer health is held; the routing ring is over *live*
 //!   peers and rebuilds when one dies or recovers.
-//! * [`gossip`] — SWIM-style failure detection: probe rounds with
-//!   indirect relays, suspicion timeouts, incarnation-numbered
-//!   alive → suspect → dead → rejoined transitions, disseminated by
-//!   piggybacking on `Gossip` frames.
-//! * [`repair`] — anti-entropy cache repair: shard-fingerprint digests
-//!   compared peer-to-peer, only missing entries streamed, every pulled
-//!   kernel re-verified at the `RemotePeer` trust boundary.
+//! * [`repair`] — digest repair: shard-fingerprint digests compared
+//!   peer-to-peer, only missing entries streamed, every pulled kernel
+//!   re-verified at the `RemotePeer` trust boundary. A daemon started
+//!   with peers runs one pass at start-up; `gensor cluster repair`
+//!   converges the whole fleet on demand.
 //! * [`router`] — [`FabricClient`], the [`simgpu::Tuner`]-shaped client:
 //!   primary read, replica failover, write-through replication that
 //!   doubles as read-repair, local fallback when the fabric is gone.
@@ -28,11 +26,9 @@
 //!   Prometheus exposition merged with per-peer labels and fleet-level
 //!   histogram percentiles.
 //!
-//! See DESIGN.md §13 for routing and §16 for the self-healing layer
-//! (membership state machine, digest format, and the repair trust
-//! policy).
+//! See DESIGN.md §13 for routing and §16 for digest repair (digest
+//! format and the repair trust policy).
 
-pub mod gossip;
 pub mod membership;
 pub mod metrics_agg;
 pub mod repair;
@@ -40,10 +36,11 @@ pub mod ring;
 pub mod router;
 pub mod status;
 
-pub use gossip::{Detector, DetectorHandle, GossipConfig, MemberState, MemberTable};
 pub use membership::Membership;
 pub use metrics_agg::{cluster_metrics, ClusterMetrics, FleetHistogram, PeerScrape};
-pub use repair::{converge_cluster, sync_from_peers, ConvergeReport, RepairReport};
+pub use repair::{
+    converge_cluster, spawn_startup_sync, sync_from_peers, ConvergeReport, RepairReport,
+};
 pub use ring::{hash64, ring_key, Ring, RingSpec, DEFAULT_VNODES};
 pub use router::{FabricClient, FabricReport};
 pub use status::{cluster_status, ClusterStatus, PeerStatus};

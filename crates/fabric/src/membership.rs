@@ -2,14 +2,12 @@
 //!
 //! Membership is a static peer list (`gensor serve --peers`, or a
 //! client's `--peers`); *health* is dynamic and lives here and nowhere
-//! else: one transport circuit breaker per configured peer, plus the SWIM
-//! overlay when a detector runs in this process. The routing ring is
-//! built over the **live** peers — those whose breaker is not open —
+//! else: one transport circuit breaker per configured peer. The routing
+//! ring is built over the **live** peers — those whose breaker is not open —
 //! and rebuilt lazily whenever that set changes, so a dead daemon's key
 //! range flows to the survivors within one breaker trip, and flows back
 //! when its half-open probe succeeds.
 
-use crate::gossip::MemberTable;
 use crate::ring::{hash64, Ring, DEFAULT_VNODES};
 use served::{Breaker, BreakerConfig, BreakerState};
 use std::sync::{Arc, Mutex};
@@ -20,11 +18,6 @@ pub struct Membership {
     peers: Vec<String>,
     /// One breaker per peer, index-aligned with `peers`.
     breakers: Vec<Breaker>,
-    /// SWIM overlay, when a gossip detector runs in this process:
-    /// confirmed-dead peers leave the ring even before their breaker
-    /// trips, and confirmed rejoins bring them back without waiting out
-    /// a breaker cooldown.
-    gossip: Mutex<Option<Arc<MemberTable>>>,
     /// `(live-set signature, ring)` — rebuilt when the signature moves.
     cached: Mutex<Option<(u64, Arc<Ring>)>>,
 }
@@ -43,16 +36,8 @@ impl Membership {
         Membership {
             peers,
             breakers,
-            gossip: Mutex::new(None),
             cached: Mutex::new(None),
         }
-    }
-
-    /// Overlay a SWIM membership table: from now on `live_peers`
-    /// excludes gossip-confirmed-dead peers too, and the ring follows
-    /// the table's confirmed transitions (dead ↔ rejoined).
-    pub fn set_gossip(&self, table: Arc<MemberTable>) {
-        *self.gossip.lock().unwrap_or_else(|p| p.into_inner()) = Some(table);
     }
 
     /// The full configured peer list, dead or alive.
@@ -79,27 +64,17 @@ impl Membership {
             .collect()
     }
 
-    /// Peers whose breaker is not currently open and whom gossip (when
-    /// running) has not confirmed dead. Suspect peers stay routable —
-    /// SWIM gives them the suspicion window to refute before their key
-    /// range moves. If the filters empty the list entirely, the full
-    /// list is returned instead — an empty ring would route nothing
-    /// and, worse, freeze the half-open probes that are the only way
-    /// back; keeping the dead peers routable lets `allow()` meter
-    /// recovery attempts normally.
+    /// Peers whose breaker is not currently open. If that empties the
+    /// list entirely, the full list is returned instead — an empty ring
+    /// would route nothing and, worse, freeze the half-open probes that
+    /// are the only way back; keeping the dead peers routable lets
+    /// `allow()` meter recovery attempts normally.
     pub fn live_peers(&self) -> Vec<String> {
-        let dead = self
-            .gossip
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .as_ref()
-            .map(|t| t.dead_peers())
-            .unwrap_or_default();
         let live: Vec<String> = self
             .peers
             .iter()
             .zip(&self.breakers)
-            .filter(|(p, b)| b.state() != BreakerState::Open && !dead.contains(p))
+            .filter(|(_, b)| b.state() != BreakerState::Open)
             .map(|(p, _)| p.clone())
             .collect();
         if live.is_empty() {
@@ -183,24 +158,6 @@ mod tests {
         m.breaker(&peers()[0]).unwrap().on_failure();
         let c = m.ring();
         assert!(!Arc::ptr_eq(&b, &c));
-    }
-
-    #[test]
-    fn gossip_confirmed_death_evicts_and_rejoin_restores() {
-        use crate::gossip::MemberTable;
-        let m = Membership::new(&peers(), trippy());
-        let table = MemberTable::new("tcp://me", &peers());
-        m.set_gossip(table.clone());
-        assert_eq!(m.ring().len(), 3);
-        let dead = &peers()[2];
-        table.observe_unreachable(dead);
-        assert_eq!(m.ring().len(), 3, "suspect stays routable");
-        table.sweep_suspects(Duration::ZERO);
-        let ring = m.ring();
-        assert_eq!(ring.len(), 2, "confirmed dead leaves the ring");
-        assert!(!ring.nodes().contains(dead));
-        table.observe_alive(dead);
-        assert_eq!(m.ring().len(), 3, "rejoin restores the key range");
     }
 
     #[test]

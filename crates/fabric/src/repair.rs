@@ -19,6 +19,9 @@ use schedcache::{CacheEntry, ScheduleCache};
 use served::{Client, ClientConfig, WireEntry};
 use simgpu::CompiledKernel;
 use std::collections::HashSet;
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// What one [`sync_from_peers`] pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -118,7 +121,7 @@ pub fn sync_from_peers(
     let _sp = obs::span!("fabric.repair.sync", peers = peers.len());
     obs::counter_inc!(
         "gensor_fabric_repair_runs_total",
-        "Anti-entropy repair passes started (startup, rejoin, or schedule)"
+        "Anti-entropy repair passes started (daemon start-up)"
     );
     let mut total = RepairReport::default();
     for peer in peers {
@@ -146,6 +149,44 @@ pub fn sync_from_peers(
         );
     }
     total
+}
+
+/// A daemon's start-up repair pass: one [`sync_from_peers`] over every
+/// peer but `me` (with `token`), on a thread of its own so the daemon's
+/// first accept does not wait for it. A cold-restarted daemon refills
+/// from the survivors this way; join the handle at drain. Connects fail
+/// fast — a peer that is not up yet is skipped, and write-through
+/// re-replicates its keys on their next miss or failover.
+pub fn spawn_startup_sync(
+    cache: Arc<ScheduleCache>,
+    me: &str,
+    peers: &[String],
+    token: Option<String>,
+) -> JoinHandle<RepairReport> {
+    let others: Vec<String> = peers.iter().filter(|p| *p != me).cloned().collect();
+    let cfg = ClientConfig {
+        connect_timeout: Duration::from_millis(300),
+        request_timeout: Duration::from_secs(5),
+        retries: 1,
+        connect_budget: Duration::from_millis(500),
+        token,
+        ..ClientConfig::default()
+    };
+    std::thread::Builder::new()
+        .name("startup-repair".into())
+        .spawn(move || {
+            let report = sync_from_peers(&cache, &others, &cfg);
+            obs::log!(
+                Info,
+                "repair: start-up pass installed {} (rejected {}) from {} of {} peers",
+                report.installed,
+                report.rejected,
+                report.peers_contacted,
+                others.len()
+            );
+            report
+        })
+        .expect("spawn the start-up repair thread")
 }
 
 /// What a cluster-wide [`converge_cluster`] sweep did.

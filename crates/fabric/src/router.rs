@@ -28,7 +28,7 @@ use served::{
 use simgpu::{CompiledKernel, Tuner};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use tensor_expr::OpSpec;
 use verify::{Provenance, VerdictCache};
 
@@ -131,16 +131,8 @@ impl<'a> FabricClient<'a> {
         self
     }
 
-    /// Attach a gossip membership table so confirmed-dead peers leave
-    /// this client's ring and rejoins restore them (see
-    /// [`Membership::set_gossip`]).
-    pub fn with_gossip(self, table: Arc<crate::gossip::MemberTable>) -> Self {
-        self.membership.set_gossip(table);
-        self
-    }
-
-    /// Propagate a distributed trace context: every compile, put, and
-    /// probe this client issues carries `ctx` to the daemon (the remote
+    /// Propagate a distributed trace context: every compile and put this
+    /// client issues carries `ctx` to the daemon (the remote
     /// `serve.request` spans are stamped with the same trace id), and
     /// the local `fabric.route` span becomes the remote spans' parent.
     pub fn with_trace(mut self, ctx: obs::TraceContext) -> Self {

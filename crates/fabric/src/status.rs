@@ -1,12 +1,9 @@
 //! `gensor cluster status` — probe every configured peer and report
-//! liveness, cache counters, each peer's estimated ring share, and —
-//! when a gossip-enabled daemon is reachable — the cluster's SWIM view
-//! of each member (state + last transition time).
+//! liveness, cache counters, and each peer's estimated ring share.
 
 use crate::ring::{Ring, DEFAULT_VNODES};
 use serde::Serialize;
-use served::{Client, ClientConfig, ServeStats, WireMember};
-use std::collections::HashMap;
+use served::{Client, ClientConfig, ServeStats};
 
 /// One peer's answer (or lack of one).
 #[derive(Debug, Serialize)]
@@ -22,12 +19,6 @@ pub struct PeerStatus {
     /// Estimated fraction of the key space this peer owns as primary
     /// on the full-membership ring.
     pub ring_share: f64,
-    /// The gossip layer's view of this member (`alive` / `suspect` /
-    /// `dead`), when some reachable daemon runs a detector.
-    pub member_state: Option<String>,
-    /// Unix seconds of this member's last state transition, from the
-    /// same gossip view.
-    pub member_since_unix_s: Option<u64>,
 }
 
 /// The whole cluster's snapshot.
@@ -46,14 +37,9 @@ impl ClusterStatus {
     pub fn render(&self) -> String {
         let mut out = format!("cluster: {}/{} peers up\n", self.up, self.total);
         for p in &self.peers {
-            let member = match (&p.member_state, p.member_since_unix_s) {
-                (Some(state), Some(since)) => format!("  member {state} since {since}"),
-                (Some(state), None) => format!("  member {state}"),
-                _ => String::new(),
-            };
             match (&p.stats, &p.error) {
                 (Some(s), _) => out.push_str(&format!(
-                    "  up    {:<28} share {:>5.1}%  entries-hits {:>6}  misses {:>6}  puts {:>5}  uptime {:.0}s{member}\n",
+                    "  up    {:<28} share {:>5.1}%  entries-hits {:>6}  misses {:>6}  puts {:>5}  uptime {:.0}s\n",
                     p.endpoint,
                     p.ring_share * 100.0,
                     s.hits,
@@ -62,11 +48,11 @@ impl ClusterStatus {
                     s.uptime_s
                 )),
                 (None, Some(e)) => out.push_str(&format!(
-                    "  DOWN  {:<28} share {:>5.1}%  ({e}){member}\n",
+                    "  DOWN  {:<28} share {:>5.1}%  ({e})\n",
                     p.endpoint,
                     p.ring_share * 100.0
                 )),
-                (None, None) => out.push_str(&format!("  DOWN  {:<28}{member}\n", p.endpoint)),
+                (None, None) => out.push_str(&format!("  DOWN  {:<28}\n", p.endpoint)),
             }
         }
         out
@@ -76,34 +62,15 @@ impl ClusterStatus {
 /// Probe `peers` sequentially (status is a diagnostic, not a hot path)
 /// and pair each with its share of the full-membership ring — the share
 /// it *should* own, so an operator can see both "who is down" and "how
-/// much key space that costs". The first up peer running a detector
-/// also contributes its gossip view, annotating every row (down rows
-/// included — that is where `dead since <t>` matters most).
+/// much key space that costs".
 pub fn cluster_status(peers: &[String], cfg: &ClientConfig) -> ClusterStatus {
     let ring = Ring::build(peers, DEFAULT_VNODES);
     let shares = ring.shares(4096);
     let mut out = Vec::with_capacity(shares.len());
     let mut up = 0usize;
-    let mut gossip_view: Option<HashMap<String, WireMember>> = None;
     for (endpoint, share) in shares {
-        let probed = Client::connect_with(endpoint.as_str(), cfg.clone()).and_then(|mut c| {
-            let stats = c.stats()?;
-            // One reachable detector-running daemon is enough for the
-            // cluster-wide membership view; don't re-ask every peer.
-            if gossip_view.is_none() {
-                if let Ok(members) = c.members() {
-                    if !members.is_empty() {
-                        gossip_view = Some(
-                            members
-                                .into_iter()
-                                .map(|m| (m.endpoint.clone(), m))
-                                .collect(),
-                        );
-                    }
-                }
-            }
-            Ok(stats)
-        });
+        let probed =
+            Client::connect_with(endpoint.as_str(), cfg.clone()).and_then(|mut c| c.stats());
         match probed {
             Ok(stats) => {
                 up += 1;
@@ -113,8 +80,6 @@ pub fn cluster_status(peers: &[String], cfg: &ClientConfig) -> ClusterStatus {
                     error: None,
                     stats: Some(stats),
                     ring_share: share,
-                    member_state: None,
-                    member_since_unix_s: None,
                 });
             }
             Err(e) => out.push(PeerStatus {
@@ -123,17 +88,7 @@ pub fn cluster_status(peers: &[String], cfg: &ClientConfig) -> ClusterStatus {
                 error: Some(e.to_string()),
                 stats: None,
                 ring_share: share,
-                member_state: None,
-                member_since_unix_s: None,
             }),
-        }
-    }
-    if let Some(view) = gossip_view {
-        for p in &mut out {
-            if let Some(m) = view.get(&p.endpoint) {
-                p.member_state = Some(m.state.clone());
-                p.member_since_unix_s = Some(m.since_unix_s);
-            }
         }
     }
     ClusterStatus {
@@ -162,26 +117,6 @@ mod tests {
         assert!(!status.peers[0].up);
         assert!(status.peers[0].error.is_some());
         assert!((status.peers[0].ring_share - 1.0).abs() < 1e-9);
-        assert!(status.peers[0].member_state.is_none());
         assert!(status.render().contains("DOWN"));
-    }
-
-    #[test]
-    fn render_includes_the_member_state_when_known() {
-        let status = ClusterStatus {
-            peers: vec![PeerStatus {
-                endpoint: "tcp://127.0.0.1:9001".into(),
-                up: false,
-                error: Some("unreachable".into()),
-                stats: None,
-                ring_share: 1.0,
-                member_state: Some("dead".into()),
-                member_since_unix_s: Some(1_754_600_000),
-            }],
-            up: 0,
-            total: 1,
-        };
-        let text = status.render();
-        assert!(text.contains("member dead since 1754600000"), "{text}");
     }
 }

@@ -34,19 +34,20 @@ impl CompiledModel {
 ///
 /// Compiler stacks fuse standalone elementwise layers into their producers
 /// (those layers cost nothing extra); the eager baseline launches each one
-/// (`Tuner::fuses_elementwise`). Unique operators are compiled in parallel
-/// with a crossbeam scope — they are independent tuning tasks.
+/// (`Tuner::fuses_elementwise`). Unique operators are compiled one after
+/// another in layer order: through a caching tuner a layer may warm-start
+/// from an earlier layer's schedule, so a fixed order keeps every
+/// schedule a function of the model. Each compile still spreads its
+/// chains over every core.
 pub fn compile_model(tuner: &dyn Tuner, graph: &ModelGraph, spec: &GpuSpec) -> CompiledModel {
     let layers: Vec<_> = if tuner.fuses_elementwise() {
         graph.fused_layers().cloned().collect()
     } else {
         graph.layers.clone()
     };
-    let compiled = simgpu::parallel_map(&layers, |l| tuner.compile(&l.op, spec));
     let kernels: Vec<(String, CompiledKernel, u32)> = layers
         .iter()
-        .zip(compiled)
-        .map(|(l, k)| (l.name.clone(), k, l.count))
+        .map(|l| (l.name.clone(), tuner.compile(&l.op, spec), l.count))
         .collect();
     let pass_time_us: f64 = kernels
         .iter()

@@ -9,9 +9,6 @@
 
 use crate::event::{current_tid, now_us, Event, EventKind, Level, Value};
 use std::collections::VecDeque;
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -20,8 +17,6 @@ use std::sync::{Arc, Mutex, RwLock};
 pub trait Collector: Send + Sync {
     /// Record one event.
     fn record(&self, ev: Event);
-    /// Flush any buffered output (file collectors).
-    fn flush(&self) {}
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -35,14 +30,10 @@ pub fn install(c: Arc<dyn Collector>) {
     ENABLED.store(true, Ordering::SeqCst);
 }
 
-/// Disable tracing and remove the collector, returning it (flushed).
+/// Disable tracing and remove the collector, returning it.
 pub fn uninstall() -> Option<Arc<dyn Collector>> {
     ENABLED.store(false, Ordering::SeqCst);
-    let taken = COLLECTOR.write().unwrap_or_else(|p| p.into_inner()).take();
-    if let Some(c) = &taken {
-        c.flush();
-    }
-    taken
+    COLLECTOR.write().unwrap_or_else(|p| p.into_inner()).take()
 }
 
 /// Whether a collector is installed. The one branch every disabled-path
@@ -202,23 +193,8 @@ impl Collector for RingCollector {
     }
 }
 
-/// Streams events to a file as JSON Lines, one event per line — the
-/// durable collector for long daemon runs.
-pub struct JsonlCollector {
-    w: Mutex<BufWriter<File>>,
-}
-
-impl JsonlCollector {
-    /// Create (truncating) the JSONL file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<JsonlCollector> {
-        Ok(JsonlCollector {
-            w: Mutex::new(BufWriter::new(File::create(path)?)),
-        })
-    }
-}
-
-/// One event as a JSONL line (the [`JsonlCollector`] format; the flight
-/// recorder writes the same lines into its dump sidecars).
+/// One event as a JSONL line (the flight recorder writes these into its
+/// dump files).
 pub fn render_jsonl(ev: &Event) -> String {
     let mut s = String::with_capacity(128);
     s.push_str("{\"ts_us\":");
@@ -259,18 +235,6 @@ pub fn render_jsonl(ev: &Event) -> String {
     }
     s.push('}');
     s
-}
-
-impl Collector for JsonlCollector {
-    fn record(&self, ev: Event) {
-        let line = render_jsonl(&ev);
-        let mut w = self.w.lock().unwrap_or_else(|p| p.into_inner());
-        let _ = writeln!(w, "{line}");
-    }
-
-    fn flush(&self) {
-        let _ = self.w.lock().unwrap_or_else(|p| p.into_inner()).flush();
-    }
 }
 
 #[cfg(test)]
@@ -333,24 +297,22 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_collector_writes_one_line_per_event() {
+    fn render_jsonl_writes_one_line_per_event() {
         let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        let path = std::env::temp_dir().join(format!("obs-jsonl-{}.jsonl", std::process::id()));
-        let jsonl = Arc::new(JsonlCollector::create(&path).unwrap());
-        install(jsonl);
+        let ring = Arc::new(RingCollector::new(8));
+        install(ring.clone());
         {
             let _sp = Span::enter("io", vec![("file", Value::Str("x\"y".into()))]);
-            emit_log(Level::Warn, "watch \"out\"".into());
+            emit_log(Level::Warn, "watch \"out\"\nnext".into());
         }
         uninstall();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3, "{text}");
+        let lines: Vec<String> = ring.take().iter().map(render_jsonl).collect();
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert!(lines.iter().all(|l| !l.contains('\n')), "{lines:?}");
         assert!(lines[0].contains("\"ph\":\"B\""));
         assert!(lines[0].contains("x\\\"y"));
         assert!(lines[1].contains("\"level\":\"warn\""));
         assert!(lines[2].contains("\"ph\":\"E\""));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! * **Spans & events** — hierarchical [`Span`]s (`tune` → `walk` →
 //!   `verify` → `codegen.emit`) and instantaneous points (`walk.step`)
 //!   with structured key/value fields, recorded through one pluggable
-//!   process-global [`Collector`] ([`RingCollector`] in memory,
-//!   [`JsonlCollector`] to disk, or none). With no collector installed the
+//!   process-global [`Collector`] ([`RingCollector`] in memory, the
+//!   [`FlightRecorder`]'s ring, or none). With no collector installed the
 //!   `span!`/`event!`/`log!` macros cost one relaxed atomic load and
 //!   evaluate none of their field expressions.
 //! * **Metrics** — a global registry of [`Counter`]s, [`Gauge`]s and
@@ -37,7 +37,7 @@ pub mod trace;
 
 pub use collector::{
     emit_log, install, log_enabled, record, record_point, render_jsonl, tracing_enabled, uninstall,
-    Collector, JsonlCollector, RingCollector, Span,
+    Collector, RingCollector, Span,
 };
 pub use event::{current_tid, intern_name, now_us, Event, EventKind, Level, Value};
 pub use flight::FlightRecorder;

@@ -44,14 +44,9 @@ impl<'a> CachedTuner<'a> {
     /// walks from cached neighbours' schedules — the paper's §VII dynamic
     /// optimizing system.
     pub fn for_gensor(inner: &'a Gensor, cache: Arc<ScheduleCache>) -> Self {
-        Self::with_warm_tuner(inner, Gensor::with_config(inner.cfg.warm()), cache)
-    }
-
-    /// Cache `inner` with an explicit warm-path tuner.
-    pub fn with_warm_tuner(inner: &'a dyn Tuner, warm: Gensor, cache: Arc<ScheduleCache>) -> Self {
         CachedTuner {
             inner,
-            warm: Some(warm),
+            warm: Some(Gensor::with_config(inner.cfg.warm())),
             cache,
         }
     }

@@ -9,7 +9,7 @@
 use crate::endpoint::{Endpoint, Stream};
 use crate::proto::{
     read_frame, write_frame, ErrKind, FrameError, Request, Response, WireEntry, WireEvent,
-    WireKernel, WireMember, WireOutcome, MAX_PULL_KEYS, PROTO_VERSION,
+    WireKernel, WireOutcome, MAX_PULL_KEYS, PROTO_VERSION,
 };
 use hardware::GpuSpec;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -309,20 +309,6 @@ impl Client {
         }
     }
 
-    /// Is (`op`, `gpu`, `method`) resident in the daemon's cache right
-    /// now? Never triggers a compile.
-    pub fn probe(&mut self, op: &OpSpec, gpu: &GpuSpec, method: &str) -> Result<bool, ClientError> {
-        let req = Request::Probe {
-            op: op.clone(),
-            gpu: gpu.clone(),
-            method: method.to_string(),
-        };
-        match self.request(&req)? {
-            Response::Probed { cached } => Ok(cached),
-            other => Err(ClientError::Protocol(format!("probe answered {other:?}"))),
-        }
-    }
-
     /// Fetch the server's counters.
     pub fn stats(&mut self) -> Result<crate::metrics::ServeStats, ClientError> {
         match self.request(&Request::Stats)? {
@@ -348,45 +334,6 @@ impl Client {
         match self.request(&Request::Metrics)? {
             Response::Metrics { text } => Ok(text),
             other => Err(ClientError::Protocol(format!("metrics answered {other:?}"))),
-        }
-    }
-
-    /// One SWIM gossip exchange: announce ourselves (`from`,
-    /// `incarnation`), piggyback `updates`, and receive the peer's
-    /// updates in return. Answering at all proves the peer alive.
-    pub fn gossip(
-        &mut self,
-        from: &str,
-        incarnation: u64,
-        updates: Vec<WireMember>,
-    ) -> Result<Vec<WireMember>, ClientError> {
-        match self.request(&Request::Gossip {
-            from: from.to_string(),
-            incarnation,
-            updates,
-        })? {
-            Response::GossipAck { updates } => Ok(updates),
-            other => Err(ClientError::Protocol(format!("gossip answered {other:?}"))),
-        }
-    }
-
-    /// Ask this peer to ping `target` for us (SWIM's indirect probe).
-    pub fn ping_req(&mut self, target: &str) -> Result<bool, ClientError> {
-        match self.request(&Request::PingReq {
-            target: target.to_string(),
-        })? {
-            Response::PingReqDone { ok } => Ok(ok),
-            other => Err(ClientError::Protocol(format!(
-                "ping-req answered {other:?}"
-            ))),
-        }
-    }
-
-    /// The daemon's membership table (empty when it has no gossip agent).
-    pub fn members(&mut self) -> Result<Vec<WireMember>, ClientError> {
-        match self.request(&Request::Members)? {
-            Response::Members { members } => Ok(members),
-            other => Err(ClientError::Protocol(format!("members answered {other:?}"))),
         }
     }
 

@@ -28,7 +28,7 @@ pub use client::{Breaker, BreakerConfig, BreakerState, Client, ClientConfig, Cli
 pub use endpoint::{Endpoint, Listener, Stream};
 pub use metrics::ServeStats;
 pub use proto::{
-    ErrKind, FrameError, Request, Response, WireEntry, WireEvent, WireKernel, WireMember,
-    WireOutcome, MAX_PULL_KEYS, PROTO_VERSION,
+    ErrKind, FrameError, Request, Response, WireEntry, WireEvent, WireKernel, WireOutcome,
+    MAX_PULL_KEYS, PROTO_VERSION,
 };
-pub use server::{ClusterAgent, DrainReport, MethodRegistry, Server, ServerConfig, ServerHandle};
+pub use server::{DrainReport, MethodRegistry, Server, ServerConfig, ServerHandle};

@@ -32,7 +32,7 @@ use tensor_expr::OpSpec;
 /// Protocol version; bumped on any frame change. The handshake accepts
 /// exactly this version: the server refuses any other `Hello` with
 /// [`ErrKind::UnsupportedProto`], the client rejects any other echo.
-pub const PROTO_VERSION: u32 = 10;
+pub const PROTO_VERSION: u32 = 11;
 
 /// Upper bound on one frame's JSON payload (32 MiB — far above any real
 /// schedule, far below an allocation-of-death).
@@ -76,13 +76,6 @@ pub enum Request {
         // passed around by value in the dispatch loop.
         kernel: Box<WireKernel>,
     },
-    /// Freshness probe: is (`op`, `gpu`, `method`) resident in this
-    /// daemon's cache? Never compiles; answered inline.
-    Probe {
-        op: OpSpec,
-        gpu: GpuSpec,
-        method: String,
-    },
     /// Set (or clear, with `trace_id == 0`) the connection's distributed
     /// trace context. The server stamps `trace` / `parent` onto every
     /// subsequent request's `serve.request` span until the context changes,
@@ -96,24 +89,6 @@ pub enum Request {
     /// daemon without a recorder installed answers with an empty dump
     /// rather than an error.
     TraceDump,
-    /// SWIM-style membership exchange. `from` is the sender's own
-    /// endpoint, `incarnation` its current incarnation number, and
-    /// `updates` the piggybacked slice of its membership table. Doubles
-    /// as the direct liveness probe: answering at all proves the daemon
-    /// alive. A daemon without a gossip agent attached answers with an
-    /// empty update set — gossip is cleanly absent, never an error.
-    Gossip {
-        from: String,
-        incarnation: u64,
-        updates: Vec<WireMember>,
-    },
-    /// Indirect probe: "dial `target` and ping it for me". Used when
-    /// a direct probe fails, so one flaky link does not condemn a healthy
-    /// peer. Answered inline with [`Response::PingReqDone`].
-    PingReq { target: String },
-    /// The daemon's current membership table; empty when no gossip
-    /// agent is attached.
-    Members,
     /// The daemon's cache fingerprint digest: one root plus one
     /// XOR-fold per shard, so a repair pass can locate divergence without
     /// shipping key sets. Answered inline.
@@ -155,8 +130,6 @@ pub enum Response {
     /// was admitted fresh, `false` when the key was already resident (the
     /// replica was up to date; nothing was replaced).
     PutDone { installed: bool },
-    /// Reply to [`Request::Probe`].
-    Probed { cached: bool },
     /// Reply to [`Request::Trace`]: the context is set for this
     /// connection.
     TraceAck,
@@ -165,15 +138,6 @@ pub enum Response {
     /// daemon's listen port by convention); empty when no recorder is
     /// installed, alongside an empty `events`.
     TraceDumped { tag: String, events: Vec<WireEvent> },
-    /// Reply to [`Request::Gossip`]: the responder's piggybacked
-    /// membership updates (empty when no gossip agent is attached).
-    GossipAck { updates: Vec<WireMember> },
-    /// Reply to [`Request::PingReq`]: whether the indirect target
-    /// answered a ping within the probe timeout.
-    PingReqDone { ok: bool },
-    /// Reply to [`Request::Members`]: the daemon's membership table,
-    /// empty when no gossip agent is attached.
-    Members { members: Vec<WireMember> },
     /// Reply to [`Request::CacheDigest`]: `root` is the XOR-fold over
     /// every resident key's hash, `shards` the per-shard folds, `count`
     /// the resident-entry count. Two caches with equal `root` and
@@ -284,21 +248,6 @@ impl From<WireKernel> for CompiledKernel {
             candidates_evaluated: k.candidates_evaluated,
         }
     }
-}
-
-/// One membership-table row in wire form: a peer endpoint, its gossip
-/// state (`"alive"` / `"suspect"` / `"dead"` — strings so a future state
-/// never breaks old parsers), its incarnation number, and the Unix time
-/// of its last state transition. Incarnations implement SWIM's
-/// refutation rule: a higher incarnation always wins a merge, and a node
-/// seeing itself reported suspect or dead re-announces with a bumped
-/// incarnation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireMember {
-    pub endpoint: String,
-    pub state: String,
-    pub incarnation: u64,
-    pub since_unix_s: u64,
 }
 
 /// One repaired cache entry in wire form. Carries the *raw* cache key
@@ -666,8 +615,8 @@ mod tests {
         let e = Etir::initial(op.clone(), &spec);
         let report = simgpu::simulate(&e, &spec).unwrap();
         let put = Request::Put {
-            op: op.clone(),
-            gpu: spec.clone(),
+            op,
+            gpu: spec,
             method: "gensor".into(),
             kernel: Box::new(WireKernel {
                 etir: e,
@@ -677,20 +626,13 @@ mod tests {
                 candidates_evaluated: 7,
             }),
         };
-        let probe = Request::Probe {
-            op,
-            gpu: spec,
-            method: "gensor".into(),
-        };
-        for f in [put, probe] {
-            let mut buf = Vec::new();
-            write_frame(&mut buf, &f).unwrap();
-            let back: Request = read_frame(&mut buf.as_slice()).unwrap();
-            assert_eq!(back, f);
-        }
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &put).unwrap();
+        let back: Request = read_frame(&mut buf.as_slice()).unwrap();
+        assert_eq!(back, put);
         for f in [
             Response::PutDone { installed: true },
-            Response::Probed { cached: false },
+            Response::PutDone { installed: false },
         ] {
             let mut buf = Vec::new();
             write_frame(&mut buf, &f).unwrap();
@@ -816,22 +758,7 @@ mod tests {
                 candidates_evaluated: 3,
             },
         };
-        let member = WireMember {
-            endpoint: "tcp://127.0.0.1:7601".into(),
-            state: "suspect".into(),
-            incarnation: 4,
-            since_unix_s: 1_754_600_000,
-        };
         let requests = vec![
-            Request::Gossip {
-                from: "tcp://127.0.0.1:7602".into(),
-                incarnation: 9,
-                updates: vec![member.clone()],
-            },
-            Request::PingReq {
-                target: "tcp://127.0.0.1:7603".into(),
-            },
-            Request::Members,
             Request::CacheDigest,
             Request::CacheKeys { shard: 11 },
             Request::CachePull { keys: vec![key] },
@@ -846,13 +773,6 @@ mod tests {
             assert_eq!(back, f);
         }
         let responses = vec![
-            Response::GossipAck {
-                updates: vec![member.clone()],
-            },
-            Response::PingReqDone { ok: true },
-            Response::Members {
-                members: vec![member],
-            },
             Response::CacheDigest {
                 root: 0xfeed_f00d,
                 shards: vec![1, 2, 3],

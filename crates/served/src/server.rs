@@ -39,7 +39,7 @@ use crate::endpoint::{Endpoint, Listener, Stream};
 use crate::metrics::{Metrics, ServeStats};
 use crate::proto::{
     read_frame, write_frame, ErrKind, FrameError, Request, Response, WireEntry, WireEvent,
-    WireKernel, WireMember, WireOutcome, MAX_PULL_KEYS, PROTO_VERSION,
+    WireKernel, WireOutcome, MAX_PULL_KEYS, PROTO_VERSION,
 };
 use gensor::{Gensor, GensorConfig};
 use hardware::GpuSpec;
@@ -107,24 +107,6 @@ impl ServerConfig {
     }
 }
 
-/// The daemon side of SWIM-style membership, kept behind a trait so the
-/// gossip state machine can live in the `fabric` crate (which depends on
-/// this one — the dependency cannot point the other way). The serve loop
-/// only ever *answers* gossip: a peer's `Gossip` frame is merged and
-/// acknowledged with piggybacked updates, and `Members` reads the table.
-/// Probing, suspicion timeouts, and ring rebuilds belong to the agent's
-/// owner (the CLI or an embedding test), which drives them on its own
-/// timer. A daemon with no agent attached answers empty — gossip is
-/// cleanly absent for it, never an error.
-pub trait ClusterAgent: Send + Sync {
-    /// Merge a peer's piggybacked updates (it announced itself as
-    /// `from` at `incarnation`) and return this daemon's updates for the
-    /// return leg.
-    fn exchange(&self, from: &str, incarnation: u64, updates: Vec<WireMember>) -> Vec<WireMember>;
-    /// The current membership table.
-    fn members(&self) -> Vec<WireMember>;
-}
-
 /// A tuning method the daemon can serve. Gensor is kept as a config (so
 /// per-request `budget` can re-instance it with fewer chains and the warm
 /// path can quarter it); everything else is an opaque tuner.
@@ -178,7 +160,7 @@ impl MethodRegistry {
     }
 
     /// The name the compile path keys cache entries under for a wire
-    /// method. Inline hits and fabric `Probe`/`Put` frames must address
+    /// method. Inline hits and fabric `Put` frames must address
     /// the same key space as a build, or a replicated kernel would be
     /// installed under a different policy fingerprint than compiles read
     /// from.
@@ -306,20 +288,9 @@ struct Shared {
     shutdown: AtomicBool,
     started: Instant,
     peers: Vec<String>,
-    /// The gossip agent, when one is attached (see [`ClusterAgent`]).
-    /// Behind a mutex because attachment happens after `bind` (the agent
-    /// usually wants the bound endpoint first); reads clone the `Arc`.
-    cluster: Mutex<Option<Arc<dyn ClusterAgent>>>,
 }
 
 impl Shared {
-    fn cluster(&self) -> Option<Arc<dyn ClusterAgent>> {
-        self.cluster
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
-    }
-
     fn draining(&self, handle_signals: bool) -> bool {
         self.shutdown.load(Ordering::SeqCst)
             || (handle_signals && TERMINATED.load(Ordering::SeqCst))
@@ -445,7 +416,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
             peers: cfg.peers.clone(),
-            cluster: Mutex::new(None),
         });
         Ok(Server {
             cfg,
@@ -467,19 +437,6 @@ impl Server {
         ServerHandle {
             shared: self.shared.clone(),
         }
-    }
-
-    /// Attach the gossip agent answering this daemon's `Gossip` /
-    /// `Members` frames (see [`ClusterAgent`]). Called between `bind`
-    /// and `run` — the agent usually needs the bound endpoint, which
-    /// `bind` resolves. Without an attachment the daemon answers gossip
-    /// frames with empty tables (cleanly disabled).
-    pub fn attach_cluster(&self, agent: Arc<dyn ClusterAgent>) {
-        *self
-            .shared
-            .cluster
-            .lock()
-            .unwrap_or_else(|p| p.into_inner()) = Some(agent);
     }
 
     /// Serve until drained (`Shutdown` frame, `ServerHandle::shutdown`, or
@@ -704,9 +661,7 @@ fn handle_connection(stream: Stream, shared: &Arc<Shared>, cfg: &ServerConfig) {
             // window past its input, more inputs than a tile footprint
             // holds) is refused before anything costs a tile of it; the
             // connection stays usable.
-            Request::Compile { ref op, .. }
-            | Request::Put { ref op, .. }
-            | Request::Probe { ref op, .. }
+            Request::Compile { ref op, .. } | Request::Put { ref op, .. }
                 if op.validate().is_err() =>
             {
                 shared.metrics.proto_errors.fetch_add(1, Ordering::Relaxed);
@@ -749,21 +704,11 @@ fn handle_connection(stream: Stream, shared: &Arc<Shared>, cfg: &ServerConfig) {
                     events: Vec::new(),
                 },
             },
-            // Fabric frames are answered inline: a probe is one map read,
-            // a put is verify + insert — neither competes with builds for
-            // the admission gate.
-            // Both canonicalize the wire method ("roller") to the cache-key
+            // A put is answered inline (verify + insert) and never
+            // competes with builds for the admission gate. It
+            // canonicalizes the wire method ("roller") to the cache-key
             // name the compile path uses (the tuner's display name,
-            // "Roller") so fabric frames and compiles share one key space.
-            Request::Probe { op, gpu, method } => match shared.registry.cache_method(&method) {
-                Some(method) => Response::Probed {
-                    cached: shared.cache.peek(&op, &gpu, method).is_some(),
-                },
-                None => Response::Error {
-                    kind: ErrKind::UnknownMethod,
-                    message: format!("no method '{method}' registered"),
-                },
-            },
+            // "Roller") so puts and compiles share one key space.
             Request::Put {
                 op,
                 gpu,
@@ -793,64 +738,8 @@ fn handle_connection(stream: Stream, shared: &Arc<Shared>, cfg: &ServerConfig) {
                     }
                 }
             }
-            // Self-healing frames are answered inline: gossip and
-            // digest reads must work even when every build slot is taken
-            // — a probe that sheds with Busy would look exactly like a
-            // dead daemon to the failure detector.
-            Request::Gossip {
-                from,
-                incarnation,
-                updates,
-            } => {
-                obs::counter_inc!(
-                    "gensor_serve_gossip_total",
-                    "Gossip exchanges answered (membership piggyback + liveness)"
-                );
-                match shared.cluster() {
-                    Some(agent) => Response::GossipAck {
-                        updates: agent.exchange(&from, incarnation, updates),
-                    },
-                    // No agent: gossip is cleanly absent for this daemon.
-                    None => Response::GossipAck {
-                        updates: Vec::new(),
-                    },
-                }
-            }
-            Request::PingReq { target } => {
-                // Indirect probe: dial the target on the asker's behalf
-                // with a tight budget — this runs on the handler thread
-                // and must not pin it for long. The drop-probe failpoint
-                // simulates the relay losing the probe (asymmetric
-                // partition), which must read as "no" rather than hang.
-                let ok = if faults::armed() && faults::check("served.pingreq.drop").is_some() {
-                    obs::log!(
-                        Warn,
-                        "serve: failpoint 'served.pingreq.drop' fired: dropping indirect probe"
-                    );
-                    false
-                } else {
-                    let probe_cfg = crate::client::ClientConfig {
-                        connect_timeout: Duration::from_millis(300),
-                        request_timeout: Duration::from_millis(500),
-                        retries: 1,
-                        backoff_base: Duration::from_millis(1),
-                        connect_budget: Duration::from_millis(500),
-                        token: cfg.token.clone(),
-                    };
-                    crate::client::Client::connect_with(target.as_str(), probe_cfg)
-                        .and_then(|mut c| c.ping())
-                        .is_ok()
-                };
-                Response::PingReqDone { ok }
-            }
-            Request::Members => match shared.cluster() {
-                Some(agent) => Response::Members {
-                    members: agent.members(),
-                },
-                None => Response::Members {
-                    members: Vec::new(),
-                },
-            },
+            // Repair frames are answered inline: a digest read must work
+            // even when every build slot is taken.
             Request::CacheDigest => {
                 let d = shared.cache.digest();
                 Response::CacheDigest {

@@ -9,6 +9,7 @@
 
 use fabric::{cluster_status, FabricClient};
 use hardware::GpuSpec;
+use schedcache::ScheduleCache;
 use served::{
     BreakerConfig, BreakerState, Client, ClientConfig, ClientError, DrainReport, ErrKind,
     MethodRegistry, Server, ServerConfig, ServerHandle,
@@ -18,20 +19,26 @@ use std::sync::Arc;
 use std::time::Duration;
 use tensor_expr::OpSpec;
 
-/// Boot a daemon on a kernel-assigned loopback TCP port; returns the
-/// resolved endpoint, a shutdown handle, and the drain-report join.
-fn start_tcp(
-    tweak: impl FnOnce(&mut ServerConfig),
-) -> (String, ServerHandle, std::thread::JoinHandle<DrainReport>) {
+/// A daemon booted by [`start_tcp`]: its resolved endpoint, a shutdown
+/// handle, the drain-report join, and its cache.
+type Daemon = (
+    String,
+    ServerHandle,
+    std::thread::JoinHandle<DrainReport>,
+    Arc<ScheduleCache>,
+);
+
+/// Boot a daemon on a kernel-assigned loopback TCP port.
+fn start_tcp(tweak: impl FnOnce(&mut ServerConfig)) -> Daemon {
     let mut cfg = ServerConfig::new("tcp://127.0.0.1:0");
     cfg.max_inflight = 16;
     tweak(&mut cfg);
-    let cache = Arc::new(schedcache::ScheduleCache::in_memory());
-    let server = Server::bind(cfg, cache, MethodRegistry::standard()).unwrap();
+    let cache = Arc::new(ScheduleCache::in_memory());
+    let server = Server::bind(cfg, cache.clone(), MethodRegistry::standard()).unwrap();
     let endpoint = server.endpoint().to_string();
     let handle = server.handle();
     let join = std::thread::spawn(move || server.run().unwrap());
-    (endpoint, handle, join)
+    (endpoint, handle, join, cache)
 }
 
 /// Fail fast when a peer is down; the drill depends on quick failover.
@@ -58,11 +65,11 @@ fn hair_trigger() -> BreakerConfig {
 fn three_daemon_batch_survives_a_mid_batch_crash() {
     let _g = faults::exclusive();
     let crash_site = "fabric.cluster.crash";
-    let (ep_a, handle_a, join_a) = start_tcp(|_| {});
-    let (ep_b, _handle_b, join_b) = start_tcp(|cfg| {
+    let (ep_a, handle_a, join_a, _) = start_tcp(|_| {});
+    let (ep_b, _handle_b, join_b, _) = start_tcp(|cfg| {
         cfg.crash_site = Some(crash_site.to_string());
     });
-    let (ep_c, handle_c, join_c) = start_tcp(|_| {});
+    let (ep_c, handle_c, join_c, _) = start_tcp(|_| {});
     let peers = vec![ep_a.clone(), ep_b.clone(), ep_c.clone()];
 
     let fallback = roller::Roller::default();
@@ -133,8 +140,8 @@ fn write_through_replicates_to_the_replica_set() {
     // Compiles through daemons: must not overlap the tamper drill below,
     // whose armed site any daemon in this process would consume.
     let _g = faults::exclusive();
-    let (ep_a, handle_a, join_a) = start_tcp(|_| {});
-    let (ep_b, handle_b, join_b) = start_tcp(|_| {});
+    let (ep_a, handle_a, join_a, cache_a) = start_tcp(|_| {});
+    let (ep_b, handle_b, join_b, cache_b) = start_tcp(|_| {});
     let peers = vec![ep_a.clone(), ep_b.clone()];
 
     let fallback = roller::Roller::default();
@@ -146,12 +153,11 @@ fn write_through_replicates_to_the_replica_set() {
     assert_eq!(r.remote, 1);
     assert_eq!(r.repairs, 1, "the non-primary replica was missing the key");
 
-    // Both daemons now hold the kernel: a probe (which never compiles)
-    // answers cached on each.
-    for ep in &peers {
-        let mut c = Client::connect_with(ep.as_str(), fast_client()).unwrap();
+    // Both daemons now hold the kernel, under the canonical method name
+    // every daemon keys its cache by.
+    for (ep, cache) in [(&ep_a, &cache_a), (&ep_b, &cache_b)] {
         assert!(
-            c.probe(&op, &spec, "roller").unwrap(),
+            cache.peek(&op, &spec, "Roller").is_some(),
             "{ep} is missing the replicated kernel"
         );
     }
@@ -175,8 +181,8 @@ fn tampered_remote_schedule_is_rejected_at_the_trust_boundary() {
     // fabric's cross-boundary re-verification can catch it.
     let _g = faults::exclusive();
     let site = "served.reply.tamper";
-    let (ep_a, handle_a, join_a) = start_tcp(|_| {});
-    let (ep_b, handle_b, join_b) = start_tcp(|_| {});
+    let (ep_a, handle_a, join_a, _) = start_tcp(|_| {});
+    let (ep_b, handle_b, join_b, _) = start_tcp(|_| {});
     let peers = vec![ep_a.clone(), ep_b.clone()];
 
     let fallback = roller::Roller::default();
@@ -224,7 +230,7 @@ fn tampered_remote_schedule_is_rejected_at_the_trust_boundary() {
 
 #[test]
 fn bad_token_is_refused_typed_and_never_silently_downgraded() {
-    let (ep, handle, join) = start_tcp(|cfg| {
+    let (ep, handle, join, _) = start_tcp(|cfg| {
         cfg.token = Some("open-sesame".to_string());
     });
 

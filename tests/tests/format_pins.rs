@@ -51,6 +51,6 @@ fn a_compiled_frame_round_trips_byte_for_byte() {
 fn format_and_epoch_constants_hold() {
     assert_eq!(
         (PROTO_VERSION, FORMAT_VERSION, POLICY_EPOCH, VERIFIER_EPOCH),
-        (10, 1, 1, 4)
+        (11, 1, 1, 4)
     );
 }

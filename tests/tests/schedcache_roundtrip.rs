@@ -4,7 +4,7 @@
 //! concurrent identical requests collapse to one construction.
 
 use etir::{Action, Etir};
-use gensor::Gensor;
+use gensor::{Gensor, GensorConfig};
 use hardware::GpuSpec;
 use models::pipeline::compile_model;
 use proptest::prelude::*;
@@ -240,6 +240,34 @@ fn n_concurrent_identical_requests_run_one_construction() {
     let s = cache.stats();
     assert_eq!(s.misses, 1);
     assert_eq!(s.hits + s.coalesced, 7);
+}
+
+/// A model's schedules are a function of the model: compiled again and
+/// again, each time through a fresh warm-starting cache, every layer gets
+/// the same schedule. Layers warm-start from earlier layers' schedules, so this
+/// holds only while the layers compile in one fixed order.
+#[test]
+fn a_model_compiles_to_the_same_schedules_through_a_fresh_cache() {
+    let spec = GpuSpec::rtx4090();
+    let graph = models::zoo::bert_small(1, 64);
+    let gensor = Gensor::with_config(GensorConfig {
+        chains: 2,
+        ..GensorConfig::default()
+    });
+    let fingerprints = || {
+        let cache = Arc::new(ScheduleCache::in_memory());
+        let tuner = CachedTuner::for_gensor(&gensor, cache.clone());
+        let cm = compile_model(&tuner, &graph, &spec);
+        assert!(cache.stats().warm_starts > 0, "no layer warm-started");
+        cm.kernels
+            .iter()
+            .map(|(name, k, _)| (name.clone(), k.etir.fingerprint()))
+            .collect::<Vec<_>>()
+    };
+    let first = fingerprints();
+    for run in 1..8 {
+        assert_eq!(fingerprints(), first, "run {run} compiled other schedules");
+    }
 }
 
 #[test]

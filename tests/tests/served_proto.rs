@@ -192,7 +192,7 @@ fn hello_frames_carry_the_version() {
     assert_eq!(
         req,
         Request::Hello {
-            proto: 10,
+            proto: 11,
             token: None
         }
     );
