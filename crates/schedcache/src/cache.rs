@@ -12,7 +12,7 @@ use simgpu::CompiledKernel;
 use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
-use tensor_expr::OpSpec;
+use tensor_expr::{Extents, OpSpec};
 use verify::{Provenance, VerdictCache};
 
 /// Number of digest shards in a [`CacheDigest`]. A shard digest
@@ -310,26 +310,44 @@ impl ScheduleCache {
     /// the operator. At most `k`.
     pub fn neighbours(&self, op: &OpSpec, spec: &GpuSpec, k: usize) -> Vec<Etir> {
         let my_gpu = etir::identity::gpu_fingerprint(spec);
-        let mut scored = self.map.admitted(|key, e| {
+        let class = op.class();
+        let (spatial, reduce) = (op.spatial_extents(), op.reduce_extents());
+        let (spatial_log2, reduce_log2) = (log2s(&spatial), log2s(&reduce));
+        // The k nearest so far by (distance, admission stamp), ascending:
+        // stamps are unique, so equal distances keep admission order.
+        let mut nearest: Vec<(f64, u64, Arc<CompiledKernel>)> = Vec::new();
+        self.map.for_each_admitted(|key, e| {
             let seed = &e.kernel.etir.op;
-            let same_rank = seed.class() == op.class()
-                && seed.spatial_extents().len() == op.spatial_extents().len()
-                && seed.reduce_extents().len() == op.reduce_extents().len();
+            if seed.class() != class {
+                return;
+            }
+            let (seed_spatial, seed_reduce) = (seed.spatial_extents(), seed.reduce_extents());
+            if seed_spatial.len() != spatial.len() || seed_reduce.len() != reduce.len() {
+                return;
+            }
             let penalty = if key.gpu_fp == my_gpu {
                 0.0
             } else {
                 CROSS_DEVICE_PENALTY
             };
-            (same_rank && !(seed == op && penalty == 0.0)).then(|| {
-                let distance = shape_distance(seed, op) + penalty;
-                (distance, e.admitted, e.kernel.clone())
-            })
+            if penalty == 0.0 && seed == op {
+                return;
+            }
+            let distance = log2_distance(&seed_spatial, &spatial_log2)
+                + log2_distance(&seed_reduce, &reduce_log2)
+                + penalty;
+            let at = nearest.partition_point(|(d, stamp, _)| {
+                d.total_cmp(&distance).then(stamp.cmp(&e.admitted)).is_lt()
+            });
+            if at < k {
+                if nearest.len() == k {
+                    nearest.pop();
+                }
+                nearest.insert(at, (distance, e.admitted, e.kernel.clone()));
+            }
         });
-        // Equal distances keep admission order.
-        scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        scored
+        nearest
             .into_iter()
-            .take(k)
             .map(|(_, _, kernel)| kernel.etir.clone())
             .collect()
     }
@@ -529,16 +547,21 @@ impl ScheduleCache {
     }
 }
 
-/// Σ |log2 extent ratios| over spatial + reduce axes.
-fn shape_distance(a: &OpSpec, b: &OpSpec) -> f64 {
-    let dist = |x: &[u64], y: &[u64]| -> f64 {
-        x.iter()
-            .zip(y)
-            .map(|(&p, &q)| ((p as f64).log2() - (q as f64).log2()).abs())
-            .sum()
-    };
-    dist(&a.spatial_extents(), &b.spatial_extents())
-        + dist(&a.reduce_extents(), &b.reduce_extents())
+/// Each extent's log2, taken once per [`ScheduleCache::neighbours`] probe.
+fn log2s(extents: &[u64]) -> [f64; Extents::MAX] {
+    let mut out = [0.0; Extents::MAX];
+    for (log2, &x) in out.iter_mut().zip(extents) {
+        *log2 = (x as f64).log2();
+    }
+    out
+}
+
+/// Σ |log2 extent ratios| between a seed's extents and a probe's log2s.
+fn log2_distance(seed: &[u64], probe_log2: &[f64]) -> f64 {
+    seed.iter()
+        .zip(probe_log2)
+        .map(|(&p, &log2_q)| ((p as f64).log2() - log2_q).abs())
+        .sum()
 }
 
 #[cfg(test)]
@@ -667,6 +690,92 @@ mod tests {
             .neighbours(&OpSpec::gemm(1024, 512, 512), &spec, 5)
             .iter()
             .all(|e| e.op != OpSpec::gemm(1024, 512, 512)));
+    }
+
+    /// `neighbours` as it was before the top-k pass: score, clone and
+    /// sort every candidate. Taking `k` of these is the reference the
+    /// one-pass version must match seed for seed.
+    fn sorted_candidates(cache: &ScheduleCache, op: &OpSpec, spec: &GpuSpec) -> Vec<(f64, Etir)> {
+        fn shape_distance(a: &OpSpec, b: &OpSpec) -> f64 {
+            let dist = |x: &[u64], y: &[u64]| -> f64 {
+                x.iter()
+                    .zip(y)
+                    .map(|(&p, &q)| ((p as f64).log2() - (q as f64).log2()).abs())
+                    .sum()
+            };
+            dist(&a.spatial_extents(), &b.spatial_extents())
+                + dist(&a.reduce_extents(), &b.reduce_extents())
+        }
+        let my_gpu = etir::identity::gpu_fingerprint(spec);
+        let mut scored = cache.map.admitted(|key, e| {
+            let seed = &e.kernel.etir.op;
+            let same_rank = seed.class() == op.class()
+                && seed.spatial_extents().len() == op.spatial_extents().len()
+                && seed.reduce_extents().len() == op.reduce_extents().len();
+            let penalty = if key.gpu_fp == my_gpu {
+                0.0
+            } else {
+                CROSS_DEVICE_PENALTY
+            };
+            (same_rank && !(seed == op && penalty == 0.0)).then(|| {
+                let distance = shape_distance(seed, op) + penalty;
+                (distance, e.admitted, e.kernel.clone())
+            })
+        });
+        scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        scored
+            .into_iter()
+            .map(|(distance, _, kernel)| (distance, kernel.etir.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_neighbours_match_the_sorted_reference() {
+        // splitmix64: a seeded stream with no dependency.
+        let mut state = 0x5eed_u64;
+        let mut next = move |n: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        // Power-of-two extents from a narrow range: many candidates sit
+        // at equal distance from a probe, so admission order decides.
+        let shape = |next: &mut dyn FnMut(u64) -> u64| {
+            let e = |x: u64| 64u64 << x;
+            match next(3) {
+                0 | 1 => OpSpec::gemm(e(next(4)), e(next(3)), e(next(4))),
+                _ => OpSpec::gemv(e(next(4)), e(next(3))),
+            }
+        };
+        let gpus = [GpuSpec::rtx4090(), GpuSpec::a100()];
+        let (mut compared, mut ties, mut excluded, mut cross, mut short) = (0, 0, 0, 0, 0);
+        for _ in 0..12 {
+            let cache = ScheduleCache::in_memory();
+            for _ in 0..1 + next(24) {
+                let op = shape(&mut next);
+                fill(&cache, &op, &gpus[next(2) as usize]);
+            }
+            for _ in 0..16 {
+                let op = shape(&mut next);
+                let gpu = &gpus[next(2) as usize];
+                let k = next(cache.len() as u64 + 3) as usize;
+                let all = sorted_candidates(&cache, &op, gpu);
+                let want: Vec<Etir> = all.iter().take(k).map(|(_, e)| e.clone()).collect();
+                assert_eq!(cache.neighbours(&op, gpu, k), want, "{op:?} k={k}");
+                compared += 1;
+                short += usize::from(k > all.len());
+                excluded += usize::from(cache.peek(&op, gpu, "Gensor").is_some());
+                cross += usize::from(all.iter().any(|(_, e)| e.op == op));
+                ties += usize::from(all.windows(2).any(|w| w[0].0 == w[1].0));
+            }
+        }
+        // Every case the equivalence turns on was exercised.
+        assert!(
+            compared == 192 && ties > 0 && excluded > 0 && cross > 0 && short > 0,
+            "compared {compared}, ties {ties}, excluded {excluded}, cross {cross}, short {short}"
+        );
     }
 
     #[test]

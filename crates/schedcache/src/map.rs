@@ -167,14 +167,21 @@ impl ResidentMap {
     /// particular order (`Entry::admitted` gives admission order).
     /// In-flight and not-yet-admitted builds are skipped.
     pub(crate) fn admitted<T>(&self, mut f: impl FnMut(&CacheKey, &Entry) -> Option<T>) -> Vec<T> {
-        let slots = self.slots.read();
-        slots
-            .iter()
-            .filter_map(|(k, s)| match s {
-                Slot::Ready(e) if e.admitted > 0 => f(k, e),
-                _ => None,
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.for_each_admitted(|k, e| out.extend(f(k, e)));
+        out
+    }
+
+    /// [`admitted`](Self::admitted) without collecting: `f` visits each
+    /// admitted entry under one read lock.
+    pub(crate) fn for_each_admitted(&self, mut f: impl FnMut(&CacheKey, &Entry)) {
+        for (k, s) in self.slots.read().iter() {
+            if let Slot::Ready(e) = s {
+                if e.admitted > 0 {
+                    f(k, e);
+                }
+            }
+        }
     }
 
     fn touch(&self, e: &Entry) -> Arc<CompiledKernel> {

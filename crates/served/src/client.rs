@@ -105,6 +105,9 @@ pub struct Client {
     trace: (u64, u64),
     /// The context the server last acknowledged for this connection.
     trace_synced: (u64, u64),
+    /// The read/write timeout the socket carries now, so a request under
+    /// an unchanged deadline makes no `setsockopt` call.
+    deadline: Option<Duration>,
 }
 
 /// A seed that differs across processes and calls without consulting a
@@ -154,6 +157,7 @@ impl Client {
                         cfg: cfg.clone(),
                         trace: (0, 0),
                         trace_synced: (0, 0),
+                        deadline: None,
                     };
                     client.set_deadline(client.cfg.connect_timeout)?;
                     match client.exchange(&Request::Hello {
@@ -193,11 +197,17 @@ impl Client {
         })))
     }
 
-    fn set_deadline(&self, d: Duration) -> Result<(), ClientError> {
+    fn set_deadline(&mut self, d: Duration) -> Result<(), ClientError> {
+        if self.deadline == Some(d) {
+            return Ok(());
+        }
+        self.deadline = None;
         self.stream
             .set_read_timeout(Some(d))
             .and_then(|_| self.stream.set_write_timeout(Some(d)))
-            .map_err(|e| ClientError::Frame(FrameError::Io(e)))
+            .map_err(|e| ClientError::Frame(FrameError::Io(e)))?;
+        self.deadline = Some(d);
+        Ok(())
     }
 
     fn exchange(&mut self, req: &Request) -> Result<Response, ClientError> {

@@ -11,8 +11,8 @@
 //! * [`endpoint`] — the transport layer: Unix-socket or TCP
 //!   (`tcp://host:port`) addresses, listeners, and streams.
 //! * [`proto`] — versioned, length-prefixed JSON frames.
-//! * [`server`] — accept loop, inline hits, one build thread per
-//!   admitted miss, admission gate, graceful drain.
+//! * [`server`] — accept loop, inline hits, admitted misses on parked
+//!   build threads shared process-wide, admission gate, graceful drain.
 //! * [`client`] — blocking client with retries, plus the per-peer
 //!   transport [`Breaker`] the cache fabric routes around. The
 //!   [`simgpu::Tuner`] over daemons is `fabric::FabricClient`.

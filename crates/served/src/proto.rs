@@ -415,16 +415,18 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
-/// Write one frame: length prefix + JSON payload, flushed.
+/// Write one frame: length prefix + JSON payload in one write, flushed,
+/// so the peer never wakes on a bare header.
 pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), FrameError> {
     let json = serde_json::to_string(msg).map_err(|e| FrameError::Malformed(e.to_string()))?;
     let bytes = json.as_bytes();
     if bytes.len() > MAX_FRAME_BYTES {
         return Err(FrameError::TooLarge(bytes.len()));
     }
-    let header = (bytes.len() as u32).to_be_bytes();
-    w.write_all(&header).map_err(FrameError::Io)?;
-    w.write_all(bytes).map_err(FrameError::Io)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame).map_err(FrameError::Io)?;
     w.flush().map_err(FrameError::Io)
 }
 

@@ -9,10 +9,10 @@
 //!   handler: handshake → frame loop ── Compile ──▶ ScheduleCache::lookup
 //!                                                  hit │      │ miss
 //!                              answered on this thread ◀      ▼
-//!                                      admission gate ── permit ──▶ one
-//!                                        │ full → Busy        build thread
-//!                                        ▼                    per miss →
-//!                                   (shed, no queueing)       shared cache
+//!                                      admission gate ── permit ──▶ an idle
+//!                                        │ full → Busy      parked build thread
+//!                                        ▼                  (a new one only when
+//!                                   (shed, no queueing)     none is idle) → cache
 //! ```
 //!
 //! * **Hits never wait**: a `Compile` for a resident key is answered on
@@ -22,6 +22,13 @@
 //! * **Backpressure** is load-shedding, not queueing: the admission gate
 //!   caps *running* builds; beyond the cap a miss is answered `Busy`
 //!   immediately. Nothing queues, so nothing waits to be cancelled.
+//! * **Parked build threads**: an admitted miss is handed to a build
+//!   thread parked on one process-wide idle list, so a steady-state miss
+//!   starts no thread. A thread starts only when none is idle, so the
+//!   process never holds more build threads than its peak of concurrent
+//!   builds, and every daemon in the process shares them. A thread
+//!   re-parks *before* it sends its answer, so the client's next miss
+//!   finds it idle.
 //! * **Deadlines**: a handler stops waiting for its build (answers
 //!   `DeadlineExceeded`) once the deadline passes. The build is not
 //!   interrupted — its result still lands in the shared cache, so the work
@@ -32,8 +39,8 @@
 //!   work during drain is refused with `ShuttingDown`.
 //! * **Panic isolation**: each build runs under its own panic guard; a
 //!   compile that panics fails *its* request with a typed `Internal`
-//!   error and returns its permit, so one poisoned operator can never
-//!   kill the daemon.
+//!   error and returns its permit, and its thread parks again, so one
+//!   poisoned operator can never kill the daemon.
 
 use crate::endpoint::{Endpoint, Listener, Stream};
 use crate::metrics::{Metrics, ServeStats};
@@ -73,8 +80,9 @@ pub struct ServerConfig {
     /// dropped) when it fires — an in-process stand-in for SIGKILL that
     /// lets the cluster tests kill exactly one of three embedded daemons.
     pub crash_site: Option<String>,
-    /// Max running builds (each on a thread of its own); a miss beyond
-    /// this is shed with `Busy`. Hits never count against it.
+    /// Max running builds (each on a parked build thread, see the module
+    /// docs); a miss beyond this is shed with `Busy`. Hits never count
+    /// against it.
     pub max_inflight: usize,
     /// Per-request compile deadline.
     pub deadline: Duration,
@@ -223,7 +231,7 @@ impl Gate {
     }
 }
 
-/// RAII permit: owned by one build thread and released when its build is
+/// RAII permit: owned by one build job and released when its build is
 /// done (banked, refused or panicked), whether or not the client still
 /// waits.
 struct Permit(Arc<Gate>);
@@ -842,8 +850,52 @@ fn server_write(stream: &mut Stream, resp: &Response) -> Result<(), FrameError> 
     write_frame(stream, resp)
 }
 
+/// One admitted miss for a build thread: the build, which frees its
+/// permit when done, and where its answer goes.
+struct Job {
+    build: Box<dyn FnOnce() -> Response + Send>,
+    reply: mpsc::SyncSender<Response>,
+}
+
+/// The build threads parked idle, one mailbox each, most recently parked
+/// last. Process-wide rather than per daemon: each thread keeps its own
+/// stack and malloc arena, so daemons embedded in one process share them.
+/// They are never joined; a drain waits on its own daemon's gate, which
+/// every build's permit returns to.
+static IDLE: Mutex<Vec<mpsc::Sender<Job>>> = Mutex::new(Vec::new());
+
+fn idle() -> MutexGuard<'static, Vec<mpsc::Sender<Job>>> {
+    IDLE.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Hand `job` to the most recently parked build thread, or start a new
+/// one when none is idle: the only place a build thread starts.
+fn dispatch(job: Job) -> std::io::Result<()> {
+    let parked = idle().pop();
+    if let Some(mailbox) = parked {
+        // A parked thread holds its own mailbox open, so this cannot
+        // fail; if it did, the dropped job would answer `Internal`.
+        let _ = mailbox.send(job);
+        return Ok(());
+    }
+    let (mailbox, jobs) = mpsc::channel();
+    let _ = mailbox.send(job);
+    std::thread::Builder::new()
+        .name("gensor-build".into())
+        .spawn(move || {
+            for job in jobs.iter() {
+                let response = (job.build)();
+                // Re-park before answering: the client's next miss, sent
+                // the moment this answer lands, must find this thread idle.
+                idle().push(mailbox.clone());
+                let _ = job.reply.send(response);
+            }
+        })
+        .map(drop)
+}
+
 /// Answer one `Compile`: a resident key here, on the connection's own
-/// thread; a miss on a build thread of its own, behind the admission gate,
+/// thread; a miss on a parked build thread, behind the admission gate,
 /// waited for up to `deadline`.
 fn compile(
     shared: &Arc<Shared>,
@@ -899,9 +951,8 @@ fn compile(
     }
     let (reply, answer) = mpsc::sync_channel(1);
     let builder = shared.clone();
-    let spawned = std::thread::Builder::new()
-        .name("gensor-build".into())
-        .spawn(move || {
+    let job = Job {
+        build: Box::new(move || {
             let queue_us = accepted.elapsed().as_micros() as u64;
             let _sp = obs::span!(
                 "serve.build",
@@ -914,9 +965,11 @@ fn compile(
             // client's next miss is admitted. The client may have stopped
             // waiting (deadline, hang-up); then only the reply is dropped.
             drop(permit);
-            let _ = reply.send(response);
-        });
-    if let Err(e) = spawned {
+            response
+        }),
+        reply,
+    };
+    if let Err(e) = dispatch(job) {
         return Response::Error {
             kind: ErrKind::Internal,
             message: format!("cannot start a build thread: {e}"),
@@ -945,7 +998,7 @@ fn compile(
     }
 }
 
-/// One miss, on its own thread, inside its own panic guard: a poisoned
+/// One miss, on a build thread, inside its own panic guard: a poisoned
 /// operator fails this request with a typed `Internal` error, nothing else.
 fn build(
     shared: &Shared,
